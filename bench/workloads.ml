@@ -68,7 +68,7 @@ let t1_suite () =
 
 module Serve = Mincut_serve.Service
 module Serve_request = Mincut_serve.Request
-module Serve_json = Mincut_serve.Json
+module Json = Mincut_util.Json
 module Api = Mincut_core.Api
 
 (* The query zoo: every T1 family under several algorithm/seed mixes —
@@ -136,23 +136,23 @@ let serve_throughput () =
   let speedup = cold_ms /. warm_ms in
   let snap = Serve.snapshot service in
   let json =
-    Serve_json.Obj
+    Json.Obj
       [
-        ("bench", Serve_json.String "serve-throughput");
-        ("queries", Serve_json.Int queries);
-        ("cold_ms_total", Serve_json.Float cold_ms);
-        ("cold_ms_per_query", Serve_json.Float (cold_ms /. float_of_int queries));
-        ("warm_ms_total", Serve_json.Float warm_ms);
-        ("warm_ms_per_query", Serve_json.Float (warm_ms /. float_of_int queries));
-        ("warm_passes", Serve_json.Int warm_passes);
-        ("speedup_warm_over_cold", Serve_json.Float speedup);
-        ("batch_cold_ms_total", Serve_json.Float batch_ms);
-        ("batch_answers", Serve_json.Int (List.length batch));
-        ("pool_workers", Serve_json.Int (Serve.config pooled).Serve.workers);
-        ("batch_bit_identical", Serve_json.Bool batch_identical);
-        ("cache_hits", Serve_json.Int (Serve.cache_hits service));
-        ("cache_misses", Serve_json.Int (Serve.cache_misses service));
-        ("warm_bit_identical", Serve_json.Bool all_identical);
+        ("bench", Json.String "serve-throughput");
+        ("queries", Json.Int queries);
+        ("cold_ms_total", Json.Float cold_ms);
+        ("cold_ms_per_query", Json.Float (cold_ms /. float_of_int queries));
+        ("warm_ms_total", Json.Float warm_ms);
+        ("warm_ms_per_query", Json.Float (warm_ms /. float_of_int queries));
+        ("warm_passes", Json.Int warm_passes);
+        ("speedup_warm_over_cold", Json.Float speedup);
+        ("batch_cold_ms_total", Json.Float batch_ms);
+        ("batch_answers", Json.Int (List.length batch));
+        ("pool_workers", Json.Int (Serve.config pooled).Serve.workers);
+        ("batch_bit_identical", Json.Bool batch_identical);
+        ("cache_hits", Json.Int (Serve.cache_hits service));
+        ("cache_misses", Json.Int (Serve.cache_misses service));
+        ("warm_bit_identical", Json.Bool all_identical);
         ("metrics", Mincut_serve.Metrics.to_json snap);
       ]
   in

@@ -1,30 +1,26 @@
 (* mincut_lint — static analysis and conformance audit driver.
 
-     mincut_lint                    # token lint lib/ bin/ + replay conformance
+     mincut_lint                    # replay conformance
      mincut_lint --json             # machine-readable report
-     mincut_lint --no-replay src/   # lint only, custom roots
-     mincut_lint ast                # AST tier: call-graph analyzers
-     mincut_lint ast --inject race  # prove an AST analyzer is live
+     mincut_lint ast                # static analysis of lib/ bin/
+     mincut_lint ast --inject race  # prove an analyzer is live
      mincut_lint certify --quick    # CONGEST-model certifier (CI form)
      mincut_lint certify --inject order   # prove the certifier is live
 
-   Pass 1 (source lint) scans OCaml sources token-wise for
-   determinism/model hazards (see [Mincut_analysis.Lint]); accepted
-   findings live in the [.mincut-lint-allow] file.  Pass 2
-   (deterministic replay) runs the BFS message program, the exact,
-   approx and 1-respecting pipelines and a warm-vs-cold serve pass
-   twice each on small workloads and diffs the full execution audits —
-   any hidden nondeterminism fails the run.  The [ast] subcommand is
-   the second lint tier ([Mincut_analysis.Astlint]): it parses every
-   [.ml] with the compiler's parser and runs the call-graph analyzers
-   (scope-aware rule ports, effect classes, allocation budgets, static
-   domain races) against [.mincut-ast-allow]; [--inject
-   nondet|alloc|race] seeds a defect that must be caught (exit 1
-   caught, 3 rotted).  The [certify] subcommand drives the
-   three-analyzer certification suite ([Mincut_analysis.Certify]):
-   shadow sanitizers, span-tree invariant verification and asymptotic
-   envelope fits.  Exit status: 0 clean, 1 findings or
-   replay/certification failure, 2 usage error. *)
+   The bare command is the deterministic-replay conformance pass: it
+   runs the BFS message program, the exact, approx and 1-respecting
+   pipelines and a warm-vs-cold serve pass twice each on small
+   workloads and diffs the full execution audits — any hidden
+   nondeterminism fails the run.  The [ast] subcommand
+   ([Mincut_analysis.Astlint]) parses every [.ml] with the compiler's
+   parser and runs the analyzers (hazard rules, effect classes,
+   allocation budgets, static domain races, exception boundaries,
+   resource brackets) against [.mincut-ast-allow]; [--inject SEED]
+   seeds a defect that must be caught (exit 1 caught, 3 rotted).  The
+   [certify] subcommand drives the three-analyzer certification suite
+   ([Mincut_analysis.Certify]): shadow sanitizers, span-tree invariant
+   verification and asymptotic envelope fits.  Exit status: 0 clean,
+   1 findings or replay/certification failure, 2 usage error. *)
 
 open Cmdliner
 module Lint = Mincut_analysis.Lint
@@ -34,7 +30,7 @@ module Exnflow = Mincut_analysis.Exnflow
 module Resguard = Mincut_analysis.Resguard
 module Replay = Mincut_analysis.Replay
 module Certify = Mincut_analysis.Certify
-module Lockcheck = Mincut_analysis.Lockcheck
+module Lockcheck = Mincut_parallel.Lockcheck
 module Json = Mincut_util.Json
 module Rng = Mincut_util.Rng
 module Bitset = Mincut_util.Bitset
@@ -49,7 +45,6 @@ module Params = Mincut_core.Params
 module Service = Mincut_serve.Service
 module Request = Mincut_serve.Request
 
-let default_allow_file = ".mincut-lint-allow"
 let default_ast_allow_file = ".mincut-ast-allow"
 
 (* ---- replay pass ------------------------------------------------------ *)
@@ -239,11 +234,9 @@ let lockcheck_json () =
            ])
        (Lockcheck.violations ()))
 
-let report_json findings unused replays =
+let report_json replays =
   Json.Obj
     [
-      ("lint", Lint.to_json findings);
-      ("allow_unused", Json.List (List.map (fun s -> Json.String s) unused));
       ("lockcheck", lockcheck_json ());
       ( "replay",
         Json.List
@@ -258,16 +251,11 @@ let report_json findings unused replays =
              replays) );
       ( "status",
         Json.String
-          (if findings = [] && List.for_all (fun r -> r.ok) replays then "clean"
-           else "dirty") );
+          (if List.for_all (fun r -> r.ok) replays then "clean" else "dirty")
+      );
     ]
 
-let report_human findings unused replays =
-  Format.printf "%a" Lint.pp_findings findings;
-  List.iter
-    (fun entry ->
-      Format.printf "note: unused allowlist entry %S — delete it@." entry)
-    unused;
+let report_human replays =
   List.iter
     (fun r ->
       if r.ok then Format.printf "replay ok: %s@." r.check
@@ -276,46 +264,20 @@ let report_human findings unused replays =
         List.iter (fun d -> Format.printf "  %s@." d) r.diffs
       end)
     replays;
-  let nf = List.length findings in
   let bad = List.length (List.filter (fun r -> not r.ok) replays) in
-  if nf = 0 && bad = 0 then
+  if bad = 0 then
     Format.printf "mincut_lint: clean (%d replay checks)@." (List.length replays)
   else
-    Format.printf "mincut_lint: %d finding%s, %d replay failure%s@." nf
-      (if nf = 1 then "" else "s")
-      bad
+    Format.printf "mincut_lint: %d replay failure%s@." bad
       (if bad = 1 then "" else "s")
 
 (* ---- command ---------------------------------------------------------- *)
 
-let run paths allow_file json no_replay =
-  let paths = if paths = [] then [ "lib"; "bin" ] else paths in
-  match List.find_opt (fun p -> not (Sys.file_exists p)) paths with
-  | Some missing ->
-      Printf.eprintf "mincut_lint: no such path %S\n" missing;
-      2
-  | None -> (
-      let allow =
-        match allow_file with
-        | Some f -> Lint.Allow.load f
-        | None ->
-            if Sys.file_exists default_allow_file then
-              Lint.Allow.load default_allow_file
-            else Ok Lint.Allow.empty
-      in
-      match allow with
-      | Error e ->
-          Printf.eprintf "mincut_lint: allowlist: %s\n" e;
-          2
-      | Ok allow ->
-          let raw = Lint.scan_paths paths in
-          let findings = Lint.Allow.filter allow raw in
-          let unused = Lint.Allow.unused allow raw in
-          let replays = if no_replay then [] else run_replay () in
-          if json then
-            print_endline (Json.to_string (report_json findings unused replays))
-          else report_human findings unused replays;
-          if findings = [] && List.for_all (fun r -> r.ok) replays then 0 else 1)
+let run json =
+  let replays = run_replay () in
+  if json then print_endline (Json.to_string (report_json replays))
+  else report_human replays;
+  if List.for_all (fun r -> r.ok) replays then 0 else 1
 
 (* ---- ast subcommand ---------------------------------------------------- *)
 
@@ -457,10 +419,10 @@ let ast_cmd =
     Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SEED" ~doc)
   in
   let doc =
-    "AST analysis tier: parses every .ml with the compiler's parser and runs \
-     the call-graph analyzers (effect classes, allocation budgets, static \
-     domain races, exception boundaries, resource brackets) plus scope-aware \
-     ports of the token rules"
+    "Static analysis: parses every .ml with the compiler's parser and runs \
+     the hazard rules and the call-graph analyzers (effect classes, \
+     allocation budgets, static domain races, exception boundaries, \
+     resource brackets)"
   in
   Cmd.v
     (Cmd.info "ast" ~doc)
@@ -637,31 +599,16 @@ let certify_cmd =
     Term.(const run_certify $ quick_arg $ json_arg $ slack_arg $ inject_arg)
 
 let cmd =
-  let paths_arg =
-    let doc = "Files or directories to scan (default: lib bin)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
-  in
-  let allow_arg =
-    let doc =
-      "Allowlist file of accepted findings, one 'rule path[:line]' per line \
-       (default: " ^ default_allow_file ^ " when present)."
-    in
-    Arg.(value & opt (some string) None & info [ "allow" ] ~docv:"FILE" ~doc)
-  in
   let json_arg =
     let doc = "Emit one machine-readable JSON report on stdout." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let no_replay_arg =
-    let doc = "Skip the deterministic-replay conformance pass." in
-    Arg.(value & flag & info [ "no-replay" ] ~doc)
-  in
   let doc =
-    "static analysis for the mincut repo: determinism lint + CONGEST \
-     conformance replay"
+    "static analysis for the mincut repo: CONGEST conformance replay, plus \
+     the ast and certify subcommands"
   in
   Cmd.group
-    ~default:Term.(const run $ paths_arg $ allow_arg $ json_arg $ no_replay_arg)
+    ~default:Term.(const run $ json_arg)
     (Cmd.info "mincut_lint" ~version:"1.0.0" ~doc)
     [ ast_cmd; certify_cmd ]
 

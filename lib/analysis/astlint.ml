@@ -1,13 +1,11 @@
-(* AST analysis tier: orchestrates the Parsetree analyzers.
+(* Static analysis: orchestrates the Parsetree analyzers.
 
    Three layers on top of [Srcread]/[Callgraph]:
 
-   - [hazards]: scope-aware re-implementations of every token rule in
-     [Lint.rules].  Working on real syntax removes the lexical
-     guesswork — a [let f () = 2.5] binding cannot be mistaken for a
-     comparison, a punned [~compare] label is not a bare compare — while
-     [agreement] pins both tiers to the same answers on parseable
-     sources so neither can drift.
+   - [hazards]: the nine determinism/model hazard rules, on real
+     syntax — a [let f () = 2.5] binding is not a comparison, a punned
+     [~compare] label is not a bare compare, and comments and strings
+     are not code.
    - the whole-repo analyzers: [Effects.check] (step-effect),
      [Allocheck.check] (alloc-budget), [Domcheck.check] (domain-race),
      [Exnflow.check] (exn-escape), [Resguard.check] (resource-leak),
@@ -20,45 +18,49 @@
 module Json = Mincut_util.Json
 
 let rules =
-  Lint.rules
-  @ [
-      ( "parse-error",
-        "source rejected by the compiler's parser; the token tier is the \
-         only coverage it gets" );
-      ( "step-effect",
-        "code reachable from a CONGEST step handler leaves the \
-         deterministic effect classes" );
-      ( "alloc-budget",
-        "allocation sites in Network.drive's round loop or a step handler \
-         exceed the calibrated budget" );
-      ( "domain-race",
-        "top-level mutable state reachable from a Pool task without \
-         Lockcheck.with_lock or Atomic" );
-      ( "exn-escape",
-        "an exception can cross a declared boundary: escape the serve \
-         dispatch or a pool domain body, or carry Store_error out of the \
-         store layer" );
-      ( "resource-leak",
-        "a descriptor acquisition with no Fun.protect bracket or ownership \
-         transfer on some path" );
-    ]
+  [
+    ("poly-compare", "bare polymorphic compare; use Int.compare & co.");
+    ("poly-equal", "polymorphic ( = ) as a first-class function");
+    ("hashtbl-hash", "Hashtbl.hash varies across OCaml versions");
+    ("unseeded-random", "Random.* bypasses the seeded Mincut_util.Rng");
+    ("obj-magic", "Obj.* defeats the type system");
+    ("catchall-exn", "try ... with _ -> swallows every exception");
+    ("bare-mutex", "direct Mutex.create outside Lockcheck bypasses rank checking");
+    ("float-equal", "( = ) on floats; use Float.equal or an epsilon test");
+    ("list-nth", "List.nth is O(n) per access; index an array instead");
+    ( "parse-error",
+      "source rejected by the compiler's parser; no other rule can check it" );
+    ( "step-effect",
+      "code reachable from a CONGEST step handler leaves the \
+       deterministic effect classes" );
+    ( "alloc-budget",
+      "allocation sites in Network.drive's round loop or a step handler \
+       exceed the calibrated budget" );
+    ( "domain-race",
+      "top-level mutable state reachable from a Pool task without \
+       Lockcheck.with_lock or Atomic" );
+    ( "exn-escape",
+      "an exception can cross a declared boundary: escape the serve \
+       dispatch or a pool domain body, or carry Store_error out of the \
+       store layer" );
+    ( "resource-leak",
+      "a descriptor acquisition with no Fun.protect bracket or ownership \
+       transfer on some path" );
+  ]
 
 let known_rule r = List.exists (fun (name, _) -> name = r) rules
 
-(* ---- AST ports of the token rules -------------------------------------- *)
+(* ---- hazard rules -------------------------------------------------------- *)
 
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-(* the token lexer never sees [x = -2.5] as a float comparison (the
-   minus lexes as its own operator token); mirror that so [agreement]
-   stays exact.  Negated-literal comparisons are rare enough that the
-   token fallback's blind spot is an acceptable shared baseline. *)
-let positive_float_lit (e : Parsetree.expression) =
+(* the parser folds a negated literal into the constant: [x = -2.5]
+   compares against [Pconst_float "-2.5"] *)
+let float_lit (e : Parsetree.expression) =
   match e.pexp_desc with
-  | Pexp_constant (Pconst_float (s, _)) ->
-      String.length s > 0 && s.[0] <> '-'
+  | Pexp_constant (Pconst_float _) -> true
   | _ -> false
 
 let hazards (s : Srcread.source) =
@@ -120,8 +122,7 @@ let hazards (s : Srcread.source) =
         ({ pexp_desc = Pexp_ident { txt = Longident.Lident "compare"; _ }; _ }, _)
       ->
         (* [(compare : t -> t -> int)] names the typed comparator being
-           ascribed, exactly the case the token tier exempts via its
-           trailing-colon check *)
+           ascribed *)
         ()
     | Pexp_apply (f, args) -> (
         let visit_args () =
@@ -135,7 +136,7 @@ let hazards (s : Srcread.source) =
             (if prefix_position f args then
                report loc "poly-equal"
                  "polymorphic equality as a function value; use a typed equal"
-             else if List.exists (fun (_, a) -> positive_float_lit a) args then
+             else if List.exists (fun (_, a) -> float_lit a) args then
                report loc "float-equal"
                  "( = ) on a float literal; use Float.equal, or compare \
                   against an epsilon when values are computed");
@@ -160,43 +161,6 @@ let hazards (s : Srcread.source) =
   let it = { Ast_iterator.default_iterator with expr } in
   it.structure it s.Srcread.ast;
   List.rev !findings
-
-(* ---- token/AST agreement ------------------------------------------------ *)
-
-type disagreement = { tier : string; drule : string; dline : int }
-
-(* (rule, line) sets of the two tiers on one parseable source; an entry
-   present in exactly one tier is a drift bug in whichever tier is
-   wrong.  Unparseable sources make no claim: the token tier is alone
-   there by design. *)
-let agreement ~file src =
-  match Srcread.parse_string ~file src with
-  | Error _ -> []
-  | Ok parsed ->
-      let compare_keys (r1, l1) (r2, l2) =
-        match String.compare r1 r2 with 0 -> Int.compare l1 l2 | c -> c
-      in
-      let keyset fs =
-        List.filter_map
-          (fun (f : Lint.finding) ->
-            if List.mem f.Lint.rule Lint.ast_subsumed then
-              Some (f.Lint.rule, f.Lint.line)
-            else None)
-          fs
-        |> List.sort_uniq compare_keys
-      in
-      let token = keyset (Lint.scan_source ~file src) in
-      let ast = keyset (hazards parsed) in
-      List.filter_map
-        (fun (r, l) ->
-          if List.mem (r, l) ast then None
-          else Some { tier = "token"; drule = r; dline = l })
-        token
-      @ List.filter_map
-          (fun (r, l) ->
-            if List.mem (r, l) token then None
-            else Some { tier = "ast"; drule = r; dline = l })
-          ast
 
 (* ---- whole-repo report -------------------------------------------------- *)
 
@@ -262,8 +226,7 @@ let findings r =
       col = e.Srcread.ecol;
       rule = "parse-error";
       message =
-        Printf.sprintf
-          "%s; only the token-tier fallback covers this file until it parses"
+        Printf.sprintf "%s; no other rule covers this file until it parses"
           e.Srcread.reason;
     }
   in

@@ -1,33 +1,46 @@
-(** AST analysis tier: the [mincut_lint ast] engine.
+(** Static analysis: the [mincut_lint ast] engine.
 
     Orchestrates the Parsetree analyzers over one shared parse and call
-    graph: scope-aware ports of every token rule ({!hazards}),
-    {!Effects.check} ([step-effect]), {!Allocheck.check}
-    ([alloc-budget]), {!Domcheck.check} ([domain-race]),
-    {!Exnflow.check} ([exn-escape]) and {!Resguard.check}
-    ([resource-leak]), plus [parse-error] findings for sources only the
-    token fallback covers.
-    {!agreement} pins the token and AST implementations of the shared
-    rules to the same (rule, line) answers on parseable sources, and
+    graph: the hazard rules ({!hazards}), {!Effects.check}
+    ([step-effect]), {!Allocheck.check} ([alloc-budget]),
+    {!Domcheck.check} ([domain-race]), {!Exnflow.check} ([exn-escape])
+    and {!Resguard.check} ([resource-leak]), plus a [parse-error]
+    finding for each source the compiler's parser rejects.
     {!inject_seeds} carries self-contained defective modules CI injects
     to prove each analyzer still fires. *)
 
 val rules : (string * string) list
-(** Token rules plus the AST-only rules; the rule vocabulary of the
-    [ast] allowlist. *)
+(** [(rule-id, one-line description)] for every rule; the rule
+    vocabulary of the allowlist. *)
 
 val known_rule : string -> bool
 
 val hazards : Srcread.source -> Lint.finding list
-(** Scope-aware ports of the token rules over one parsed source. *)
+(** The determinism and CONGEST-model hazard rules over one parsed
+    source:
 
-type disagreement = { tier : string; drule : string; dline : int }
-(** A (rule, line) finding present in exactly one tier; [tier] names
-    the tier that has it ("token" or "ast"). *)
-
-val agreement : file:string -> string -> disagreement list
-(** Compare both tiers on one source buffer.  Empty on agreement and on
-    unparseable sources (where the token tier is alone by design). *)
+    - {b poly-compare}: bare polymorphic [compare] / [Stdlib.compare].
+      On [Graph.t], message types, or anything containing functions or
+      abstract ids, structural comparison is at best
+      representation-dependent and at worst raises — use the typed
+      [Int.compare] / [Float.compare] / [List.compare] family.
+    - {b poly-equal}: [Stdlib.( = )] passed as a first-class function
+      (e.g. [List.mem ( = )] style) — same hazard as poly-compare.
+    - {b hashtbl-hash}: [Hashtbl.hash] — its output varies across OCaml
+      versions and flambda settings, which would break the FNV-1a
+      cache-key guarantees of [Mincut_util.Hash].
+    - {b unseeded-random}: any [Random.*] use.  All randomness must flow
+      through the splittable, seeded [Mincut_util.Rng].
+    - {b obj-magic}: [Obj.magic] and friends.
+    - {b catchall-exn}: [try ... with _ ->] — swallows [Out_of_memory],
+      [Stack_overflow] and every programming error alike; match the
+      exceptions actually thrown.
+    - {b bare-mutex}: direct [Mutex.create] outside [Lockcheck] — an
+      unranked lock is invisible to the deadlock-order checker.
+    - {b float-equal}: [( = )] comparing against a float literal
+      (bindings and record initializers are not comparisons) — use
+      [Float.equal] or an epsilon test.
+    - {b list-nth}: [List.nth] — O(n) per access, quadratic in loops. *)
 
 type report = {
   files : string list;

@@ -1,6 +1,6 @@
 (** Static domain-race checker ([domain-race]).
 
-    Whole-repo complement to the runtime {!Lockcheck}: flags top-level
+    Whole-repo complement to the runtime {!Mincut_parallel.Lockcheck}: flags top-level
     mutable state ([ref]/[Hashtbl]/array/buffer globals) whose accessor
     functions are reachable from a [Pool.map]/[Pool.map_reduce] task
     closure without passing (lexically) through [Lockcheck.with_lock],

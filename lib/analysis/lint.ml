@@ -8,418 +8,12 @@ type finding = {
   message : string;
 }
 
-let rules =
-  [
-    ("poly-compare", "bare polymorphic compare; use Int.compare & co.");
-    ("poly-equal", "polymorphic ( = ) as a first-class function");
-    ("hashtbl-hash", "Hashtbl.hash varies across OCaml versions");
-    ("unseeded-random", "Random.* bypasses the seeded Mincut_util.Rng");
-    ("obj-magic", "Obj.* defeats the type system");
-    ("catchall-exn", "try ... with _ -> swallows every exception");
-    ("bare-mutex", "direct Mutex.create outside Lockcheck bypasses rank checking");
-    ("float-equal", "( = ) on floats; use Float.equal or an epsilon test");
-    ("list-nth", "List.nth is O(n) per access; index an array instead");
-  ]
-
-(* Every token rule is also implemented — scope-aware — by the AST tier
-   ([Astlint.hazards]); this scanner is demoted to the fallback that
-   still covers [.mli] files and sources the compiler's parser rejects.
-   [Astlint.agreement] holds the two implementations to the same answers
-   on parseable [.ml] files. *)
-let ast_subsumed = List.map fst rules
-
-(* ---- lexer ------------------------------------------------------------ *)
-
-(* Just enough of OCaml's lexical structure to walk real sources safely:
-   nested comments (which themselves lex string literals), ordinary and
-   {id|...|id} quoted strings, char literals vs. type variables.  Tokens
-   are dotted longidents (keywords included) and operator runs. *)
-
-type token = {
-  text : string;
-  tline : int;
-  tcol : int;
-  is_ident : bool;
-  is_float : bool;
-}
-
-type cursor = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
-}
-
-let peek c i = if c.pos + i < String.length c.src then Some c.src.[c.pos + i] else None
-
-let advance c =
-  (match peek c 0 with
-  | Some '\n' ->
-      c.line <- c.line + 1;
-      c.col <- 0
-  | Some _ -> c.col <- c.col + 1
-  | None -> ());
-  c.pos <- c.pos + 1
-
-let is_ident_start ch = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') || ch = '_'
-
-let is_ident_char ch = is_ident_start ch || (ch >= '0' && ch <= '9') || ch = '\''
-
-let is_op_char ch = String.contains "!$%&*+-/:<=>?@^|~." ch
-
-let is_digit ch = ch >= '0' && ch <= '9'
-
-let skip_escape c =
-  (* after the backslash *)
-  match peek c 0 with
-  | Some ('0' .. '9') ->
-      advance c;
-      advance c;
-      advance c
-  | Some ('x' | 'o') ->
-      advance c;
-      advance c;
-      advance c
-  | Some _ -> advance c
-  | None -> ()
-
-let rec skip_string c =
-  (* called past the opening quote *)
-  match peek c 0 with
-  | None -> ()
-  | Some '"' -> advance c
-  | Some '\\' ->
-      advance c;
-      skip_escape c;
-      skip_string c
-  | Some _ ->
-      advance c;
-      skip_string c
-
-let skip_quoted_string c =
-  (* called at '{'; returns true if a {id|...|id} literal was consumed *)
-  let start = c.pos in
-  let rec delim i =
-    match peek c i with
-    | Some ('a' .. 'z' | '_') -> delim (i + 1)
-    | Some '|' -> Some i
-    | _ -> None
-  in
-  match delim 1 with
-  | None -> false
-  | Some bar ->
-      let id = String.sub c.src (start + 1) (bar - 1) in
-      let closing = "|" ^ id ^ "}" in
-      let m = String.length closing in
-      for _ = 0 to bar do
-        advance c
-      done;
-      let rec hunt () =
-        if c.pos + m > String.length c.src then ()
-        else if String.sub c.src c.pos m = closing then
-          for _ = 1 to m do
-            advance c
-          done
-        else begin
-          advance c;
-          hunt ()
-        end
-      in
-      hunt ();
-      true
-
-let rec skip_comment c depth =
-  (* called past an opening "(*" *)
-  if depth = 0 then ()
-  else
-    match (peek c 0, peek c 1) with
-    | None, _ -> ()
-    | Some '(', Some '*' ->
-        advance c;
-        advance c;
-        skip_comment c (depth + 1)
-    | Some '*', Some ')' ->
-        advance c;
-        advance c;
-        skip_comment c (depth - 1)
-    | Some '"', _ ->
-        (* comments lex string literals: "*)" inside one doesn't close *)
-        advance c;
-        skip_string c;
-        skip_comment c depth
-    | Some _, _ ->
-        advance c;
-        skip_comment c depth
-
-(* Number literals, just precisely enough to tell floats from ints for
-   the float-equal rule: decimal/hex/octal/binary ints with
-   underscores, and floats with a dot and/or a decimal exponent.  The
-   returned flag is "this is a float literal". *)
-let lex_number c =
-  let start = c.pos in
-  let radix_prefix =
-    match (peek c 0, peek c 1) with
-    | Some '0', Some ('x' | 'X' | 'o' | 'O' | 'b' | 'B') -> true
-    | _ -> false
-  in
-  let hex =
-    match (peek c 0, peek c 1) with
-    | Some '0', Some ('x' | 'X') -> true
-    | _ -> false
-  in
-  if radix_prefix then begin
-    advance c;
-    advance c
-  end;
-  let digit ch =
-    is_digit ch || ch = '_'
-    || (hex && ((ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F')))
-  in
-  let saw_dot = ref false and saw_exp = ref false in
-  let continue = ref true in
-  while !continue do
-    match peek c 0 with
-    | Some ch when digit ch -> advance c
-    | Some '.' when (not !saw_dot) && (not !saw_exp) && not radix_prefix ->
-        saw_dot := true;
-        advance c
-    | Some ('e' | 'E') when (not hex) && not !saw_exp -> (
-        match peek c 1 with
-        | Some d when is_digit d ->
-            saw_exp := true;
-            advance c;
-            advance c
-        | Some ('+' | '-') -> (
-            match peek c 2 with
-            | Some d when is_digit d ->
-                saw_exp := true;
-                advance c;
-                advance c;
-                advance c
-            | _ -> continue := false)
-        | _ -> continue := false)
-    | _ -> continue := false
-  done;
-  (String.sub c.src start (c.pos - start), !saw_dot || !saw_exp)
-
-let char_literal_ahead c =
-  (* at a single quote: distinguish 'x' / '\n' from the type variable 'a *)
-  match peek c 1 with
-  | Some '\\' -> true
-  | Some _ -> ( match peek c 2 with Some '\'' -> true | _ -> false)
-  | None -> false
-
-let tokenize src =
-  let c = { src; pos = 0; line = 1; col = 0 } in
-  let out = ref [] in
-  let emit ?(is_float = false) text tline tcol is_ident =
-    out := { text; tline; tcol; is_ident; is_float } :: !out
-  in
-  let len = String.length src in
-  while c.pos < len do
-    match (peek c 0, peek c 1) with
-    | Some '(', Some '*' ->
-        advance c;
-        advance c;
-        skip_comment c 1
-    | Some '"', _ ->
-        advance c;
-        skip_string c
-    | Some '{', _ when skip_quoted_string c -> ()
-    | Some '\'', _ when char_literal_ahead c ->
-        advance c;
-        (match peek c 0 with
-        | Some '\\' ->
-            advance c;
-            skip_escape c
-        | _ -> advance c);
-        (match peek c 0 with Some '\'' -> advance c | _ -> ())
-    | Some ch, _ when is_digit ch ->
-        let tline = c.line and tcol = c.col in
-        let text, is_float = lex_number c in
-        emit ~is_float text tline tcol false
-    | Some ch, _ when is_ident_start ch ->
-        let tline = c.line and tcol = c.col in
-        let start = c.pos in
-        let continue = ref true in
-        while !continue do
-          (match peek c 0 with
-          | Some ch when is_ident_char ch -> advance c
-          | Some '.' -> (
-              (* extend a longident across dots: [Mod.sub.name] *)
-              match peek c 1 with
-              | Some ch2 when is_ident_start ch2 ->
-                  advance c;
-                  advance c
-              | _ -> continue := false)
-          | _ -> continue := false)
-        done;
-        emit (String.sub src start (c.pos - start)) tline tcol true
-    | Some ch, _ when is_op_char ch ->
-        let tline = c.line and tcol = c.col in
-        let start = c.pos in
-        while (match peek c 0 with Some ch -> is_op_char ch | None -> false) do
-          advance c
-        done;
-        emit (String.sub src start (c.pos - start)) tline tcol false
-    | Some (('(' | ')' | '[' | ']' | '{' | '}' | ',' | ';') as ch), _ ->
-        emit (String.make 1 ch) c.line c.col false;
-        advance c
-    | Some _, _ -> advance c
-    | None, _ -> ()
-  done;
-  Array.of_list (List.rev !out)
-
-(* ---- rules ------------------------------------------------------------ *)
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let strip_stdlib s =
-  if has_prefix ~prefix:"Stdlib." s then
-    String.sub s 7 (String.length s - 7)
-  else s
-
-let scan_source ~file src =
-  let toks = tokenize src in
-  let n = Array.length toks in
-  let findings = ref [] in
-  let report t rule message =
-    findings := { file; line = t.tline; col = t.tcol; rule; message } :: !findings
-  in
-  let text i = if i >= 0 && i < n then toks.(i).text else "" in
-  let is_float i = i >= 0 && i < n && toks.(i).is_float in
-  (* [lhs = float] is also how let-bindings, record fields and optional
-     argument defaults spell initialization; only comparison positions
-     should fire float-equal.  The one-token lookbehind alone missed
-     bindings with parameters ([let f () = 2.5], [let rec scale x =
-     0.5]), so when it is inconclusive we scan left across the
-     parameter tokens for the introducing [let]/[and], stopping cold at
-     anything that can only occur in expression position. *)
-  let expression_stopper = function
-    | "if" | "then" | "else" | "match" | "with" | "try" | "begin" | "end"
-    | "do" | "done" | "while" | "for" | "fun" | "function" | "in" | "when"
-    | "->" | "<-" | ";" | "," | "=" | "{" | "}" | "[" | "]" ->
-        true
-    | _ -> false
-  in
-  let binding_context i =
-    match text (i - 2) with
-    | "let" | "and" | "with" | "{" | ";" | "," | ":" | "<-" -> true
-    | "(" when text (i - 3) = "?" -> true
-    | _ ->
-        let rec scan j =
-          if j < 0 then false
-          else
-            let tj = text j in
-            if tj = "let" || tj = "and" then true
-            else if expression_stopper tj then false
-            else if
-              tj = "rec" || tj = "(" || tj = ")" || tj = "~" || tj = "?"
-              || tj = ":" || tj = "_"
-              || (j < n && toks.(j).is_ident)
-            then scan (j - 1)
-            else false
-        in
-        scan (i - 1)
-  in
-  (* nearest enclosing [try]/[match]-ish construct, for catchall-exn *)
-  let construct_stack = ref [] in
-  for i = 0 to n - 1 do
-    let t = toks.(i) in
-    if t.is_ident then begin
-      let name = strip_stdlib t.text in
-      (match t.text with
-      | "try" | "match" -> construct_stack := t.text :: !construct_stack
-      | "with" -> (
-          match !construct_stack with
-          | top :: rest ->
-              construct_stack := rest;
-              if top = "try" && text (i + 1) = "_"
-                 && (text (i + 2) = "->" || text (i + 2) = "when") then
-                report t "catchall-exn"
-                  "catch-all exception handler; match the exceptions this \
-                   expression actually raises"
-          | [] -> ())
-      | _ -> ());
-      if name = "compare"
-         && text (i - 1) <> "let" && text (i - 1) <> "and"
-         && text (i - 1) <> "~" && text (i + 1) <> ":"
-      then
-        report t "poly-compare"
-          "polymorphic compare is representation-dependent; use Int.compare, \
-           Float.compare, String.compare or a typed comparator";
-      if name = "Hashtbl.hash" || name = "Hashtbl.seeded_hash" then
-        report t "hashtbl-hash"
-          "Hashtbl.hash output varies across OCaml versions; use the FNV-1a \
-           Mincut_util.Hash for anything persisted or compared across runs";
-      if name = "Random" || has_prefix ~prefix:"Random." name then
-        report t "unseeded-random"
-          "ambient Random state breaks deterministic replay; draw from a \
-           seeded Mincut_util.Rng passed in explicitly";
-      (* dotted uses only: a bare [Obj] is a legitimate constructor name
-         (e.g. [Json.Obj]) *)
-      if has_prefix ~prefix:"Obj." name then
-        report t "obj-magic" "Obj.* defeats the type system; find a typed way";
-      if name = "Mutex.create" then
-        report t "bare-mutex"
-          "direct Mutex.create bypasses the ranked Lockcheck discipline; \
-           create locks with Lockcheck.create ~name ~order";
-      if name = "List.nth" then
-        report t "list-nth"
-          "List.nth is O(n) per access and O(n^2) in loops; use an array or \
-           fold the list once"
-    end
-    else if t.text = "=" && text (i - 1) = "(" && text (i + 1) = ")" then
-      report t "poly-equal"
-        "polymorphic equality as a function value; use a typed equal"
-    else if
-      t.text = "="
-      && (is_float (i - 1) || is_float (i + 1))
-      && not (binding_context i)
-    then
-      report t "float-equal"
-        "( = ) on a float literal; use Float.equal, or compare against an \
-         epsilon when values are computed"
-  done;
-  List.rev !findings
-
-let scan_file path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  scan_source ~file:path src
-
 let compare_findings a b =
   let c = String.compare a.file b.file in
   if c <> 0 then c
   else
     let c = Int.compare a.line b.line in
     if c <> 0 then c else Int.compare a.col b.col
-
-let is_source path =
-  Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-
-let rec walk acc path =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if entry = "_build" || (String.length entry > 0 && entry.[0] = '.') then acc
-        else walk acc (Filename.concat path entry))
-      acc (Sys.readdir path)
-  else if is_source path then path :: acc
-  else acc
-
-let scan_paths paths =
-  let files = List.fold_left walk [] paths in
-  files
-  |> List.sort String.compare
-  |> List.concat_map scan_file
-  |> List.sort compare_findings
 
 (* ---- allowlist -------------------------------------------------------- *)
 
@@ -429,8 +23,6 @@ module Allow = struct
   type t = entry list
 
   let empty = []
-
-  let default_known rule = List.exists (fun (r, _) -> r = rule) rules
 
   let parse_entry ~known lineno raw =
     let body =
@@ -460,7 +52,7 @@ module Allow = struct
           Ok (Some { rule; path; line_no; raw = String.trim body })
     | _ -> Error (Printf.sprintf "line %d: expected 'rule path[:line]'" lineno)
 
-  let of_lines ?(known = default_known) lines =
+  let of_lines ~known lines =
     let rec go acc lineno = function
       | [] -> Ok (List.rev acc)
       | l :: rest -> (
@@ -471,10 +63,10 @@ module Allow = struct
     in
     go [] 1 lines
 
-  let load ?known path =
+  let load ~known path =
     match In_channel.with_open_text path In_channel.input_lines with
     | exception Sys_error e -> Error e
-    | lines -> of_lines ?known lines
+    | lines -> of_lines ~known lines
 
   let path_matches ~entry_path ~file =
     file = entry_path

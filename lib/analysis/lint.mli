@@ -1,38 +1,6 @@
-(** Source lint: determinism and CONGEST-model hazards.
-
-    A token-level scanner over OCaml sources (comments and string
-    literals stripped, so prose never trips a rule) that flags
-    constructs which would silently break the repo's reproducibility
-    guarantees:
-
-    - {b poly-compare}: bare polymorphic [compare] / [Stdlib.compare].
-      On [Graph.t], message types, or anything containing functions or
-      abstract ids, structural comparison is at best
-      representation-dependent and at worst raises — use the typed
-      [Int.compare] / [Float.compare] / [List.compare] family.
-    - {b poly-equal}: [Stdlib.( = )] passed as a first-class function
-      (e.g. [List.mem ( = )] style) — same hazard as poly-compare.
-    - {b hashtbl-hash}: [Hashtbl.hash] — its output varies across OCaml
-      versions and flambda settings, which would break the FNV-1a
-      cache-key guarantees of [Mincut_util.Hash].
-    - {b unseeded-random}: any [Random.*] use.  All randomness must flow
-      through the splittable, seeded [Mincut_util.Rng].
-    - {b obj-magic}: [Obj.magic] and friends.
-    - {b catchall-exn}: [try ... with _ ->] — swallows [Out_of_memory],
-      [Stack_overflow] and every programming error alike; match the
-      exceptions actually thrown.
-    - {b bare-mutex}: direct [Mutex.create] outside [Lockcheck] — an
-      unranked lock is invisible to the deadlock-order checker; the two
-      legitimate sites (inside [Lockcheck] itself) are allowlisted.
-    - {b float-equal}: [( = )] against a float literal in comparison
-      position (bindings and record initializers are exempt) — use
-      [Float.equal] or an epsilon test.
-    - {b list-nth}: [List.nth] — O(n) per access, quadratic in loops.
-
-    Findings can be suppressed via an allowlist file (see
-    {!Allow.load}): one [rule path[:line]] entry per line, [#] comments.
-    Output is available as both a human report and machine-readable
-    JSON ([Mincut_util.Json]). *)
+(** The finding every analyzer reports, its order, the allowlist that
+    suppresses accepted findings ({!Allow}), and the human and JSON
+    ([Mincut_util.Json]) reports. *)
 
 type finding = {
   file : string;
@@ -41,25 +9,6 @@ type finding = {
   rule : string;
   message : string;
 }
-
-val rules : (string * string) list
-(** [(rule-id, one-line description)] for every rule the scanner knows. *)
-
-val ast_subsumed : string list
-(** Rules also implemented (scope-aware) by the AST tier ({!Astlint});
-    currently all of them.  The token scanner stays the fallback for
-    [.mli] files and sources the compiler's parser rejects. *)
-
-val scan_source : file:string -> string -> finding list
-(** Scan a source buffer ([file] is only used to label findings). *)
-
-val scan_file : string -> finding list
-(** Read and scan one [.ml]/[.mli] file. *)
-
-val scan_paths : string list -> finding list
-(** Scan files and directories (recursively; [.ml] and [.mli] only,
-    skipping [_build] and dot-directories), findings sorted by
-    file/line/col. *)
 
 val compare_findings : finding -> finding -> int
 (** Order by file, then line, then column. *)
@@ -70,14 +19,13 @@ module Allow : sig
 
   val empty : t
 
-  val load : ?known:(string -> bool) -> string -> (t, string) result
+  val load : known:(string -> bool) -> string -> (t, string) result
   (** Parse an allowlist file.  Each non-comment line is
       [rule path] or [rule path:line]; [path] matches a finding whose
       file path equals it or ends with ["/" ^ path].  [known] validates
-      rule names (defaults to the token {!rules}); the AST tier passes
-      its own rule set. *)
+      rule names ([mincut_lint] passes [Astlint.known_rule]). *)
 
-  val of_lines : ?known:(string -> bool) -> string list -> (t, string) result
+  val of_lines : known:(string -> bool) -> string list -> (t, string) result
 
   val filter : t -> finding list -> finding list
   (** Drop allowlisted findings. *)

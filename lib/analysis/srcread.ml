@@ -1,13 +1,11 @@
-(* Parsetree front end for the AST analysis tier.
+(* Parsetree front end for the static analyzers.
 
-   The token lexer in [Lint] sees spelling; this module gives the other
-   analyzers ([Callgraph], [Effects], [Allocheck], [Domcheck]) real
-   syntax: every [.ml] under the requested roots is parsed with the
-   compiler's own parser ([compiler-libs.common]), so scope, calls,
-   record literals and attributes are visible.  Interfaces ([.mli]) are
-   deliberately out of scope — they declare no behaviour — which is one
-   of the two reasons the token tier survives as a fallback (the other
-   is bootstrapping on sources that do not parse). *)
+   Gives the analyzers ([Astlint.hazards], [Callgraph], [Effects],
+   [Allocheck], [Domcheck]) real syntax: every [.ml] under the requested
+   roots is parsed with the compiler's own parser
+   ([compiler-libs.common]), so scope, calls, record literals and
+   attributes are visible.  Interfaces ([.mli]) are deliberately out of
+   scope — they declare no behaviour. *)
 
 type source = {
   file : string;  (** path as given on the command line *)
@@ -91,7 +89,7 @@ let parse_file path =
   in
   parse_string ~file:path src
 
-(* same traversal policy as the token tier: skip _build and dotdirs *)
+(* skip _build and dot-directories *)
 let rec walk acc path =
   if Sys.is_directory path then
     Array.fold_left

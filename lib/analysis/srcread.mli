@@ -1,12 +1,12 @@
-(** Parsetree front end for the AST analysis tier.
+(** Parsetree front end for the static analyzers.
 
     Parses every [.ml] under the requested roots with the compiler's own
     parser ([compiler-libs.common]) and assigns each compilation unit
     the qualified module path its wrapped dune library gives it
     ([lib/congest/primitives.ml] → ["Mincut_congest.Primitives"]), so
     the downstream call-graph resolution can match cross-library
-    references.  [.mli] files are out of scope — the token tier
-    ([Lint]) remains the fallback that covers them. *)
+    references.  [.mli] files are out of scope: they hold no
+    expressions for any rule to check. *)
 
 type source = {
   file : string;

@@ -14,12 +14,13 @@
 
    Synchronization is deliberately boring: every mutable runtime field
    is either an [Atomic] counter, confined behind the runtime mutex, or
-   a per-deque mutex guarding two ints.  The pool sits below the
-   analysis layer in the library graph, so it cannot use the ranked
-   [Lockcheck] wrappers — its raw [Mutex.create] sites are the
-   allow-listed exception in .mincut-lint-allow / .mincut-ast-allow,
-   and all cross-domain hand-off of results happens-before the caller
-   reads them via the runtime mutex. *)
+   a per-deque mutex guarding two ints.  Helpers park with
+   [Condition.wait] on the runtime mutex and drop and retake it around
+   each batch's work, which the scoped [Lockcheck.with_lock] cannot
+   express — so its raw [Mutex.create] sites are the allow-listed
+   exception in .mincut-ast-allow, and all cross-domain hand-off of
+   results happens-before the caller reads them via the runtime
+   mutex. *)
 
 type t = { width : int }
 

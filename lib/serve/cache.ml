@@ -1,4 +1,4 @@
-module Lockcheck = Mincut_analysis.Lockcheck
+module Lockcheck = Mincut_parallel.Lockcheck
 
 (* Hash table of intrusive doubly-linked nodes; [head] is most recently
    used, [tail] least.  The sentinel-free list is managed by hand; every

@@ -11,7 +11,7 @@
 
     Lookup, insert and eviction are O(1) (hash table + intrusive
     doubly-linked recency list).  Every operation holds the cache's
-    rank-20 {!Mincut_analysis.Lockcheck} mutex (above the scheduler's
+    rank-20 {!Mincut_parallel.Lockcheck} mutex (above the scheduler's
     rank 10, below metrics' rank 30 in the serving layer's lock order),
     so concurrent domains may share one cache and the lock-discipline
     checker audits every acquisition at test time. *)

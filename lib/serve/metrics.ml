@@ -1,6 +1,7 @@
 module Stats = Mincut_util.Stats
 module Rng = Mincut_util.Rng
-module Lockcheck = Mincut_analysis.Lockcheck
+module Json = Mincut_util.Json
+module Lockcheck = Mincut_parallel.Lockcheck
 
 (* Counters and gauges are single atomic cells: domains record them
    without any lock.  Histograms mutate several fields per observation,

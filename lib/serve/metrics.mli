@@ -16,7 +16,7 @@
 
     The registry is safe to record into from any domain: counters and
     gauges are single atomic cells, histograms and the name tables are
-    guarded by ranked {!Mincut_analysis.Lockcheck} mutexes (registry =
+    guarded by ranked {!Mincut_parallel.Lockcheck} mutexes (registry =
     rank 30, each histogram = rank 31) so the lock-discipline checker
     audits every acquisition at test time. *)
 
@@ -64,8 +64,8 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val to_json : snapshot -> Json.t
-val of_json : Json.t -> (snapshot, string) result
+val to_json : snapshot -> Mincut_util.Json.t
+val of_json : Mincut_util.Json.t -> (snapshot, string) result
 
 val to_json_line : t -> string
 (** One-line JSON export of a fresh snapshot (the JSONL exporter appends

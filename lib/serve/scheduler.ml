@@ -1,4 +1,4 @@
-module Lockcheck = Mincut_analysis.Lockcheck
+module Lockcheck = Mincut_parallel.Lockcheck
 
 type ticket = int
 

@@ -14,7 +14,7 @@
 
     The scheduler never runs anything itself; it is a pure queueing
     structure driven by {!Service}.  Its mutable state is guarded by the
-    serving layer's rank-10 {!Mincut_analysis.Lockcheck} mutex — first
+    serving layer's rank-10 {!Mincut_parallel.Lockcheck} mutex — first
     in the scheduler < cache < metrics lock order — so submissions may
     arrive from any domain. *)
 

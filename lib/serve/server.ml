@@ -3,6 +3,7 @@ module Generators = Mincut_graph.Generators
 module Handle = Mincut_graph.Handle
 module Rng = Mincut_util.Rng
 module Hash = Mincut_util.Hash
+module Json = Mincut_util.Json
 module Api = Mincut_core.Api
 module Incremental = Mincut_core.Incremental
 

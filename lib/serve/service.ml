@@ -1,4 +1,5 @@
 module Bitset = Mincut_util.Bitset
+module Pool = Mincut_parallel.Pool
 module Api = Mincut_core.Api
 module Incremental = Mincut_core.Incremental
 module Params = Mincut_core.Params

@@ -1,33 +1,20 @@
 open Test_helpers
 module Lint = Mincut_analysis.Lint
+module Srcread = Mincut_analysis.Srcread
+module Astlint = Mincut_analysis.Astlint
 module Replay = Mincut_analysis.Replay
-module Lockcheck = Mincut_analysis.Lockcheck
+module Lockcheck = Mincut_parallel.Lockcheck
 module Json = Mincut_util.Json
 module Network = Mincut_congest.Network
 module Service = Mincut_serve.Service
 module Request = Mincut_serve.Request
 
-(* ---- lint ------------------------------------------------------------- *)
+(* ---- findings: positions, JSON, allowlist ---------------------------- *)
 
-let findings_of src = Lint.scan_source ~file:"fixture.ml" src
-
-let rules_of src = List.map (fun f -> f.Lint.rule) (findings_of src)
-
-let test_lint_flags_hazards () =
-  check_bool "hashtbl-hash" true
-    (rules_of "let f x = Hashtbl.hash x" = [ "hashtbl-hash" ]);
-  check_bool "poly-compare" true
-    (rules_of "let c = compare a b" = [ "poly-compare" ]);
-  check_bool "qualified poly-compare" true
-    (rules_of "let c = Stdlib.compare a b" = [ "poly-compare" ]);
-  check_bool "poly-equal section" true
-    (rules_of "let mem = List.exists (( = ) x) xs" = [ "poly-equal" ]);
-  check_bool "unseeded random" true
-    (rules_of "let r = Random.int 5" = [ "unseeded-random" ]);
-  check_bool "obj magic" true
-    (rules_of "let x = Obj.magic 0" = [ "obj-magic" ]);
-  check_bool "catch-all" true
-    (rules_of "let x = try f () with _ -> 0" = [ "catchall-exn" ])
+let findings_of src =
+  match Srcread.parse_string ~file:"fixture.ml" src with
+  | Ok s -> Astlint.hazards s
+  | Error e -> Alcotest.failf "fixture does not parse: %s" e.Srcread.reason
 
 let test_lint_positions () =
   match findings_of "let a = 1\nlet f x = Hashtbl.hash x\n" with
@@ -36,28 +23,6 @@ let test_lint_positions () =
       check_int "col is 0-based" 10 f.Lint.col;
       check_bool "file label" true (f.Lint.file = "fixture.ml")
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
-
-let test_lint_no_false_positives () =
-  check_bool "comments don't trip" true
-    (findings_of "(* never call Hashtbl.hash or Random.int here *) let x = 1" = []);
-  check_bool "strings don't trip" true
-    (findings_of {|let s = "Obj.magic compare Random.bool"|} = []);
-  check_bool "nested comments" true
-    (findings_of "(* outer (* Random.int *) still comment *) let x = 1" = []);
-  check_bool "defining compare is fine" true
-    (findings_of "let compare a b = Int.compare a b" = []);
-  check_bool "typed comparators are fine" true
-    (findings_of "let xs = List.sort Int.compare xs" = []);
-  check_bool "labelled ~compare is fine" true
-    (findings_of "let m = sort ~compare:Int.compare xs" = []);
-  check_bool "seeded rng is fine" true
-    (findings_of "let r = Mincut_util.Rng.create 7" = []);
-  check_bool "match _ is fine" true
-    (findings_of "let f x = match x with _ -> 0" = []);
-  check_bool "typed handler is fine" true
-    (findings_of "let x = try f () with Not_found -> 0" = []);
-  check_bool "match inside try keeps its wildcard" true
-    (findings_of "let x = try (match g () with _ -> 1) with Not_found -> 0" = [])
 
 let test_lint_json () =
   let findings = findings_of "let f x = Hashtbl.hash x" in
@@ -71,41 +36,23 @@ let test_lint_json () =
   | _ -> Alcotest.fail "findings array malformed"
 
 let test_lint_allowlist () =
-  let findings = findings_of "let f x = Hashtbl.hash x\nlet c = compare a b\n" in
+  let findings = findings_of "let f x = Hashtbl.hash x\nlet c a b = compare a b\n" in
   check_int "two findings" 2 (List.length findings);
-  match Lint.Allow.of_lines [ "# accepted"; "hashtbl-hash fixture.ml:1" ] with
+  let of_lines = Lint.Allow.of_lines ~known:Astlint.known_rule in
+  match of_lines [ "# accepted"; "hashtbl-hash fixture.ml:1" ] with
   | Error e -> Alcotest.fail e
   | Ok allow ->
       let kept = Lint.Allow.filter allow findings in
       check_bool "hash suppressed, compare kept" true
         (List.map (fun f -> f.Lint.rule) kept = [ "poly-compare" ]);
       check_bool "nothing unused" true (Lint.Allow.unused allow findings = []);
-      (match Lint.Allow.of_lines [ "obj-magic elsewhere.ml" ] with
+      (match of_lines [ "obj-magic elsewhere.ml" ] with
       | Error e -> Alcotest.fail e
       | Ok stale ->
           check_int "stale entry reported" 1
             (List.length (Lint.Allow.unused stale findings)));
       check_bool "bad line rejected" true
-        (Result.is_error (Lint.Allow.of_lines [ "only-a-rule" ]))
-
-let test_lint_new_rules () =
-  check_bool "bare mutex" true
-    (rules_of "let m = Mutex.create ()" = [ "bare-mutex" ]);
-  check_bool "list nth" true
-    (rules_of "let x = List.nth xs 3" = [ "list-nth" ]);
-  check_bool "float equal" true
-    (rules_of "let b = x = 1.0" = [ "float-equal" ]);
-  check_bool "float equal, literal on the left" true
-    (rules_of "let b = 0.5 = y" = [ "float-equal" ]);
-  (* binding contexts are not comparisons *)
-  check_bool "let binding not flagged" true (rules_of "let slack = 2.5" = []);
-  check_bool "record field init not flagged" true
-    (rules_of "let r = { slack = 2.5; b = 1 }" = []);
-  check_bool "optional arg default not flagged" true
-    (rules_of "let f ?(slack = 2.5) () = slack" = []);
-  check_bool "Float.equal is the fix, not a finding" true
-    (rules_of "let b = Float.equal x 1.0" = []);
-  check_bool "int equality untouched" true (rules_of "let b = x = 10" = [])
+        (Result.is_error (of_lines [ "only-a-rule" ]))
 
 (* ---- replay ----------------------------------------------------------- *)
 
@@ -251,12 +198,9 @@ let test_serve_lock_discipline_under_domains () =
 
 let suite =
   [
-    tc "lint: flags all hazard classes" test_lint_flags_hazards;
     tc "lint: positions are 1-based lines, 0-based cols" test_lint_positions;
-    tc "lint: comments/strings/definitions don't trip" test_lint_no_false_positives;
     tc "lint: JSON report" test_lint_json;
     tc "lint: allowlist filters and reports stale entries" test_lint_allowlist;
-    tc "lint: bare-mutex, list-nth, float-equal rules" test_lint_new_rules;
     tc "replay: deterministic program passes" test_replay_deterministic_program;
     tc "replay: hidden global state detected" test_replay_catches_nondeterminism;
     tc "replay: audit differ names fields" test_replay_diff_audits_fields;

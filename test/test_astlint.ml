@@ -1,5 +1,5 @@
-(* AST analysis tier: parsing, call graph, effect lattice, allocation
-   budgets, static races, and token/AST agreement. *)
+(* Static analysis: parsing, hazard rules, call graph, effect lattice,
+   allocation budgets, static races. *)
 
 open Test_helpers
 module Lint = Mincut_analysis.Lint
@@ -20,7 +20,7 @@ let parse ?(file = "fixture.ml") src =
 let hazard_rules src =
   List.map (fun f -> f.Lint.rule) (Astlint.hazards (parse src))
 
-(* ---- hazards: scope-aware ports of the token rules --------------------- *)
+(* ---- hazards ------------------------------------------------------------ *)
 
 let test_hazards_fire () =
   check_bool "hashtbl-hash" true
@@ -42,11 +42,12 @@ let test_hazards_fire () =
   check_bool "list-nth" true
     (hazard_rules "let x xs = List.nth xs 3" = [ "list-nth" ]);
   check_bool "float comparison" true
-    (hazard_rules "let b x = x = 2.5" = [ "float-equal" ])
+    (hazard_rules "let b x = x = 2.5" = [ "float-equal" ]);
+  check_bool "negated float comparison" true
+    (hazard_rules "let b x = x = -2.5" = [ "float-equal" ])
 
 let test_hazards_scope_aware () =
-  (* the binding shapes the token tier needs lookbehind heuristics for
-     are simply not applications in the Parsetree *)
+  (* bindings are not applications in the Parsetree *)
   check_bool "float binding" true (hazard_rules "let x = 2.5" = []);
   check_bool "float binding with params" true
     (hazard_rules "let f () = 2.5" = []);
@@ -67,50 +68,30 @@ let test_hazards_scope_aware () =
   check_bool "strings don't trip" true
     (hazard_rules {|let s = "Obj.magic compare Random.bool"|} = []);
   check_bool "match wildcard is fine" true
-    (hazard_rules "let f x = match x with _ -> 0" = [])
-
-(* ---- token/AST agreement ----------------------------------------------- *)
-
-let agreement_fixtures =
-  [
-    "let f x = Hashtbl.hash x";
-    "let c = compare 1 2";
-    "let mem xs x = List.exists (( = ) x) xs";
-    "let r = Random.int 5";
-    "let x = Obj.magic 0";
-    "let x = try f () with _ -> 0";
-    "let m = Mutex.create ()";
-    "let x xs = List.nth xs 3";
-    "let b x = x = 2.5";
-    "let b x = if x = 2.5 then 1 else 0";
-    "let x = 2.5";
-    "let f () = 2.5";
-    "let rec scale x = 0.5";
-    "let r = { slack = 2.5 }";
-    "let f ?(eps = 1e-9) () = eps";
-    "let compare a b = Int.compare a b";
-    "let xs ys = List.sort Int.compare ys";
-    "let m xs = sort ~compare:Int.compare xs";
-    "let f x = match x with _ -> 0";
-    "let x = try f () with Not_found -> 0";
-    "(* Random.int in a comment *) let x = 1";
-    "let pi = 4.0 *. atan 1.0\nlet area r = pi *. r *. r";
-  ]
-
-let test_agreement_fixtures () =
-  List.iter
-    (fun src ->
-      match Astlint.agreement ~file:"fixture.ml" src with
-      | [] -> ()
-      | ds ->
-          Alcotest.failf "tiers disagree on %S: %s" src
-            (String.concat ", "
-               (List.map
-                  (fun (d : Astlint.disagreement) ->
-                    Printf.sprintf "%s-only %s:%d" d.Astlint.tier
-                      d.Astlint.drule d.Astlint.dline)
-                  ds)))
-    agreement_fixtures
+    (hazard_rules "let f x = match x with _ -> 0" = []);
+  check_bool "comments don't trip" true
+    (hazard_rules "(* never call Hashtbl.hash or Random.int here *) let x = 1"
+    = []);
+  check_bool "nested comments" true
+    (hazard_rules "(* outer (* Random.int *) still comment *) let x = 1" = []);
+  check_bool "typed handler is fine" true
+    (hazard_rules "let x = try f () with Not_found -> 0" = []);
+  check_bool "match inside try keeps its wildcard" true
+    (hazard_rules "let x = try (match g () with _ -> 1) with Not_found -> 0"
+    = []);
+  check_bool "labelled ~compare:Int.compare is fine" true
+    (hazard_rules "let m xs = sort ~compare:Int.compare xs" = []);
+  check_bool "typed comparators are fine" true
+    (hazard_rules "let xs ys = List.sort Int.compare ys" = []);
+  check_bool "seeded rng is fine" true
+    (hazard_rules "let r = Mincut_util.Rng.create 7" = []);
+  check_bool "float equal, literal on the left" true
+    (hazard_rules "let b y = 0.5 = y" = [ "float-equal" ]);
+  check_bool "Float.equal is the fix, not a finding" true
+    (hazard_rules "let b x = Float.equal x 1.0" = []);
+  check_bool "int equality untouched" true (hazard_rules "let b x = x = 10" = []);
+  check_bool "float arithmetic is not a comparison" true
+    (hazard_rules "let pi = 4.0 *. atan 1.0\nlet area r = pi *. r *. r" = [])
 
 let repo_sources () =
   (* tests run in _build/default/test; dune stages the sources one
@@ -128,27 +109,6 @@ let repo_sources () =
   in
   List.fold_left walk [] roots |> List.sort String.compare
 
-let test_agreement_on_repo () =
-  match repo_sources () with
-  | [] -> ()
-  | files ->
-      List.iter
-        (fun file ->
-          let src =
-            In_channel.with_open_text file In_channel.input_all
-          in
-          match Astlint.agreement ~file src with
-          | [] -> ()
-          | ds ->
-              Alcotest.failf "tiers disagree on %s: %s" file
-                (String.concat ", "
-                   (List.map
-                      (fun (d : Astlint.disagreement) ->
-                        Printf.sprintf "%s-only %s:%d" d.Astlint.tier
-                          d.Astlint.drule d.Astlint.dline)
-                      ds)))
-        files
-
 let test_repo_is_clean () =
   match repo_sources () with
   | [] -> ()
@@ -157,9 +117,9 @@ let test_repo_is_clean () =
       check_bool "repo parses" true (r.Astlint.parse_errors = []);
       (* the only accepted findings are bare-mutex inside Lockcheck
          itself (the ranked-lock mechanism) and inside the parallel
-         pool (below the analysis layer, so it cannot use Lockcheck;
-         its runtime/deque mutexes are justified in DESIGN.md §14) —
-         both allowlisted in .mincut-ast-allow *)
+         pool (whose Condition.wait and hand-over-hand unlocks
+         Lockcheck.with_lock cannot express; DESIGN.md §14) — both
+         allowlisted in .mincut-ast-allow *)
       List.iter
         (fun (f : Lint.finding) ->
           let basename = Filename.basename f.Lint.file in
@@ -558,8 +518,10 @@ let test_ast_allow_knows_new_rules () =
      with
     | Ok _ -> true
     | Error _ -> false);
-  check_bool "token tier still rejects them" true
-    (match Lint.Allow.of_lines [ "step-effect lib/foo.ml:3" ] with
+  check_bool "unknown rules rejected" true
+    (match
+       Lint.Allow.of_lines ~known:Astlint.known_rule [ "no-such-rule lib/foo.ml:3" ]
+     with
     | Ok _ -> false
     | Error _ -> true)
 
@@ -601,8 +563,6 @@ let suite =
     tc "hazards: every token rule has an AST port" test_hazards_fire;
     tc "hazards: binding contexts don't trip the AST tier"
       test_hazards_scope_aware;
-    tc "agreement: fixtures" test_agreement_fixtures;
-    tc "agreement: whole repo" test_agreement_on_repo;
     tc "repo analyzes clean" test_repo_is_clean;
     tc "effects: lattice and propagation" test_effect_lattice;
     tc "effects: annotations pin classes" test_effect_annotation_pins;

@@ -16,9 +16,9 @@ module Params = Mincut_core.Params
 module Cost = Mincut_congest.Cost
 module Cache = Mincut_serve.Cache
 module Graph_key = Mincut_serve.Graph_key
-module Json = Mincut_serve.Json
+module Json = Mincut_util.Json
 module Metrics = Mincut_serve.Metrics
-module Pool = Mincut_serve.Pool
+module Pool = Mincut_parallel.Pool
 module Request = Mincut_serve.Request
 module Scheduler = Mincut_serve.Scheduler
 module Service = Mincut_serve.Service
