@@ -128,28 +128,39 @@ let bench_drivers ~iters (wname, g) =
         ("audits_equal", Json.Bool true);
       ] )
 
-let bench_parallel ~solves g =
+(* The workload must be large enough for the pool to pay: each solve
+   is a full-fidelity exact run (every per-tree Theorem 2.1 sweep on
+   the engine) of a 12×12 torus, so the sequential side of even the
+   quick mode's 4 solves is well over 100 ms, against the pool's
+   sub-millisecond batch overhead. *)
+let parallel_workload = ("torus12", Generators.torus 12 12)
+
+let bench_parallel ~solves (name, g) =
   let solve workers =
     Array.init solves (fun i ->
-        Api.min_cut ~params:Params.fast ~algorithm:Api.Exact_small_lambda
+        Api.min_cut ~params:Params.default ~algorithm:Api.Exact_small_lambda
           ~seed:i ~workers g)
   in
-  (* both sides get the same two timed passes and keep the faster one:
+  (* both sides get the same three timed passes and keep the fastest:
      the first sequential pass pays the cold heap, the first parallel
-     pass pays the domain spawns *)
-  let timed workers =
-    let pass () =
-      let t0 = Unix.gettimeofday () in
-      let r = solve workers in
-      (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-    in
-    let r1, ms1 = pass () in
-    let r2, ms2 = pass () in
-    (r1, r2, Float.min ms1 ms2)
+     pass pays the domain spawns, and a pass that shared its cores with
+     a neighbour's burst of work loses to one that did not.  The passes
+     alternate sides, so a change in the shared host's load skews
+     neither side. *)
+  let pass workers =
+    let t0 = Unix.gettimeofday () in
+    let r = solve workers in
+    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
   in
   let stats0 = Pool.stats () in
-  let seq, seq2, seq_ms = timed 1 in
-  let par, par2, par_ms = timed 4 in
+  let seq, seq_ms1 = pass 1 in
+  let par, par_ms1 = pass 4 in
+  let seq2, seq_ms2 = pass 1 in
+  let par2, par_ms2 = pass 4 in
+  let _, seq_ms3 = pass 1 in
+  let _, par_ms3 = pass 4 in
+  let seq_ms = Float.min seq_ms1 (Float.min seq_ms2 seq_ms3)
+  and par_ms = Float.min par_ms1 (Float.min par_ms2 par_ms3) in
   let stats1 = Pool.stats () in
   let identical =
     Array.for_all2 Workloads.identical seq par
@@ -158,14 +169,14 @@ let bench_parallel ~solves g =
   in
   if not identical then
     failwith "sim: parallel exact pipeline diverged from sequential";
-  (* the pool is persistent: the second parallel pass must reuse the
-     domains the first one spawned, and the two passes together ran
-     every per-tree job through the counted entry point *)
+  (* the pool is persistent: every workers=4 pass after the first must
+     reuse the domains the first one spawned, and the passes together
+     ran every per-tree job through the counted entry point *)
   let spawned = stats1.Pool.spawns - stats0.Pool.spawns in
   if spawned > 3 then
     failwith
       (Printf.sprintf
-         "sim: pool spawned %d domains for two workers=4 passes; a \
+         "sim: pool spawned %d domains for three workers=4 passes; a \
           persistent pool spawns at most 3 and reuses them"
          spawned);
   if stats1.Pool.tasks <= stats0.Pool.tasks then
@@ -173,9 +184,9 @@ let bench_parallel ~solves g =
   let speedup = seq_ms /. par_ms in
   let host_cores = Domain.recommended_domain_count () in
   Printf.printf
-    "  parallel exact: %d solves, workers 1: %.1f ms, workers 4: %.1f ms \
-     => %.2fx, bit-identical=%b (host cores: %d)\n%!"
-    solves seq_ms par_ms speedup identical host_cores;
+    "  parallel exact: %d solves of %s, workers 1: %.1f ms, workers 4: \
+     %.1f ms => %.2fx, bit-identical=%b (host cores: %d)\n%!"
+    solves name seq_ms par_ms speedup identical host_cores;
   Printf.printf
     "  pool: %d domains spawned this bench, %d tasks, %d steals, %d \
      batches (process totals: %d spawns)\n%!"
@@ -201,6 +212,7 @@ let bench_parallel ~solves g =
        measures scheduling overhead, not parallelism\n%!";
   Json.Obj
     [
+      ("workload", Json.String name);
       ("solves", Json.Int solves);
       ("workers_parallel", Json.Int 4);
       ("seq_ms", Json.Float seq_ms);
@@ -367,8 +379,11 @@ let run () =
   let gnp_speedup =
     List.fold_left (fun acc (w, s, _) -> if w = "gnp24" then s else acc) 0.0 rows
   in
-  let parallel = bench_parallel ~solves (Generators.gnp_connected ~rng:(Rng.create 12) 24 0.3) in
+  (* the ladder runs before the parallel solves: its rss gate reads the
+     growth of the process high-water mark, which never falls, so it
+     must start from the small pre-parallel heap *)
   let ladder = bench_store_ladder () in
+  let parallel = bench_parallel ~solves parallel_workload in
   let json =
     Json.Obj
       [

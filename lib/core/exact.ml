@@ -70,7 +70,10 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
           Tree_packing.recommended_trees ~n ~lambda_hint:hint
     in
     let packing = Tree_packing.greedy g ~trees in
-    let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+    (* the global BFS backbone depends only on g and root 0: build it
+       once, read the diameter bound off it, and hand it to every tree *)
+    let backbone = One_respect.backbone ~params g ~root:0 in
+    let diameter = Tree.height (fst backbone) in
     (* the network first agrees on a leader (all ids flood; the paper
        assumes unique ids); real in full-fidelity mode *)
     let c_leader =
@@ -108,15 +111,15 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
           ~per_tree_rounds:(Params.kp_mst_rounds params ~n ~diameter)
     in
     (* the per-tree 1-respecting DP instances are independent (the graph
-       is immutable, each job builds its own tree and per-run state), so
-       they fan out over the pool; the merge below walks results in tree
-       index order, so cost accumulation and the <=-tie-break are
-       bit-identical to the sequential loop *)
+       and the backbone are immutable, each job builds its own tree and
+       per-run state), so they fan out over the pool; the merge below
+       walks results in tree index order, so cost accumulation and the
+       <=-tie-break are bit-identical to the sequential loop *)
     let per_tree =
       Pool.map pool
         (fun ids ->
           let tree = Tree.of_edge_ids g ~root:0 ids in
-          One_respect.run ~params g tree)
+          One_respect.run ~params ~backbone g tree)
         packing.Tree_packing.trees
     in
     let best = ref None in

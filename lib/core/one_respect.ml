@@ -107,16 +107,10 @@ let lca_of_edge tree an x y =
   let dif = fr.Fragments.depth_in_frag in
   if frag_of.(x) = frag_of.(y) then begin
     (* Case 1: both endpoints share a fragment; exchange within-fragment
-       ancestor lists over the edge. *)
-    let seen = Hashtbl.create 16 in
-    let rec mark v =
-      Hashtbl.replace seen v ();
-      if dif.(v) > 0 then mark tree.Tree.parent.(v)
-    in
-    mark x;
-    let rec climb v = if Hashtbl.mem seen v then v else climb tree.Tree.parent.(v) in
-    let z = climb y in
-    (z, 1, 1 + max dif.(x) dif.(y))
+       ancestor lists over the edge.  The fragment root is a common
+       ancestor, so the first ancestor of [y] above [x] lies inside it. *)
+    let rec climb v = if Tree.is_ancestor tree v x then v else climb tree.Tree.parent.(v) in
+    (climb y, 1, 1 + max dif.(x) dif.(y))
   end
   else begin
     (* Case 3 (either side): the LCA lies inside one endpoint's
@@ -138,20 +132,17 @@ let lca_of_edge tree an x y =
         | Some z -> (z, 3, 0)
         | None ->
             (* Case 2: the LCA is a merging node above both fragments;
-               exchange T'F ancestor chains over the edge. *)
-            let chain v =
-              let rec go acc v = if v = -1 then acc else go (v :: acc) an.tf_parent.(v) in
-              go [] an.lta.(v)  (* root-first *)
+               exchange T'F ancestor chains over the edge.  The chain
+               from [lta v] to the root has [tf_depth (lta v) + 1]
+               members, and the chains meet at their deepest common
+               member. *)
+            let a = an.lta.(x) and b = an.lta.(y) in
+            let rec meet a b =
+              if a = b then a
+              else if an.tf_depth.(a) >= an.tf_depth.(b) then meet an.tf_parent.(a) b
+              else meet a an.tf_parent.(b)
             in
-            let cx = chain x and cy = chain y in
-            let rec deepest_common last cx cy =
-              match (cx, cy) with
-              | a :: cx', b :: cy' when a = b -> deepest_common a cx' cy'
-              | _ -> last
-            in
-            let z = deepest_common (-1) cx cy in
-            assert (z <> -1);
-            (z, 2, 1 + max (List.length cx) (List.length cy)))
+            (meet a b, 2, 2 + max an.tf_depth.(a) an.tf_depth.(b)))
   end
 
 let lca_by_fragments ?target g tree =
@@ -159,40 +150,55 @@ let lca_by_fragments ?target g tree =
   Array.map (fun (e : Graph.edge) -> lca_of_edge tree an e.u e.v) (Graph.edges g)
 
 (* ------------------------------------------------------------------ *)
-(* Real within-fragment convergecast wave                              *)
+(* Real within-fragment programs (Steps 2a, 2b and 3)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Every node learns the sum of [values] over its within-fragment
-   subtree.  All fragments run in parallel on the engine: each node
-   forwards one partial sum to its in-fragment parent once all of its
-   in-fragment children have reported. *)
+(* The tree restricted to each fragment, computed once per run and
+   shared by the three within-fragment programs: [up.(v)] is [v]'s
+   in-fragment parent (-1 at a fragment root), [down.(v)] its
+   in-fragment children. *)
+type frag_links = { up : int array; down : int list array }
+
+let frag_links tree (fr : Fragments.t) =
+  let frag_of = fr.Fragments.frag_of in
+  let up =
+    Array.mapi
+      (fun v p -> if p <> -1 && frag_of.(p) = frag_of.(v) then p else -1)
+      tree.Tree.parent
+  in
+  let down =
+    Array.map
+      (fun kids -> List.filter (fun c -> up.(c) <> -1) (Array.to_list kids))
+      tree.Tree.children
+  in
+  { up; down }
+
+(* Real within-fragment convergecast wave: every node learns the sum of
+   [values] over its within-fragment subtree.  All fragments run in
+   parallel on the engine: each node forwards one partial sum to its
+   in-fragment parent once all of its in-fragment children have
+   reported. *)
 type wave_state = { remaining : int; acc : int; sent : bool }
 
-let frag_wave ~cfg g tree (fr : Fragments.t) values =
+let frag_wave ~cfg g links values =
   let module Network = Mincut_congest.Network in
-  let n = Graph.n g in
-  let frag_of = fr.Fragments.frag_of in
-  let in_frag_parent v =
-    let p = tree.Tree.parent.(v) in
-    if p <> -1 && frag_of.(p) = frag_of.(v) then p else -1
-  in
-  let child_count = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let p = in_frag_parent v in
-    if p <> -1 then child_count.(p) <- child_count.(p) + 1
-  done;
+  let up = links.up in
   let prog : (wave_state, int) Network.program =
     {
-      initial = (fun v -> { remaining = child_count.(v); acc = values.(v); sent = false });
+      initial =
+        (fun v -> { remaining = List.length links.down.(v); acc = values.(v); sent = false });
       step =
         (fun ~node ~round:_ ~inbox st ->
-          let acc = List.fold_left (fun a (_, x) -> a + x) st.acc inbox in
-          let remaining = st.remaining - List.length inbox in
-          if remaining = 0 && not st.sent then
-            let p = in_frag_parent node in
-            if p = -1 then ({ remaining; acc; sent = true }, [])
-            else ({ remaining; acc; sent = true }, [ (p, acc) ])
-          else ({ st with remaining; acc }, []))
+          match inbox with
+          | [] when st.remaining > 0 -> (st, [])
+          | _ ->
+              let acc = List.fold_left (fun a (_, x) -> a + x) st.acc inbox in
+              let remaining = st.remaining - List.length inbox in
+              if remaining = 0 && not st.sent then
+                let p = up.(node) in
+                if p = -1 then ({ remaining; acc; sent = true }, [])
+                else ({ remaining; acc; sent = true }, [ (p, acc) ])
+              else ({ st with remaining; acc }, []))
         ;
       halted = (fun st -> st.sent);
     }
@@ -216,27 +222,29 @@ module ISet = Mincut_util.Intset
 
 type multi_up = { known : ISet.t; sent_up : ISet.t }
 
-let frag_multi_upcast ~cfg g tree (fr : Fragments.t) initial_items =
+(* A state that received nothing and has nothing left to send is
+   returned physically unchanged. *)
+let frag_multi_upcast ~cfg g links (fr : Fragments.t) initial_items =
   let module Network = Mincut_congest.Network in
-  let frag_of = fr.Fragments.frag_of in
-  let in_frag_parent v =
-    let p = tree.Tree.parent.(v) in
-    if p <> -1 && frag_of.(p) = frag_of.(v) then p else -1
-  in
+  let up = links.up in
   let prog : (multi_up, int) Network.program =
     {
       initial = (fun v -> { known = ISet.of_list initial_items.(v); sent_up = ISet.empty });
       step =
         (fun ~node ~round:_ ~inbox st ->
-          let known = List.fold_left (fun a (_, x) -> ISet.add x a) st.known inbox in
-          let p = in_frag_parent node in
-          if p = -1 then ({ st with known }, [])
+          let st =
+            match inbox with
+            | [] -> st
+            | _ ->
+                { st with known = List.fold_left (fun a (_, x) -> ISet.add x a) st.known inbox }
+          in
+          let p = up.(node) in
+          if p = -1 then (st, [])
           else
-            let unsent = ISet.diff known st.sent_up in
-            match ISet.min_elt_opt unsent with
-            | None -> ({ st with known }, [])
+            match ISet.first_missing st.known st.sent_up with
+            | None -> (st, [])
             | Some item ->
-                ({ known; sent_up = ISet.add item st.sent_up }, [ (p, item) ]))
+                ({ st with sent_up = ISet.add item st.sent_up }, [ (p, item) ]))
         ;
       halted = (fun _ -> false);
     }
@@ -265,26 +273,29 @@ let frag_multi_upcast ~cfg g tree (fr : Fragments.t) initial_items =
    down the tree T" schedule, executed for real. *)
 type multi_down = { got : ISet.t; forwarded : ISet.t }
 
-let frag_ancestor_downcast ~cfg g tree (fr : Fragments.t) =
+(* As in the upcast, a state that received nothing and has nothing
+   left to forward is returned physically unchanged; a leaf of its
+   fragment forwards nothing and records [forwarded = got]. *)
+let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let module Network = Mincut_congest.Network in
   let n = Graph.n g in
   let frag_of = fr.Fragments.frag_of in
-  let in_frag_children v =
-    Array.to_list tree.Tree.children.(v)
-    |> List.filter (fun c -> frag_of.(c) = frag_of.(v))
-  in
+  let down = links.down in
   let prog : (multi_down, int) Network.program =
     {
       initial = (fun v -> { got = ISet.add v ISet.empty; forwarded = ISet.empty });
       step =
         (fun ~node ~round:_ ~inbox st ->
-          let got = List.fold_left (fun a (_, x) -> ISet.add x a) st.got inbox in
-          let pending = ISet.diff got st.forwarded in
-          match in_frag_children node with
-          | [] -> ({ got; forwarded = got }, [])
+          let got =
+            match inbox with
+            | [] -> st.got
+            | _ -> List.fold_left (fun a (_, x) -> ISet.add x a) st.got inbox
+          in
+          match down.(node) with
+          | [] -> if got == st.forwarded then (st, []) else ({ got; forwarded = got }, [])
           | kids -> (
-              match ISet.min_elt_opt pending with
-              | None -> ({ st with got }, [])
+              match ISet.first_missing got st.forwarded with
+              | None -> if got == st.got then (st, []) else ({ st with got }, [])
               | Some item ->
                   ( { got; forwarded = ISet.add item st.forwarded },
                     List.map (fun c -> (c, item)) kids )))
@@ -297,14 +308,18 @@ let frag_ancestor_downcast ~cfg g tree (fr : Fragments.t) =
   let states, audit =
     Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog
   in
-  (* verify: each node's got = its within-fragment ancestors (incl self) *)
+  (* verify: each node's got = its within-fragment ancestors (incl
+     self).  Fragments are subtrees, so those are exactly the
+     depth_in_frag + 1 same-fragment ancestors of v; a duplicate-free
+     set of that size drawn from them is all of them. *)
+  let dif = fr.Fragments.depth_in_frag in
   for v = 0 to n - 1 do
-    let rec chain acc u =
-      let acc = ISet.add u acc in
-      let p = tree.Tree.parent.(u) in
-      if p <> -1 && frag_of.(p) = frag_of.(u) then chain acc p else acc
-    in
-    assert (ISet.equal states.(v).got (chain ISet.empty v))
+    let got = states.(v).got in
+    assert (ISet.cardinal got = dif.(v) + 1);
+    assert (
+      ISet.fold
+        (fun u ok -> ok && frag_of.(u) = frag_of.(v) && Tree.is_ancestor tree u v)
+        got true)
   done;
   audit
 
@@ -312,21 +327,37 @@ let frag_ancestor_downcast ~cfg g tree (fr : Fragments.t) =
 (* The full Theorem 2.1 pipeline                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(params = Params.default) ?target g tree =
+(* Global BFS tree: the backbone for network-wide aggregation.  It
+   depends only on the graph and the root, so a caller sweeping many
+   trees of one graph builds it once and hands it to every [run]. *)
+let backbone ?(params = Params.default) g ~root =
+  if params.Params.run_real_primitives then
+    Primitives.bfs_tree ~cfg:params.Params.congest g ~root
+  else
+    let t = Tree.bfs_tree g ~root in
+    (t, Cost.scheduled "bfs-tree (scheduled)" (Tree.height t + 1))
+
+let run ?(params = Params.default) ?target ?backbone:given g tree =
   let n = Graph.n g in
   if n < 2 then invalid_arg "One_respect.run: need n >= 2";
   let root = tree.Tree.root in
-  (* Global BFS tree: the backbone for network-wide aggregation. *)
   let bfs_tree, c_bfs =
-    if params.Params.run_real_primitives then
-      Primitives.bfs_tree ~cfg:params.Params.congest g ~root
-    else
-      let t = Tree.bfs_tree g ~root in
-      (t, Cost.scheduled "bfs-tree (scheduled)" (Tree.height t + 1))
+    match given with
+    | None -> backbone ~params g ~root
+    | Some ((t, c) as b) ->
+        if t.Tree.root <> root then invalid_arg "One_respect.run: backbone rooted elsewhere";
+        if Tree.n_nodes t <> n then invalid_arg "One_respect.run: backbone of another graph";
+        (* an engine-run backbone is Executed, a fast-mode one Scheduled:
+           one built under the other mode would charge the wrong cost *)
+        let want = if params.Params.run_real_primitives then Cost.Executed else Cost.Scheduled in
+        if not (List.for_all (fun (sp : Cost.span) -> sp.Cost.provenance = want) c.Cost.spans)
+        then invalid_arg "One_respect.run: backbone built under other params";
+        b
   in
   let hb = Tree.height bfs_tree in
   let an = analyze ?target g tree in
   let fr = an.fr in
+  let links = if params.Params.run_real_primitives then Some (frag_links tree fr) else None in
   let k = Fragments.count fr in
   let maxh = Fragments.max_height fr in
   let dif = fr.Fragments.depth_in_frag in
@@ -369,7 +400,8 @@ let run ?(params = Params.default) ?target g tree =
     fr.Fragments.roots;
   let max_load_a = Array.fold_left max 0 load_a in
   let c_f_up =
-    if params.Params.run_real_primitives then begin
+    match links with
+    | Some links ->
       (* execute the upcast for real: seed each attachment node with the
          ids of the child fragments hanging directly below it, pipeline
          them to the fragment roots, and check the roots learned exactly
@@ -380,7 +412,7 @@ let run ?(params = Params.default) ?target g tree =
           let attach = tree.Tree.parent.(r) in
           if attach <> -1 then initial_items.(attach) <- j :: initial_items.(attach))
         fr.Fragments.roots;
-      let known, up_audit = frag_multi_upcast ~cfg:params.Params.congest g tree fr initial_items in
+      let known, up_audit = frag_multi_upcast ~cfg:params.Params.congest g links fr initial_items in
       Array.iteri
         (fun i r ->
           let expected = List.sort Int.compare fr.Fragments.frag_children.(i) in
@@ -393,8 +425,7 @@ let run ?(params = Params.default) ?target g tree =
         fr.Fragments.roots;
       Cost.executed ~audit:up_audit "step2: upcast child-fragment lists (real)"
         up_audit.Mincut_congest.Network.rounds
-    end
-    else
+    | None ->
       Cost.scheduled "step2: upcast child-fragment lists (F computation)"
         (Pipeline.convergecast ~depth:maxh ~max_edge_load:max_load_a)
   in
@@ -415,19 +446,19 @@ let run ?(params = Params.default) ?target g tree =
     max_a := max !max_a (a_size v)
   done;
   let c_a_down =
-    if params.Params.run_real_primitives then begin
+    match links with
+    | Some links ->
       (* the within-fragment part runs for real (and is verified); the
          one-fragment extension into the parent fragment follows the
          same schedule and is appended as its own scheduled span, so the
          executed leaf's rounds stay equal to its engine audit's *)
-      let down_audit = frag_ancestor_downcast ~cfg:params.Params.congest g tree fr in
+      let down_audit = frag_ancestor_downcast ~cfg:params.Params.congest g tree links fr in
       Cost.( ++ )
         (Cost.executed ~audit:down_audit "step2: downcast ancestor ids (real)"
            down_audit.Mincut_congest.Network.rounds)
         (Cost.scheduled "step2: downcast parent-fragment extension (scheduled)"
            (maxh + 1))
-    end
-    else
+    | None ->
       Cost.scheduled "step2: downcast ancestor ids (A computation)"
         (Pipeline.convergecast ~depth:(2 * maxh) ~max_edge_load:!max_a)
   in
@@ -459,15 +490,15 @@ let run ?(params = Params.default) ?target g tree =
   in
   let s_delta = frag_subtree_sum delta in
   let c_s_delta =
-    if params.Params.run_real_primitives then begin
+    match links with
+    | Some links ->
       (* run the within-fragment wave for real on the engine: every
          fragment converges in parallel (they are vertex-disjoint) *)
-      let real, wave_audit = frag_wave ~cfg:params.Params.congest g tree fr delta in
+      let real, wave_audit = frag_wave ~cfg:params.Params.congest g links delta in
       assert (real = s_delta);
       Cost.executed ~audit:wave_audit "step3: within-fragment delta sums (real)"
         wave_audit.Mincut_congest.Network.rounds
-    end
-    else
+    | None ->
       Cost.scheduled "step3: within-fragment delta sums"
         (Pipeline.convergecast ~depth:maxh ~max_edge_load:1)
   in

@@ -54,16 +54,35 @@ type result = {
   stats : stats;
 }
 
+val backbone :
+  ?params:Params.t ->
+  Mincut_graph.Graph.t ->
+  root:int ->
+  Mincut_graph.Tree.t * Mincut_congest.Cost.t
+(** The global BFS tree from [root] that Step 1 builds as the backbone
+    for network-wide aggregation, with its cost: run on the engine
+    ([Executed], with its audit) when [params.run_real_primitives] is
+    set, else [Scheduled] at height + 1.  It depends only on the graph
+    and the root, so a caller running {!run} on many trees of one graph
+    computes it once.  Requires a connected graph. *)
+
 val run :
   ?params:Params.t ->
   ?target:int ->
+  ?backbone:Mincut_graph.Tree.t * Mincut_congest.Cost.t ->
   Mincut_graph.Graph.t ->
   Mincut_graph.Tree.t ->
   result
 (** Requires a connected graph with n ≥ 2 and a spanning tree of it.
     [target] overrides the fragment height threshold (default ⌈√n⌉) —
     exposed for the A1 ablation, which shows why √n is the right
-    balance point between fragment-local and global-broadcast work. *)
+    balance point between fragment-local and global-broadcast work.
+    [backbone], when given, must be [backbone ~params g ~root] for the
+    same [params], [g] and the tree's root; the run then reuses it
+    instead of rebuilding it, and still charges its cost in Step 1, so
+    the result is the same either way.  Raises [Invalid_argument] if it
+    is rooted elsewhere, spans a different number of nodes than [g], or
+    has the other mode's cost provenance. *)
 
 val lca_by_fragments :
   ?target:int -> Mincut_graph.Graph.t -> Mincut_graph.Tree.t -> (int * int * int) array

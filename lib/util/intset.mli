@@ -35,6 +35,10 @@ val min_elt_opt : t -> int option
 val diff : t -> t -> t
 (** [diff a b] — elements of [a] not in [b]. *)
 
+val first_missing : t -> t -> int option
+(** [first_missing a b] — the least element of [a] not in [b]; equal to
+    [min_elt_opt (diff a b)] but allocates nothing beyond the option. *)
+
 val union : t -> t -> t
 
 val equal : t -> t -> bool

@@ -2,6 +2,7 @@ open Test_helpers
 module One_respect = Mincut_core.One_respect
 module One_respect_seq = Mincut_core.One_respect_seq
 module Params = Mincut_core.Params
+module Exact = Mincut_core.Exact
 module Cost = Mincut_congest.Cost
 
 let trees_of g =
@@ -260,6 +261,187 @@ let test_soak_larger_instances () =
         (One_respect.lca_by_fragments g tree))
     instances
 
+(* ---- Pinned per-tree sweep ----------------------------------------- *)
+
+(* The per-tree Theorem 2.1 sweep may be made cheaper, but never
+   different: every engine program must send the same messages in the
+   same rounds.  These digests were recorded before the sweep's
+   backbone was shared across trees and its inner loops stopped
+   allocating; they cover the answer, the side, the winning tree, the
+   whole span tree (every leaf's rounds, provenance and engine audit,
+   via [Cost.to_json]) and every stats field.  Regenerate them only
+   for a change that is meant to alter what the algorithm executes or
+   charges. *)
+
+let stats_fields (s : One_respect.stats) =
+  [
+    s.One_respect.n; s.bfs_height; s.fragment_count; s.max_fragment_height;
+    s.merging_count; s.tf_prime_size; s.lca_case1; s.lca_case2; s.lca_case3;
+    s.max_lca_exchange; s.max_child_frag_load; s.max_ancestor_items;
+    s.max_f_items; s.case2_lca_count;
+  ]
+
+let ints xs = String.concat "," (List.map string_of_int xs)
+
+let exact_digest (r : Exact.result) =
+  String.concat "|"
+    [
+      string_of_int r.Exact.value;
+      ints (Mincut_util.Bitset.to_list r.Exact.side);
+      string_of_int r.Exact.best_tree;
+      string_of_int r.Exact.trees_used;
+      Mincut_util.Json.to_string (Cost.to_json r.Exact.cost);
+      ints (stats_fields r.Exact.stats);
+    ]
+  |> Digest.string |> Digest.to_hex
+
+let golden_graphs () =
+  let rng = Rng.create 20140715 in
+  let weights = { Generators.wmin = 1; wmax = 9 } in
+  [
+    ("gnp40", Generators.gnp_connected ~rng 40 0.3);
+    ("gnp30-weighted", Generators.gnp_connected ~rng ~weights 30 0.3);
+    ("planted40", Generators.planted_cut ~rng ~n:40 ~cut_edges:3 ~p_in:0.3 ());
+    ("torus6", Generators.torus 6 6);
+    ("torus5x7", Generators.torus 5 7);
+    ("cliques4x6", Generators.path_of_cliques ~clique:4 ~length:6);
+    ("grid8", Generators.grid 8 8);
+    ("path2", Generators.path 2);
+    ("ring5-weighted", Generators.ring ~weights ~rng 5);
+    ("complete4", Generators.complete 4);
+    ("star5", Graph.create ~n:5 [ (0, 1, 2); (0, 2, 1); (0, 3, 3); (0, 4, 1) ]);
+    ("disconnected6", Graph.create ~n:6 [ (0, 1, 1); (1, 2, 1); (3, 4, 1); (4, 5, 2) ]);
+  ]
+
+let golden_exact =
+  [
+    ("gnp40/default", "870aee53aadb0b8dc38991ec3406cf33");
+    ("gnp40/fast", "de2856e84670801100e337ccd37142b8");
+    ("gnp30-weighted/default", "c0837567de0457dadcd33306b3141633");
+    ("gnp30-weighted/fast", "513cdef24b22a8ea6e85f915ae59c2b7");
+    ("planted40/default", "830f3edcc75c1eb05426afc3c3eea7bc");
+    ("planted40/fast", "d35380023381a25791a51f2f7b294e49");
+    ("torus6/default", "b5a49a2f9414cb09ab74a4cc9419bd3a");
+    ("torus6/fast", "4128007a5dba31e1f840251e63641740");
+    ("torus5x7/default", "608e895409075d60914e550da39182e6");
+    ("torus5x7/fast", "4b99a36c0a788837c0e96c2528409920");
+    ("cliques4x6/default", "7e350a6a348e6dc07761050e7b7de97c");
+    ("cliques4x6/fast", "8a9cf9207ab7bff37528193e8d6424fe");
+    ("grid8/default", "58ddb450447b7318e483d34fbd82f781");
+    ("grid8/fast", "6c61f79fe1fba3e7dfb5519992c3cdad");
+    ("path2/default", "277f1cac2f706e7590225fad89581adc");
+    ("path2/fast", "b150aa6ade6b915e179dcb11c893f882");
+    ("ring5-weighted/default", "e1cc2073f469bc6e4ecb2457632a368d");
+    ("ring5-weighted/fast", "9f6d4aa26b5eea2249f937bdf2be39f4");
+    ("complete4/default", "25a9685039d36f971405411a8582408b");
+    ("complete4/fast", "caf0418d9b628eee2579f6f079eda26b");
+    ("star5/default", "d3c7e9763a643cb67bf3bb724c2917fb");
+    ("star5/fast", "ba625c179edf01addbf5d43ecb0432f0");
+    ("disconnected6/default", "953fdb76ea8101b1ba114ea98473a1a6");
+    ("disconnected6/fast", "953fdb76ea8101b1ba114ea98473a1a6");
+  ]
+
+let test_exact_pinned () =
+  let got =
+    List.concat_map
+      (fun (name, g) ->
+        List.map
+          (fun (mode, params) ->
+            (name ^ "/" ^ mode, exact_digest (Exact.run ~params g)))
+          [ ("default", Params.default); ("fast", Params.fast) ])
+      (golden_graphs ())
+  in
+  Alcotest.(check (list (pair string string))) "Exact.run digests" golden_exact got
+
+(* The golden graphs are small enough that ⌈√n⌉-high fragments rarely
+   leave an LCA outside both endpoints' fragments; a low target forces
+   merging nodes and case-2 LCAs into the pinned runs. *)
+let respect_digest (r : One_respect.result) =
+  String.concat "|"
+    [
+      ints (Array.to_list r.One_respect.cuts);
+      string_of_int r.One_respect.best_value;
+      string_of_int r.One_respect.best_node;
+      Mincut_util.Json.to_string (Cost.to_json r.One_respect.cost);
+      ints (stats_fields r.One_respect.stats);
+    ]
+  |> Digest.string |> Digest.to_hex
+
+let test_one_respect_pinned_low_target () =
+  let got =
+    List.concat_map
+      (fun (name, g) ->
+        let tree = Tree.bfs_tree g ~root:0 in
+        List.map
+          (fun (mode, params) ->
+            let r = One_respect.run ~params ~target:3 g tree in
+            check_bool (name ^ " has case-2 LCAs") true (r.One_respect.stats.One_respect.lca_case2 > 0);
+            (name ^ "/" ^ mode, respect_digest r))
+          [ ("default", Params.default); ("fast", Params.fast) ])
+      (List.filter
+         (fun (name, _) -> List.mem name [ "planted40"; "torus6"; "grid8" ])
+         (golden_graphs ()))
+  in
+  Alcotest.(check (list (pair string string)))
+    "One_respect.run ~target:3 digests"
+    [
+      ("planted40/default", "f26d7b813f94aa4881e299aa9cfa35d2");
+      ("planted40/fast", "25d3f67a7cb07369325879e028571c6e");
+      ("torus6/default", "2c6b7fcafa4c374d5ab6106bbc15bd9e");
+      ("torus6/fast", "0a462b3a01e1c3720e449ea85060d93d");
+      ("grid8/default", "506be23153cd572c049f0abb823ad6ae");
+      ("grid8/fast", "62b3973f6f9bd65e508a395535e19492");
+    ]
+    got
+
+let lca_digest rs =
+  Array.to_list rs
+  |> List.map (fun (z, case, items) -> Printf.sprintf "%d:%d:%d" z case items)
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+let test_lca_pinned () =
+  let grid = Generators.grid 16 16 in
+  let gnp = Generators.gnp_connected ~rng:(Rng.create 31) 120 0.05 in
+  let got =
+    [
+      ("grid16 bfs", lca_digest (One_respect.lca_by_fragments grid (Tree.bfs_tree grid ~root:0)));
+      ( "grid16 bfs target3",
+        lca_digest (One_respect.lca_by_fragments ~target:3 grid (Tree.bfs_tree grid ~root:0)) );
+      ( "gnp120 mst",
+        lca_digest
+          (One_respect.lca_by_fragments gnp
+             (Tree.of_edge_ids gnp ~root:0 (Mincut_graph.Mst_seq.kruskal gnp))) );
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "lca_by_fragments digests"
+    [
+      ("grid16 bfs", "15b9b73bf0c34b31fc48131bb376417d");
+      ("grid16 bfs target3", "2e8602d1dd8bcb47e466eda9aa79fb43");
+      ("gnp120 mst", "28d0f7a232fdffa565ab300b11c59075");
+    ]
+    got
+
+let test_backbone_root_checked () =
+  let g = Generators.grid 4 4 in
+  let tree = Tree.bfs_tree g ~root:0 in
+  let backbone = One_respect.backbone ~params:Params.fast g ~root:5 in
+  Alcotest.check_raises "rooted elsewhere"
+    (Invalid_argument "One_respect.run: backbone rooted elsewhere") (fun () ->
+      ignore (One_respect.run ~params:Params.fast ~backbone g tree));
+  let other = One_respect.backbone ~params:Params.fast (Generators.grid 5 5) ~root:0 in
+  Alcotest.check_raises "another graph"
+    (Invalid_argument "One_respect.run: backbone of another graph") (fun () ->
+      ignore (One_respect.run ~params:Params.fast ~backbone:other g tree));
+  let real = One_respect.backbone ~params:Params.default g ~root:0 in
+  Alcotest.check_raises "real backbone in fast run"
+    (Invalid_argument "One_respect.run: backbone built under other params") (fun () ->
+      ignore (One_respect.run ~params:Params.fast ~backbone:real g tree));
+  let fast = One_respect.backbone ~params:Params.fast g ~root:0 in
+  Alcotest.check_raises "fast backbone in real run"
+    (Invalid_argument "One_respect.run: backbone built under other params") (fun () ->
+      ignore (One_respect.run ~params:Params.default ~backbone:fast g tree))
+
 let qcheck_tests =
   [
     qtest ~count:60 "dist = seq on random graphs and trees" (arbitrary_connected ())
@@ -280,6 +462,13 @@ let qcheck_tests =
             if Tree.Lca.query oracle e.Graph.u e.Graph.v <> z then ok := false)
           rs;
         !ok);
+    qtest ~count:60 "shared backbone = per-run backbone, both modes"
+      QCheck2.Gen.(pair (arbitrary_connected ()) bool)
+      (fun (g, real) ->
+        let params = if real then Params.default else Params.fast in
+        let tree = Tree.of_edge_ids g ~root:0 (Mincut_graph.Mst_seq.kruskal g) in
+        let backbone = One_respect.backbone ~params g ~root:0 in
+        One_respect.run ~params ~backbone g tree = One_respect.run ~params g tree);
     qtest ~count:60 "1-respecting min >= true min cut" (arbitrary_connected ())
       (fun g ->
         let tree = Tree.bfs_tree g ~root:0 in
@@ -306,5 +495,9 @@ let suite =
     tc "dist: lca cases partition the edges" test_lca_cases_partition_edges;
     tc "dist: target override" test_target_override_changes_structure;
     tc_slow "dist: soak on larger mixed instances" test_soak_larger_instances;
+    tc "dist: Exact.run pinned on the golden graphs" test_exact_pinned;
+    tc "dist: One_respect.run pinned at a low target" test_one_respect_pinned_low_target;
+    tc "dist: backbone must match the tree's root, graph and mode" test_backbone_root_checked;
+    tc "dist: fragment LCA pinned (lca, case, items)" test_lca_pinned;
   ]
   @ qcheck_tests

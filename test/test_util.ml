@@ -4,6 +4,7 @@ module Stats = Mincut_util.Stats
 module Heap = Mincut_util.Heap
 module Bitset = Mincut_util.Bitset
 module Table = Mincut_util.Table
+module Intset = Mincut_util.Intset
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -222,6 +223,16 @@ let qcheck_tests =
         List.iter (Bitset.add s) xs;
         List.for_all (Bitset.mem s) xs
         && Bitset.cardinal s = List.length (List.sort_uniq compare xs));
+    qtest ~count:500 "intset first_missing = min of diff"
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 0 12) (int_range 0 20))
+          (list_size (int_range 0 12) (int_range 0 20)))
+      (fun (xs, ys) ->
+        let a = Intset.of_list xs and b = Intset.of_list ys in
+        Intset.first_missing a b = Intset.min_elt_opt (Intset.diff a b)
+        && Intset.first_missing a a = None
+        && Intset.first_missing a (Intset.union a b) = None);
   ]
 
 let suite =
