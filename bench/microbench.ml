@@ -23,6 +23,7 @@ let tests () =
   let g256 = Workloads.gnp_supercritical ~seed:1 256 in
   let g_deep = Workloads.cliques_path ~length:16 in
   let g_planted = Workloads.planted ~seed:1 ~n:128 ~lambda:4 in
+  let g_dense = Mincut_graph.Generators.gnp_connected ~rng:(Rng.create 1) 144 0.3 in
   let tree256 = Tree.bfs_tree g256 ~root:0 in
   Test.make_grouped ~name:"mincut"
     [
@@ -47,6 +48,8 @@ let tests () =
                (Approx.run ~params:fast ~trees:8 ~rng:(Rng.create 5) ~epsilon:0.5 g_planted)));
       Test.make ~name:"f3-packing:greedy-16-trees-128"
         (Staged.stage (fun () -> ignore (Tree_packing.greedy g_planted ~trees:16)));
+      Test.make ~name:"f3-packing:greedy-96-trees-gnp144"
+        (Staged.stage (fun () -> ignore (Tree_packing.greedy g_dense ~trees:96)));
       Test.make ~name:"f5-anatomy:fragment-partition-256"
         (Staged.stage (fun () ->
              ignore

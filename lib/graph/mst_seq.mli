@@ -1,11 +1,11 @@
 (** Sequential minimum spanning trees.
 
-    Thorup's tree packing generates each tree as the MST with respect to
-    the loads induced by the previous trees, so the packing layer needs an
-    MST routine parameterized by an arbitrary total order on edges
-    ([kruskal_by]).  Plain weight-ordered variants ([kruskal], [prim],
-    [boruvka]) serve as cross-checking references for each other and for
-    the distributed MST. *)
+    [kruskal_by] takes an arbitrary total order on edges; the tests run
+    it under Thorup's load order as the reference that the incremental
+    packing ([Tree_packing.greedy]) must match.  Plain
+    weight-ordered variants ([kruskal], [prim], [boruvka]) serve as
+    cross-checking references for each other and for the distributed
+    MST. *)
 
 val kruskal_by : Graph.t -> cmp:(Graph.edge -> Graph.edge -> int) -> int list
 (** Minimum spanning forest under the given total order; returns edge

@@ -2,6 +2,14 @@ type t = { parent : int array; rank : int array; mutable count : int }
 
 let create n = { parent = Array.init n (fun i -> i); rank = Array.make n 0; count = n }
 
+let reset t =
+  let n = Array.length t.parent in
+  for i = 0 to n - 1 do
+    t.parent.(i) <- i
+  done;
+  Array.fill t.rank 0 n 0;
+  t.count <- n
+
 let rec find t x =
   let p = t.parent.(x) in
   if p = x then x

@@ -8,6 +8,9 @@ type t
 val create : int -> t
 (** [create n] puts each of [0 .. n-1] in its own set. *)
 
+val reset : t -> unit
+(** Put every element back in its own set, reusing the arrays. *)
+
 val find : t -> int -> int
 (** Canonical representative (with path compression). *)
 

@@ -1,28 +1,72 @@
 module Graph = Mincut_graph.Graph
 module Mst_seq = Mincut_graph.Mst_seq
+module Union_find = Mincut_graph.Union_find
 module Bfs = Mincut_graph.Bfs
 module Cost = Mincut_congest.Cost
 
 type t = { trees : int list array; loads : int array }
 
-(* Compare relative loads u1/w1 vs u2/w2 exactly by cross-multiplying;
-   loads stay small (≤ #trees) so there is no overflow risk. *)
-let load_order loads (a : Graph.edge) (b : Graph.edge) =
-  let la = loads.(a.id) * b.w and lb = loads.(b.id) * a.w in
+(* Compare relative loads u1/w1 vs u2/w2 of edge ids [a] and [b] exactly
+   by cross-multiplying, then weight, then id: a strict total order.
+   [greedy] bounds every weight by max_int / trees, so no product
+   overflows and the order stays transitive. *)
+let load_order loads w a b =
+  let la = loads.(a) * w.(b) and lb = loads.(b) * w.(a) in
   match Int.compare la lb with
-  | 0 -> (
-      match Int.compare a.w b.w with 0 -> Int.compare a.id b.id | c -> c)
+  | 0 -> ( match Int.compare w.(a) w.(b) with 0 -> Int.compare a b | c -> c)
   | c -> c
 
+(* One edge order, kept sorted by [load_order] across trees.  Tree i is
+   the Kruskal prefix of the order up to its (n-1)-th union.  Only those
+   n-1 edges gain load, so they are lifted out (the rejected edges of the
+   prefix and the untouched tail close up, still sorted), re-sorted among
+   themselves and merged back from the end. *)
 let greedy g ~trees =
   if trees < 1 then invalid_arg "Tree_packing.greedy: need at least one tree";
   if not (Bfs.is_connected g) then invalid_arg "Tree_packing.greedy: disconnected graph";
-  let loads = Array.make (Graph.m g) 0 in
+  let edges = Graph.edges g in
+  let n = Graph.n g and m = Graph.m g in
+  let w = Array.map (fun (e : Graph.edge) -> e.w) edges in
+  if Array.exists (fun x -> x > max_int / trees) w then
+    invalid_arg
+      (Printf.sprintf "Tree_packing.greedy: edge weight above max_int / %d" trees);
+  let loads = Array.make m 0 in
+  let order = Array.init m Fun.id in
+  Array.sort (load_order loads w) order;
+  let picked = Array.make (max 0 (n - 1)) 0 in
+  let k = Array.length picked in
+  let uf = Union_find.create n in
   let out = Array.make trees [] in
   for i = 0 to trees - 1 do
-    let tree = Mst_seq.kruskal_by g ~cmp:(load_order loads) in
-    out.(i) <- tree;
-    List.iter (fun id -> loads.(id) <- loads.(id) + 1) tree
+    Union_find.reset uf;
+    let chosen = ref 0 and pos = ref 0 in
+    while !chosen < k do
+      let id = order.(!pos) in
+      let e = edges.(id) in
+      if Union_find.union uf e.u e.v then begin
+        picked.(!chosen) <- id;
+        incr chosen
+      end
+      else order.(!pos - !chosen) <- id;
+      incr pos
+    done;
+    out.(i) <- Array.to_list picked;
+    Array.iter (fun id -> loads.(id) <- loads.(id) + 1) picked;
+    if i < trees - 1 then begin
+      Array.blit order !pos order (!pos - k) (m - !pos);
+      Array.sort (load_order loads w) picked;
+      let rest = ref (m - k - 1) and d = ref (m - 1) in
+      for j = k - 1 downto 0 do
+        let id = picked.(j) in
+        while !rest >= 0 && load_order loads w order.(!rest) id > 0 do
+          order.(!d) <- order.(!rest);
+          decr rest;
+          decr d
+        done;
+        order.(!d) <- id;
+        decr d
+      done
+    end
   done;
   { trees = out; loads }
 
@@ -70,7 +114,7 @@ let distributed_cost ~n:_ ~diameter:_ ~trees ~per_tree_rounds =
 let disjoint_pass g rank =
   let capacity = Array.map (fun (e : Graph.edge) -> e.w) (Graph.edges g) in
   let residual_spanning () =
-    let uf = Mincut_graph.Union_find.create (Graph.n g) in
+    let uf = Union_find.create (Graph.n g) in
     let es =
       Array.of_list
         (List.filter
@@ -86,7 +130,7 @@ let disjoint_pass g rank =
     let acc = ref [] in
     Array.iter
       (fun (e : Graph.edge) ->
-        if Mincut_graph.Union_find.union uf e.u e.v then acc := e.id :: !acc)
+        if Union_find.union uf e.u e.v then acc := e.id :: !acc)
       es;
     if List.length !acc = Graph.n g - 1 then Some (List.rev !acc) else None
   in

@@ -13,6 +13,17 @@
     tie-breaking, so a packing is a pure function of the graph — tests
     rely on this.
 
+    {b Cost.}  One edge order is kept sorted across trees.  Each tree is
+    a Kruskal scan of that order that stops after [n−1] unions; then
+    only those [n−1] edges gain load, so they alone are re-sorted and
+    merged back.  A tree costs [O(m + n log n)] after one initial
+    [O(m log m)] sort, against [O(m log m)] for a fresh sort per tree.
+    Scratch is [O(m + n)], allocated once per call.  Because
+    (relative load, weight, id) is a strict total order, the maintained
+    order is the unique sorted order a fresh sort would produce, so the
+    trees (each tree's ids in Kruskal order) and the loads are exactly
+    those of re-sorting all [m] edges per tree.
+
     The theoretical tree count is astronomically conservative; in
     practice a handful of trees suffices (measured by experiment F3).
     [recommended_trees] provides the practical default, [theory_trees]
@@ -25,7 +36,9 @@ type t = {
 
 val greedy : Mincut_graph.Graph.t -> trees:int -> t
 (** Pack the given number of trees.  Raises [Invalid_argument] if the
-    graph is disconnected or [trees < 1]. *)
+    graph is disconnected, [trees < 1], or some edge weight exceeds
+    [max_int / trees] (past that, [u·w] can overflow and the order
+    would stop being transitive). *)
 
 val recommended_trees : n:int -> lambda_hint:int -> int
 (** Practical default: [max 8 (min 96 (2·λ̂·⌈log₂ n⌉))]. *)

@@ -89,7 +89,11 @@ let test_union_find_basics () =
   check_bool "re-union is false" false (Union_find.union uf 0 1);
   check_bool "same" true (Union_find.same uf 0 1);
   check_bool "not same" false (Union_find.same uf 0 2);
-  check_int "count after union" 4 (Union_find.count uf)
+  check_int "count after union" 4 (Union_find.count uf);
+  Union_find.reset uf;
+  check_int "reset count" 5 (Union_find.count uf);
+  check_bool "reset separates" false (Union_find.same uf 0 1);
+  check_bool "union after reset" true (Union_find.union uf 0 1)
 
 let test_union_find_transitivity () =
   let uf = Union_find.create 6 in

@@ -473,6 +473,34 @@ let test_server_graph_payload_drained () =
       Alcotest.fail
         (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
 
+let test_server_weight_bound () =
+  (* a 2-node graph packs the 96-tree cap; a weight past max_int / 96
+     would overflow the packing's load comparison, so it is an ERR *)
+  let bound = max_int / 96 in
+  let io, collected =
+    scripted_io
+      [
+        "GRAPH ok 2 1";
+        Printf.sprintf "0 1 %d" bound;
+        "SOLVE graph=ok";
+        "GRAPH big 2 1";
+        Printf.sprintf "0 1 %d" (bound + 1);
+        "SOLVE graph=big";
+        "PING";
+      ]
+  in
+  let _ = Server.run (service ()) io in
+  match collected () with
+  | [ _; ok; _; err; pong ] ->
+      check_bool "bound weight solves" true
+        (has_prefix ~prefix:(Printf.sprintf "OK value=%d " bound) ok);
+      check_bool "bound + 1 is ERR" true
+        (has_prefix ~prefix:"ERR" err && contains ~sub:"max_int / 96" err);
+      check_string "server keeps serving" "PONG" pong
+  | lines ->
+      Alcotest.fail
+        (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
+
 let test_protocol_parse_errors () =
   let is_err s = match Protocol.parse s with Error _ -> true | Ok _ -> false in
   check_bool "missing source" true (is_err "SOLVE algo=exact");
@@ -777,6 +805,7 @@ let suite =
     tc "server: scripted session" test_server_session;
     tc "server: submit/flush protocol" test_server_submit_flush;
     tc "server: malformed GRAPH payload drained" test_server_graph_payload_drained;
+    tc "server: weight past the packing bound is ERR" test_server_weight_bound;
     tc "protocol: parse errors" test_protocol_parse_errors;
     tc "service: expired requests shed at flush" test_service_flush_sheds_expired;
     tc "server: SHED lines in FLUSH" test_server_flush_shed_line;

@@ -105,6 +105,139 @@ let test_first_tree_matches_distributed_mst () =
         = List.sort compare d.Mincut_mst.Boruvka_dist.edge_ids))
     (small_connected_graphs ())
 
+(* ---- The per-tree-sort packing as an oracle ------------------------- *)
+
+(* The packing as first written: every tree is a fresh Kruskal over all
+   m edges sorted by (relative load, weight, id).  [greedy] keeps one
+   order across trees instead; it must produce exactly this, trees in
+   order, each tree's ids in order, and the same loads. *)
+let load_order loads (a : Graph.edge) (b : Graph.edge) =
+  let la = loads.(a.id) * b.w and lb = loads.(b.id) * a.w in
+  match Int.compare la lb with
+  | 0 -> (
+      match Int.compare a.w b.w with 0 -> Int.compare a.id b.id | c -> c)
+  | c -> c
+
+let oracle g ~trees =
+  let loads = Array.make (Graph.m g) 0 in
+  let out = Array.make trees [] in
+  for i = 0 to trees - 1 do
+    let tree = Mst_seq.kruskal_by g ~cmp:(load_order loads) in
+    out.(i) <- tree;
+    List.iter (fun id -> loads.(id) <- loads.(id) + 1) tree
+  done;
+  (out, loads)
+
+let same_as_oracle g ~trees =
+  let p = Tree_packing.greedy g ~trees in
+  (p.Tree_packing.trees, p.Tree_packing.loads) = oracle g ~trees
+
+let ints xs = String.concat "," (List.map string_of_int xs)
+
+let packing_digest (p : Tree_packing.t) =
+  String.concat "|"
+    (Array.to_list (Array.map ints p.Tree_packing.trees)
+    @ [ ints (Array.to_list p.Tree_packing.loads) ])
+  |> Digest.string |> Digest.to_hex
+
+(* Shaped like the solve-dense benchmark inputs (G(n, 0.3) and planted
+   cuts, n 96-144, at the 96-tree cap), plus a torus and a weighted
+   gnp.  The digests were recorded with the per-tree-sort packing;
+   regenerate them only for a change meant to alter which trees are
+   packed. *)
+let pinned_graphs () =
+  let rng = Rng.create 20140715 in
+  let weights = { Generators.wmin = 1; wmax = 9 } in
+  [
+    ("gnp96", Generators.gnp_connected ~rng 96 0.3);
+    ("gnp144", Generators.gnp_connected ~rng 144 0.3);
+    ("planted96", Generators.planted_cut ~rng ~n:96 ~cut_edges:2 ~p_in:0.4 ());
+    ("planted144", Generators.planted_cut ~rng ~n:144 ~cut_edges:5 ~p_in:0.4 ());
+    ("torus12", Generators.torus 12 12);
+    ("gnp60-weighted", Generators.gnp_connected ~rng ~weights 60 0.3);
+  ]
+
+let golden_packings =
+  [
+    ("gnp96", "bcfca32af06a9732a329aa09ef8c5c84");
+    ("gnp144", "72a79b982ddf13a942a05a086c00b8de");
+    ("planted96", "ce36f8dded3c485b1c858ec98105ef3a");
+    ("planted144", "5cea8546b8a378b8b13641d36c888b85");
+    ("torus12", "6c020604444829dab85c50b1332dbc5b");
+    ("gnp60-weighted", "757ba3f2d0398d55b2a71b3d594c2e25");
+  ]
+
+let test_pinned_packings () =
+  let got =
+    List.map
+      (fun (name, g) -> (name, packing_digest (Tree_packing.greedy g ~trees:96)))
+      (pinned_graphs ())
+  in
+  Alcotest.(check (list (pair string string))) "greedy ~trees:96 digests" golden_packings got
+
+let test_single_node () =
+  (* m = 0: every tree is empty, and there are still [trees] of them *)
+  let g = Graph.create ~n:1 [] in
+  List.iter
+    (fun trees ->
+      let p = Tree_packing.greedy g ~trees in
+      check_int "tree count" trees (Array.length p.Tree_packing.trees);
+      check_bool "all empty" true (Array.for_all (( = ) []) p.Tree_packing.trees);
+      check_int "no loads" 0 (Array.length p.Tree_packing.loads);
+      check_bool "matches oracle" true (same_as_oracle g ~trees))
+    [ 1; 2; 7; 96 ]
+
+let test_parallel_pair () =
+  (* n = 2 with three parallel edges of weights 3, 1, 2: each tree is
+     one edge, the least relatively loaded one, so after 12 trees the
+     loads are proportional to the weights *)
+  let g = Graph.create ~n:2 [ (0, 1, 3); (0, 1, 1); (0, 1, 2) ] in
+  let p = Tree_packing.greedy g ~trees:12 in
+  check_bool "first tree is the lightest edge" true (p.Tree_packing.trees.(0) = [ 1 ]);
+  check_bool "loads follow weights" true (p.Tree_packing.loads = [| 6; 2; 4 |]);
+  List.iter
+    (fun trees -> check_bool "matches oracle" true (same_as_oracle g ~trees))
+    [ 1; 2; 3; 5; 12; 96 ]
+
+let test_weight_bound () =
+  (* relative loads are compared as loads(a)·w(b) with loads ≤ trees, so
+     weights up to max_int / trees are exact and one more is refused *)
+  List.iter
+    (fun trees ->
+      let bound = max_int / trees in
+      let g w = Graph.create ~n:3 [ (0, 1, w); (1, 2, 1); (0, 2, bound / 3) ] in
+      check_bool "bound weight packs" true (same_as_oracle (g bound) ~trees);
+      check_bool "bound + 1 raises" true
+        (try
+           ignore (Tree_packing.greedy (g (bound + 1)) ~trees);
+           false
+         with Invalid_argument _ -> true))
+    [ 2; 7; 96 ]
+
+(* qcheck generator: a connected weighted multigraph on 1..max_n nodes (a
+   random spanning tree plus extra edges that may repeat an endpoint
+   pair) with unit, narrow or wide weights, and 1..96 trees. *)
+let arbitrary_packing_input ?(max_n = 24) () =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n = int_range 1 max_n in
+    let* extra = int_range 0 (3 * n) in
+    let* wmax = oneofl [ 1; 4; 1000 ] in
+    let* trees = int_range 1 96 in
+    return
+      (let rng = Rng.create seed in
+       let w () = 1 + Rng.int rng wmax in
+       let tree = List.init (n - 1) (fun v -> (Rng.int rng (v + 1), v + 1, w ())) in
+       let chords =
+         if n < 2 then []
+         else
+           List.init extra (fun _ ->
+               let u = Rng.int rng n in
+               let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+               (min u v, max u v, w ()))
+       in
+       (Graph.create ~n (tree @ chords), trees)))
+
 let qcheck_tests =
   [
     qtest ~count:50 "packing load invariant" (arbitrary_connected ()) (fun g ->
@@ -126,6 +259,9 @@ let qcheck_tests =
             best := min !best r.Mincut_core.One_respect_seq.best_value)
           p.Tree_packing.trees;
         !best = lambda);
+    qtest ~count:150 "greedy = per-tree-sort oracle (trees, order, loads)"
+      (arbitrary_packing_input ())
+      (fun (g, trees) -> same_as_oracle g ~trees);
   ]
 
 let suite =
@@ -141,5 +277,9 @@ let suite =
     tc "packing: theory bound shape" test_theory_trees_growth;
     tc "packing: input validation" test_rejects_bad_input;
     tc "packing: first tree = real distributed MST" test_first_tree_matches_distributed_mst;
+    tc "packing: pinned 96-tree digests" test_pinned_packings;
+    tc "packing: single node packs empty trees" test_single_node;
+    tc "packing: parallel edges on two nodes" test_parallel_pair;
+    tc "packing: weight bound max_int / trees" test_weight_bound;
   ]
   @ qcheck_tests
