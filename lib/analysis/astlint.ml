@@ -359,9 +359,6 @@ let inject_seeds =
     ("fdleak", ("inject_fdleak.ml", fdleak_seed, "resource-leak"));
   ]
 
-let expected_rule seed =
-  Option.map (fun (_, _, rule) -> rule) (List.assoc_opt seed inject_seeds)
-
 let run_inject ?budgets ~seed paths =
   match List.assoc_opt seed inject_seeds with
   | None -> Error (Printf.sprintf "unknown inject seed %S" seed)

@@ -75,8 +75,6 @@ val inject_seeds : (string * (string * string * string)) list
     injections: ["nondet"], ["alloc"], ["race"], ["exnleak"],
     ["fdleak"]. *)
 
-val expected_rule : string -> string option
-
 val run_inject :
   ?budgets:(string * int) list ->
   seed:string ->

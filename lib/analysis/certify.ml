@@ -17,11 +17,6 @@ type report = { checks : check list; ok : bool }
 
 type defect = Order | Span | Payload
 
-let defect_name = function
-  | Order -> "order"
-  | Span -> "span"
-  | Payload -> "payload"
-
 let defect_of_name = function
   | "order" -> Some Order
   | "span" -> Some Span
@@ -268,7 +263,7 @@ let inject_payload () =
   (* permissive engine budget so the oversized-message rule stays out of
      the way: the *scaling* limit is what must catch this *)
   let cfg = Config.with_budget 64 in
-  let limit = Sanitize.ceil_log2 n in
+  let limit = Mincut_util.Intmath.ceil_log2 n in
   let r = Sanitize.run ~cfg ~limit ~words:List.length g (fat_payload_program g) in
   let details =
     match r.Sanitize.flags with

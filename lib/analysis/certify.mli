@@ -25,7 +25,6 @@ type report = { checks : check list; ok : bool }
 
 type defect = Order | Span | Payload
 
-val defect_name : defect -> string
 val defect_of_name : string -> defect option
 
 val run :

@@ -3,25 +3,12 @@ module Network = Mincut_congest.Network
 module Pipeline = Mincut_congest.Pipeline
 module One_respect = Mincut_core.One_respect
 module Params = Mincut_core.Params
-module Json = Mincut_util.Json
 
 type error = { path : string; law : string; detail : string }
 
 let err path law detail = { path; law; detail }
 
 let describe e = Printf.sprintf "%s: [%s] %s" e.path e.law e.detail
-
-let to_json errors =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("path", Json.String e.path);
-             ("law", Json.String e.law);
-             ("detail", Json.String e.detail);
-           ])
-       errors)
 
 let overlapped_label = "(overlapped)"
 

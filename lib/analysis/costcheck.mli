@@ -39,5 +39,3 @@ val check_one_respect :
     vacuous. *)
 
 val describe : error -> string
-
-val to_json : error list -> Mincut_util.Json.t

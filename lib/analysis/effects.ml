@@ -42,8 +42,6 @@ let cls_of_name = function
   | "clock-random-io" -> Some Clock_random_io
   | _ -> None
 
-let max_cls a b = if rank a >= rank b then a else b
-
 let deterministic c = rank c <= rank Det_stateful
 
 (* ---- intrinsic classification ------------------------------------------ *)

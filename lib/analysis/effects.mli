@@ -16,7 +16,6 @@ type cls = Pure | Det_stateful | Global_mutable | Clock_random_io
 val rank : cls -> int
 val cls_name : cls -> string
 val cls_of_name : string -> cls option
-val max_cls : cls -> cls -> cls
 val deterministic : cls -> bool
 
 val classify_external : string -> cls

@@ -38,8 +38,3 @@ let check ~run ~diff =
   let first = run () in
   let second = run () in
   match diff first second with [] -> Ok first | diffs -> Error diffs
-
-let check_program ?cfg ~words g prog =
-  check
-    ~run:(fun () -> snd (Network.run ?cfg ~words g prog))
-    ~diff:diff_audits

@@ -25,15 +25,6 @@ val diff_audits :
 val check : run:(unit -> 'a) -> diff:('a -> 'a -> string list) -> 'a outcome
 (** Evaluate [run] twice and diff the results. *)
 
-val check_program :
-  ?cfg:Mincut_congest.Config.t ->
-  words:('msg -> int) ->
-  Mincut_graph.Graph.t ->
-  ('state, 'msg) Mincut_congest.Network.program ->
-  Mincut_congest.Network.audit outcome
-(** Run a CONGEST program twice via {!Mincut_congest.Network.run} and
-    diff the audits. *)
-
 val diff_named : name:string -> equal:('a -> 'a -> bool) -> 'a -> 'a -> string list
 (** Helper for building composite differs: [[]] when equal, a one-entry
     ["name differs"] list otherwise. *)

@@ -1,7 +1,6 @@
 module Network = Mincut_congest.Network
 module Config = Mincut_congest.Config
 module Graph = Mincut_graph.Graph
-module Json = Mincut_util.Json
 
 type flag = { node : int; round : int; words : int; limit : int }
 
@@ -15,16 +14,13 @@ type report = {
   ok : bool;
 }
 
-let ceil_log2 n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  max 1 (go 0 (max 1 n))
-
 (* The word budget's c·log n scaling, stated in words: one word stands
    for Θ(log n) bits (Config.bits_per_word), so a model-conforming
    payload is O(1) words and certainly at most ~log₂ n words once n is
    past the tiny regime.  The floor at the default per-message budget
    keeps small graphs from flagging legitimate constant payloads. *)
-let default_limit n = max Config.default.Config.words_per_message (ceil_log2 n)
+let default_limit n =
+  max Config.default.Config.words_per_message (Mincut_util.Intmath.ceil_log2 n)
 
 let run ?(cfg = Config.default) ?limit ~words g prog =
   let n = Graph.n g in
@@ -63,32 +59,6 @@ let run ?(cfg = Config.default) ?limit ~words g prog =
       | Network.Order_dependence, Some node ->
           finish (Some (node, v.Network.round)) None
       | _ -> finish None (Some (Network.violation_message v)))
-
-let flag_to_json f =
-  Json.Obj
-    [
-      ("node", Json.Int f.node);
-      ("round", Json.Int f.round);
-      ("words", Json.Int f.words);
-      ("limit", Json.Int f.limit);
-    ]
-
-let to_json r =
-  Json.Obj
-    [
-      ( "order_dependence",
-        match r.order_dependence with
-        | None -> Json.Null
-        | Some (node, round) ->
-            Json.Obj [ ("node", Json.Int node); ("round", Json.Int round) ] );
-      ( "violation",
-        match r.violation with None -> Json.Null | Some m -> Json.String m );
-      ("max_payload_words", Json.Int r.max_payload_words);
-      ("max_state_bytes", Json.Int r.max_state_bytes);
-      ("payload_limit", Json.Int r.payload_limit);
-      ("flags", Json.List (List.map flag_to_json r.flags));
-      ("ok", Json.Bool r.ok);
-    ]
 
 let describe r =
   let flags =

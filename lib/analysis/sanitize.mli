@@ -32,9 +32,6 @@ type report = {
   ok : bool;                (** no divergence, no violation, no flags *)
 }
 
-val ceil_log2 : int -> int
-(** ⌈log₂ n⌉, floored at 1 — the model's words-per-message scale. *)
-
 val default_limit : int -> int
 (** [default_limit n] — the payload scaling limit in words:
     [max Config.default.words_per_message ⌈log₂ n⌉]. *)
@@ -50,8 +47,6 @@ val run :
     probe.  Never raises on model violations — they are folded into the
     report.  [limit] overrides the payload scaling limit ([cfg]'s word
     budget still bounds each message unless raised by the caller). *)
-
-val to_json : report -> Mincut_util.Json.t
 
 val describe : report -> string list
 (** Human-readable one-line findings (empty when [ok]). *)

@@ -41,13 +41,9 @@ let executed ?audit label rounds = leaf ?audit Executed label rounds
 let scheduled label rounds = leaf Scheduled label rounds
 let charged label rounds = leaf Charged label rounds
 
-(* generic leaf kept for callers that build costs outside the
-   three-provenance discipline (tests, ad-hoc accounting) *)
-let step label rounds = scheduled label rounds
-
 (* Dominant provenance of a forest: a phase that ran any real program is
    [Executed]; otherwise an analytic schedule dominates a published
-   bound.  Used when a group span is not tagged explicitly. *)
+   bound.  A group span takes the dominant provenance of its children. *)
 let dominant spans =
   let rec scan best = function
     | [] -> best
@@ -64,12 +60,8 @@ let dominant spans =
   in
   scan Charged spans
 
-let group ?provenance label t =
-  let provenance =
-    match provenance with
-    | Some p -> p
-    | None -> if t.spans = [] then Scheduled else dominant t.spans
-  in
+let group label t =
+  let provenance = if t.spans = [] then Scheduled else dominant t.spans in
   {
     rounds = t.rounds;
     spans = [ { label; rounds = t.rounds; provenance; children = t.spans; audit = None } ];
@@ -156,8 +148,6 @@ let pp fmt t =
   in
   List.iter (emit 0) t.spans;
   Format.fprintf fmt "@]"
-
-let to_table_rows t = breakdown t @ [ ("total", t.rounds) ]
 
 (* ---- JSON ---------------------------------------------------------- *)
 

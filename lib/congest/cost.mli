@@ -53,16 +53,12 @@ val scheduled : string -> int -> t
 val charged : string -> int -> t
 (** A leaf charged at a published bound. *)
 
-val step : string -> int -> t
-(** Generic leaf, equivalent to {!scheduled}; kept for callers building
-    costs outside the three-provenance discipline. *)
-
-val group : ?provenance:provenance -> string -> t -> t
+val group : string -> t -> t
 (** [group label t] wraps [t]'s spans as children of a single new span;
-    rounds and the flat {!breakdown} are unchanged.  When [provenance]
-    is omitted it is derived from the children: any [Executed] leaf
-    makes the group [Executed], else any [Scheduled] leaf makes it
-    [Scheduled], else [Charged]. *)
+    rounds and the flat {!breakdown} are unchanged.  Its provenance is
+    derived from the children: any [Executed] leaf makes the group
+    [Executed], else any [Scheduled] leaf (or no children at all) makes
+    it [Scheduled], else [Charged]. *)
 
 val ( ++ ) : t -> t -> t
 (** Sequential composition: rounds add, span forests concatenate. *)
@@ -96,9 +92,6 @@ val pp : Format.formatter -> t -> unit
 (** Tree rendering: a [total rounds: n] header, then one row per span
     with the round count, a provenance column and two-space indentation
     per tree level. *)
-
-val to_table_rows : t -> (string * int) list
-(** Flat {!breakdown} plus a trailing [("total", rounds)] row. *)
 
 val to_json : t -> Mincut_util.Json.t
 (** Spans serialize with [label]/[rounds]/[provenance] and, when

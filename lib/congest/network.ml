@@ -19,14 +19,6 @@ type violation = {
 
 exception Model_violation of violation
 
-let kind_name = function
-  | Oversized_message -> "oversized-message"
-  | Non_neighbor_send -> "non-neighbor-send"
-  | Duplicate_send -> "duplicate-send"
-  | Edge_overload -> "edge-overload"
-  | Order_dependence -> "order-dependence"
-  | Watchdog -> "watchdog"
-
 let violation_message v =
   let endpoint = function Some x -> string_of_int x | None -> "-" in
   match v.kind with

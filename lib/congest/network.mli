@@ -39,10 +39,6 @@ type violation = {
 
 exception Model_violation of violation
 
-val kind_name : violation_kind -> string
-(** Stable kebab-case identifier, e.g. ["oversized-message"] — the spelling
-    used in JSON conformance reports. *)
-
 val violation_message : violation -> string
 (** Human-readable one-line rendering (also installed as the
     [Printexc] printer for {!Model_violation}). *)

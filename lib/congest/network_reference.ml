@@ -1,4 +1,4 @@
-(* The seed (pre-CSR) driver, preserved verbatim as a baseline: list
+(* The seed (pre-CSR) driver, preserved as a baseline: list
    mailboxes with a per-node inbox sort, a per-round Hashtbl for the
    directed-edge word counters, and per-run neighbor hash tables.  The
    flat-array driver in [Network] must stay bit-identical to this one —
@@ -18,7 +18,7 @@ let neighbor_sets g =
       Array.iter (fun (u, _) -> Hashtbl.replace tbl u ()) (Graph.adj g v);
       tbl)
 
-let drive ?(cfg = Config.default) ~words ~stop g (prog : _ Network.program) =
+let run ?(cfg = Config.default) ~words g (prog : _ Network.program) =
   let n = Graph.n g in
   let neighbors = neighbor_sets g in
   let states = Array.init n prog.Network.initial in
@@ -31,13 +31,12 @@ let drive ?(cfg = Config.default) ~words ~stop g (prog : _ Network.program) =
   let max_edge_words = ref 0 in
   (* per-run channel loads, for the true max_edge_load *)
   let edge_loads : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let last_traffic_round = ref (-1) in
   let round = ref 0 in
   let all_halted () =
     let rec go v = v >= n || (prog.Network.halted states.(v) && go (v + 1)) in
     go 0
   in
-  while not (stop ~round:!round ~all_halted:(all_halted () && not !pending)) do
+  while not (all_halted () && not !pending) do
     if !round >= cfg.Config.max_rounds then
       violate Network.Watchdog ~round:!round ~budget:cfg.Config.max_rounds;
     let next : (int * _) list array = Array.make n [] in
@@ -81,7 +80,6 @@ let drive ?(cfg = Config.default) ~words ~stop g (prog : _ Network.program) =
               (1 + (match Hashtbl.find_opt edge_loads (v, dst) with
                    | Some c -> c
                    | None -> 0));
-            last_traffic_round := !round;
             next.(dst) <- (v, payload) :: next.(dst);
             pending := true)
           outs
@@ -103,17 +101,4 @@ let drive ?(cfg = Config.default) ~words ~stop g (prog : _ Network.program) =
       messages_per_round = Array.of_list (List.rev !per_round);
     }
   in
-  (states, audit, !last_traffic_round)
-
-let run ?cfg ~words g prog =
-  let states, audit, _ =
-    drive ?cfg ~words ~stop:(fun ~round:_ ~all_halted -> all_halted) g prog
-  in
   (states, audit)
-
-let run_bounded ?cfg ~words ~rounds g prog =
-  let states, audit, last_traffic =
-    drive ?cfg ~words ~stop:(fun ~round ~all_halted:_ -> round >= rounds) g prog
-  in
-  (* effective completion time: the delivery round of the last message *)
-  (states, { audit with Network.rounds = (if last_traffic < 0 then 0 else last_traffic + 2) })

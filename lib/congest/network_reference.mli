@@ -1,6 +1,6 @@
 (** The seed CONGEST driver, kept as the golden baseline.
 
-    Semantically identical to {!Network.run}/{!Network.run_bounded} but
+    Semantically identical to {!Network.run} but
     implemented the pre-overhaul way: list mailboxes sorted per node per
     round, a fresh [Hashtbl] of directed-edge word counters every round,
     and per-run neighbor hash tables.  It exists for two reasons:
@@ -20,12 +20,3 @@ val run :
   ('state, 'msg) Network.program ->
   'state array * Network.audit
 (** Reference counterpart of {!Network.run}. *)
-
-val run_bounded :
-  ?cfg:Config.t ->
-  words:('msg -> int) ->
-  rounds:int ->
-  Mincut_graph.Graph.t ->
-  ('state, 'msg) Network.program ->
-  'state array * Network.audit
-(** Reference counterpart of {!Network.run_bounded}. *)

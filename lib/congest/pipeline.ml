@@ -6,5 +6,3 @@ let convergecast ~depth ~max_edge_load =
   if max_edge_load = 0 then 0 else depth + max_edge_load
 
 let exchange ~items = items
-
-let local r = r

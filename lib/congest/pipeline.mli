@@ -34,7 +34,3 @@ val upcast : depth:int -> items:int -> int
 val convergecast : depth:int -> max_edge_load:int -> int
 
 val exchange : items:int -> int
-
-val local : int -> int
-(** Rounds of purely local computation bundled with neighbors exchange
-    (identity; named for readability at call sites). *)

@@ -16,6 +16,13 @@ type algorithm =
 
 val algorithm_name : algorithm -> string
 
+val solve_tag : algorithm -> int -> int option -> string
+(** [solve_tag algorithm seed trees] — the stable key prefix
+    [<algorithm>|s<seed>|t<trees or ->], with ε rendered exactly
+    ([exact], [exact2], [approx:0x1p-1], …).  Unlike {!algorithm_name}
+    it is meant for keys, not for humans, and will never be reworded:
+    session anchors and the serve cache keys are built on it. *)
+
 type summary = {
   algorithm : algorithm;
   value : int;                       (** cut value found (exact: = λ) *)

@@ -112,29 +112,30 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
     in
     (* the per-tree 1-respecting DP instances are independent (the graph
        and the backbone are immutable, each job builds its own tree and
-       per-run state), so they fan out over the pool; the merge below
-       walks results in tree index order, so cost accumulation and the
+       per-run state), so they fan out over the pool; the merge walks
+       results in tree index order, so cost accumulation and the
        <=-tie-break are bit-identical to the sequential loop *)
-    let per_tree =
-      Pool.map pool
-        (fun ids ->
+    let _, sweep, best =
+      Pool.map_reduce pool
+        ~f:(fun ids ->
           let tree = Tree.of_edge_ids g ~root:0 ids in
           One_respect.run ~params ~backbone g tree)
+        ~init:(0, Cost.zero, None)
+        ~merge:(fun (i, sweep, best) r ->
+          let sweep =
+            Cost.( ++ ) sweep
+              (Cost.group
+                 (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)" (i + 1))
+                 r.One_respect.cost)
+          in
+          match best with
+          | Some (v, _, _, _) when v <= r.One_respect.best_value -> (i + 1, sweep, best)
+          | _ ->
+              ( i + 1,
+                sweep,
+                Some (r.One_respect.best_value, r.One_respect.best_node, i, r) ))
         packing.Tree_packing.trees
     in
-    let best = ref None in
-    let sweep = ref Cost.zero in
-    Array.iteri
-      (fun i r ->
-        sweep :=
-          Cost.( ++ ) !sweep
-            (Cost.group
-               (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)" (i + 1))
-               r.One_respect.cost);
-        match !best with
-        | Some (v, _, _, _) when v <= r.One_respect.best_value -> ()
-        | _ -> best := Some (r.One_respect.best_value, r.One_respect.best_node, i, r))
-      per_tree;
     (* one fixed-label parent over the per-tree spans: consumers that
        count rounds per top-level phase (serve metrics, bench profiles)
        must not grow with the packing budget *)
@@ -142,9 +143,9 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
       ref
         (Cost.( ++ )
            (Cost.( ++ ) c_leader c_pack)
-           (Cost.group "per-tree 1-respecting cuts" !sweep))
+           (Cost.group "per-tree 1-respecting cuts" sweep))
     in
-    match !best with
+    match best with
     | None -> assert false
     | Some (value, node, tree_idx, r) ->
         let tree = Tree.of_edge_ids g ~root:0 packing.Tree_packing.trees.(tree_idx) in

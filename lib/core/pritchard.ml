@@ -27,10 +27,7 @@ let run ?params:_ g =
   else begin
     let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
     (* cut edges: O(D) rounds [PT]; cut pairs: Õ(D) — charge D·log n *)
-    let log2n =
-      let rec go k = if 1 lsl k >= max 2 n then k else go (k + 1) in
-      go 1
-    in
+    let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in
     let c_edges = Cost.charged "pritchard: cut edges (charged O(D))" (max 1 diameter) in
     match Small_cuts.bridges g with
     | id :: _ ->

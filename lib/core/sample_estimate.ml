@@ -2,6 +2,7 @@ module Graph = Mincut_graph.Graph
 module Bfs = Mincut_graph.Bfs
 module Tree = Mincut_graph.Tree
 module Rng = Mincut_util.Rng
+module Intmath = Mincut_util.Intmath
 module Cost = Mincut_congest.Cost
 
 type result = {
@@ -15,11 +16,6 @@ type result = {
   saturated : bool;
   cost : Cost.t;
 }
-
-(* smallest k with 2^k >= x (x >= 1) *)
-let log2_ceil x =
-  let rec go k v = if v >= x then k else go (k + 1) (v * 2) in
-  go 0 1
 
 (* 2^k capped so it never overflows the int range or exceeds [cap] *)
 let pow2_capped k ~cap = if k >= 62 then cap else min (1 lsl k) cap
@@ -43,9 +39,9 @@ let run ?(seed = 0) ?trials g =
     }
   else begin
     let w_total = Graph.total_weight g in
-    let log2n = log2_ceil (max 2 n) in
+    let log2n = Intmath.ceil_log2 (max 2 n) in
     let trials = match trials with Some t -> max 1 t | None -> max 4 log2n in
-    let levels = max 1 (log2_ceil (max 2 w_total)) in
+    let levels = max 1 (Intmath.ceil_log2 (max 2 w_total)) in
     let rng = Rng.create seed in
     let off = Graph.csr_offsets g in
     let nbr = Graph.csr_neighbors g in
@@ -115,7 +111,7 @@ let run ?(seed = 0) ?trials g =
     let lower = max 1 (estimate / factor) in
     let upper =
       if !saturated then w_total
-      else min w_total (pow2_capped (!level + log2_ceil factor) ~cap:w_total)
+      else min w_total (pow2_capped (!level + Intmath.ceil_log2 factor) ~cap:w_total)
     in
     {
       estimate;

@@ -20,7 +20,7 @@ let bridge_side sk bridge_id =
   let u, _ = Graph.endpoints sk bridge_id in
   Bfs.component_of without u
 
-let run ?(params = Params.default) ?(samples_per_guess = 3) ~rng ~epsilon g =
+let run ?(params = Params.default) ~rng ~epsilon g =
   if epsilon <= 0.0 then invalid_arg "Su.run: epsilon must be positive";
   let n = Graph.n g in
   if n < 2 then invalid_arg "Su.run: need n >= 2";
@@ -54,7 +54,7 @@ let run ?(params = Params.default) ?(samples_per_guess = 3) ~rng ~epsilon g =
   let rec guess_loop lambda_hat =
     let target = 1.0 /. epsilon in
     let p = Float.min 1.0 (target /. float_of_int lambda_hat) in
-    for _ = 1 to samples_per_guess do
+    for _ = 1 to 3 do
       incr samples;
       let sk = (Sampling.sample ~rng g ~p).Sampling.graph in
       cost :=

@@ -12,7 +12,7 @@
     min cut at Θ(1); bridges of the skeleton are found (sequentially by
     Tarjan's algorithm, charged at Thurimella's Õ(√n + D) bound) and
     each bridge side — a connected component of the skeleton minus the
-    bridge — is evaluated as a cut of [G].  Several samples per guess
+    bridge — is evaluated as a cut of [G].  Three samples per guess
     reduce the variance. *)
 
 type result = {
@@ -24,10 +24,8 @@ type result = {
 
 val run :
   ?params:Params.t ->
-  ?samples_per_guess:int ->
   rng:Mincut_util.Rng.t ->
   epsilon:float ->
   Mincut_graph.Graph.t ->
   result
-(** Requires a connected graph with n ≥ 2 and [epsilon > 0];
-    [samples_per_guess] defaults to 3. *)
+(** Requires a connected graph with n ≥ 2 and [epsilon > 0]. *)

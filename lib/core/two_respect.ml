@@ -93,10 +93,7 @@ let run ?(params = Params.default) g tree =
       done
   done;
   let diameter = Tree.height (Tree.bfs_tree g ~root) in
-  let log2n =
-    let rec go k = if 1 lsl k >= max 2 n then k else go (k + 1) in
-    go 1
-  in
+  let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in
   let cost =
     Cost.charged "2-respect sweep (charged at the Mukhopadhyay-Nanongkai bound)"
       (Params.kp_mst_rounds params ~n ~diameter * log2n)
@@ -118,11 +115,7 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
       match trees with
       | Some t -> t
       | None ->
-          let log2n =
-            let rec go k = if 1 lsl k >= max 2 n then k else go (k + 1) in
-            go 1
-          in
-          max 8 (2 * log2n)
+          max 8 (2 * Mincut_util.Intmath.ceil_log2 (max 2 n))
     in
     let packing = Tree_packing.greedy g ~trees in
     let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
@@ -132,30 +125,28 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
     in
     (* independent per-tree 2-respect sweeps fan out over the pool; the
        index-ordered merge reproduces the sequential tie-break exactly *)
-    let per_tree =
-      Pool.map pool
-        (fun ids ->
+    let _, sweep, best =
+      Pool.map_reduce pool
+        ~f:(fun ids ->
           let tree = Tree.of_edge_ids g ~root:0 ids in
           run ~params g tree)
+        ~init:(0, Cost.zero, None)
+        ~merge:(fun (i, sweep, best) r ->
+          let sweep =
+            Cost.( ++ ) sweep
+              (Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.cost)
+          in
+          match best with
+          | Some b when b.value <= r.value -> (i + 1, sweep, best)
+          | _ -> (i + 1, sweep, Some r))
         packing.Tree_packing.trees
     in
-    let best = ref None in
-    let sweep = ref Cost.zero in
-    Array.iteri
-      (fun i r ->
-        sweep :=
-          Cost.( ++ ) !sweep
-            (Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.cost);
-        match !best with
-        | Some b when b.value <= r.value -> ()
-        | _ -> best := Some r)
-      per_tree;
     (* fixed-label parent: per-phase consumers must not scale with the
        tree budget *)
     let cost =
-      Cost.( ++ ) c_pack (Cost.group "per-tree 2-respect sweeps" !sweep)
+      Cost.( ++ ) c_pack (Cost.group "per-tree 2-respect sweeps" sweep)
     in
-    match !best with
+    match best with
     | None -> assert false
     | Some b -> { b with cost }
   end

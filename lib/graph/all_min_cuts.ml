@@ -32,8 +32,6 @@ let exhaustive g =
   in
   { value = !best; sides = List.rev_map to_bitset !sides }
 
-let count_exhaustive g = List.length (exhaustive g).sides
-
 let randomized ~rng ?trials g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "All_min_cuts.randomized: need n >= 2";

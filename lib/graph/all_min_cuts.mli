@@ -24,8 +24,5 @@ val randomized : rng:Mincut_util.Rng.t -> ?trials:int -> Graph.t -> t
     result's [sides] is a subset of all min cuts that is complete w.h.p.
     Requires n ≥ 2 and connectivity. *)
 
-val count_exhaustive : Graph.t -> int
-(** [List.length (exhaustive g).sides]. *)
-
 val canonical : Graph.t -> Mincut_util.Bitset.t -> Mincut_util.Bitset.t
 (** The representative of {X, V∖X} that does not contain node 0. *)

@@ -52,16 +52,3 @@ let component_of g v =
   let set = Mincut_util.Bitset.create (Graph.n g) in
   Array.iteri (fun u d -> if d >= 0 then Mincut_util.Bitset.add set u) r.dist;
   set
-
-let components g =
-  let n = Graph.n g in
-  let label = Array.make n (-1) in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if label.(v) = -1 then begin
-      let r = run g ~source:v in
-      Array.iteri (fun u d -> if d >= 0 && label.(u) = -1 then label.(u) <- !next) r.dist;
-      incr next
-    end
-  done;
-  label

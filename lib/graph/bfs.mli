@@ -26,6 +26,3 @@ val is_connected : Graph.t -> bool
 
 val component_of : Graph.t -> int -> Mincut_util.Bitset.t
 (** Set of nodes reachable from the given node. *)
-
-val components : Graph.t -> int array
-(** Component label per node (labels are arbitrary but consistent). *)

@@ -44,7 +44,3 @@ let bridges g =
     end
   done;
   List.rev !out
-
-let is_bridge g id = List.mem id (bridges g)
-
-let two_edge_connected g = Bfs.is_connected g && bridges g = []

@@ -9,8 +9,3 @@
 val bridges : Graph.t -> int list
 (** Edge ids of all bridges.  A parallel pair is never a bridge
     (multigraph semantics). *)
-
-val is_bridge : Graph.t -> int -> bool
-
-val two_edge_connected : Graph.t -> bool
-(** Connected and bridgeless. *)

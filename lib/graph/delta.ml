@@ -16,8 +16,6 @@ let to_line = function
         | [] -> "-"
         | xs -> String.concat "," (List.map string_of_int xs))
 
-let pp fmt op = Format.pp_print_string fmt (to_line op)
-
 let int_tok name s =
   match int_of_string_opt s with
   | Some i -> Ok i

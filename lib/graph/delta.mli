@@ -29,8 +29,6 @@ type op =
           node, and a fresh channel of weight [w >= 1] joins [v] to it —
           so a connected graph stays connected. *)
 
-val pp : Format.formatter -> op -> unit
-
 val to_line : op -> string
 (** Canonical one-line rendering:
     [add u v w] / [remove u v] / [reweight u v w] / [merge u v] /

@@ -2,8 +2,6 @@ module Rng = Mincut_util.Rng
 
 type weights = { wmin : int; wmax : int }
 
-let unit_weights = { wmin = 1; wmax = 1 }
-
 let draw_weight ?weights ?rng () =
   match (weights, rng) with
   | None, _ -> 1
@@ -246,26 +244,8 @@ let by_name ~rng ?weights ~name ~size () =
 (* Seeded delta streams: reproducible edge churn over a base graph    *)
 (* ------------------------------------------------------------------ *)
 
-type delta_mix = {
-  p_add : int;
-  p_remove : int;
-  p_reweight : int;
-  p_merge : int;
-  p_split : int;
-}
-
-let default_delta_mix =
-  { p_add = 35; p_remove = 8; p_reweight = 49; p_merge = 4; p_split = 4 }
-
-let delta_stream ~rng ?(mix = default_delta_mix) ?(wmax = 4) ~base ops =
+let delta_stream ~rng ?(wmax = 4) ~base ops =
   if wmax < 1 then invalid_arg "delta_stream: wmax must be >= 1";
-  let total =
-    mix.p_add + mix.p_remove + mix.p_reweight + mix.p_merge + mix.p_split
-  in
-  if
-    total <= 0 || mix.p_add < 0 || mix.p_remove < 0 || mix.p_reweight < 0
-    || mix.p_merge < 0 || mix.p_split < 0
-  then invalid_arg "delta_stream: mix weights must be >= 0 with a positive sum";
   let h = Handle.of_graph base in
   let out = ref [] in
   let emit op =
@@ -355,13 +335,13 @@ let delta_stream ~rng ?(mix = default_delta_mix) ?(wmax = 4) ~base ops =
     attempt 8
   in
   let step () =
-    let r = Mincut_util.Rng.int rng total in
+    (* cumulative thresholds of the 35 / 8 / 49 / 4 / 4 percent mix *)
+    let r = Mincut_util.Rng.int rng 100 in
     let ok =
-      if r < mix.p_add then try_add ()
-      else if r < mix.p_add + mix.p_remove then try_remove ()
-      else if r < mix.p_add + mix.p_remove + mix.p_reweight then try_reweight ()
-      else if r < mix.p_add + mix.p_remove + mix.p_reweight + mix.p_merge then
-        try_merge ()
+      if r < 35 then try_add ()
+      else if r < 43 then try_remove ()
+      else if r < 92 then try_reweight ()
+      else if r < 96 then try_merge ()
       else try_split ()
     in
     (* a step whose drawn kind is impossible right now degrades to an

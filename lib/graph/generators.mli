@@ -12,9 +12,6 @@
 
 type weights = { wmin : int; wmax : int }
 
-val unit_weights : weights
-(** [{ wmin = 1; wmax = 1 }]. *)
-
 val path : ?weights:weights -> ?rng:Mincut_util.Rng.t -> int -> Graph.t
 (** Path on [n] nodes; λ = wmin for unit weights. *)
 
@@ -104,24 +101,8 @@ val by_name :
 
 (** {2 Delta streams} *)
 
-type delta_mix = {
-  p_add : int;
-  p_remove : int;
-  p_reweight : int;
-  p_merge : int;
-  p_split : int;
-}
-(** Relative draw weights for the five {!Delta.op} kinds. *)
-
-val default_delta_mix : delta_mix
-(** [35 / 8 / 49 / 4 / 4] (add / remove / reweight / merge / split):
-    insert-heavy churn with a steady trickle of certificate-invalidating
-    structural updates — the regime the incremental service is built
-    for. *)
-
 val delta_stream :
   rng:Mincut_util.Rng.t ->
-  ?mix:delta_mix ->
   ?wmax:int ->
   base:Graph.t ->
   int ->
@@ -131,6 +112,10 @@ val delta_stream :
     valid at its position when replayed in order from [base], and the
     graph stays connected throughout (removals avoid bridges, merges
     contract channels, splits keep a bridge of weight [1..wmax]).
+    Op kinds are drawn add / remove / reweight / merge / split at
+    35 / 8 / 49 / 4 / 4 percent: insert-heavy churn with a steady
+    trickle of certificate-invalidating structural updates — the regime
+    the incremental service is built for.
     Weights are drawn in [1..wmax] (default 4).  Equal seeds yield equal
     streams — bench, tests and qcheck share this one source.  A drawn
     kind that is impossible at its position (e.g. a removal when every

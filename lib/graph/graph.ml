@@ -115,23 +115,6 @@ let csr_neighbors g = g.csr_nbr
 
 let csr_edge_ids g = g.csr_eid
 
-let csr_slot g u v =
-  if u < 0 || u >= g.n then invalid_arg "Graph.csr_slot: bad node";
-  let lo = ref g.csr_off.(u) and hi = ref (g.csr_off.(u + 1) - 1) in
-  let found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = g.csr_nbr.(mid) in
-    if x < v then lo := mid + 1
-    else if x > v then hi := mid - 1
-    else begin
-      (* remember the match and keep searching left for the first slot *)
-      found := mid;
-      hi := mid - 1
-    end
-  done;
-  !found
-
 let total_weight g = Array.fold_left (fun acc e -> acc + e.w) 0 g.edges
 
 let iter_edges f g = Array.iter f g.edges
@@ -184,8 +167,3 @@ let canon_edges g =
 
 let equal_structure a b =
   a.n = b.n && List.equal equal_triple (canon_edges a) (canon_edges b)
-
-let pp fmt g =
-  Format.fprintf fmt "graph(n=%d, m=%d)" g.n (m g);
-  if m g <= 40 then
-    iter_edges (fun e -> Format.fprintf fmt "@ %d-%d:%d" e.u e.v e.w) g

@@ -79,11 +79,6 @@ val csr_edge_ids : t -> int array
 (** Length [2m]; [csr_edge_ids g .(s)] is the undirected edge realizing
     slot [s].  Do not mutate. *)
 
-val csr_slot : t -> int -> int -> int
-(** [csr_slot g u v] is the first slot of the directed channel [u -> v]
-    (the minimum-id parallel edge), or [-1] when [v] is not adjacent to
-    [u].  Binary search over [u]'s sorted slot range, O(log deg). *)
-
 val total_weight : t -> int
 (** Sum of all edge weights. *)
 
@@ -110,6 +105,3 @@ val cut_of_bitset : t -> Mincut_util.Bitset.t -> int
 
 val equal_structure : t -> t -> bool
 (** Same node count and identical (u, v, w) edge multiset. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: node/edge counts and the edge list for small graphs. *)

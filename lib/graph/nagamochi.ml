@@ -50,7 +50,10 @@ let contract_above g ~k =
   let n = Graph.n g in
   let uf = Union_find.create n in
   Graph.iter_edges
-    (fun e -> if edge_low.(e.id) > k then ignore (Union_find.union uf e.u e.v))
+    (fun e ->
+      (* the edge's units fill forests [low .. low + w - 1]; one beyond
+         forest k makes its endpoints (k+1)-edge-connected *)
+      if edge_low.(e.id) + e.w - 1 > k then ignore (Union_find.union uf e.u e.v))
     g;
   (* renumber representatives densely *)
   let map = Array.make n (-1) in

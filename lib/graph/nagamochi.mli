@@ -26,6 +26,7 @@ val certificate : Graph.t -> k:int -> Graph.t
     of value ≤ k and has total weight ≤ k·(n-1). *)
 
 val contract_above : Graph.t -> k:int -> Graph.t * int array
-(** Contract every edge with [low > k]; returns the contracted graph and
-    the node map (original node -> contracted node).  Safe when λ ≤ k:
-    no minimum cut separates the endpoints of a contracted edge. *)
+(** Contract every edge with a unit beyond forest [k] ([low + w - 1 > k]);
+    returns the contracted graph and the node map (original node ->
+    contracted node).  Safe when λ ≤ k: no minimum cut separates the
+    endpoints of a contracted edge. *)

@@ -14,6 +14,3 @@ let recommended_p ~n ~epsilon ~lambda_estimate =
   Float.min 1.0
     (c *. log (float_of_int (max 2 n))
     /. (epsilon *. epsilon *. float_of_int lambda_estimate))
-
-let estimate_from_skeleton sk cut_value =
-  int_of_float (Float.round (float_of_int cut_value /. sk.p))

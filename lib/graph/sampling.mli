@@ -22,7 +22,3 @@ val sample : rng:Mincut_util.Rng.t -> Graph.t -> p:float -> skeleton
 val recommended_p : n:int -> epsilon:float -> lambda_estimate:int -> float
 (** [min 1 (c·ln n / (ε²·λ̂))] with the constant used throughout the
     repo (c = 3). *)
-
-val estimate_from_skeleton : skeleton -> int -> int
-(** [estimate_from_skeleton sk cut_value] rescales a cut value measured
-    in the skeleton back to the original graph: [round (cut / p)]. *)

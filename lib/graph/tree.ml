@@ -115,18 +115,9 @@ let bfs_tree g ~root =
 
 let is_ancestor t a v = t.tin.(a) <= t.tin.(v) && t.tout.(v) <= t.tout.(a)
 
-let ancestors t v =
-  let rec go acc v = if v = -1 then List.rev acc else go (v :: acc) t.parent.(v) in
-  go [] v
-
 let height t = Array.fold_left max 0 t.depth
 
 let n_nodes t = t.graph_n
-
-let tree_edges t =
-  let acc = ref [] in
-  Array.iteri (fun v p -> if p <> -1 then acc := (v, p) :: !acc) t.parent;
-  !acc
 
 let accumulate_up t x =
   if Array.length x <> t.graph_n then invalid_arg "Tree.accumulate_up: length mismatch";

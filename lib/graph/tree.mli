@@ -37,16 +37,10 @@ val bfs_tree : Graph.t -> root:int -> t
 val is_ancestor : t -> int -> int -> bool
 (** [is_ancestor t a v] — true when [v ∈ a↓] (reflexive). *)
 
-val ancestors : t -> int -> int list
-(** Path from a node up to the root, inclusive, nearest first. *)
-
 val height : t -> int
 (** Maximum depth. *)
 
 val n_nodes : t -> int
-
-val tree_edges : t -> (int * int) list
-(** [(child, parent)] pairs. *)
 
 val accumulate_up : t -> int array -> int array
 (** [accumulate_up t x] returns [y] with [y.(v) = Σ_{u ∈ v↓} x.(u)] — the

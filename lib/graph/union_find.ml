@@ -33,12 +33,3 @@ let union t a b =
 let same t a b = find t a = find t b
 
 let count t = t.count
-
-let groups t =
-  let n = Array.length t.parent in
-  let out = Array.make n [] in
-  for i = n - 1 downto 0 do
-    let r = find t i in
-    out.(r) <- i :: out.(r)
-  done;
-  out

@@ -21,7 +21,3 @@ val same : t -> int -> int -> bool
 
 val count : t -> int
 (** Number of disjoint sets remaining. *)
-
-val groups : t -> int list array
-(** [groups t] indexed by representative; non-representative entries are
-    empty lists. *)

@@ -1,5 +1,4 @@
 module Graph = Mincut_graph.Graph
-module Tree = Mincut_graph.Tree
 module Union_find = Mincut_graph.Union_find
 module Network = Mincut_congest.Network
 module Cost = Mincut_congest.Cost
@@ -293,9 +292,3 @@ let run ?cfg g =
     end
   done;
   { edge_ids = ISet.elements !mst; phases = !phases; cost = !cost }
-
-let spanning_tree ?cfg g ~root =
-  let r = run ?cfg g in
-  if List.length r.edge_ids <> Graph.n g - 1 then
-    invalid_arg "Boruvka_dist.spanning_tree: disconnected graph";
-  (Tree.of_edge_ids g ~root r.edge_ids, r)

@@ -30,7 +30,3 @@ type result = {
 }
 
 val run : ?cfg:Mincut_congest.Config.t -> Mincut_graph.Graph.t -> result
-
-val spanning_tree : ?cfg:Mincut_congest.Config.t -> Mincut_graph.Graph.t -> root:int -> Mincut_graph.Tree.t * result
-(** [run], then orient the MST at [root].  Raises [Invalid_argument] on
-    disconnected graphs. *)

@@ -13,8 +13,6 @@ type t = {
   heights : int array;
 }
 
-let default_target ~n = int_of_float (ceil (sqrt (float_of_int n)))
-
 let partition (tree : Tree.t) ~target =
   if target < 1 then invalid_arg "Fragments.partition: target must be >= 1";
   let n = tree.Tree.graph_n in
@@ -94,23 +92,6 @@ let partition (tree : Tree.t) ~target =
 let count t = Array.length t.roots
 
 let max_height t = Array.fold_left max 0 t.heights
-
-let inter_fragment_edges t =
-  Array.to_list t.roots
-  |> List.filter_map (fun r ->
-         let p = t.tree.Tree.parent.(r) in
-         if p = -1 then None else Some (r, p))
-
-let frag_tree_depth t =
-  let k = count t in
-  let depth = Array.make k 0 in
-  (* frag_parent always points to an earlier preorder fragment, so one
-     forward pass suffices *)
-  for i = 0 to k - 1 do
-    let p = t.frag_parent.(i) in
-    if p <> -1 then depth.(i) <- depth.(p) + 1
-  done;
-  depth
 
 let check_invariants t =
   let n = t.tree.Tree.graph_n in

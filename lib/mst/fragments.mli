@@ -34,21 +34,11 @@ val partition : Mincut_graph.Tree.t -> target:int -> t
 (** Bottom-up partition closing a fragment whenever the pending subtree
     reaches height [target >= 1]. *)
 
-val default_target : n:int -> int
-(** [⌈√n⌉]. *)
-
 val count : t -> int
 (** Number of fragments (≤ n/target + 1). *)
 
 val max_height : t -> int
 (** Max fragment height (≤ target). *)
-
-val inter_fragment_edges : t -> (int * int) list
-(** Tree edges [(child_node, parent_node)] crossing fragment boundaries
-    — the edges of [T_F]; there are [count - 1] of them. *)
-
-val frag_tree_depth : t -> int array
-(** Depth of each fragment in [T_F] (root fragment at 0). *)
 
 val check_invariants : t -> (string, string) result
 (** Verifies the [(√n+1, O(√n))] contract and internal consistency;

@@ -81,10 +81,6 @@ let find t k =
           t.misses <- t.misses + 1;
           None)
 
-let peek t k =
-  Lockcheck.with_lock t.lock (fun () ->
-      Option.map (fun n -> n.value) (Hashtbl.find_opt t.table k))
-
 let evict_one t =
   match t.tail with
   | None -> ()
@@ -127,13 +123,6 @@ let total_cost t = Lockcheck.with_lock t.lock (fun () -> t.total_cost)
 let hits t = Lockcheck.with_lock t.lock (fun () -> t.hits)
 let misses t = Lockcheck.with_lock t.lock (fun () -> t.misses)
 let evictions t = Lockcheck.with_lock t.lock (fun () -> t.evictions)
-
-let clear t =
-  Lockcheck.with_lock t.lock (fun () ->
-      Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None;
-      t.total_cost <- 0)
 
 let keys_mru_first t =
   Lockcheck.with_lock t.lock (fun () ->

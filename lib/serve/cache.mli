@@ -28,10 +28,6 @@ val find : 'v t -> string -> 'v option
 (** [find t k] returns the cached value and marks it most recently used.
     Increments the hit or miss counter. *)
 
-val peek : 'v t -> string -> 'v option
-(** Like [find] but touches neither recency order nor counters (for
-    introspection and tests). *)
-
 val add : 'v t -> string -> 'v -> unit
 (** Insert or replace, making the entry most recently used, then evict
     from the LRU end until both bounds hold. *)
@@ -45,8 +41,6 @@ val total_cost : 'v t -> int
 val hits : 'v t -> int
 val misses : 'v t -> int
 val evictions : 'v t -> int
-val clear : 'v t -> unit
-
 val keys_mru_first : 'v t -> string list
 (** Resident keys from most to least recently used (test hook for
     asserting eviction order). *)

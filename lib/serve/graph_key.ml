@@ -37,22 +37,14 @@ let params_id (p : Params.t) =
     p.Params.congest.Mincut_congest.Config.words_per_message
     p.Params.congest.Mincut_congest.Config.max_rounds
 
-let algorithm_id = function
-  | Api.Exact_small_lambda -> "exact"
-  | Api.Exact_two_respect -> "exact2"
-  | Api.Approx e -> Printf.sprintf "approx:%h" e
-  | Api.Ghaffari_kuhn e -> Printf.sprintf "gk:%h" e
-  | Api.Su e -> Printf.sprintf "su:%h" e
-
 let key ~algorithm ~seed ~trees ~params g =
-  Printf.sprintf "%s|s%d|t%s|%s|n%d|m%d|w%d|%s" (algorithm_id algorithm) seed
-    (match trees with None -> "-" | Some t -> string_of_int t)
+  Printf.sprintf "%s|%s|n%d|m%d|w%d|%s"
+    (Api.solve_tag algorithm seed trees)
     (params_id params) (Graph.n g) (Graph.m g) (Graph.total_weight g)
     (Hash.to_hex (structural_hash g))
 
 let versioned_key ~algorithm ~seed ~trees ~params h =
-  Printf.sprintf "inc|%s|s%d|t%s|%s|n%d|c%d|w%d|%s" (algorithm_id algorithm)
-    seed
-    (match trees with None -> "-" | Some t -> string_of_int t)
+  Printf.sprintf "inc|%s|%s|n%d|c%d|w%d|%s"
+    (Api.solve_tag algorithm seed trees)
     (params_id params) (Handle.n h) (Handle.channels h) (Handle.total_weight h)
     (Hash.to_hex (Handle.digest h))

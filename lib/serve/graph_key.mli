@@ -32,11 +32,6 @@ val params_id : Mincut_core.Params.t -> string
 (** Compact stable rendering of every [Params.t] field that can affect a
     summary, so parameter changes never alias cache entries. *)
 
-val algorithm_id : Mincut_core.Api.algorithm -> string
-(** Stable short name including ε where applicable ([exact], [exact2],
-    [approx:0.5], …).  Unlike [Api.algorithm_name] this is meant for
-    keys, not for humans, and will never be reworded. *)
-
 val key :
   algorithm:Mincut_core.Api.algorithm ->
   seed:int ->

@@ -84,8 +84,6 @@ let observe h v =
         let j = Rng.int h.rng h.n in
         if j < reservoir_capacity then h.samples.(j) <- v)
 
-let histogram_count h = Lockcheck.with_lock h.hlock (fun () -> h.n)
-
 (* ---- snapshots ------------------------------------------------------- *)
 
 type hist_summary = {

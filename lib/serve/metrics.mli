@@ -40,7 +40,6 @@ val gauge_value : gauge -> float
 
 val histogram : t -> string -> histogram
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
 
 (** {1 Snapshots} *)
 

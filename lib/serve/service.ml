@@ -123,8 +123,6 @@ let create ?(config = default_config) () =
 
 let config t = t.cfg
 
-let key_of_request t r = key_of t.cfg r
-
 let refresh_gauges t =
   Metrics.set t.g_entries (float_of_int (Cache.length t.cache));
   Metrics.set t.g_cost (float_of_int (Cache.total_cost t.cache));
@@ -339,6 +337,5 @@ let snapshot t =
   refresh_gauges t;
   Metrics.snapshot t.metrics
 
-let cache_length t = Cache.length t.cache
 let cache_hits t = Cache.hits t.cache
 let cache_misses t = Cache.misses t.cache

@@ -39,10 +39,6 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 
-val key_of_request : t -> Request.t -> string
-(** The content-addressed cache key this service assigns (algorithm,
-    seed, trees, params and structural graph digest). *)
-
 val solve : t -> Request.t -> Request.response
 
 val estimate :
@@ -138,6 +134,5 @@ val metrics : t -> Metrics.t
 val snapshot : t -> Metrics.snapshot
 (** Metrics snapshot with cache/queue gauges refreshed first. *)
 
-val cache_length : t -> int
 val cache_hits : t -> int
 val cache_misses : t -> int

@@ -15,8 +15,6 @@ let chunk_of ~bits v = v lsr bits
 
 let local_of ~bits v = v land ((1 lsl bits) - 1)
 
-let node_of ~bits ~cid ~local = (cid lsl bits) lor local
-
 let num_chunks ~bits ~n = max 1 ((n + (1 lsl bits) - 1) lsr bits)
 
 let default_bits ~n =
@@ -30,8 +28,6 @@ let default_bits ~n =
 let count_of ~bits ~n ~cid =
   let base = cid lsl bits in
   min (1 lsl bits) (max 0 (n - base))
-
-let degree c ~local = c.off.(local + 1) - c.off.(local)
 
 let iter_neighbors c ~local ~f =
   for s = c.off.(local) to c.off.(local + 1) - 1 do

@@ -36,9 +36,6 @@ val chunk_of : bits:int -> int -> int
 val local_of : bits:int -> int -> int
 (** Local index of a global node id inside its chunk. *)
 
-val node_of : bits:int -> cid:int -> local:int -> int
-(** Repack a (chunk, local) pair into the global node id. *)
-
 val num_chunks : bits:int -> n:int -> int
 (** ⌈n / 2^bits⌉, and at least 1 so the empty graph still has a home. *)
 
@@ -52,8 +49,6 @@ val default_bits : n:int -> int
 
 val count_of : bits:int -> n:int -> cid:int -> int
 (** Number of nodes the chunk covers ([2^bits], short for the last). *)
-
-val degree : t -> local:int -> int
 
 val iter_neighbors : t -> local:int -> f:(int -> int -> unit) -> unit
 (** [f neighbor weight] per slot, in slot order. *)

@@ -52,10 +52,6 @@ let chunk_of_node t v =
   let bits = chunk_bits t in
   (chunk t (Chunk.chunk_of ~bits v), Chunk.local_of ~bits v)
 
-let degree t v =
-  let c, local = chunk_of_node t v in
-  Chunk.degree c ~local
-
 let weighted_degree t v =
   let c, local = chunk_of_node t v in
   let acc = ref 0 in
@@ -65,11 +61,6 @@ let weighted_degree t v =
 let iter_neighbors t v ~f =
   let c, local = chunk_of_node t v in
   Chunk.iter_neighbors c ~local ~f
-
-let fold_neighbors t v ~init ~f =
-  let acc = ref init in
-  iter_neighbors t v ~f:(fun u w -> acc := f !acc u w);
-  !acc
 
 (* Same recipe as the loader: n, then canonical (u, v, w) triples with
    u < v, ascending — chunk-major node order IS ascending node order. *)

@@ -60,14 +60,10 @@ val chunk : t -> int -> Chunk.t
 val iter_chunks : t -> f:(Chunk.t -> unit) -> unit
 (** Every chunk in ascending id order (one residency pass). *)
 
-val degree : t -> int -> int
-
 val weighted_degree : t -> int -> int
 
 val iter_neighbors : t -> int -> f:(int -> int -> unit) -> unit
 (** [f neighbor weight] over node [v]'s slots in canonical order. *)
-
-val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
 val stats : t -> Residency.stats
 

@@ -71,10 +71,7 @@ let greedy g ~trees =
   { trees = out; loads }
 
 let recommended_trees ~n ~lambda_hint =
-  let log2n =
-    let rec go k = if 1 lsl k >= max 2 n then k else go (k + 1) in
-    go 1
-  in
+  let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in
   max 8 (min 96 (2 * max 1 lambda_hint * log2n))
 
 let theory_trees ~n ~lambda =

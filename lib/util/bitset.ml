@@ -31,11 +31,6 @@ let popcount x =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
-
 let to_list t =
   let acc = ref [] in
   for i = t.n - 1 downto 0 do

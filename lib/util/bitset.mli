@@ -19,9 +19,6 @@ val remove : t -> int -> unit
 
 val cardinal : t -> int
 
-val iter : (int -> unit) -> t -> unit
-(** Visit members in increasing order. *)
-
 val to_list : t -> int list
 
 val copy : t -> t

@@ -22,5 +22,3 @@ let bytes b ~pos ~len =
     crc := table.((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
-
-let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -14,6 +14,3 @@
 val bytes : Bytes.t -> pos:int -> len:int -> int
 (** CRC of [len] bytes of [b] starting at [pos].  Raises
     [Invalid_argument] when the range is out of bounds. *)
-
-val string : string -> int
-(** One-shot CRC of every byte of the string. *)

@@ -25,8 +25,3 @@ let of_hex s =
   if String.length s <> 16 then None
   else
     try Some (Int64.of_string ("0x" ^ s)) with Failure _ -> None
-
-let string s =
-  let t = create () in
-  add_string t s;
-  value t

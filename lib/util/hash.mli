@@ -35,6 +35,3 @@ val to_hex : int64 -> string
 
 val of_hex : string -> int64 option
 (** Inverse of [to_hex]; [None] on malformed input. *)
-
-val string : string -> int64
-(** One-shot digest of a string. *)

@@ -6,10 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; len = 0 }
 
-let size t = t.len
-
-let is_empty t = t.len = 0
-
 let grow t x =
   let cap = Array.length t.data in
   if t.len = cap then begin
@@ -59,12 +55,3 @@ let pop t =
     end;
     Some top
   end
-
-let peek t = if t.len = 0 then None else Some t.data.(0)
-
-let of_array ~cmp a =
-  let t = { cmp; data = Array.copy a; len = Array.length a } in
-  for i = (t.len / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  t

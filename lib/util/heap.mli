@@ -8,16 +8,7 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** Empty heap ordered by [cmp] (smallest element on top). *)
 
-val size : 'a t -> int
-
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum, or [None] when empty. *)
-
-val peek : 'a t -> 'a option
-
-val of_array : cmp:('a -> 'a -> int) -> 'a array -> 'a t
-(** Heapify in O(n). *)

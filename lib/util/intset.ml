@@ -13,17 +13,11 @@ type t = int list
 
 let empty : t = []
 
-let is_empty t = t = []
-
 let rec add x t =
   match t with
   | [] -> [ x ]
   | y :: rest ->
       if x < y then x :: t else if x = y then t else y :: add x rest
-
-let rec mem x = function
-  | [] -> false
-  | y :: rest -> if x < y then false else x = y || mem x rest
 
 let of_list xs = List.sort_uniq Int.compare xs
 
@@ -55,17 +49,6 @@ let rec first_missing a b =
       if x < y then Some x
       else if x = y then first_missing a' b'
       else first_missing a b'
-
-let union a b =
-  let rec go a b =
-    match (a, b) with
-    | [], t | t, [] -> t
-    | x :: a', y :: b' ->
-        if x < y then x :: go a' b
-        else if x > y then y :: go a b'
-        else x :: go a' b'
-  in
-  go a b
 
 let equal a b = List.equal Int.equal a b
 

@@ -17,11 +17,7 @@ type t = private int list
 
 val empty : t
 
-val is_empty : t -> bool
-
 val add : int -> t -> t
-
-val mem : int -> t -> bool
 
 val of_list : int list -> t
 
@@ -38,8 +34,6 @@ val diff : t -> t -> t
 val first_missing : t -> t -> int option
 (** [first_missing a b] — the least element of [a] not in [b]; equal to
     [min_elt_opt (diff a b)] but allocates nothing beyond the option. *)
-
-val union : t -> t -> t
 
 val equal : t -> t -> bool
 

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
@@ -39,8 +37,6 @@ let float t bound =
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let bernoulli t p = float t 1.0 < p
 
 let geometric t p =
   assert (p > 0.0 && p <= 1.0);

@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; the two
     subsequently produce independent-looking streams.  Used to give each
@@ -34,9 +31,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 (** Fair coin. *)
-
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
 
 val binomial : t -> int -> float -> int
 (** [binomial t n p] samples the number of successes among [n] independent

@@ -133,7 +133,12 @@ let test_gk_guarantee_known () =
         (float_of_int r.Ghaffari_kuhn.value <= (2.0 +. epsilon) *. float_of_int lambda);
       check_int (name ^ " side consistent") r.Ghaffari_kuhn.value
         (Graph.cut_of_bitset g r.Ghaffari_kuhn.side))
-    known_lambda
+    (known_lambda
+    @ [
+        (* weighted path whose light middle edge is λ: Matula must
+           contract the heavy ends to get below δ = 3 *)
+        ("heavy-ended path", Graph.create ~n:4 [ (0, 1, 3); (1, 3, 1); (2, 3, 3) ], 1);
+      ])
 
 let test_gk_guarantee_random () =
   let rng = Rng.create 43 in

@@ -71,7 +71,11 @@ let test_replay_deterministic_program () =
       halted = (fun (_, done_) -> done_);
     }
   in
-  match Replay.check_program ~words:(fun _ -> 1) g final with
+  match
+    Replay.check
+      ~run:(fun () -> snd (Network.run ~words:(fun _ -> 1) g final))
+      ~diff:Replay.diff_audits
+  with
   | Ok audit -> check_bool "some traffic" true (audit.Network.total_messages > 0)
   | Error diffs -> Alcotest.failf "unexpected diffs: %s" (String.concat "; " diffs)
 
@@ -93,7 +97,11 @@ let test_replay_catches_nondeterminism () =
       halted = (fun b -> b);
     }
   in
-  match Replay.check_program ~words:(fun _ -> 1) g prog with
+  match
+    Replay.check
+      ~run:(fun () -> snd (Network.run ~words:(fun _ -> 1) g prog))
+      ~diff:Replay.diff_audits
+  with
   | Ok _ -> Alcotest.fail "nondeterminism not detected"
   | Error diffs -> check_bool "diffs reported" true (diffs <> [])
 

@@ -136,6 +136,133 @@ let test_repo_is_clean () =
               f.Lint.line f.Lint.rule f.Lint.message)
         (Astlint.findings r)
 
+(* ---- reachability ------------------------------------------------------ *)
+
+(* Library definitions no shipped program reaches that the tests keep on
+   purpose: the reference oracles the solvers are checked against, and
+   the inspectors that expose shipped state to assertions.  Whatever
+   they call counts as reached too. *)
+let test_only_keep =
+  [
+    (* oracles *)
+    "Mincut_graph.Karger.contraction";
+    "Mincut_graph.Karger.karger_stein";
+    "Mincut_graph.Mincut_seq.brute_force";
+    "Mincut_graph.Mincut_seq.min_cut";
+    "Mincut_graph.Mincut_seq.is_valid_side";
+    "Mincut_graph.All_min_cuts.exhaustive";
+    "Mincut_graph.All_min_cuts.randomized";
+    "Mincut_graph.All_min_cuts.canonical";
+    "Mincut_graph.Mst_seq.prim";
+    "Mincut_graph.Mst_seq.boruvka";
+    "Mincut_graph.Mst_seq.tree_weight";
+    "Mincut_graph.Mst_seq.is_spanning_tree";
+    "Mincut_graph.Maxflow.min_cut_via_flow";
+    "Mincut_graph.Nagamochi.certificate";
+    "Mincut_core.One_respect_seq.naive_cuts";
+    "Mincut_graph.Small_cuts.edge_connectivity_le2";
+    "Mincut_treepack.Tree_packing.load_invariant";
+    (* inspectors *)
+    "Mincut_graph.Graph.equal_structure";
+    "Mincut_graph.Handle.log";
+    "Mincut_graph.Handle.base";
+    "Mincut_graph.Handle.multiset_hash";
+    "Mincut_core.Incremental.cert_k";
+    "Mincut_serve.Cache.mem";
+    "Mincut_serve.Cache.evictions";
+    "Mincut_serve.Cache.keys_mru_first";
+    "Mincut_serve.Metrics.counter_value";
+    "Mincut_serve.Metrics.gauge_value";
+    "Mincut_serve.Scheduler.depth";
+    "Mincut_serve.Service.pending";
+    "Mincut_parallel.Lockcheck.set_raise_on_inversion";
+    "Mincut_parallel.Lockcheck.reset";
+    "Mincut_congest.Config.strict";
+    "Mincut_store.Chunked_graph.total_weight";
+    "Mincut_store.Chunked_graph.total_bytes";
+    "Mincut_store.Chunked_graph.structural_hash";
+    "Mincut_store.Chunked_graph.compute_structural_hash";
+    "Mincut_store.Chunked_graph.weighted_degree";
+    "Mincut_store.Chunked_graph.drop_resident";
+    "Mincut_store.Chunked_graph.to_graph";
+    "Mincut_util.Bitset.copy";
+    "Mincut_graph.Generators.caterpillar";
+  ]
+
+let leaf_name id =
+  match String.rindex_opt id '.' with
+  | Some i -> String.sub id (i + 1) (String.length id - i - 1)
+  | None -> id
+
+(* top-level effects run wherever their module is linked *)
+let is_top_level_effect id = String.starts_with ~prefix:"_init_line" (leaf_name id)
+
+(* [let*]-style operators are used through syntax, never by name *)
+let is_binding_operator id =
+  let name = leaf_name id in
+  let ident_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  String.length name > 3
+  && (String.starts_with ~prefix:"let" name || String.starts_with ~prefix:"and" name)
+  && not (ident_char name.[3])
+
+let test_lib_reached_by_shipped_code () =
+  (* tests run in _build/default/test; test/dune stages the sources *)
+  let lib = "../lib" and shipped = [ "../bin"; "../bench"; "../benchmark"; "../examples" ] in
+  List.iter
+    (fun dir ->
+      if not (Sys.file_exists dir) then Alcotest.failf "%s is not staged" dir)
+    (lib :: shipped);
+  let load dir =
+    let sources, errors = Srcread.load_paths [ dir ] in
+    check_int (dir ^ " parses") 0 (List.length errors);
+    sources
+  in
+  let lib_sources = load lib in
+  let reached = Hashtbl.create 1024 in
+  (* one call graph per shipped directory: bench/ and benchmark/ both
+     have a [Main], and ids must not collide *)
+  let reach_from sources ~roots_of =
+    let cg = Callgraph.build (lib_sources @ sources) in
+    let roots =
+      List.filter_map
+        (fun (d : Callgraph.def) -> if roots_of d then Some d.Callgraph.id else None)
+        (Callgraph.defs_in_order cg)
+    in
+    Hashtbl.iter
+      (fun id _ -> Hashtbl.replace reached id ())
+      (Callgraph.reachable cg ~roots)
+  in
+  List.iter
+    (fun dir ->
+      let sources = load dir in
+      let files = List.map (fun s -> s.Srcread.file) sources in
+      reach_from sources ~roots_of:(fun d ->
+          List.mem d.Callgraph.file files || is_top_level_effect d.Callgraph.id))
+    shipped;
+  let cg = Callgraph.build lib_sources in
+  List.iter
+    (fun id ->
+      if Callgraph.find_def cg id = None then
+        Alcotest.failf "keep-list entry %s names no library definition" id;
+      if Hashtbl.mem reached id then
+        Alcotest.failf "keep-list entry %s ships now; drop it from the list" id)
+    test_only_keep;
+  reach_from [] ~roots_of:(fun d -> List.mem d.Callgraph.id test_only_keep);
+  let dead =
+    List.filter_map
+      (fun (d : Callgraph.def) ->
+        let id = d.Callgraph.id in
+        if Hashtbl.mem reached id || is_binding_operator id then None
+        else Some (Printf.sprintf "%s:%d %s" d.Callgraph.file d.Callgraph.line id))
+      (Callgraph.defs_in_order cg)
+  in
+  if dead <> [] then
+    Alcotest.failf "library definitions no shipped program reaches:\n%s"
+      (String.concat "\n" dead)
+
 (* ---- effects ----------------------------------------------------------- *)
 
 let classify_fixture src =
@@ -564,6 +691,8 @@ let suite =
     tc "hazards: binding contexts don't trip the AST tier"
       test_hazards_scope_aware;
     tc "repo analyzes clean" test_repo_is_clean;
+    tc "reachability: every lib def ships or is kept for tests"
+      test_lib_reached_by_shipped_code;
     tc "effects: lattice and propagation" test_effect_lattice;
     tc "effects: annotations pin classes" test_effect_annotation_pins;
     test_effects_stable_under_reparse;

@@ -102,7 +102,7 @@ let test_sanitize_flags_fat_payloads () =
   in
   let r =
     Sanitize.run ~cfg:(Config.with_budget 64)
-      ~limit:(Sanitize.ceil_log2 64)
+      ~limit:(Mincut_util.Intmath.ceil_log2 64)
       ~words:List.length g prog
   in
   check_bool "not ok" false r.Sanitize.ok;
@@ -263,12 +263,15 @@ let test_certify_shipped_tree_clean () =
 
 let test_certify_injections_fail () =
   List.iter
-    (fun d ->
-      let r = Certify.run ~quick:true ~inject:d () in
-      check_bool (Certify.defect_name d ^ " injection fails the run") false
-        r.Certify.ok;
-      check_int "only the injected check runs" 1 (List.length r.Certify.checks))
-    [ Certify.Order; Certify.Span; Certify.Payload ]
+    (fun name ->
+      match Certify.defect_of_name name with
+      | None -> Alcotest.failf "unknown defect %s" name
+      | Some d ->
+          let r = Certify.run ~quick:true ~inject:d () in
+          check_bool (name ^ " injection fails the run") false r.Certify.ok;
+          check_int "only the injected check runs" 1
+            (List.length r.Certify.checks))
+    [ "order"; "span"; "payload" ]
 
 (* ---- JSON round-trips ------------------------------------------------- *)
 
@@ -280,9 +283,6 @@ let roundtrips j =
 
 let test_reports_roundtrip () =
   let g = Generators.torus 4 4 in
-  roundtrips
-    (Sanitize.to_json
-       (Sanitize.run ~words:(fun _ -> 1) g (Primitives.bfs_program g ~root:0)));
   roundtrips (Scaling.to_json (Scaling.run ~quick:true ()));
   roundtrips (Certify.to_json (Certify.run ~quick:true ()));
   roundtrips (Certify.to_json (Certify.run ~inject:Certify.Payload ()));
@@ -297,8 +297,7 @@ let test_reports_roundtrip () =
     }
   in
   let errors = Costcheck.check_one_respect ~params:Params.fast r in
-  check_bool "tampered total caught" true (errors <> []);
-  roundtrips (Costcheck.to_json errors)
+  check_bool "tampered total caught" true (errors <> [])
 
 let suite =
   [

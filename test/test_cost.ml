@@ -93,8 +93,6 @@ let qcheck_tests =
         match Cost.of_json (Cost.to_json a) with
         | Ok b -> Cost.equal a b
         | Error _ -> false);
-    qtest "cost: table rows end with the total" gen_tree (fun a ->
-        Cost.to_table_rows a = Cost.breakdown a @ [ ("total", a.Cost.rounds) ]);
   ]
 
 (* ---- unit pins ----------------------------------------------------- *)
@@ -103,14 +101,6 @@ let sample () =
   Cost.(
     group "phase A" (executed "bfs (real)" 3 ++ scheduled "upcast" 4)
     ++ charged "kp bound" 5)
-
-let test_table_rows_pinned () =
-  let rows = Cost.to_table_rows (sample ()) in
-  check_int "row count" 4 (List.length rows);
-  check_bool "leaf rows first" true
-    (List.filteri (fun i _ -> i < 3) rows
-    = [ ("bfs (real)", 3); ("upcast", 4); ("kp bound", 5) ]);
-  check_bool "total row last" true (List.nth rows 3 = ("total", 12))
 
 let test_pp_pinned () =
   let rendered = Format.asprintf "%a" Cost.pp (sample ()) in
@@ -159,7 +149,6 @@ let test_par_marks_loser () =
 
 let suite =
   [
-    tc "cost: table rows pinned" test_table_rows_pinned;
     tc "cost: pp tree render pinned" test_pp_pinned;
     tc "cost: provenance names" test_provenance_names;
     tc "cost: negative rounds rejected" test_negative_rounds_rejected;

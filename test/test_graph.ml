@@ -102,9 +102,11 @@ let test_union_find_transitivity () =
   ignore (Union_find.union uf 3 4);
   check_bool "transitive" true (Union_find.same uf 0 2);
   check_bool "separate" false (Union_find.same uf 2 3);
-  let groups = Union_find.groups uf in
   let sizes =
-    Array.to_list groups |> List.map List.length |> List.filter (fun l -> l > 0)
+    List.init 6 (fun r ->
+        List.length
+          (List.filter (fun v -> Union_find.find uf v = r) (List.init 6 Fun.id)))
+    |> List.filter (fun l -> l > 0)
     |> List.sort compare
   in
   check_bool "group sizes" true (sizes = [ 1; 2; 3 ])
@@ -121,9 +123,10 @@ let test_bfs_disconnected () =
   let r = Bfs.run g ~source:0 in
   check_int "unreachable" (-1) r.Bfs.dist.(2);
   check_bool "not connected" false (Bfs.is_connected g);
-  let labels = Bfs.components g in
-  check_bool "two components" true (labels.(0) = labels.(1) && labels.(2) = labels.(3));
-  check_bool "distinct" true (labels.(0) <> labels.(2))
+  check_bool "component of 0" true
+    (Bitset.to_list (Bfs.component_of g 0) = [ 0; 1 ]);
+  check_bool "component of 3" true
+    (Bitset.to_list (Bfs.component_of g 3) = [ 2; 3 ])
 
 let test_bfs_multi_source () =
   let g = Generators.path 7 in

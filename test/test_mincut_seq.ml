@@ -132,8 +132,10 @@ let test_bridges_disconnected () =
   check_int "bridge in first component only" 1 (List.length (Bridge.bridges g))
 
 let test_two_edge_connected () =
-  check_bool "ring" true (Bridge.two_edge_connected (Generators.ring 5));
-  check_bool "path" false (Bridge.two_edge_connected (Generators.path 5))
+  (* two-edge-connected = connected and bridgeless *)
+  let two_edge_connected g = Bfs.is_connected g && Bridge.bridges g = [] in
+  check_bool "ring" true (two_edge_connected (Generators.ring 5));
+  check_bool "path" false (two_edge_connected (Generators.path 5))
 
 let test_bridges_match_cut_definition () =
   (* an edge is a bridge iff removing it disconnects the graph *)
@@ -211,10 +213,6 @@ let test_recommended_p_clamped () =
   check_bool "p <= 1" true (Sampling.recommended_p ~n:4 ~epsilon:0.1 ~lambda_estimate:1 <= 1.0);
   check_bool "p positive" true (Sampling.recommended_p ~n:1000 ~epsilon:0.5 ~lambda_estimate:100 > 0.0)
 
-let test_estimate_from_skeleton () =
-  let sk = { Sampling.graph = Generators.path 2; p = 0.25 } in
-  check_int "rescale" 8 (Sampling.estimate_from_skeleton sk 2)
-
 let qcheck_tests =
   [
     qtest ~count:60 "stoer-wagner = brute force" (arbitrary_connected ~max_n:9 ())
@@ -270,6 +268,5 @@ let suite =
     tc "sampling: p=0 empty" test_sampling_p_zero_empty;
     tc "sampling: concentration" test_sampling_weight_concentration;
     tc "sampling: recommended p clamped" test_recommended_p_clamped;
-    tc "sampling: estimator rescales" test_estimate_from_skeleton;
   ]
   @ qcheck_tests

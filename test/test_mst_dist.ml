@@ -3,6 +3,7 @@ module Fragments = Mincut_mst.Fragments
 module Boruvka_dist = Mincut_mst.Boruvka_dist
 module Mst_seq = Mincut_graph.Mst_seq
 module Cost = Mincut_congest.Cost
+module Params = Mincut_core.Params
 
 let test_boruvka_dist_matches_sequential () =
   List.iter
@@ -31,7 +32,8 @@ let test_boruvka_dist_phase_bound () =
 let test_boruvka_dist_spanning_tree () =
   List.iter
     (fun (name, g) ->
-      let tree, _ = Boruvka_dist.spanning_tree g ~root:0 in
+      let r = Boruvka_dist.run g in
+      let tree = Tree.of_edge_ids g ~root:0 r.Boruvka_dist.edge_ids in
       check_int (name ^ " spans") (Graph.n g) tree.Tree.size.(0))
     (small_connected_graphs ())
 
@@ -99,7 +101,7 @@ let test_fragments_invariants_families () =
   List.iter
     (fun (name, g) ->
       let n = Graph.n g in
-      let f = fragments_of g (Fragments.default_target ~n) in
+      let f = fragments_of g (Params.sqrt_target ~n) in
       match Fragments.check_invariants f with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: %s" name e)
@@ -131,8 +133,12 @@ let test_fragment_tree_structure () =
   let g = Generators.path 16 in
   let f = fragments_of g 4 in
   let k = Fragments.count f in
-  check_int "inter-fragment edges = k-1" (k - 1)
-    (List.length (Fragments.inter_fragment_edges f));
+  (* the edges of T_F: tree edges from a fragment root to its parent *)
+  let inter =
+    Array.to_list f.Fragments.roots
+    |> List.filter (fun r -> f.Fragments.tree.Tree.parent.(r) <> -1)
+  in
+  check_int "inter-fragment edges = k-1" (k - 1) (List.length inter);
   (* exactly one fragment has no parent *)
   let top = Array.to_list f.Fragments.frag_parent |> List.filter (fun p -> p = -1) in
   check_int "single top fragment" 1 (List.length top);
@@ -175,7 +181,7 @@ let qcheck_tests =
     qtest ~count:50 "fragment invariants on random graphs" (arbitrary_connected ())
       (fun g ->
         let tree = Tree.bfs_tree g ~root:0 in
-        let target = Fragments.default_target ~n:(Graph.n g) in
+        let target = Params.sqrt_target ~n:(Graph.n g) in
         match Fragments.check_invariants (Fragments.partition tree ~target) with
         | Ok _ -> true
         | Error _ -> false);

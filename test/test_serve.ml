@@ -122,6 +122,20 @@ let test_canonicalize_idempotent () =
        (fun a b -> (a.Graph.u, a.Graph.v, a.Graph.w) = (b.Graph.u, b.Graph.v, b.Graph.w))
        (Graph.edges c1) (Graph.edges c2))
 
+(* Cache keys are persistent identities: both strings were recorded
+   before the algorithm spelling moved into [Api.solve_tag] and must stay
+   byte-identical. *)
+let test_cache_keys_pinned () =
+  check_string "plain key"
+    "approx:0x1p-1|s3|t12|kp1:real:w4:r2000000|n16|m32|w32|f70500a9e7392615"
+    (Graph_key.key ~algorithm:(Api.Approx 0.5) ~seed:3 ~trees:(Some 12)
+       ~params:Params.default (Generators.torus 4 4));
+  check_string "versioned key"
+    "inc|exact|s0|t-|kp1:real:w4:r2000000|n6|c6|w6|4df3e894b5c9d1ec"
+    (Graph_key.versioned_key ~algorithm:Api.Exact_small_lambda ~seed:0
+       ~trees:None ~params:Params.default
+       (Handle.of_graph (Generators.ring 6)))
+
 (* ---- metrics --------------------------------------------------------- *)
 
 let test_metrics_counters_gauges () =
@@ -789,6 +803,7 @@ let suite =
     tc "cache: replace and hit/miss counters" test_cache_replace_and_counters;
     tc "hash: sensitive to weights, size, multiplicity" test_hash_sensitivity;
     tc "hash: canonicalize idempotent" test_canonicalize_idempotent;
+    tc "hash: cache keys pinned" test_cache_keys_pinned;
     tc "metrics: counters and gauges" test_metrics_counters_gauges;
     tc "metrics: latency quantiles" test_metrics_quantiles;
     tc "metrics: JSON line round-trip" test_metrics_json_roundtrip;

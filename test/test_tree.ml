@@ -57,8 +57,9 @@ let test_is_ancestor () =
 
 let test_ancestors_list () =
   let t = fixed_tree () in
-  check_bool "ancestors of 6" true (Tree.ancestors t 6 = [ 6; 4; 1; 0 ]);
-  check_bool "ancestors of root" true (Tree.ancestors t 0 = [ 0 ])
+  let ancestors v = List.filter (fun a -> Tree.is_ancestor t a v) (List.init 7 Fun.id) in
+  check_bool "ancestors of 6" true (ancestors 6 = [ 0; 1; 4; 6 ]);
+  check_bool "ancestors of root" true (ancestors 0 = [ 0 ])
 
 let test_accumulate_up () =
   let t = fixed_tree () in
@@ -77,9 +78,14 @@ let test_subtree_members () =
   check_bool "members of 1" true (List.sort compare (Tree.subtree_members t 1) = [ 1; 3; 4; 6 ]);
   check_bool "members of leaf" true (Tree.subtree_members t 5 = [ 5 ])
 
-let test_tree_edges () =
+let test_children_mirror_parents () =
   let t = fixed_tree () in
-  check_int "n-1 edges" 6 (List.length (Tree.tree_edges t))
+  check_int "n_nodes" 7 (Tree.n_nodes t);
+  check_int "n-1 child links" 6
+    (Array.fold_left (fun acc cs -> acc + Array.length cs) 0 t.Tree.children);
+  Array.iteri
+    (fun v cs -> Array.iter (fun c -> check_int "child's parent" v t.Tree.parent.(c)) cs)
+    t.Tree.children
 
 let test_of_edge_ids () =
   let g = Generators.ring 6 in
@@ -114,9 +120,10 @@ let test_lca_fixed () =
   check_int "lca(v,v)" 3 (Tree.Lca.query lca 3 3);
   check_int "lca with root" 0 (Tree.Lca.query lca 0 6)
 
-(* reference LCA by walking ancestor lists *)
+(* reference LCA by walking parent pointers *)
 let naive_lca t a b =
-  let anc_a = Tree.ancestors t a in
+  let rec up acc v = if v = -1 then acc else up (v :: acc) t.Tree.parent.(v) in
+  let anc_a = up [] a in
   let rec go b = if List.mem b anc_a then b else go t.Tree.parent.(b) in
   go b
 
@@ -218,7 +225,7 @@ let suite =
     tc "tree: ancestors list" test_ancestors_list;
     tc "tree: accumulate_up" test_accumulate_up;
     tc "tree: subtree members" test_subtree_members;
-    tc "tree: tree_edges count" test_tree_edges;
+    tc "tree: children mirror parents" test_children_mirror_parents;
     tc "tree: of_edge_ids" test_of_edge_ids;
     tc "tree: of_edge_ids rejects non-spanning" test_of_edge_ids_rejects_nonspanning;
     tc "tree: bfs tree depths" test_bfs_tree_depth_matches_dist;
