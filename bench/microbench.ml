@@ -50,6 +50,15 @@ let tests () =
         (Staged.stage (fun () -> ignore (Tree_packing.greedy g_planted ~trees:16)));
       Test.make ~name:"f3-packing:greedy-96-trees-gnp144"
         (Staged.stage (fun () -> ignore (Tree_packing.greedy g_dense ~trees:96)));
+      (* keying alone, on a packing with no repeats and on one with many *)
+      Test.make ~name:"f3-packing:distinct-72-trees-torus18"
+        (Staged.stage
+           (let p = Tree_packing.greedy (Mincut_graph.Generators.torus 18 18) ~trees:72 in
+            fun () -> ignore (Tree_packing.distinct p)));
+      Test.make ~name:"f3-packing:distinct-96-trees-cliques8x32"
+        (Staged.stage
+           (let p = Tree_packing.greedy (Workloads.cliques_path ~length:32) ~trees:96 in
+            fun () -> ignore (Tree_packing.distinct p)));
       Test.make ~name:"f5-anatomy:fragment-partition-256"
         (Staged.stage (fun () ->
              ignore

@@ -196,68 +196,75 @@ let solve_cmd =
                 E.tree_budget_hint est
               end
             in
-            let s =
+            (* the solvers refuse inputs they cannot answer exactly (e.g. a
+               weight past the packing's max_int / trees bound) with
+               Invalid_argument: report it as an error, not a crash *)
+            match
               Api.min_cut ~params:Params.fast ~algorithm ~seed ?lambda_upper
                 ?trees g
-            in
-            Printf.printf "algorithm: %s\n" (Api.algorithm_name algorithm);
-            Printf.printf "cut value: %d\n" s.Api.value;
-            Printf.printf "rounds:    %d (simulated CONGEST)\n" s.Api.rounds;
-            Printf.printf "verified:  %b\n" (Api.verify g s);
-            if show_side then
-              Printf.printf "side:      {%s}\n"
-                (String.concat ", "
-                   (List.map string_of_int (Bitset.to_list s.Api.side)));
-            let breakdown_bad = ref false in
-            (match breakdown with
-            | None -> ()
-            | Some "tree" -> Format.printf "%a@." Mincut_congest.Cost.pp s.Api.cost
-            | Some "flat" ->
-                print_endline "round breakdown:";
-                List.iter
-                  (fun (label, rounds) -> Printf.printf "  %8d  %s\n" rounds label)
-                  s.Api.breakdown
-            | Some "json" ->
-                (* print the span tree as one JSON line, but only after
-                   proving it survives a parse + decode round trip — CI
-                   leans on this as a serialization smoke test *)
-                let module Cost = Mincut_congest.Cost in
-                let module Json = Mincut_util.Json in
-                let line = Json.to_string (Cost.to_json s.Api.cost) in
-                let ok =
-                  match Json.of_string line with
-                  | Error _ -> false
-                  | Ok j -> (
-                      match Cost.of_json j with
+            with
+            | exception Invalid_argument msg ->
+                prerr_endline ("mincut: error: " ^ msg);
+                1
+            | s ->
+                Printf.printf "algorithm: %s\n" (Api.algorithm_name algorithm);
+                Printf.printf "cut value: %d\n" s.Api.value;
+                Printf.printf "rounds:    %d (simulated CONGEST)\n" s.Api.rounds;
+                Printf.printf "verified:  %b\n" (Api.verify g s);
+                if show_side then
+                  Printf.printf "side:      {%s}\n"
+                    (String.concat ", "
+                       (List.map string_of_int (Bitset.to_list s.Api.side)));
+                let breakdown_bad = ref false in
+                (match breakdown with
+                | None -> ()
+                | Some "tree" -> Format.printf "%a@." Mincut_congest.Cost.pp s.Api.cost
+                | Some "flat" ->
+                    print_endline "round breakdown:";
+                    List.iter
+                      (fun (label, rounds) -> Printf.printf "  %8d  %s\n" rounds label)
+                      s.Api.breakdown
+                | Some "json" ->
+                    (* print the span tree as one JSON line, but only after
+                       proving it survives a parse + decode round trip — CI
+                       leans on this as a serialization smoke test *)
+                    let module Cost = Mincut_congest.Cost in
+                    let module Json = Mincut_util.Json in
+                    let line = Json.to_string (Cost.to_json s.Api.cost) in
+                    let ok =
+                      match Json.of_string line with
                       | Error _ -> false
-                      | Ok c -> Cost.equal c s.Api.cost)
-                in
-                if ok then print_endline line
+                      | Ok j -> (
+                          match Cost.of_json j with
+                          | Error _ -> false
+                          | Ok c -> Cost.equal c s.Api.cost)
+                    in
+                    if ok then print_endline line
+                    else begin
+                      prerr_endline "breakdown json failed to round-trip";
+                      breakdown_bad := true
+                    end
+                | Some other ->
+                    prerr_endline
+                      (Printf.sprintf "unknown breakdown mode %S (tree|flat|json)" other);
+                    breakdown_bad := true);
+                if !breakdown_bad then 1
                 else begin
-                  prerr_endline "breakdown json failed to round-trip";
-                  breakdown_bad := true
-                end
-            | Some other ->
-                prerr_endline
-                  (Printf.sprintf "unknown breakdown mode %S (tree|flat|json)" other);
-                breakdown_bad := true);
-            if !breakdown_bad then 1
-            else begin
-            if check then begin
-              let truth = (Stoer_wagner.run g).Stoer_wagner.value in
-              Printf.printf "ground truth: %d (%s)\n" truth
-                (if truth = s.Api.value then "match"
-                 else Printf.sprintf "ratio %.3f"
-                        (float_of_int s.Api.value /. float_of_int truth))
-            end;
-            if certify then begin
-              let r = Mincut_core.Certificate.certify_summary g s in
-              Printf.printf "certified: %b (recomputed %d, %d extra rounds)\n"
-                r.Mincut_core.Certificate.accepted r.Mincut_core.Certificate.recomputed
-                r.Mincut_core.Certificate.rounds
-            end;
-            0
-            end)
+                if check then begin
+                  let truth = (Stoer_wagner.run g).Stoer_wagner.value in
+                  Printf.printf "ground truth: %d (%s)\n" truth
+                    (if truth = s.Api.value then "match"
+                     else Printf.sprintf "ratio %.3f"
+                            (float_of_int s.Api.value /. float_of_int truth))
+                end;
+                if certify then begin
+                  let r = Mincut_core.Certificate.certify_summary g s in
+                  Printf.printf "certified: %b (recomputed %d, %d extra rounds)\n"
+                    r.Mincut_core.Certificate.accepted r.Mincut_core.Certificate.recomputed
+                    r.Mincut_core.Certificate.rounds
+                end;
+                0
+                end)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Compute a minimum cut with the distributed algorithms")

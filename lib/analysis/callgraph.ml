@@ -5,7 +5,7 @@
 
    - every value identifier referenced in the body, with position and
      two context bits: [in_task] (the reference occurs inside an
-     argument of a [Pool.map]/[Pool.map_reduce] application — it may run
+     argument of a [Pool.map] application — it may run
      on another domain) and [guarded] (the reference occurs inside an
      argument of [Lockcheck.with_lock]);
    - whether the body mutates through [<-] (array/field/instance set);
@@ -110,7 +110,7 @@ let rec head_name (e : Parsetree.expression) =
   | Pexp_constraint (e, _) -> head_name e
   | _ -> None
 
-let pool_spawns = [ "Pool.map"; "Pool.map_reduce" ]
+let pool_spawns = [ "Pool.map" ]
 
 let is_pool_spawn name =
   List.exists (fun s -> Srcread.has_suffix ~suffix:s name) pool_spawns

@@ -3,8 +3,8 @@
     Defs are top-level (and nested-module top-level) value bindings,
     keyed by qualified id ["Mincut_congest.Primitives.bfs_program"].
     Each def carries every value identifier its body references (with
-    position and two context bits: inside a [Pool.map]/[Pool.map_reduce]
-    task argument, inside a [Lockcheck.with_lock] argument), its CONGEST
+    position and two context bits: inside a [Pool.map] task argument,
+    inside a [Lockcheck.with_lock] argument), its CONGEST
     program literals (records with both [initial] and [step] fields),
     and an optional [[@mincut.effect "<class>"]] override.  Top-level
     mutable-state makers ([ref], [Hashtbl.create], ...) also register as
@@ -26,7 +26,7 @@ type refsite = {
   name : string;
   rline : int;
   rcol : int;
-  in_task : bool;  (** inside a [Pool.map]/[Pool.map_reduce] argument *)
+  in_task : bool;  (** inside a [Pool.map] argument *)
   guarded : bool;  (** inside a [Lockcheck.with_lock] argument *)
 }
 

@@ -8,8 +8,8 @@
    [Atomic]/[Domain.DLS] cell.
 
    Task roots are approximated syntactically: every identifier
-   referenced inside an argument of a [Pool.map]/[Pool.map_reduce]
-   application may execute on a worker domain, and so may everything
+   referenced inside an argument of a [Pool.map] application may
+   execute on a worker domain, and so may everything
    reachable from it through the call graph.  Any access to an
    unsynchronized global from that closure is a [domain-race] finding,
    reported at the access site with the spawn-to-access witness chain.

@@ -110,18 +110,22 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
         Tree_packing.distributed_cost ~n ~diameter ~trees
           ~per_tree_rounds:(Params.kp_mst_rounds params ~n ~diameter)
     in
-    (* the per-tree 1-respecting DP instances are independent (the graph
-       and the backbone are immutable, each job builds its own tree and
-       per-run state), so they fan out over the pool; the merge walks
-       results in tree index order, so cost accumulation and the
-       <=-tie-break are bit-identical to the sequential loop *)
+    (* a run depends only on the tree's edge-id set (the graph and the
+       backbone are immutable, each job builds its own tree and per-run
+       state), so each distinct tree is solved once, over the pool.  The
+       walk then charges every packed tree its own group in index order,
+       repeats included, so cost accumulation and the <=-tie-break are
+       bit-identical to running every tree *)
+    let slot, reps = Tree_packing.distinct packing in
+    let runs =
+      Pool.map pool
+        (fun ids -> One_respect.run ~params ~backbone g (Tree.of_edge_ids g ~root:0 ids))
+        reps
+    in
     let _, sweep, best =
-      Pool.map_reduce pool
-        ~f:(fun ids ->
-          let tree = Tree.of_edge_ids g ~root:0 ids in
-          One_respect.run ~params ~backbone g tree)
-        ~init:(0, Cost.zero, None)
-        ~merge:(fun (i, sweep, best) r ->
+      Array.fold_left
+        (fun (i, sweep, best) s ->
+          let r = runs.(s) in
           let sweep =
             Cost.( ++ ) sweep
               (Cost.group
@@ -134,7 +138,7 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
               ( i + 1,
                 sweep,
                 Some (r.One_respect.best_value, r.One_respect.best_node, i, r) ))
-        packing.Tree_packing.trees
+        (0, Cost.zero, None) slot
     in
     (* one fixed-label parent over the per-tree spans: consumers that
        count rounds per top-level phase (serve metrics, bench profiles)

@@ -40,10 +40,14 @@ val run :
     overrides both.  Requires n ≥ 2; returns the 0-cut with a component
     side when the graph is disconnected.
 
-    [pool] (default sequential) fans the per-tree 1-respecting DP
-    instances over domains; results are merged in tree index order, so
-    the outcome — value, side, winning tree, cost breakdown — is
-    bit-identical for any worker count. *)
+    Each distinct packed tree ({!Mincut_treepack.Tree_packing.distinct})
+    runs the 1-respecting DP once, and its result is reused at every
+    repeat; every packed tree is still charged its own Theorem 2.1
+    group, so the outcome equals running every tree.  [pool] (default
+    sequential) fans the distinct trees' DP instances over domains;
+    results are merged in tree index order, so the outcome — value,
+    side, winning tree, cost breakdown — is bit-identical for any
+    worker count. *)
 
 val min_weighted_degree : Mincut_graph.Graph.t -> int
 (** The classic [λ ≤ min_v δ(v)] upper bound, used as the packing-budget

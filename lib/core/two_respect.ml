@@ -123,15 +123,18 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
       Tree_packing.distributed_cost ~n ~diameter ~trees
         ~per_tree_rounds:(Params.kp_mst_rounds params ~n ~diameter)
     in
-    (* independent per-tree 2-respect sweeps fan out over the pool; the
-       index-ordered merge reproduces the sequential tie-break exactly *)
+    (* a sweep depends only on the tree's edge-id set: each distinct
+       tree is swept once over the pool, then every packed tree is
+       charged in index order, which reproduces the sequential
+       tie-break exactly *)
+    let slot, reps = Tree_packing.distinct packing in
+    let runs =
+      Pool.map pool (fun ids -> run ~params g (Tree.of_edge_ids g ~root:0 ids)) reps
+    in
     let _, sweep, best =
-      Pool.map_reduce pool
-        ~f:(fun ids ->
-          let tree = Tree.of_edge_ids g ~root:0 ids in
-          run ~params g tree)
-        ~init:(0, Cost.zero, None)
-        ~merge:(fun (i, sweep, best) r ->
+      Array.fold_left
+        (fun (i, sweep, best) s ->
+          let r = runs.(s) in
           let sweep =
             Cost.( ++ ) sweep
               (Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.cost)
@@ -139,7 +142,7 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
           match best with
           | Some b when b.value <= r.value -> (i + 1, sweep, best)
           | _ -> (i + 1, sweep, Some r))
-        packing.Tree_packing.trees
+        (0, Cost.zero, None) slot
     in
     (* fixed-label parent: per-phase consumers must not scale with the
        tree budget *)

@@ -44,6 +44,7 @@ val min_cut :
   result
 (** Exact min cut via packing + 2-respect; [trees] defaults to
     [max 8 (2·⌈log₂ n⌉)] — the Karger-style budget, much smaller than
-    the 1-respect default.  [pool] (default sequential) fans the
-    per-tree sweeps over domains with an index-ordered merge, so the
-    result is bit-identical for any worker count. *)
+    the 1-respect default.  Each distinct packed tree is swept once
+    and every packed tree charged, as in {!Exact.run}.  [pool] (default
+    sequential) fans the sweeps over domains with an index-ordered
+    merge, so the result is bit-identical for any worker count. *)

@@ -306,6 +306,3 @@ let map t f jobs =
           f j)
         jobs
     else parallel_map width f jobs
-
-let map_reduce t ~f ~init ~merge jobs =
-  Array.fold_left merge init (map t f jobs)

@@ -60,14 +60,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     raises, the remaining jobs still run to completion and the first
     (lowest-index) exception is re-raised in the calling domain. *)
 
-val map_reduce :
-  t -> f:('a -> 'b) -> init:'acc -> merge:('acc -> 'b -> 'acc) -> 'a array -> 'acc
-(** [map_reduce t ~f ~init ~merge jobs] maps in parallel, then folds the
-    results sequentially {e in input index order} in the calling domain
-    — the canonical deterministic-merge shape used by the per-tree DP
-    fan-out (costs accumulate and ties break exactly as the sequential
-    loop did). *)
-
 (** {1 Pool statistics}
 
     Process-global counters over the shared runtime, for bench

@@ -3,6 +3,7 @@ module Mst_seq = Mincut_graph.Mst_seq
 module Union_find = Mincut_graph.Union_find
 module Bfs = Mincut_graph.Bfs
 module Cost = Mincut_congest.Cost
+module Bitset = Mincut_util.Bitset
 
 type t = { trees : int list array; loads : int array }
 
@@ -69,6 +70,37 @@ let greedy g ~trees =
     end
   done;
   { trees = out; loads }
+
+(* A tree is keyed by its edge-id set, which is all [Tree.of_edge_ids]
+   reads: parents are unique and children are filled in node order.  The
+   set is a bitmap over the m edge ids (the ids in increasing order, one
+   bit each), so keying is O(n + m/62) per tree with no sort.  Keys are
+   filed by a hash of every word, with bitmap equality on collision. *)
+let key t ids =
+  let set = Bitset.create (Array.length t.loads) in
+  List.iter (Bitset.add set) ids;
+  set
+
+let distinct t =
+  let by_hash = Hashtbl.create (Array.length t.trees) in
+  let reps = ref [] in
+  let slot =
+    Array.map
+      (fun ids ->
+        let k = key t ids in
+        let h = Bitset.hash k in
+        match
+          List.find_opt (fun (k', _) -> Bitset.equal k k') (Hashtbl.find_all by_hash h)
+        with
+        | Some (_, s) -> s
+        | None ->
+            let s = Hashtbl.length by_hash in
+            Hashtbl.add by_hash h (k, s);
+            reps := ids :: !reps;
+            s)
+      t.trees
+  in
+  (slot, Array.of_list (List.rev !reps))
 
 let recommended_trees ~n ~lambda_hint =
   let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in

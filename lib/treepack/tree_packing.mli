@@ -40,6 +40,22 @@ val greedy : Mincut_graph.Graph.t -> trees:int -> t
     [max_int / trees] (past that, [u·w] can overflow and the order
     would stop being transitive). *)
 
+val distinct : t -> int array * int list array
+(** [distinct t] is [(slot, reps)]: [reps] holds each distinct tree once,
+    as the edge ids of its first occurrence, in first-occurrence order,
+    and tree [i] has the same edge set as [reps.(slot.(i))].  A consumer
+    that depends only on a tree's edge-id set (such as
+    {!Mincut_graph.Tree.of_edge_ids}) can run once per distinct tree and
+    reuse the result at every repeat: greedy packings repeat trees
+    heavily on some families (paths of cliques).  Trees are keyed by
+    [key] and filed by {!Mincut_util.Bitset.hash}, which reads every
+    word. *)
+
+val key : t -> int list -> Mincut_util.Bitset.t
+(** The key [distinct] files a tree of [t] under: the bitmap of its edge
+    ids over the packing's [m] edges, built in [O(n + m/62)] with no
+    sort.  Equal keys are exactly equal id sets. *)
+
 val recommended_trees : n:int -> lambda_hint:int -> int
 (** Practical default: [max 8 (min 96 (2·λ̂·⌈log₂ n⌉))]. *)
 

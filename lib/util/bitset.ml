@@ -51,3 +51,12 @@ let equal a b =
   &&
   let rec go i = i >= Array.length a.words || (a.words.(i) = b.words.(i) && go (i + 1)) in
   go 0
+
+(* every word goes into the hash; the shift folds the high bits a
+   multiply produces back into the low bits a hash table indexes by *)
+let hash t =
+  Array.fold_left
+    (fun h w ->
+      let h = (h lxor w) * 0x100000001b3 in
+      h lxor (h lsr 31))
+    t.n t.words

@@ -27,3 +27,7 @@ val complement_inplace : t -> unit
 (** Flip membership of every element in [0 .. capacity-1]. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash that reads every word (unlike [Hashtbl.hash], which stops
+    after ten), consistent with [equal]. *)

@@ -442,6 +442,107 @@ let test_backbone_root_checked () =
     (Invalid_argument "One_respect.run: backbone built under other params") (fun () ->
       ignore (One_respect.run ~params:Params.default ~backbone:fast g tree))
 
+(* ---- Exact.run against a loop over every packed tree ------------------- *)
+
+(* [Exact.run] as written before it solved each distinct packing tree
+   once: One_respect.run on every packed tree, in index order, with the
+   same leader election, packing charge and <=-tie-break.  Connected
+   graphs only (a disconnected graph never reaches the packing). *)
+let exact_every_tree ~params g =
+  let module Tree_packing = Mincut_treepack.Tree_packing in
+  let n = Graph.n g in
+  let trees =
+    Tree_packing.recommended_trees ~n ~lambda_hint:(Exact.min_weighted_degree g)
+  in
+  let packing = Tree_packing.greedy g ~trees in
+  let backbone = One_respect.backbone ~params g ~root:0 in
+  let diameter = Tree.height (fst backbone) in
+  let per_tree_rounds = Params.kp_mst_rounds params ~n ~diameter in
+  let c_leader, c_pack =
+    if params.Params.run_real_primitives then begin
+      let _, c =
+        Mincut_congest.Primitives.flood_max ~cfg:params.Params.congest g
+          ~values:(Array.init n Fun.id)
+      in
+      let audit = match c.Cost.spans with [ s ] -> s.Cost.audit | _ -> None in
+      let d = Mincut_mst.Boruvka_dist.run ~cfg:params.Params.congest g in
+      ( Cost.executed ?audit "leader election (real flood-max)" c.Cost.rounds,
+        Cost.( ++ )
+          (Cost.group "tree 1: real distributed Boruvka MST"
+             d.Mincut_mst.Boruvka_dist.cost)
+          (Tree_packing.distributed_cost ~n ~diameter ~trees:(trees - 1)
+             ~per_tree_rounds) )
+    end
+    else
+      ( Cost.scheduled "leader election" ((2 * diameter) + 2),
+        Tree_packing.distributed_cost ~n ~diameter ~trees ~per_tree_rounds )
+  in
+  let sweep = ref Cost.zero and best = ref None in
+  Array.iteri
+    (fun i ids ->
+      let r = One_respect.run ~params ~backbone g (Tree.of_edge_ids g ~root:0 ids) in
+      sweep :=
+        Cost.( ++ ) !sweep
+          (Cost.group
+             (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)" (i + 1))
+             r.One_respect.cost);
+      match !best with
+      | Some (_, b) when b.One_respect.best_value <= r.One_respect.best_value -> ()
+      | _ -> best := Some (i, r))
+    packing.Tree_packing.trees;
+  let i, r = Option.get !best in
+  let tree = Tree.of_edge_ids g ~root:0 packing.Tree_packing.trees.(i) in
+  {
+    Exact.value = r.One_respect.best_value;
+    side = One_respect_seq.side_of tree r.One_respect.best_node;
+    best_tree = i;
+    trees_used = trees;
+    cost =
+      Cost.( ++ ) (Cost.( ++ ) c_leader c_pack)
+        (Cost.group "per-tree 1-respecting cuts" !sweep);
+    stats = r.One_respect.stats;
+  }
+
+let same_exact (a : Exact.result) (b : Exact.result) =
+  a.Exact.value = b.Exact.value
+  && Mincut_util.Bitset.equal a.Exact.side b.Exact.side
+  && a.Exact.best_tree = b.Exact.best_tree
+  && a.Exact.trees_used = b.Exact.trees_used
+  && Mincut_util.Json.to_string (Cost.to_json a.Exact.cost)
+     = Mincut_util.Json.to_string (Cost.to_json b.Exact.cost)
+  && a.Exact.stats = b.Exact.stats
+
+let test_exact_every_tree () =
+  (* clique paths repeat packing trees heavily; the torus repeats none *)
+  List.iter
+    (fun (name, g, params) ->
+      check_bool (name ^ ": Exact.run = every-tree loop") true
+        (same_exact (Exact.run ~params g) (exact_every_tree ~params g)))
+    [
+      ("cliques8x16", Generators.path_of_cliques ~clique:8 ~length:16, Params.default);
+      ("cliques8x32", Generators.path_of_cliques ~clique:8 ~length:32, Params.fast);
+      ("torus12", Generators.torus 12 12, Params.fast);
+    ]
+
+(* small weighted graphs: few spanning trees, so packings repeat often *)
+let arbitrary_small_weighted =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n = int_range 2 9 in
+    let* p = oneofl [ 0.3; 0.6; 1.0 ] in
+    let* wmax = int_range 1 6 in
+    return
+      (Generators.gnp_connected ~rng:(Rng.create seed)
+         ~weights:{ Generators.wmin = 1; wmax }
+         n p))
+
+let prop_exact_every_tree =
+  qtest ~count:60 "dist: Exact.run = every-tree loop on small weighted graphs"
+    QCheck2.Gen.(pair arbitrary_small_weighted bool)
+    (fun (g, real) ->
+      let params = if real then Params.default else Params.fast in
+      same_exact (Exact.run ~params g) (exact_every_tree ~params g))
+
 let qcheck_tests =
   [
     qtest ~count:60 "dist = seq on random graphs and trees" (arbitrary_connected ())
@@ -501,3 +602,8 @@ let suite =
     tc "dist: fragment LCA pinned (lca, case, items)" test_lca_pinned;
   ]
   @ qcheck_tests
+  @ [
+      tc "dist: Exact.run = every-tree loop on clique paths and a torus"
+        test_exact_every_tree;
+      prop_exact_every_tree;
+    ]

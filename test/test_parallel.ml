@@ -28,13 +28,6 @@ let test_pool_map_order () =
   let par = Pool.map pool4 (fun i -> i * i) jobs in
   check_bool "results in input order" true (seq = par)
 
-let test_pool_map_reduce_order () =
-  let jobs = Array.init 50 (fun i -> i) in
-  let r =
-    Pool.map_reduce pool4 ~f:(fun i -> i) ~init:[] ~merge:(fun acc x -> x :: acc) jobs
-  in
-  check_bool "merged in index order" true (List.rev r = List.init 50 Fun.id)
-
 let test_pool_first_exception () =
   let jobs = Array.init 20 (fun i -> i) in
   match Pool.map pool4 (fun i -> if i mod 7 = 3 then failwith (string_of_int i) else i) jobs with
@@ -162,6 +155,19 @@ let prop_two_respect_parallel =
         (Two_respect.min_cut ~params:Params.fast g)
         (Two_respect.min_cut ~params:Params.fast ~pool:pool4 g))
 
+(* a packing that repeats trees: each distinct tree is solved once, and
+   the solved results land in every slot that repeats it, at any width *)
+let test_repeated_trees_parallel () =
+  let g = Generators.path_of_cliques ~clique:8 ~length:16 in
+  check_bool "exact: workers 2 = sequential" true
+    (equal_exact
+       (Exact.run ~params:Params.fast g)
+       (Exact.run ~params:Params.fast ~pool:pool2 g));
+  check_bool "two-respect: workers 2 = sequential" true
+    (equal_two_respect
+       (Two_respect.min_cut ~params:Params.fast ~trees:24 g)
+       (Two_respect.min_cut ~params:Params.fast ~trees:24 ~pool:pool2 g))
+
 let prop_api_workers =
   qtest ~count:15 "api: min_cut summaries identical for any worker count"
     QCheck2.Gen.(pair (arbitrary_connected ~max_n:10 ()) (int_range 0 2))
@@ -182,7 +188,8 @@ let prop_api_workers =
 let suite =
   [
     tc "pool: map preserves input order" test_pool_map_order;
-    tc "pool: map_reduce folds in index order" test_pool_map_reduce_order;
+    tc "exact: repeated packing trees identical at workers 1 and 2"
+      test_repeated_trees_parallel;
     tc "pool: first exception is re-raised" test_pool_first_exception;
     tc "pool: sizing policy" test_pool_sizing;
     tc "pool: task accounting" test_pool_task_accounting;

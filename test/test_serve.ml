@@ -515,6 +515,25 @@ let test_server_weight_bound () =
       Alcotest.fail
         (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
 
+(* the CLI answers the same weight with an error line and exit 1, where
+   it used to die on the uncaught Invalid_argument (exit 125) *)
+let test_cli_weight_bound () =
+  let path = "heavy_weight.graph" in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "p 2 1\ne 0 1 %d\n" max_int);
+  let cli = "../bin/mincut_cli.exe" in
+  let out, inp, err =
+    Unix.open_process_args_full cli [| cli; "solve"; path |] (Unix.environment ())
+  in
+  close_out inp;
+  let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
+  let status = Unix.close_process_full (out, inp, err) in
+  Sys.remove path;
+  check_bool "exits 1" true (status = Unix.WEXITED 1);
+  check_string "no answer printed" "" stdout;
+  check_string "one error line naming the bound"
+    "mincut: error: Tree_packing.greedy: edge weight above max_int / 8\n" stderr
+
 let test_protocol_parse_errors () =
   let is_err s = match Protocol.parse s with Error _ -> true | Ok _ -> false in
   check_bool "missing source" true (is_err "SOLVE algo=exact");
@@ -830,3 +849,4 @@ let suite =
     tc "server: scripted incremental session" test_server_incremental_session;
   ]
   @ qcheck_tests
+  @ [ tc "cli: solve refuses a weight past the packing bound" test_cli_weight_bound ]

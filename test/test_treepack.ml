@@ -214,6 +214,59 @@ let test_weight_bound () =
          with Invalid_argument _ -> true))
     [ 2; 7; 96 ]
 
+(* ---- Distinct trees ---------------------------------------------------- *)
+
+let sorted ids = List.sort Int.compare ids
+
+(* [distinct]'s contract on one packing: slots number the distinct trees
+   in first-occurrence order, each representative is the first
+   occurrence itself, it has the same edge set as every tree it stands
+   for, and no two representatives share an edge set *)
+let distinct_contract (p : Tree_packing.t) =
+  let slot, reps = Tree_packing.distinct p in
+  let trees = p.Tree_packing.trees in
+  let next = ref 0 and ok = ref (Array.length slot = Array.length trees) in
+  Array.iteri
+    (fun i s ->
+      if s = !next then begin
+        ok := !ok && reps.(s) == trees.(i);
+        incr next
+      end
+      else ok := !ok && s < !next;
+      ok := !ok && sorted reps.(s) = sorted trees.(i))
+    slot;
+  let keys = Array.to_list (Array.map sorted reps) in
+  !ok
+  && !next = Array.length reps
+  && List.length (List.sort_uniq compare keys) = Array.length reps
+
+let test_distinct_contract () =
+  List.iter
+    (fun (name, g) ->
+      check_bool (name ^ " distinct contract") true
+        (distinct_contract (Tree_packing.greedy g ~trees:12)))
+    (small_connected_graphs ())
+
+let test_distinct_counts () =
+  (* a path of 8-cliques repeats trees heavily; a torus repeats none *)
+  let cliques = Tree_packing.greedy (Generators.path_of_cliques ~clique:8 ~length:32) ~trees:96 in
+  let torus = Tree_packing.greedy (Generators.torus 18 18) ~trees:72 in
+  check_bool "cliques contract" true (distinct_contract cliques);
+  check_bool "torus contract" true (distinct_contract torus);
+  let count p = Array.length (snd (Tree_packing.distinct p)) in
+  check_int "cliques8x32: 10 distinct of 96" 10 (count cliques);
+  check_bool "cliques8x32 repeats" true (count cliques < 96);
+  check_int "torus18: all 72 distinct" 72 (count torus);
+  (* the hash reads every id: the 72 torus keys never share a hash, and
+     neither do two keys that differ only in the last id of a packing
+     whose bitmap runs to ~50 words *)
+  let hash p ids = Mincut_util.Bitset.hash (Tree_packing.key p ids) in
+  let hashes = Array.to_list (Array.map (hash torus) torus.Tree_packing.trees) in
+  check_int "torus keys hash apart" 72 (List.length (List.sort_uniq compare hashes));
+  let dense = Tree_packing.greedy (Generators.gnp_connected ~rng:(Rng.create 1) 144 0.3) ~trees:1 in
+  let m = Array.length dense.Tree_packing.loads in
+  check_bool "last id changes the hash" true (hash dense [ 0; m - 2 ] <> hash dense [ 0; m - 1 ])
+
 (* qcheck generator: a connected weighted multigraph on 1..max_n nodes (a
    random spanning tree plus extra edges that may repeat an endpoint
    pair) with unit, narrow or wide weights, and 1..96 trees. *)
@@ -264,6 +317,15 @@ let qcheck_tests =
       (fun (g, trees) -> same_as_oracle g ~trees);
   ]
 
+let distinct_tests =
+  [
+    tc "packing: distinct keeps first occurrences and edge sets" test_distinct_contract;
+    tc "packing: distinct counts on a clique path and a torus" test_distinct_counts;
+    qtest ~count:150 "distinct contract on random packings"
+      (arbitrary_packing_input ())
+      (fun (g, trees) -> distinct_contract (Tree_packing.greedy g ~trees));
+  ]
+
 let suite =
   [
     tc "packing: load invariant on families" test_load_invariant_families;
@@ -282,4 +344,4 @@ let suite =
     tc "packing: parallel edges on two nodes" test_parallel_pair;
     tc "packing: weight bound max_int / trees" test_weight_bound;
   ]
-  @ qcheck_tests
+  @ qcheck_tests @ distinct_tests

@@ -127,6 +127,71 @@ let test_uses_fewer_trees_than_one_respect () =
   let r = Two_respect.min_cut ~params:Params.fast g in
   check_int "exact on dense weighted" (lambda_of g) r.Two_respect.value
 
+(* [min_cut] as written before it swept each distinct packing tree once:
+   [run] on every packed tree in index order, with the <=-tie-break *)
+let min_cut_every_tree ~params ~trees g =
+  let module Tree_packing = Mincut_treepack.Tree_packing in
+  let module Cost = Mincut_congest.Cost in
+  let n = Graph.n g in
+  let packing = Tree_packing.greedy g ~trees in
+  let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+  let sweep = ref Cost.zero and best = ref None in
+  Array.iteri
+    (fun i ids ->
+      let r = Two_respect.run ~params g (Tree.of_edge_ids g ~root:0 ids) in
+      sweep :=
+        Cost.( ++ ) !sweep
+          (Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.Two_respect.cost);
+      match !best with
+      | Some b when b.Two_respect.value <= r.Two_respect.value -> ()
+      | _ -> best := Some r)
+    packing.Tree_packing.trees;
+  let c_pack =
+    Tree_packing.distributed_cost ~n ~diameter ~trees
+      ~per_tree_rounds:(Params.kp_mst_rounds params ~n ~diameter)
+  in
+  {
+    (Option.get !best) with
+    Two_respect.cost = Cost.( ++ ) c_pack (Cost.group "per-tree 2-respect sweeps" !sweep);
+  }
+
+let same_min_cut (a : Two_respect.result) (b : Two_respect.result) =
+  let module Cost = Mincut_congest.Cost in
+  a.Two_respect.value = b.Two_respect.value
+  && Bitset.equal a.Two_respect.side b.Two_respect.side
+  && a.Two_respect.kind = b.Two_respect.kind
+  && Mincut_util.Json.to_string (Cost.to_json a.Two_respect.cost)
+     = Mincut_util.Json.to_string (Cost.to_json b.Two_respect.cost)
+
+let test_min_cut_every_tree () =
+  List.iter
+    (fun (name, g, trees) ->
+      check_bool (name ^ ": min_cut = every-tree loop") true
+        (same_min_cut
+           (Two_respect.min_cut ~params:Params.fast ~trees g)
+           (min_cut_every_tree ~params:Params.fast ~trees g)))
+    [
+      ("cliques8x16", Generators.path_of_cliques ~clique:8 ~length:16, 14);
+      ("torus8", Generators.torus 8 8, 12);
+    ]
+
+let prop_min_cut_every_tree =
+  qtest ~count:40 "min_cut = every-tree loop on small weighted graphs"
+    QCheck2.Gen.(
+      let* seed = int_range 0 1_000_000 in
+      let* n = int_range 2 9 in
+      let* wmax = int_range 1 6 in
+      let* trees = int_range 1 24 in
+      return
+        ( Generators.gnp_connected ~rng:(Rng.create seed)
+            ~weights:{ Generators.wmin = 1; wmax }
+            n 0.6,
+          trees ))
+    (fun (g, trees) ->
+      same_min_cut
+        (Two_respect.min_cut ~params:Params.fast ~trees g)
+        (min_cut_every_tree ~params:Params.fast ~trees g))
+
 let qcheck_tests =
   [
     qtest ~count:40 "2-respect = brute on random" (arbitrary_connected ~max_n:10 ())
@@ -158,3 +223,8 @@ let suite =
     tc "2-respect: dense weighted exactness" test_uses_fewer_trees_than_one_respect;
   ]
   @ qcheck_tests
+  @ [
+      tc "2-respect: min_cut = every-tree loop on a clique path and a torus"
+        test_min_cut_every_tree;
+      prop_min_cut_every_tree;
+    ]
