@@ -25,7 +25,6 @@ let experiments =
     ("a2", Experiments.a2);
     ("a3", Experiments.a3);
     ("a4", Experiments.a4);
-    ("serve", Workloads.serve_throughput);
     ("delta", Delta.run);
     ("sim", Sim.run);
   ]

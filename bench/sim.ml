@@ -4,7 +4,7 @@
 
    1. How much faster is the flat-array driver ({!Mincut_congest.Network})
       than the seed driver preserved as {!Mincut_congest.Network_reference}?
-      Both execute the same BFS flooding program on the lint replay
+      Both execute the same BFS flooding program on the certifier's
       workloads; audits must agree exactly (the bench fails otherwise),
       and the artifact records rounds/sec, messages/sec and minor-heap
       words per run for each driver.
@@ -35,13 +35,8 @@ module Store_metrics = Mincut_serve.Store_metrics
 (* CI smoke mode: fewer iterations, same assertions. *)
 let quick = ref false
 
-(* Same workloads the lint replay pass pins down. *)
-let workloads () =
-  [
-    ("torus4", Generators.torus 4 4);
-    ("grid5", Generators.grid 5 5);
-    ("gnp24", Generators.gnp_connected ~rng:(Rng.create 12) 24 0.3);
-  ]
+(* The certifier's conformance workloads. *)
+let workloads = Mincut_analysis.Certify.workloads
 
 (* Wall time (ms) and minor-heap words for [iters] runs of [f]. *)
 let measure ~iters f =
@@ -163,9 +158,10 @@ let bench_parallel ~solves (name, g) =
   and par_ms = Float.min par_ms1 (Float.min par_ms2 par_ms3) in
   let stats1 = Pool.stats () in
   let identical =
-    Array.for_all2 Workloads.identical seq par
-    && Array.for_all2 Workloads.identical seq seq2
-    && Array.for_all2 Workloads.identical seq par2
+    let same a b = Replay.diff_summary a b = [] in
+    Array.for_all2 same seq par
+    && Array.for_all2 same seq seq2
+    && Array.for_all2 same seq par2
   in
   if not identical then
     failwith "sim: parallel exact pipeline diverged from sequential";

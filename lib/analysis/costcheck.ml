@@ -162,6 +162,27 @@ let expected_leaves ~params (s : One_respect.stats) =
    parameter mode) carries at least this many formula leaves. *)
 let min_formula_matches = 10
 
+(* Theorem 2.1 is five numbered steps: the tree's top level must be
+   exactly those five groups, in order, each with its sub-steps. *)
+let step_shape (t : Cost.t) =
+  let steps = List.init 5 (fun i -> Printf.sprintf "Step %d: " (i + 1)) in
+  if List.compare_lengths t.Cost.spans steps <> 0 then
+    [
+      err "(root)" "step-shape"
+        (Printf.sprintf "expected 5 top-level Step spans, got %d"
+           (List.length t.Cost.spans));
+    ]
+  else
+    List.concat
+      (List.map2
+         (fun prefix (s : Cost.span) ->
+           if not (String.starts_with ~prefix s.Cost.label) then
+             [ err s.Cost.label "step-shape" ("does not start with " ^ prefix) ]
+           else if s.Cost.children = [] then
+             [ err s.Cost.label "step-shape" "step has no children" ]
+           else [])
+         steps t.Cost.spans)
+
 let check_one_respect ?(params = Params.default) (r : One_respect.result) =
   let table = expected_leaves ~params r.One_respect.stats in
   let errors = ref [] in
@@ -204,4 +225,6 @@ let check_one_respect ?(params = Params.default) (r : One_respect.result) =
              !matched min_formula_matches);
       ]
   in
-  check_tree r.One_respect.cost @ List.rev !errors @ coverage
+  check_tree r.One_respect.cost
+  @ step_shape r.One_respect.cost
+  @ List.rev !errors @ coverage

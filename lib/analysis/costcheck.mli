@@ -13,6 +13,9 @@
     - {b audit-profile}: an audit's per-round congestion profile sums to
       its message total;
     - {b total}: the tree total equals the top-level span sum;
+    - {b step-shape} (one-respect only): the top level is exactly the
+      paper's five ["Step 1: "]…["Step 5: "] groups, in order, each with
+      children;
     - {b formula} (one-respect only): every [Scheduled]/[Charged] leaf
       of the Theorem 2.1 tree equals its published closed form,
       recomputed from {!Mincut_core.One_respect.stats} and
@@ -31,9 +34,9 @@ val check_one_respect :
   ?params:Mincut_core.Params.t ->
   Mincut_core.One_respect.result ->
   error list
-(** {!check_tree} plus the formula laws over the result's own measured
-    stats.  [params] must be the parameters the run used (they feed the
-    KP-bound formula).  Also fails with a single {b formula-coverage}
+(** {!check_tree} plus the step-shape law and the formula laws over
+    the result's own measured stats.  [params] must be the parameters
+    the run used (they feed the KP-bound formula).  Also fails with a single {b formula-coverage}
     error when fewer than an expected floor of leaves match the label
     table — so a silent renaming of spans cannot make the formula check
     vacuous. *)

@@ -1,4 +1,7 @@
 module Network = Mincut_congest.Network
+module Cost = Mincut_congest.Cost
+module Api = Mincut_core.Api
+module One_respect = Mincut_core.One_respect
 
 type 'a outcome = ('a, string list) result
 
@@ -32,6 +35,36 @@ let diff_audits (a : Network.audit) (b : Network.audit) =
                  :: !diffs)
            pa;
          List.rev !diffs);
+    ]
+
+let diff_breakdown =
+  diff_named ~name:"breakdown"
+    ~equal:(List.equal (fun (la, ra) (lb, rb) -> String.equal la lb && ra = rb))
+
+let diff_spans = diff_named ~name:"span tree (provenance included)" ~equal:Cost.equal
+
+let diff_summary (a : Api.summary) (b : Api.summary) =
+  List.concat
+    [
+      diff_int "value" a.Api.value b.Api.value;
+      diff_int "rounds" a.Api.rounds b.Api.rounds;
+      diff_named ~name:"side" ~equal:Mincut_util.Bitset.equal a.Api.side b.Api.side;
+      diff_breakdown a.Api.breakdown b.Api.breakdown;
+      diff_spans a.Api.cost b.Api.cost;
+    ]
+
+let diff_one_respect (a : One_respect.result) (b : One_respect.result) =
+  List.concat
+    [
+      diff_int "best_value" a.One_respect.best_value b.One_respect.best_value;
+      diff_int "best_node" a.One_respect.best_node b.One_respect.best_node;
+      diff_named ~name:"cuts" ~equal:(Array.for_all2 Int.equal) a.One_respect.cuts
+        b.One_respect.cuts;
+      diff_int "cost.rounds" a.One_respect.cost.Cost.rounds b.One_respect.cost.Cost.rounds;
+      diff_breakdown
+        (Cost.breakdown a.One_respect.cost)
+        (Cost.breakdown b.One_respect.cost);
+      diff_spans a.One_respect.cost b.One_respect.cost;
     ]
 
 let check ~run ~diff =

@@ -10,8 +10,7 @@
     program twice and diffs the full {!Mincut_congest.Network.audit}.
 
     The combinators are generic (any ['a] with an explicit differ), so
-    [mincut_lint] also replays whole pipelines and diffs their
-    summaries. *)
+    {!Certify} also replays whole pipelines and diffs their summaries. *)
 
 type 'a outcome = ('a, string list) result
 (** [Ok value] when both runs agreed ([value] is the first run's);
@@ -21,6 +20,15 @@ val diff_audits :
   Mincut_congest.Network.audit -> Mincut_congest.Network.audit -> string list
 (** Field-by-field differences (rounds, message totals, words, per-round
     profile), empty when identical. *)
+
+val diff_summary : Mincut_core.Api.summary -> Mincut_core.Api.summary -> string list
+(** Value, rounds, side, breakdown and the span tree (provenance
+    included). *)
+
+val diff_one_respect :
+  Mincut_core.One_respect.result -> Mincut_core.One_respect.result -> string list
+(** Best value and node, every subtree cut, rounds, breakdown and the
+    span tree. *)
 
 val check : run:(unit -> 'a) -> diff:('a -> 'a -> string list) -> 'a outcome
 (** Evaluate [run] twice and diff the results. *)

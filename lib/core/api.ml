@@ -53,6 +53,11 @@ let min_cut ?(params = Params.default) ?(algorithm = Exact_small_lambda) ?(seed 
   | Exact_small_lambda ->
       let r = Exact.run ~params ~pool ?lambda_upper ?trees g in
       of_cost algorithm r.Exact.value r.Exact.side r.Exact.cost
+  | _ when Graph.n g >= 2 && not (Mincut_graph.Bfs.is_connected g) ->
+      (* every other algorithm answers a disconnected graph with the
+         exact path's 0-cut *)
+      let r = Exact.run ~params g in
+      of_cost algorithm r.Exact.value r.Exact.side r.Exact.cost
   | Exact_two_respect ->
       let r = Two_respect.min_cut ~params ~pool ?trees g in
       of_cost algorithm r.Two_respect.value r.Two_respect.side r.Two_respect.cost

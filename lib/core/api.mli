@@ -57,7 +57,10 @@ val min_cut :
     with n ≥ 2.  [seed] (default 0) drives the randomized algorithms;
     [trees] overrides the packing budget; [lambda_upper] (typically a
     {!Sample_estimate} [upper]) tightens the default budget of the
-    [Exact_small_lambda] pipeline without changing its answer.
+    [Exact_small_lambda] pipeline without changing its answer.  On a
+    disconnected graph every algorithm answers with {!Exact.run}'s
+    0-cut: value 0, the component of node 0 as the side, and one
+    component-detection span.
 
     [workers] (default 1) fans independent per-tree solves over that
     many domains for the [Exact_small_lambda], [Exact_two_respect] and

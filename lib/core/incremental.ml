@@ -19,8 +19,6 @@ type stats = {
   mutable reused : int;
   mutable cert_solves : int;
   mutable full_resolves : int;
-  mutable invalidations : int;
-  mutable forest_placements : int;
 }
 
 let fallback_rate s =
@@ -67,7 +65,7 @@ let invalidate_side t =
 (* greedy jungle placement: each unit goes into the lowest forest where
    the endpoints are still disconnected; units that fit nowhere are
    dropped (their connectivity is already certified k times over) *)
-let place_units t ~count_stats u v count =
+let place_units t u v count =
   let placed = ref 0 in
   let f = ref 0 in
   (try
@@ -86,9 +84,7 @@ let place_units t ~count_stats u v count =
     let prev =
       match Hashtbl.find_opt t.cert key with Some c -> c | None -> 0
     in
-    Hashtbl.replace t.cert key (prev + !placed);
-    if count_stats then
-      t.stats.forest_placements <- t.stats.forest_placements + !placed
+    Hashtbl.replace t.cert key (prev + !placed)
   end
 
 let cert_graph t =
@@ -150,7 +146,7 @@ let rebuild t =
     Hashtbl.reset t.cert;
     Graph.iter_edges
       (fun e ->
-        place_units t ~count_stats:false e.Graph.u e.Graph.v (min e.Graph.w k))
+        place_units t e.Graph.u e.Graph.v (min e.Graph.w k))
       g;
     if Union_find.count t.forests.(0) > 1 then adopt_disconnected t n
     else
@@ -176,7 +172,6 @@ let cert_solve t =
     let r = Stoer_wagner.run (cert_graph t) in
     if r.Stoer_wagner.value >= t.k && t.k < min_weighted_degree (Handle.current t.handle) + 1
     then begin
-      t.stats.invalidations <- t.stats.invalidations + 1;
       t.stats.full_resolves <- t.stats.full_resolves + 1;
       rebuild t;
       { lambda = t.lam; mode = Resolved }
@@ -197,8 +192,6 @@ let create g =
           reused = 0;
           cert_solves = 0;
           full_resolves = 0;
-          invalidations = 0;
-          forest_placements = 0;
         };
       lam = 0;
       side = Bitset.create (Graph.n g);
@@ -244,7 +237,7 @@ let apply t op =
         if t.cert_ok then
           List.iter
             (fun (c : Handle.change) ->
-              place_units t ~count_stats:true c.Handle.cu c.Handle.cv
+              place_units t c.Handle.cu c.Handle.cv
                 (min (c.Handle.after - c.Handle.before) t.k))
             outcome.Handle.changes;
         (* ... and λ/side carry over unless an increase crosses the
@@ -274,7 +267,6 @@ let apply t op =
         end
         else if t.cert_ok then cert_solve t
         else begin
-          t.stats.invalidations <- t.stats.invalidations + 1;
           t.stats.full_resolves <- t.stats.full_resolves + 1;
           rebuild t;
           { lambda = t.lam; mode = Resolved }

@@ -48,13 +48,6 @@ type stats = {
       (** tier-2 answers (Stoer–Wagner over the live certificate) *)
   mutable full_resolves : int;
       (** tier-3 answers: certificate rebuilt from the compacted graph *)
-  mutable invalidations : int;
-      (** certificate invalidation events (every one forces a tier-3
-          answer, so this equals [full_resolves] today; kept separate in
-          case cheaper recovery paths appear) *)
-  mutable forest_placements : int;
-      (** weight units placed {e incrementally} (tier 1/2 upkeep);
-          rebuild placements are not counted *)
 }
 
 val fallback_rate : stats -> float

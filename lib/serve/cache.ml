@@ -25,8 +25,6 @@ type 'v t = {
   mutable head : 'v node option;
   mutable tail : 'v node option;
   mutable total_cost : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
@@ -42,8 +40,6 @@ let create ?(max_entries = 4096) ?(max_cost = 16_777_216) ~cost () =
     head = None;
     tail = None;
     total_cost = 0;
-    hits = 0;
-    misses = 0;
     evictions = 0;
   }
 
@@ -74,12 +70,9 @@ let find t k =
   Lockcheck.with_lock t.lock (fun () ->
       match Hashtbl.find_opt t.table k with
       | Some node ->
-          t.hits <- t.hits + 1;
           touch t node;
           Some node.value
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
+      | None -> None)
 
 let evict_one t =
   match t.tail with
@@ -120,8 +113,6 @@ let add t k v =
 let mem t k = Lockcheck.with_lock t.lock (fun () -> Hashtbl.mem t.table k)
 let length t = Lockcheck.with_lock t.lock (fun () -> Hashtbl.length t.table)
 let total_cost t = Lockcheck.with_lock t.lock (fun () -> t.total_cost)
-let hits t = Lockcheck.with_lock t.lock (fun () -> t.hits)
-let misses t = Lockcheck.with_lock t.lock (fun () -> t.misses)
 let evictions t = Lockcheck.with_lock t.lock (fun () -> t.evictions)
 
 let keys_mru_first t =

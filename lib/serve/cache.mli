@@ -25,8 +25,7 @@ val create : ?max_entries:int -> ?max_cost:int -> cost:('v -> int) -> unit -> 'v
     Raises [Invalid_argument] if a bound is not positive. *)
 
 val find : 'v t -> string -> 'v option
-(** [find t k] returns the cached value and marks it most recently used.
-    Increments the hit or miss counter. *)
+(** [find t k] returns the cached value and marks it most recently used. *)
 
 val add : 'v t -> string -> 'v -> unit
 (** Insert or replace, making the entry most recently used, then evict
@@ -38,8 +37,6 @@ val length : 'v t -> int
 val total_cost : 'v t -> int
 (** Sum of [cost v] over resident values. *)
 
-val hits : 'v t -> int
-val misses : 'v t -> int
 val evictions : 'v t -> int
 val keys_mru_first : 'v t -> string list
 (** Resident keys from most to least recently used (test hook for

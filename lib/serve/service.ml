@@ -337,5 +337,3 @@ let snapshot t =
   refresh_gauges t;
   Metrics.snapshot t.metrics
 
-let cache_hits t = Cache.hits t.cache
-let cache_misses t = Cache.misses t.cache

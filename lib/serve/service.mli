@@ -134,5 +134,3 @@ val metrics : t -> Metrics.t
 val snapshot : t -> Metrics.snapshot
 (** Metrics snapshot with cache/queue gauges refreshed first. *)
 
-val cache_hits : t -> int
-val cache_misses : t -> int

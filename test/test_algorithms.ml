@@ -57,7 +57,23 @@ let test_exact_disconnected () =
   let g = Graph.create ~n:4 [ (0, 1, 1); (2, 3, 1) ] in
   let r = Exact.run g in
   check_int "zero cut" 0 r.Exact.value;
-  check_int "component side" 2 (Bitset.cardinal r.Exact.side)
+  check_int "component side" 2 (Bitset.cardinal r.Exact.side);
+  (* every Api algorithm answers with that same 0-cut *)
+  List.iter
+    (fun algorithm ->
+      let name = Api.algorithm_name algorithm in
+      let s = Api.min_cut ~algorithm g in
+      check_int (name ^ ": zero cut") 0 s.Api.value;
+      check_bool (name ^ ": component side") true (Bitset.equal r.Exact.side s.Api.side);
+      check_bool (name ^ ": component-detection span") true (Cost.equal r.Exact.cost s.Api.cost);
+      check_bool (name ^ ": verifies") true (Api.verify g s))
+    [
+      Api.Exact_small_lambda;
+      Api.Exact_two_respect;
+      Api.Approx 0.5;
+      Api.Ghaffari_kuhn 0.5;
+      Api.Su 0.5;
+    ]
 
 let test_exact_planted_lambda_sweep () =
   let rng = Rng.create 21 in

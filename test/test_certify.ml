@@ -14,12 +14,7 @@ module One_respect = Mincut_core.One_respect
 module Params = Mincut_core.Params
 module Json = Mincut_util.Json
 
-let workloads () =
-  [
-    ("torus4", Generators.torus 4 4);
-    ("grid5", Generators.grid 5 5);
-    ("gnp24", Generators.gnp_connected ~rng:(Rng.create 12) 24 0.3);
-  ]
+let workloads = Certify.workloads
 
 (* ---- sanitize --------------------------------------------------------- *)
 
@@ -163,7 +158,18 @@ let test_costcheck_laws () =
     (List.mem "leaf-sum" (laws_of (Costcheck.check_tree tampered)));
   (* clean executed leaf passes *)
   let t = Cost.executed ~audit:(dummy_audit ~rounds:3 ~messages:2) "x (real)" 3 in
-  check_bool "clean leaf" true (Costcheck.check_tree t = [])
+  check_bool "clean leaf" true (Costcheck.check_tree t = []);
+  (* a one-respect tree with four of the paper's five steps *)
+  let four_steps =
+    Cost.sum
+      (List.init 4 (fun i ->
+           Cost.group (Printf.sprintf "Step %d: s" (i + 1)) (Cost.scheduled "x" 1)))
+  in
+  let g = Generators.torus 4 4 in
+  let r = One_respect.run ~params:Params.fast g (Tree.bfs_tree g ~root:0) in
+  let r = { r with One_respect.cost = four_steps } in
+  check_bool "four steps break the step shape" true
+    (List.mem "step-shape" (laws_of (Costcheck.check_one_respect ~params:Params.fast r)))
 
 let test_costcheck_accepts_shipped_trees () =
   List.iter
@@ -259,7 +265,34 @@ let test_certify_shipped_tree_clean () =
          (List.concat_map
             (fun (c : Certify.check) ->
               if c.Certify.ok then [] else c.Certify.name :: c.Certify.details)
-            r.Certify.checks))
+            r.Certify.checks));
+  (* the replay and step-shape checks stay in the report and cover
+     every workload *)
+  List.iter
+    (fun name ->
+      match List.find_opt (fun (c : Certify.check) -> c.Certify.name = name) r.Certify.checks with
+      | None -> Alcotest.failf "check %S missing from the report" name
+      | Some c ->
+          List.iter
+            (fun (wname, _) ->
+              check_bool
+                (Printf.sprintf "%s covers %s" name wname)
+                true
+                (List.exists
+                   (String.starts_with ~prefix:(wname ^ ": "))
+                   c.Certify.details))
+            (workloads ()))
+    [
+      "replay: bfs-audit";
+      "replay: exact";
+      "replay: one-respect";
+      "replay: approx";
+      "costcheck: one-respect step-shape and formula laws";
+    ];
+  check_bool "lockcheck check closes the report" true
+    (match List.rev r.Certify.checks with
+    | last :: _ -> last.Certify.name = "lockcheck: no violations recorded"
+    | [] -> false)
 
 let test_certify_injections_fail () =
   List.iter

@@ -84,9 +84,7 @@ let test_cache_replace_and_counters () =
   Cache.add c "k" "v1";
   Cache.add c "k" "v2";
   check_int "replace keeps one entry" 1 (Cache.length c);
-  check_bool "hit sees newest" true (Cache.find c "k" = Some "v2");
-  check_int "hits" 1 (Cache.hits c);
-  check_int "misses" 1 (Cache.misses c)
+  check_bool "hit sees newest" true (Cache.find c "k" = Some "v2")
 
 (* ---- structural hashing ---------------------------------------------- *)
 
@@ -315,6 +313,25 @@ let test_service_cache_hit_identical () =
   check_summaries_identical "cache vs fresh" fresh r1.Request.summary
 
 let test_service_flush_batches () =
+  (* a 4-worker flush answers bit for bit like sequential solves, for
+     every pipeline the pool fans out *)
+  let seq = service () and pooled = service ~workers:4 () in
+  let reqs =
+    List.concat_map
+      (fun g ->
+        List.map
+          (fun algorithm -> Request.make ~algorithm ~seed:1 g)
+          [ Api.Exact_small_lambda; Api.Exact_two_respect; Api.Approx 0.5 ])
+      [ Generators.grid 4 4; Generators.barbell 5; Generators.wheel 8 ]
+  in
+  List.iter (fun r -> ignore (Service.submit pooled r)) reqs;
+  let batch = (Service.flush pooled).Service.answered in
+  check_int "pooled flush answers all" (List.length reqs) (List.length batch);
+  List.iter2
+    (fun req (_, (b : Request.response)) ->
+      check_summaries_identical "4-worker flush vs sequential solve"
+        (Service.solve seq req).Request.summary b.Request.summary)
+    reqs batch;
   let t = service ~workers:2 () in
   let ring = Generators.ring 10 in
   let t0 = Service.submit t (Request.make ring) in
@@ -416,6 +433,10 @@ let test_server_session () =
         "ESTIMATE graph=nope";
         "SOLVE graph=nope";
         "BOGUS";
+        "GRAPH d 4 2";
+        "0 1 1";
+        "2 3 1";
+        "SOLVE graph=d algo=approx";
         "STATS";
         "QUIT";
       ]
@@ -423,7 +444,7 @@ let test_server_session () =
   let reason = Server.run (service ()) io in
   check_bool "quit reason" true (reason = Server.Quit);
   match collected () with
-  | [ pong; graph_ok; ok1; ok2; est; err_est; err_graph; err_verb; stats; bye ] ->
+  | [ pong; graph_ok; ok1; ok2; est; err_est; err_graph; err_verb; _; ok_d; stats; bye ] ->
       check_string "pong" "PONG" pong;
       check_bool "graph registered" true (has_prefix ~prefix:"OK graph tri n=3 m=3" graph_ok);
       check_bool "solve ok and cold" true
@@ -437,6 +458,8 @@ let test_server_session () =
         (has_prefix ~prefix:"ERR" err_est);
       check_bool "unknown graph is ERR" true (has_prefix ~prefix:"ERR" err_graph);
       check_bool "unknown verb is ERR" true (has_prefix ~prefix:"ERR" err_verb);
+      check_bool "approx on a disconnected graph is the 0-cut" true
+        (has_prefix ~prefix:"OK value=0 " ok_d);
       check_bool "stats line is JSON" true (has_prefix ~prefix:"STATS {" stats);
       check_string "bye" "BYE" bye
   | lines ->
