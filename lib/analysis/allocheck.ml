@@ -52,7 +52,7 @@ type target = {
    Raising one is a reviewed decision, exactly like raising a bench
    gate. *)
 (* worst shipped step handler: 14 sites (Primitives.bfs_program);
-   Network.drive's round loop: 4 *)
+   Network.drive's round loop: 0 *)
 let default_step_budget = 18
 let default_loop_budget = 8
 

@@ -6,6 +6,7 @@ module Network = Mincut_congest.Network
 module Cost = Mincut_congest.Cost
 module Primitives = Mincut_congest.Primitives
 module Params = Mincut_core.Params
+module Exact = Mincut_core.Exact
 module One_respect = Mincut_core.One_respect
 module Api = Mincut_core.Api
 module Mst_seq = Mincut_graph.Mst_seq
@@ -79,9 +80,11 @@ let replay_checks () =
 
 (* ---- sanitize: shipped primitives under permuted delivery ---------- *)
 
-(* Run every shipped primitive with [Config.sanitize] set: each step
-   with a multi-message inbox is re-executed under adversarial inbox
-   orders inside the engine, so an order-dependent program raises. *)
+(* Run every shipped primitive, and one exact solve for the programs of
+   the solve path itself (Borůvka's and One_respect's), with
+   [Config.sanitize] set: each step with a multi-message inbox is
+   re-executed under adversarial inbox orders inside the engine, so an
+   order-dependent program raises. *)
 let sanitize_primitive_checks () =
   let cfg = Config.sanitized Config.default in
   per_workload "sanitize: primitives under permuted inboxes" (fun g ->
@@ -101,6 +104,9 @@ let sanitize_primitive_checks () =
             fun () -> ignore (Primitives.upcast_distinct ~cfg g ~tree ~initial) );
           ("flood_max", fun () -> ignore (Primitives.flood_max ~cfg g ~values));
           ("flood_echo", fun () -> ignore (Primitives.flood_echo ~cfg g ~root:0));
+          ( "Exact.run",
+            fun () ->
+              ignore (Exact.run ~params:{ Params.default with Params.congest = cfg } g) );
         ]
       in
       List.filter_map

@@ -193,7 +193,15 @@ let grown_int a len = Array.make (max len (2 * Array.length a)) 0
      buffer yields an inbox already in ascending sender order — the
      per-node sort of the seed driver disappears.  (Step calls within a
      round are independent, so the processing order is unobservable
-     except through delivery order, which this preserves.)
+     except through delivery order, which this preserves.)  Each inbox
+     is emptied as it is read, halted nodes' included (their mail is
+     dropped), so the drained array becomes the next round's outbox by
+     a reference swap instead of an n-cell copy.
+   - An idle node costs O(1) and allocates nothing: a step that returns
+     its state physically unchanged ([state' == st0]) skips the state
+     store and the [prog.halted] call.  [halted] is a pure function of
+     the state and the node was stepped because its flag is false, so
+     the flag cannot change.
    - The duplicate-send registry and per-directed-edge word counters are
      arrays indexed by CSR slot; storing the epoch-stamped round of the
      last send makes entries self-invalidating, so there is no per-round
@@ -230,8 +238,8 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
   let slot_of = sc.slot_of in
   let halted = sc.halted in
   let states = Array.init n prog.initial in
-  let cur : (int * _) list array = Array.make n [] in
-  let next : (int * _) list array = Array.make n [] in
+  let cur : (int * _) list array ref = ref (Array.make n []) in
+  let next : (int * _) list array ref = ref (Array.make n []) in
   (* halted is a pure function of the node state, and halted nodes never
      step, so the flag set is monotone: track it incrementally instead
      of rescanning all states every round *)
@@ -257,7 +265,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     end;
     sc.counts.(r) <- c
   in
-  let rec deliver v r t outs =
+  let rec deliver outbox v r t outs =
     match outs with
     | [] -> ()
     | (dst, payload) :: rest ->
@@ -286,9 +294,9 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
         if w > !max_words then max_words := w;
         if w > !max_edge_words then max_edge_words := w;
         last_traffic_round := r;
-        next.(dst) <- (v, payload) :: next.(dst);
+        outbox.(dst) <- (v, payload) :: outbox.(dst);
         pending := true;
-        deliver v r t rest
+        deliver outbox v r t rest
   in
   Fun.protect
     ~finally:(fun () ->
@@ -301,11 +309,13 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     if !round >= cfg.Config.max_rounds then
       violate Watchdog ~round:!round ~budget:cfg.Config.max_rounds;
     let r = !round in
+    let inboxes = !cur and outbox = !next in
     sent_count := 0;
     pending := false;
     for v = n - 1 downto 0 do
+      let inbox = inboxes.(v) in
+      (match inbox with [] -> () | _ -> inboxes.(v) <- []);
       if not halted.(v) then begin
-        let inbox = cur.(v) in
         let st0 = states.(v) in
         let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
         if cfg.Config.sanitize then begin
@@ -316,10 +326,12 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
         (match probe with
         | None -> ()
         | Some f -> f ~node:v ~round:r ~inbox state' outs);
-        states.(v) <- state';
-        if prog.halted state' then begin
-          halted.(v) <- true;
-          decr live
+        if state' != st0 then begin
+          states.(v) <- state';
+          if prog.halted state' then begin
+            halted.(v) <- true;
+            decr live
+          end
         end;
         match outs with
         | [] -> ()
@@ -333,14 +345,13 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
                 slot_of.(u) <- s
               end
             done;
-            deliver v r t outs
+            deliver outbox v r t outs
       end
     done;
-    (* swap buffers: next already holds ascending-sender inboxes *)
-    for v = 0 to n - 1 do
-      cur.(v) <- next.(v);
-      next.(v) <- []
-    done;
+    (* swap buffers: the outbox already holds ascending-sender inboxes,
+       and every inbox was drained above *)
+    cur := outbox;
+    next := inboxes;
     note_round_count r !sent_count;
     incr round
   done;

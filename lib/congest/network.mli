@@ -56,7 +56,10 @@ type ('state, 'msg) program = {
           new state plus outgoing [(neighbor, payload)] messages. *)
   halted : 'state -> bool;
       (** Halted nodes no longer step; messages sent to them are
-          dropped.  The engine stops when every node has halted. *)
+          dropped.  The engine stops when every node has halted.  It
+          must be a pure function of the state: the engine does not
+          call it again when a step returns its state physically
+          unchanged. *)
 }
 
 type audit = {

@@ -70,6 +70,34 @@ val bfs_program : Graph.t -> root:int -> (bfs_state, int) Network.program
     workload through alternative engines — e.g. the benchmark compares
     {!Network.run} against {!Network_reference.run} on it. *)
 
+(** The per-node programs behind the other primitives, exposed for the
+    same reason as {!bfs_program}: the tests drive each one through
+    {!Network_reference.run} as well and demand identical states and
+    audits.  {!upcast_distinct} and {!flood_max} run theirs under
+    {!Network.run_bounded}. *)
+
+type cc_state
+
+val convergecast_program : tree:Tree.t -> values:int array -> (cc_state, int) Network.program
+
+type bc_state
+
+val broadcast_program : tree:Tree.t -> items:int array -> (bc_state, int) Network.program
+
+type up_state
+
+val upcast_program : tree:Tree.t -> initial:int list array -> (up_state, int) Network.program
+
+type fm_state
+
+val flood_max_program : Graph.t -> values:int array -> (fm_state, int) Network.program
+
+type fe_state
+
+val echo_program : tree:Tree.t -> (fe_state, int) Network.program
+(** The acknowledgement wave of {!flood_echo}, over a finished BFS
+    tree. *)
+
 val convergecast_sum_audited :
   ?cfg:Config.t -> Graph.t -> tree:Tree.t -> values:int array -> int * Cost.t * Network.audit
 

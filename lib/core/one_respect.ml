@@ -220,31 +220,39 @@ let frag_wave ~cfg g links values =
    shapes depend on insertion order and would trip it. *)
 module ISet = Mincut_util.Intset
 
-type multi_up = { known : ISet.t; sent_up : ISet.t }
+(* [unsent] holds the ids not yet passed up, so the next one is its
+   head: the smallest-id-first schedule, popped in O(1).  Each id starts
+   at one node and climbs one parent chain, so every id a node receives
+   is new to it and joins both sets.  A fragment root sends nothing and
+   keeps [unsent] empty.  A node with an empty inbox and nothing left to
+   send returns its state physically unchanged, which the engine steps
+   in O(1). *)
+type multi_up = { known : ISet.t; unsent : ISet.t }
 
-(* A state that received nothing and has nothing left to send is
-   returned physically unchanged. *)
+let absorb inbox s = List.fold_left (fun a (_, x) -> ISet.add x a) s inbox
+
 let frag_multi_upcast ~cfg g links (fr : Fragments.t) initial_items =
   let module Network = Mincut_congest.Network in
   let up = links.up in
   let prog : (multi_up, int) Network.program =
     {
-      initial = (fun v -> { known = ISet.of_list initial_items.(v); sent_up = ISet.empty });
+      initial =
+        (fun v ->
+          let known = ISet.of_list initial_items.(v) in
+          { known; unsent = (if up.(v) = -1 then ISet.empty else known) });
       step =
         (fun ~node ~round:_ ~inbox st ->
-          let st =
-            match inbox with
-            | [] -> st
-            | _ ->
-                { st with known = List.fold_left (fun a (_, x) -> ISet.add x a) st.known inbox }
-          in
-          let p = up.(node) in
-          if p = -1 then (st, [])
-          else
-            match ISet.first_missing st.known st.sent_up with
-            | None -> (st, [])
-            | Some item ->
-                ({ st with sent_up = ISet.add item st.sent_up }, [ (p, item) ]))
+          match (inbox, (st.unsent :> int list)) with
+          | [], [] -> (st, [])
+          | _ ->
+              let known = absorb inbox st.known in
+              let p = up.(node) in
+              if p = -1 then ({ st with known }, [])
+              else
+                let unsent = absorb inbox st.unsent in
+                match (unsent :> int list) with
+                | [] -> ({ known; unsent }, [])
+                | item :: _ -> ({ known; unsent = ISet.remove_min unsent }, [ (p, item) ]))
         ;
       halted = (fun _ -> false);
     }
@@ -271,11 +279,14 @@ let frag_multi_upcast ~cfg g links (fr : Fragments.t) initial_items =
    (the same payload may go to several children in one round — distinct
    edges).  The paper's "every node u sends a message containing its ID
    down the tree T" schedule, executed for real. *)
-type multi_down = { got : ISet.t; forwarded : ISet.t }
+(* [unsent] holds the ids not yet forwarded, so the next one is its
+   head, as in the upcast.  Ids arrive from the parent only, each once,
+   so every one is new and joins both sets.  A leaf of its fragment
+   forwards nothing and keeps [unsent] empty.  A node with an empty
+   inbox and nothing left to forward returns its state physically
+   unchanged. *)
+type multi_down = { got : ISet.t; unsent : ISet.t }
 
-(* As in the upcast, a state that received nothing and has nothing
-   left to forward is returned physically unchanged; a leaf of its
-   fragment forwards nothing and records [forwarded = got]. *)
 let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let module Network = Mincut_congest.Network in
   let n = Graph.n g in
@@ -283,22 +294,25 @@ let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let down = links.down in
   let prog : (multi_down, int) Network.program =
     {
-      initial = (fun v -> { got = ISet.add v ISet.empty; forwarded = ISet.empty });
+      initial =
+        (fun v ->
+          let got = ISet.add v ISet.empty in
+          { got; unsent = (match down.(v) with [] -> ISet.empty | _ -> got) });
       step =
         (fun ~node ~round:_ ~inbox st ->
-          let got =
-            match inbox with
-            | [] -> st.got
-            | _ -> List.fold_left (fun a (_, x) -> ISet.add x a) st.got inbox
-          in
-          match down.(node) with
-          | [] -> if got == st.forwarded then (st, []) else ({ got; forwarded = got }, [])
-          | kids -> (
-              match ISet.first_missing got st.forwarded with
-              | None -> if got == st.got then (st, []) else ({ st with got }, [])
-              | Some item ->
-                  ( { got; forwarded = ISet.add item st.forwarded },
-                    List.map (fun c -> (c, item)) kids )))
+          match (inbox, (st.unsent :> int list)) with
+          | [], [] -> (st, [])
+          | _ -> (
+              let got = absorb inbox st.got in
+              match down.(node) with
+              | [] -> ({ st with got }, [])
+              | kids -> (
+                  let unsent = absorb inbox st.unsent in
+                  match (unsent :> int list) with
+                  | [] -> ({ got; unsent }, [])
+                  | item :: _ ->
+                      ( { got; unsent = ISet.remove_min unsent },
+                        List.map (fun c -> (c, item)) kids ))))
         ;
       halted = (fun _ -> false);
     }

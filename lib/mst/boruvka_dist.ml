@@ -23,7 +23,12 @@ let distinct_neighbors g v =
 
 (* --- step A: 1-round fragment id exchange ------------------------- *)
 
+(* [heard] is kept sorted by sender, so the state does not depend on
+   the order the inbox was delivered in. *)
 type exch_state = { round_ : int; heard : (int * int) list }
+
+let by_sender (s, f) (s', f') =
+  match Int.compare s s' with 0 -> Int.compare f f' | c -> c
 
 let exchange_frags ?cfg g frag =
   let prog : (exch_state, msg) Network.program =
@@ -34,6 +39,7 @@ let exchange_frags ?cfg g frag =
           let heard =
             List.filter_map (fun (s, m) -> match m with Frag f -> Some (s, f) | _ -> None) inbox
             @ st.heard
+            |> List.sort by_sender
           in
           if round = 0 then
             ( { round_ = 1; heard },

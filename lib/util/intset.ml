@@ -40,15 +40,7 @@ let diff a b =
   in
   go a b
 
-(* [min_elt_opt (diff a b)] without building the difference *)
-let rec first_missing a b =
-  match (a, b) with
-  | [], _ -> None
-  | x :: _, [] -> Some x
-  | x :: a', y :: b' ->
-      if x < y then Some x
-      else if x = y then first_missing a' b'
-      else first_missing a b'
+let remove_min = function [] -> [] | _ :: rest -> rest
 
 let equal a b = List.equal Int.equal a b
 

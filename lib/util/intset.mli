@@ -31,9 +31,10 @@ val min_elt_opt : t -> int option
 val diff : t -> t -> t
 (** [diff a b] — elements of [a] not in [b]. *)
 
-val first_missing : t -> t -> int option
-(** [first_missing a b] — the least element of [a] not in [b]; equal to
-    [min_elt_opt (diff a b)] but allocates nothing beyond the option. *)
+val remove_min : t -> t
+(** The set without its least element ([empty] stays [empty]); O(1)
+    and allocation-free, so a pipelined sender that keeps its unsent
+    items here pops the next one for free. *)
 
 val equal : t -> t -> bool
 

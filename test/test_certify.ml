@@ -12,6 +12,7 @@ module Cost = Mincut_congest.Cost
 module Primitives = Mincut_congest.Primitives
 module One_respect = Mincut_core.One_respect
 module Params = Mincut_core.Params
+module Exact = Mincut_core.Exact
 module Json = Mincut_util.Json
 
 let workloads = Certify.workloads
@@ -75,7 +76,11 @@ let test_shipped_primitives_sanitize_clean () =
       run "upcast_distinct" (fun () ->
           ignore (Primitives.upcast_distinct ~cfg g ~tree ~initial));
       run "flood_max" (fun () -> ignore (Primitives.flood_max ~cfg g ~values));
-      run "flood_echo" (fun () -> ignore (Primitives.flood_echo ~cfg g ~root:0)))
+      run "flood_echo" (fun () -> ignore (Primitives.flood_echo ~cfg g ~root:0));
+      (* the solve path's own programs: Borůvka's four and One_respect's
+         fragment waves and pipelines *)
+      run "Exact.run" (fun () ->
+          ignore (Exact.run ~params:{ Params.default with Params.congest = cfg } g)))
     (workloads ())
 
 let test_sanitize_flags_fat_payloads () =

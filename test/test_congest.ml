@@ -339,17 +339,96 @@ let test_max_edge_load_single_shot () =
   let _, audit = Network.run ~words:words1 g (hello_program g) in
   check_int "hello uses each channel once" 1 audit.Network.max_edge_load
 
+(* A flood that counts arrivals: the root announces itself in round 0,
+   every node forwards once on its first arrival, and halts after two
+   arrivals (one if it has a single neighbor).  Waiting nodes return
+   their state physically unchanged, the engine's O(1) idle path, and
+   most nodes halt while later arrivals are still addressed to them, so
+   the engine must drop that mail exactly as the reference does. *)
+type tally = { hits : int; need : int; first : int }
+
+let tally_program g : (tally, int) Network.program =
+  let nbrs v = List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v))) in
+  let flood node x = List.map (fun u -> (u, x)) (nbrs node) in
+  {
+    initial = (fun v -> { hits = 0; need = min 2 (List.length (nbrs v)); first = -1 });
+    step =
+      (fun ~node ~round ~inbox st ->
+        if node = 0 && round = 0 then ({ st with hits = 1; first = 0 }, flood node 0)
+        else
+          match inbox with
+          | [] -> (st, [])
+          | _ ->
+              let hits = st.hits + List.length inbox in
+              if st.first = -1 then ({ st with hits; first = round }, flood node round)
+              else ({ st with hits }, []));
+    halted = (fun st -> st.hits >= st.need);
+  }
+
+(* [Network.run_bounded] as the reference driver's [run]: a round
+   counter halts every node after [rounds] steps, and the completion
+   time is the delivery round of the last message. *)
+let reference_bounded ~words ~rounds g (prog : (_, _) Network.program) =
+  let counted : (_, _) Network.program =
+    {
+      initial = (fun v -> (0, prog.initial v));
+      step =
+        (fun ~node ~round ~inbox (r, st) ->
+          let st', outs = prog.step ~node ~round ~inbox st in
+          ((r + 1, st'), outs));
+      halted = (fun (r, st) -> r >= rounds || prog.halted st);
+    }
+  in
+  let states, audit = Reference.run ~words g counted in
+  let profile = audit.Network.messages_per_round in
+  let per_round = Array.init rounds (fun i -> if i < Array.length profile then profile.(i) else 0) in
+  let last = ref (-1) in
+  Array.iteri (fun i c -> if c > 0 then last := i) per_round;
+  ( Array.map snd states,
+    {
+      audit with
+      Network.rounds = (if !last < 0 then 0 else !last + 2);
+      messages_per_round = per_round;
+    } )
+
 let test_driver_matches_reference () =
   (* the flat-array driver and the preserved seed driver must agree on
-     states and on the full audit, workload by workload *)
+     states and on the full audit, workload by workload and program by
+     program *)
+  let same name (states_a, audit_a) (states_b, audit_b) =
+    check_bool (name ^ ": audits equal") true (Replay.diff_audits audit_a audit_b = []);
+    check_bool (name ^ ": states equal") true (states_a = states_b)
+  in
+  let unbounded name ~words g prog =
+    same name (Network.run ~words g prog) (Reference.run ~words g prog)
+  in
+  let bounded name ~words ~rounds g prog =
+    same name
+      (Network.run_bounded ~words ~rounds g prog)
+      (reference_bounded ~words ~rounds g prog)
+  in
   List.iter
     (fun (name, g) ->
-      let prog = Primitives.bfs_program g ~root:0 in
-      let states_a, audit_a = Network.run ~words:words1 g prog in
-      let states_b, audit_b = Reference.run ~words:words1 g prog in
-      check_bool (name ^ ": audits equal") true
-        (Replay.diff_audits audit_a audit_b = []);
-      check_bool (name ^ ": states equal") true (states_a = states_b))
+      let n = Graph.n g in
+      let tree = Mincut_graph.Tree.bfs_tree g ~root:0 in
+      let height = Mincut_graph.Tree.height tree in
+      let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+      let initial = Array.init n (fun v -> if v mod 4 = 0 then [ v ] else []) in
+      let k = List.length (List.concat (Array.to_list initial)) in
+      let words2 _ = 2 in
+      unbounded (name ^ " bfs") ~words:words1 g (Primitives.bfs_program g ~root:0);
+      unbounded (name ^ " tally") ~words:words1 g (tally_program g);
+      unbounded (name ^ " convergecast") ~words:words2 g
+        (Primitives.convergecast_program ~tree ~values);
+      unbounded (name ^ " broadcast") ~words:words1 g
+        (Primitives.broadcast_program ~tree ~items:(Array.init 5 (fun i -> 3 * i)));
+      unbounded (name ^ " echo") ~words:words1 g (Primitives.echo_program ~tree);
+      bounded (name ^ " upcast") ~words:words1 ~rounds:(height + k + 2) g
+        (Primitives.upcast_program ~tree ~initial);
+      bounded (name ^ " flood-max") ~words:words1 ~rounds:((2 * height) + 2) g
+        (Primitives.flood_max_program g ~values);
+      (* past the last message: the tail rounds carry no traffic *)
+      bounded (name ^ " tally bounded") ~words:words1 ~rounds:(n + 3) g (tally_program g))
     (replay_graphs ())
 
 let test_seed_driver_goldens () =

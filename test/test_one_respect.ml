@@ -339,6 +339,17 @@ let golden_exact =
     ("star5/fast", "ba625c179edf01addbf5d43ecb0432f0");
     ("disconnected6/default", "953fdb76ea8101b1ba114ea98473a1a6");
     ("disconnected6/fast", "953fdb76ea8101b1ba114ea98473a1a6");
+    ("torus12/default", "c82ba985c64da6d7505a238845a782bf");
+    ("cliques8x16/default", "b0b5826e419b015e7251a158fff2d88f");
+  ]
+
+(* solve-deep's smallest inputs: fragments ⌈√n⌉ high, so Step 2's
+   pipelines carry long id streams.  Default mode only, since fast mode
+   schedules those steps instead of running them. *)
+let long_pipeline_graphs () =
+  [
+    ("torus12", Generators.torus 12 12);
+    ("cliques8x16", Generators.path_of_cliques ~clique:8 ~length:16);
   ]
 
 let test_exact_pinned () =
@@ -350,6 +361,9 @@ let test_exact_pinned () =
             (name ^ "/" ^ mode, exact_digest (Exact.run ~params g)))
           [ ("default", Params.default); ("fast", Params.fast) ])
       (golden_graphs ())
+    @ List.map
+        (fun (name, g) -> (name ^ "/default", exact_digest (Exact.run ~params:Params.default g)))
+        (long_pipeline_graphs ())
   in
   Alcotest.(check (list (pair string string))) "Exact.run digests" golden_exact got
 

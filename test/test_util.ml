@@ -235,15 +235,17 @@ let qcheck_tests =
         List.iter (Bitset.add s) xs;
         List.for_all (Bitset.mem s) xs
         && Bitset.cardinal s = List.length (List.sort_uniq compare xs));
-    qtest ~count:500 "intset first_missing = min of diff"
-      QCheck2.Gen.(
-        pair
-          (list_size (int_range 0 12) (int_range 0 20))
-          (list_size (int_range 0 12) (int_range 0 20)))
-      (fun (xs, ys) ->
-        let a = Intset.of_list xs and b = Intset.of_list ys in
-        Intset.first_missing a b = Intset.min_elt_opt (Intset.diff a b)
-        && Intset.first_missing a a = None);
+    qtest ~count:500 "intset remove_min = diff of the min"
+      QCheck2.Gen.(list_size (int_range 0 12) (int_range 0 20))
+      (fun xs ->
+        let a = Intset.of_list xs in
+        let least =
+          match Intset.min_elt_opt a with
+          | Some m -> Intset.of_list [ m ]
+          | None -> Intset.empty
+        in
+        Intset.equal (Intset.remove_min a) (Intset.diff a least)
+        && Intset.equal (Intset.remove_min Intset.empty) Intset.empty);
   ]
 
 let suite =
