@@ -31,6 +31,16 @@ let tests () =
         (Staged.stage (fun () -> ignore (Stoer_wagner.run g_planted)));
       Test.make ~name:"t2-theorem21:one-respect-256"
         (Staged.stage (fun () -> ignore (One_respect.run ~params:fast g256 tree256)));
+      (* one tree of a dense solve, every within-fragment program on the
+         engine: the per-tree cost the exact sweep pays 96 times *)
+      Test.make ~name:"t2-theorem21:one-respect-gnp144"
+        (Staged.stage
+           (let tree =
+              Tree.of_edge_ids g_dense ~root:0
+                (Tree_packing.greedy g_dense ~trees:1).Tree_packing.trees.(0)
+            in
+            let backbone = One_respect.backbone g_dense ~root:0 in
+            fun () -> ignore (One_respect.run ~backbone g_dense tree)));
       Test.make ~name:"t3-diameter:one-respect-cliques-path"
         (Staged.stage (fun () ->
              let tree = Tree.bfs_tree g_deep ~root:0 in

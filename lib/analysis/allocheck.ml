@@ -52,7 +52,8 @@ type target = {
    Raising one is a reviewed decision, exactly like raising a bench
    gate. *)
 (* worst shipped step handler: 14 sites (Primitives.bfs_program);
-   Network.drive's round loop: 0 *)
+   Network.drive's round loop: 0 (its channel lookup calls the
+   top-level search [bisect], so it builds no closure) *)
 let default_step_budget = 18
 let default_loop_budget = 8
 

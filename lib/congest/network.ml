@@ -135,9 +135,6 @@ let shadow_check ~prog ~node ~round ~inbox st state' outs =
    worker reuses its own across calls; no sharing, no locks) and
    versioned so reuse needs no per-call refill:
 
-   - [stamp]/[slot_of] are token-versioned, and [token] is monotone
-     across calls, so stale stamps from earlier drives can never equal
-     a fresh token.
    - [sent_round] stores [epoch + r]; [epoch] advances past every stamp
      the previous call wrote (see [finally]), so stale entries can never
      collide with the current call's duplicate check.  Zero-initialized
@@ -153,11 +150,8 @@ let shadow_check ~prog ~node ~round ~inbox st state' outs =
 type scratch = {
   mutable sent_round : int array;  (* per slot: epoch-stamped last-send round *)
   mutable slot_load : int array;   (* per slot: messages over the whole run *)
-  mutable stamp : int array;       (* per node: sender-row token *)
-  mutable slot_of : int array;     (* per node: sender's CSR slot towards it *)
   mutable halted : bool array;     (* per node: monotone halt flags *)
   mutable counts : int array;      (* per round: messages sent *)
-  mutable token : int;             (* monotone across calls; >= 1 in use *)
   mutable epoch : int;             (* monotone across calls; >= 1 *)
   mutable in_use : bool;           (* re-entrant drive gets fresh scratch *)
 }
@@ -166,11 +160,8 @@ let fresh_scratch () =
   {
     sent_round = [||];
     slot_load = [||];
-    stamp = [||];
-    slot_of = [||];
     halted = [||];
     counts = [||];
-    token = 0;
     epoch = 1;
     in_use = false;
   }
@@ -178,6 +169,16 @@ let fresh_scratch () =
 let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key fresh_scratch
 
 let grown_int a len = Array.make (max len (2 * Array.length a)) 0
+
+(* Channel lookup in a sender's CSR row [nbr.(lo) .. nbr.(hi - 1)],
+   sorted by (neighbor, edge id): the first slot whose neighbor is at
+   least [dst], or [hi], which is the channel's first slot when [dst]
+   is a neighbor. *)
+let rec bisect nbr dst lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if nbr.(mid) < dst then bisect nbr dst (mid + 1) hi else bisect nbr dst lo mid
 
 (* Shared driver.  [stop] decides termination given (round, all_halted,
    traffic_pending).
@@ -206,10 +207,10 @@ let grown_int a len = Array.make (max len (2 * Array.length a)) 0
      arrays indexed by CSR slot; storing the epoch-stamped round of the
      last send makes entries self-invalidating, so there is no per-round
      (or even per-call) reset at all ("dirty list" of size zero).
-   - Neighbor membership and directed-slot lookup are answered by
-     stamping the sender's CSR row into two scratch arrays (token-
-     versioned, so stamps too need no reset): O(deg) per *sending* node
-     per round, then O(1) per message.
+   - Neighbor membership and directed-slot lookup search the sender's
+     CSR row, which is sorted by (neighbor, edge id): nothing per row,
+     since tree programs address a few of a node's neighbors, not all
+     of them.  Each message bisects the row, O(log deg).
    - Message validation and delivery run in [deliver], one closure per
      call rather than one per stepped node per round. *)
 let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
@@ -224,18 +225,13 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     sc.sent_round <- grown_int sc.sent_round slots;
     sc.slot_load <- grown_int sc.slot_load slots
   end;
-  if Array.length sc.stamp < n then begin
-    sc.stamp <- grown_int sc.stamp n;
-    sc.slot_of <- grown_int sc.slot_of n;
-    sc.halted <- Array.make (max n (2 * Array.length sc.halted)) false
-  end;
+  if Array.length sc.halted < n then
+    sc.halted <- Array.make (max n (2 * Array.length sc.halted)) false;
   if Array.length sc.counts = 0 then sc.counts <- Array.make 64 0;
   let epoch = sc.epoch in
   let sent_round = sc.sent_round in
   let slot_load = sc.slot_load in
   Array.fill slot_load 0 slots 0;
-  let stamp = sc.stamp in
-  let slot_of = sc.slot_of in
   let halted = sc.halted in
   let states = Array.init n prog.initial in
   let cur : (int * _) list array ref = ref (Array.make n []) in
@@ -265,13 +261,14 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     end;
     sc.counts.(r) <- c
   in
-  let rec deliver outbox v r t outs =
+  let rec deliver outbox v r outs =
     match outs with
     | [] -> ()
     | (dst, payload) :: rest ->
-        if dst < 0 || dst >= n || stamp.(dst) <> t then
+        let hi = off.(v + 1) in
+        let s = bisect nbr dst off.(v) hi in
+        if s = hi || nbr.(s) <> dst then
           violate Non_neighbor_send ~round:r ~sender:v ~receiver:dst;
-        let s = slot_of.(dst) in
         if sent_round.(s) = epoch + r then
           violate Duplicate_send ~round:r ~sender:v ~receiver:dst;
         let w = words payload in
@@ -296,7 +293,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
         last_traffic_round := r;
         outbox.(dst) <- (v, payload) :: outbox.(dst);
         pending := true;
-        deliver outbox v r t rest
+        deliver outbox v r rest
   in
   Fun.protect
     ~finally:(fun () ->
@@ -333,19 +330,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
             decr live
           end
         end;
-        match outs with
-        | [] -> ()
-        | outs ->
-            sc.token <- sc.token + 1;
-            let t = sc.token in
-            for s = off.(v) to off.(v + 1) - 1 do
-              let u = nbr.(s) in
-              if stamp.(u) <> t then begin
-                stamp.(u) <- t;
-                slot_of.(u) <- s
-              end
-            done;
-            deliver outbox v r t outs
+        deliver outbox v r outs
       end
     done;
     (* swap buffers: the outbox already holds ascending-sender inboxes,

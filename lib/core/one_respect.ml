@@ -100,54 +100,44 @@ let analyze ?target g tree =
 (* Step 5 LCA: the paper's three-case computation                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Per edge: (lca, case, exchange items). *)
-let lca_of_edge tree an x y =
-  let fr = an.fr in
-  let frag_of = fr.Fragments.frag_of in
-  let dif = fr.Fragments.depth_in_frag in
-  if frag_of.(x) = frag_of.(y) then begin
-    (* Case 1: both endpoints share a fragment; exchange within-fragment
-       ancestor lists over the edge.  The fragment root is a common
-       ancestor, so the first ancestor of [y] above [x] lies inside it. *)
-    let rec climb v = if Tree.is_ancestor tree v x then v else climb tree.Tree.parent.(v) in
-    (climb y, 1, 1 + max dif.(x) dif.(y))
-  end
-  else begin
-    (* Case 3 (either side): the LCA lies inside one endpoint's
-       fragment; that endpoint finds it locally from its F(·) knowledge
-       of its in-fragment ancestors. *)
-    let find_in_fragment v other_root =
-      let rec go v =
-        if Tree.is_ancestor tree v other_root then Some v
-        else if dif.(v) = 0 then None
-        else go tree.Tree.parent.(v)
-      in
-      go v
-    in
-    let rx = fr.Fragments.roots.(frag_of.(x)) and ry = fr.Fragments.roots.(frag_of.(y)) in
-    match find_in_fragment x ry with
-    | Some z -> (z, 3, 0)
-    | None -> (
-        match find_in_fragment y rx with
-        | Some z -> (z, 3, 0)
-        | None ->
-            (* Case 2: the LCA is a merging node above both fragments;
-               exchange T'F ancestor chains over the edge.  The chain
-               from [lta v] to the root has [tf_depth (lta v) + 1]
-               members, and the chains meet at their deepest common
-               member. *)
-            let a = an.lta.(x) and b = an.lta.(y) in
-            let rec meet a b =
-              if a = b then a
-              else if an.tf_depth.(a) >= an.tf_depth.(b) then meet an.tf_parent.(a) b
-              else meet a an.tf_parent.(b)
-            in
-            (meet a b, 2, 2 + max an.tf_depth.(a) an.tf_depth.(b)))
-  end
+(* Which of the paper's three cases resolves edge [(x, y)] whose LCA is
+   [z], read off the fragment structure in O(1):
+   - case 1: both endpoints share a fragment, and they exchange their
+     within-fragment ancestor lists over the edge;
+   - case 3: [z] lies in one endpoint's fragment, and that endpoint
+     finds it locally from its F(·) knowledge of its in-fragment
+     ancestors;
+   - case 2: [z] is a merging node above both fragments, and the
+     endpoints exchange their T'F ancestor chains over the edge. *)
+let lca_case an z x y =
+  let frag_of = an.fr.Fragments.frag_of in
+  let fx = frag_of.(x) and fy = frag_of.(y) in
+  if fx = fy then 1
+  else
+    let fz = frag_of.(z) in
+    if fz = fx || fz = fy then 3 else 2
+
+(* Exchange length of that case: case 1 sends the longer within-fragment
+   ancestor list plus the fragment id; case 2 sends the longer T'F chain
+   (the chain from [lta v] to the root has [tf_depth (lta v) + 1]
+   members) plus the fragment id. *)
+let lca_items an case x y =
+  match case with
+  | 1 ->
+      let dif = an.fr.Fragments.depth_in_frag in
+      1 + Int.max dif.(x) dif.(y)
+  | 2 -> 2 + Int.max an.tf_depth.(an.lta.(x)) an.tf_depth.(an.lta.(y))
+  | _ -> 0
 
 let lca_by_fragments ?target g tree =
   let an = analyze ?target g tree in
-  Array.map (fun (e : Graph.edge) -> lca_of_edge tree an e.u e.v) (Graph.edges g)
+  let lca = Tree.Lca.build tree in
+  Array.map
+    (fun (e : Graph.edge) ->
+      let z = Tree.Lca.query lca e.u e.v in
+      let case = lca_case an z e.u e.v in
+      (z, case, lca_items an case e.u e.v))
+    (Graph.edges g)
 
 (* ------------------------------------------------------------------ *)
 (* Real within-fragment programs (Steps 2a, 2b and 3)                  *)
@@ -279,61 +269,52 @@ let frag_multi_upcast ~cfg g links (fr : Fragments.t) initial_items =
    (the same payload may go to several children in one round — distinct
    edges).  The paper's "every node u sends a message containing its ID
    down the tree T" schedule, executed for real. *)
-(* [unsent] holds the ids not yet forwarded, so the next one is its
-   head, as in the upcast.  Ids arrive from the parent only, each once,
-   so every one is new and joins both sets.  A leaf of its fragment
-   forwards nothing and keeps [unsent] empty.  A node with an empty
-   inbox and nothing left to forward returns its state physically
-   unchanged. *)
-type multi_down = { got : ISet.t; unsent : ISet.t }
-
+(* Ids arrive from the parent only, one per round, so a node never
+   holds a backlog: it sends its own id in round 0 and forwards each
+   id in the round it arrives.  A node at in-fragment depth [d] hears
+   its parent in rounds 1..d and so sends to each child in exactly
+   rounds 0..d.  Its state is the chain of ids heard so far, newest
+   first and built by cons: the fragment root ... parent, then itself.
+   A node with an empty inbox after round 0 returns its state
+   physically unchanged. *)
 let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let module Network = Mincut_congest.Network in
   let n = Graph.n g in
   let frag_of = fr.Fragments.frag_of in
   let down = links.down in
-  let prog : (multi_down, int) Network.program =
+  let send node id = List.map (fun c -> (c, id)) down.(node) in
+  let prog : (int list, int) Network.program =
     {
-      initial =
-        (fun v ->
-          let got = ISet.add v ISet.empty in
-          { got; unsent = (match down.(v) with [] -> ISet.empty | _ -> got) });
+      initial = (fun v -> [ v ]);
       step =
-        (fun ~node ~round:_ ~inbox st ->
-          match (inbox, (st.unsent :> int list)) with
-          | [], [] -> (st, [])
-          | _ -> (
-              let got = absorb inbox st.got in
-              match down.(node) with
-              | [] -> ({ st with got }, [])
-              | kids -> (
-                  let unsent = absorb inbox st.unsent in
-                  match (unsent :> int list) with
-                  | [] -> ({ got; unsent }, [])
-                  | item :: _ ->
-                      ( { got; unsent = ISet.remove_min unsent },
-                        List.map (fun c -> (c, item)) kids ))))
+        (fun ~node ~round ~inbox chain ->
+          match inbox with
+          | (_, id) :: _ -> (id :: chain, send node id)
+          | [] -> (chain, if round = 0 then send node node else []))
         ;
       halted = (fun _ -> false);
     }
   in
   let maxh = Fragments.max_height fr in
   let bound = (2 * maxh) + 3 in
-  let states, audit =
+  let chains, audit =
     Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog
   in
-  (* verify: each node's got = its within-fragment ancestors (incl
+  (* verify: each node's chain = its within-fragment ancestors (incl
      self).  Fragments are subtrees, so those are exactly the
-     depth_in_frag + 1 same-fragment ancestors of v; a duplicate-free
-     set of that size drawn from them is all of them. *)
+     depth_in_frag + 1 same-fragment ancestors of v; a chain of that
+     length drawn from them, strictly deepening, is all of them. *)
   let dif = fr.Fragments.depth_in_frag in
   for v = 0 to n - 1 do
-    let got = states.(v).got in
-    assert (ISet.cardinal got = dif.(v) + 1);
-    assert (
-      ISet.fold
-        (fun u ok -> ok && frag_of.(u) = frag_of.(v) && Tree.is_ancestor tree u v)
-        got true)
+    let chain = chains.(v) in
+    assert (List.length chain = dif.(v) + 1);
+    ignore
+      (List.fold_left
+         (fun above u ->
+           assert (frag_of.(u) = frag_of.(v) && Tree.is_ancestor tree u v);
+           assert (tree.Tree.depth.(u) > above);
+           tree.Tree.depth.(u))
+         (-1) chain)
   done;
   audit
 
@@ -544,12 +525,14 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   let case_counts = [| 0; 0; 0 |] in
   let max_exchange = ref 0 in
   let case2_lcas = Hashtbl.create 64 in
+  let lca = Tree.Lca.build tree in
   Graph.iter_edges
     (fun e ->
-      let z, case, items = lca_of_edge tree an e.u e.v in
+      let z = Tree.Lca.query lca e.u e.v in
+      let case = lca_case an z e.u e.v in
       rho.(z) <- rho.(z) + e.w;
       case_counts.(case - 1) <- case_counts.(case - 1) + 1;
-      max_exchange := max !max_exchange items;
+      max_exchange := Int.max !max_exchange (lca_items an case e.u e.v);
       if case = 2 then Hashtbl.replace case2_lcas z ())
     g;
   let c_lca =

@@ -17,10 +17,11 @@
     when [params.run_real_primitives] is set, and the engine-measured
     rounds are charged for them.
 
-    Notably, the per-edge LCA here is computed by the paper's fragment
-    machinery (cases 1–3), NOT by the binary-lifting oracle of the
-    sequential reference — the test suite checks the two agree edge by
-    edge. *)
+    Step 5 reads each edge's LCA from the O(1) oracle {!Mincut_graph.Tree.Lca}
+    and then the paper's case (1–3) and exchange length from the fragment
+    structure, in O(1) per edge.  The test suite keeps the paper's
+    climbing three-case computation as an oracle and checks that it
+    finds the same LCA, case and exchange length edge by edge. *)
 
 type stats = {
   n : int;
@@ -83,6 +84,26 @@ val run :
     the result is the same either way.  Raises [Invalid_argument] if it
     is rooted elsewhere, spans a different number of nodes than [g], or
     has the other mode's cost provenance. *)
+
+type frag_links = {
+  up : int array;          (** in-fragment parent; [-1] at a fragment root *)
+  down : int list array;   (** in-fragment children *)
+}
+(** The tree restricted to each fragment, shared by the within-fragment
+    engine programs of one run. *)
+
+val frag_links : Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> frag_links
+
+val frag_ancestor_downcast :
+  cfg:Mincut_congest.Config.t ->
+  Mincut_graph.Graph.t ->
+  Mincut_graph.Tree.t ->
+  frag_links ->
+  Mincut_mst.Fragments.t ->
+  Mincut_congest.Network.audit
+(** Step 2b on the engine, exposed for testing: every node learns the
+    ids of its within-fragment ancestors.  Returns the engine audit.
+    Asserts that every node ends with exactly that ancestor path. *)
 
 val lca_by_fragments :
   ?target:int -> Mincut_graph.Graph.t -> Mincut_graph.Tree.t -> (int * int * int) array

@@ -137,43 +137,47 @@ let subtree_members t v =
 module Lca = struct
   type tree = t
 
-  type t = { up : int array array; depth : int array }
+  (* Over preorder positions, [table] level [k] holds at [k * n + i] the
+     shallowest node among positions [i .. i + 2^k - 1] (ties either
+     way).  For [u <> v] with [pos u < pos v], positions
+     [(pos u, pos v]] all lie strictly inside [lca u v]'s subtree and
+     include the child of the LCA on the way to [v], so the LCA is the
+     parent of any shallowest node there. *)
+  type t = {
+    n : int;
+    pos : int array;
+    log2 : int array;  (* floor log2 of 1 .. n, at the index itself *)
+    table : int array;
+    depth : int array;
+    parent : int array;
+  }
 
   let build (tr : tree) =
     let n = tr.graph_n in
-    let levels =
-      let rec go k = if 1 lsl k >= max 1 n then k + 1 else go (k + 1) in
-      go 0
-    in
-    let up = Array.make_matrix levels n tr.root in
-    Array.iteri (fun v p -> up.(0).(v) <- (if p = -1 then v else p)) tr.parent;
+    let pos = Array.make n 0 in
+    Array.iteri (fun i v -> pos.(v) <- i) tr.preorder;
+    let log2 = Array.make (n + 1) 0 in
+    for i = 2 to n do
+      log2.(i) <- log2.(i / 2) + 1
+    done;
+    let levels = log2.(max 1 n) + 1 in
+    let table = Array.make (levels * n) 0 in
+    Array.blit tr.preorder 0 table 0 n;
     for k = 1 to levels - 1 do
-      for v = 0 to n - 1 do
-        up.(k).(v) <- up.(k - 1).(up.(k - 1).(v))
+      let half = 1 lsl (k - 1) in
+      for i = 0 to n - (1 lsl k) do
+        let a = table.(((k - 1) * n) + i) and b = table.(((k - 1) * n) + i + half) in
+        table.((k * n) + i) <- (if tr.depth.(b) < tr.depth.(a) then b else a)
       done
     done;
-    { up; depth = tr.depth }
+    { n; pos; log2; table; depth = tr.depth; parent = tr.parent }
 
   let query t a b =
-    let levels = Array.length t.up in
-    let a = ref a and b = ref b in
-    if t.depth.(!a) < t.depth.(!b) then begin
-      let tmp = !a in
-      a := !b;
-      b := tmp
-    end;
-    let diff = t.depth.(!a) - t.depth.(!b) in
-    for k = 0 to levels - 1 do
-      if diff land (1 lsl k) <> 0 then a := t.up.(k).(!a)
-    done;
-    if !a = !b then !a
-    else begin
-      for k = levels - 1 downto 0 do
-        if t.up.(k).(!a) <> t.up.(k).(!b) then begin
-          a := t.up.(k).(!a);
-          b := t.up.(k).(!b)
-        end
-      done;
-      t.up.(0).(!a)
-    end
+    if a = b then a
+    else
+      let pa = t.pos.(a) and pb = t.pos.(b) in
+      let lo = 1 + Int.min pa pb and hi = Int.max pa pb in
+      let k = t.log2.(hi - lo + 1) in
+      let x = t.table.((k * t.n) + lo) and y = t.table.((k * t.n) + hi - (1 lsl k) + 1) in
+      t.parent.(if t.depth.(y) < t.depth.(x) then y else x)
 end

@@ -5,8 +5,8 @@
     [C(v↓)], and Karger's lemma evaluates them from the subtree
     aggregates [δ↓] and [ρ↓].  This module provides the rooted-tree
     representation shared by the sequential reference implementation and
-    the distributed algorithm, including an LCA oracle (binary lifting)
-    used by the sequential reference and by tests. *)
+    the distributed algorithm, including an O(1) LCA oracle used by both
+    (the distributed Step 5 reads each edge's LCA from it). *)
 
 type t = private {
   graph_n : int;           (** number of nodes of the underlying graph *)
@@ -49,7 +49,8 @@ val accumulate_up : t -> int array -> int array
 val subtree_members : t -> int -> int list
 (** Nodes of [v↓] (via the Euler interval; O(|v↓|) after O(n) setup). *)
 
-(** LCA oracle by binary lifting: O(n log n) preprocessing, O(log n)
+(** LCA oracle: a sparse table of the shallowest node over preorder
+    positions, O(n log n) preprocessing and O(1) allocation-free
     queries. *)
 module Lca : sig
   type tree = t

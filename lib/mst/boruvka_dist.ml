@@ -183,23 +183,30 @@ let run ?cfg g =
   let distinct_frags () =
     Array.fold_left (fun s f -> ISet.add f s) ISet.empty frag |> ISet.cardinal
   in
+  let heard_by = Array.make n (-1) in
+  let nbr_frag = Array.make n 0 in
   let continue = ref (n > 1) in
   while !continue do
     incr phases;
     (* A: learn neighbor fragments *)
     let heard, c1 = exchange_frags ?cfg g frag in
     (* local candidate per node: cheapest incident edge leaving the
-       fragment, under the global (weight, id) order *)
-    let frag_of_neighbor = Array.make n [] in
-    Array.iteri (fun v h -> frag_of_neighbor.(v) <- h) heard;
+       fragment, under the global (weight, id) order.  Each node writes
+       what it heard into [nbr_frag], stamped with its (phase, node)
+       pair so no earlier write can pass for this one, then scans its
+       adjacency once. *)
     let local = Array.make n none_cand in
     for v = 0 to n - 1 do
+      let stamp = (!phases * n) + v in
+      List.iter
+        (fun (u, f) ->
+          heard_by.(u) <- stamp;
+          nbr_frag.(u) <- f)
+        heard.(v);
       Array.iter
         (fun (u, id) ->
-          match List.assoc_opt u frag_of_neighbor.(v) with
-          | Some fu when fu <> frag.(v) ->
-              local.(v) <- better local.(v) (Graph.weight g id, id)
-          | _ -> ())
+          if heard_by.(u) = stamp && nbr_frag.(u) <> frag.(v) then
+            local.(v) <- better local.(v) (Graph.weight g id, id))
         (Graph.adj g v)
     done;
     (* B: fragment leaders learn their min outgoing edge *)

@@ -44,4 +44,3 @@ let remove_min = function [] -> [] | _ :: rest -> rest
 
 let equal a b = List.equal Int.equal a b
 
-let fold f t acc = List.fold_left (fun acc x -> f x acc) acc t

@@ -37,6 +37,3 @@ val remove_min : t -> t
     items here pops the next one for free. *)
 
 val equal : t -> t -> bool
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Ascending order. *)

@@ -14,6 +14,14 @@ let tc name f = Alcotest.test_case name `Quick f
 
 let tc_slow name f = Alcotest.test_case name `Slow f
 
+(* Reference LCA by walking parent pointers: the oracle for both
+   [Tree.Lca] and the distributed Step 5. *)
+let naive_lca t a b =
+  let rec up acc v = if v = -1 then acc else up (v :: acc) t.Tree.parent.(v) in
+  let anc_a = up [] a in
+  let rec go b = if List.mem b anc_a then b else go t.Tree.parent.(b) in
+  go b
+
 (* A deterministic bag of small connected test graphs covering the edge
    cases (trees, cycles, cliques, multigraph-ish planted cuts, weighted). *)
 let small_connected_graphs () =

@@ -88,14 +88,13 @@ let test_lca_by_fragments_matches_oracle () =
     (fun (name, g) ->
       List.iter
         (fun (tname, tree) ->
-          let oracle = Tree.Lca.build tree in
           let results = One_respect.lca_by_fragments g tree in
           Array.iteri
             (fun i (z, case, items) ->
               let e = Graph.edge g i in
               check_int
                 (Printf.sprintf "%s/%s edge %d lca (case %d)" name tname i case)
-                (Tree.Lca.query oracle e.Graph.u e.Graph.v)
+                (naive_lca tree e.Graph.u e.Graph.v)
                 z;
               check_bool "items non-negative" true (items >= 0))
             results)
@@ -252,11 +251,10 @@ let test_soak_larger_instances () =
       let dist = One_respect.run ~params:Params.default g tree in
       check_bool (Printf.sprintf "soak %d cuts agree" i) true
         (dist.One_respect.cuts = seq.One_respect_seq.cuts);
-      let oracle = Tree.Lca.build tree in
       Array.iteri
         (fun j (z, _, _) ->
           let e = Graph.edge g j in
-          if Tree.Lca.query oracle e.Graph.u e.Graph.v <> z then
+          if naive_lca tree e.Graph.u e.Graph.v <> z then
             Alcotest.failf "soak %d: lca mismatch on edge %d" i j)
         (One_respect.lca_by_fragments g tree))
     instances
@@ -456,6 +454,141 @@ let test_backbone_root_checked () =
     (Invalid_argument "One_respect.run: backbone built under other params") (fun () ->
       ignore (One_respect.run ~params:Params.default ~backbone:fast g tree))
 
+(* ---- Step 5 and Step 2b against the code they replaced ---------------- *)
+
+module Fragments = Mincut_mst.Fragments
+
+(* Step 5 as the paper states it, by climbing parent pointers: case 1
+   climbs from y to the first ancestor of x; case 3 climbs each endpoint
+   through its own fragment looking for an ancestor of the other
+   fragment's root; case 2 meets the two T'F chains.  T'F is rebuilt
+   here from its definition, independently of [One_respect]. *)
+let climbing_lca ~target g tree =
+  let fr = Fragments.partition tree ~target in
+  let frag_of = fr.Fragments.frag_of and dif = fr.Fragments.depth_in_frag in
+  let roots = fr.Fragments.roots and parent = tree.Tree.parent in
+  let holds_fragment c = Array.exists (fun r -> Tree.is_ancestor tree c r) roots in
+  let in_tfp v =
+    roots.(frag_of.(v)) = v
+    || Array.fold_left
+         (fun a c -> if holds_fragment c then a + 1 else a)
+         0 tree.Tree.children.(v)
+       >= 2
+  in
+  let rec lta v = if in_tfp v then v else lta parent.(v) in
+  let tf_parent v = if parent.(v) = -1 then -1 else lta parent.(v) in
+  let rec tf_depth v = if tf_parent v = -1 then 0 else 1 + tf_depth (tf_parent v) in
+  let lca_of_edge x y =
+    if frag_of.(x) = frag_of.(y) then
+      let rec climb v = if Tree.is_ancestor tree v x then v else climb parent.(v) in
+      (climb y, 1, 1 + max dif.(x) dif.(y))
+    else
+      let rec find_in_fragment v other_root =
+        if Tree.is_ancestor tree v other_root then Some v
+        else if dif.(v) = 0 then None
+        else find_in_fragment parent.(v) other_root
+      in
+      match find_in_fragment x roots.(frag_of.(y)) with
+      | Some z -> (z, 3, 0)
+      | None -> (
+          match find_in_fragment y roots.(frag_of.(x)) with
+          | Some z -> (z, 3, 0)
+          | None ->
+              let a = lta x and b = lta y in
+              let rec meet a b =
+                if a = b then a
+                else if tf_depth a >= tf_depth b then meet (tf_parent a) b
+                else meet a (tf_parent b)
+              in
+              (meet a b, 2, 2 + max (tf_depth a) (tf_depth b)))
+  in
+  Array.map (fun (e : Graph.edge) -> lca_of_edge e.u e.v) (Graph.edges g)
+
+(* random-order Kruskal from a random root *)
+let random_spanning_tree rng g =
+  let ids = Array.init (Graph.m g) Fun.id in
+  Rng.shuffle rng ids;
+  let uf = Mincut_graph.Union_find.create (Graph.n g) in
+  let picked =
+    Array.fold_left
+      (fun acc id ->
+        let u, v = Graph.endpoints g id in
+        if Mincut_graph.Union_find.union uf u v then id :: acc else acc)
+      [] ids
+  in
+  Tree.of_edge_ids g ~root:(Rng.int rng (Graph.n g)) picked
+
+let prop_step5_matches_climbing =
+  qtest ~count:100 "dist: Step 5 = climbing three-case LCA on random trees, targets 1-4"
+    QCheck2.Gen.(
+      triple (arbitrary_connected ~max_n:40 ()) (int_range 0 1_000_000) (int_range 1 4))
+    (fun (g, seed, target) ->
+      let tree = random_spanning_tree (Rng.create seed) g in
+      let want = climbing_lca ~target g tree in
+      let s = (One_respect.run ~params:Params.fast ~target g tree).One_respect.stats in
+      let count c = Array.fold_left (fun a (_, c', _) -> if c' = c then a + 1 else a) 0 want in
+      let case2_lcas =
+        Array.to_list want
+        |> List.filter_map (fun (z, c, _) -> if c = 2 then Some z else None)
+        |> List.sort_uniq Int.compare
+      in
+      One_respect.lca_by_fragments ~target g tree = want
+      && s.One_respect.lca_case1 = count 1
+      && s.lca_case2 = count 2
+      && s.lca_case3 = count 3
+      && s.max_lca_exchange = Array.fold_left (fun a (_, _, i) -> max a i) 0 want
+      && s.case2_lca_count = List.length case2_lcas)
+
+(* Step 2b as first written: smallest id first, with a sorted set of the
+   ids still to forward. *)
+module ISet = Mincut_util.Intset
+
+let smallest_first_downcast ~cfg g (links : One_respect.frag_links) fr =
+  let module Network = Mincut_congest.Network in
+  let down = links.One_respect.down in
+  let prog : (ISet.t, int) Network.program =
+    {
+      initial = (fun v -> match down.(v) with [] -> ISet.empty | _ -> ISet.add v ISet.empty);
+      step =
+        (fun ~node ~round:_ ~inbox unsent ->
+          match down.(node) with
+          | [] -> (unsent, [])
+          | kids -> (
+              let unsent = List.fold_left (fun a (_, x) -> ISet.add x a) unsent inbox in
+              match (unsent :> int list) with
+              | [] -> (unsent, [])
+              | item :: _ -> (ISet.remove_min unsent, List.map (fun c -> (c, item)) kids)));
+      halted = (fun _ -> false);
+    }
+  in
+  let bound = (2 * Fragments.max_height fr) + 3 in
+  snd (Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog)
+
+let test_downcast_matches_smallest_first () =
+  let cfg = Params.default.Params.congest in
+  List.iter
+    (fun (name, g) ->
+      let packing = Mincut_treepack.Tree_packing.greedy g ~trees:6 in
+      Array.iteri
+        (fun i ids ->
+          let tree = Tree.of_edge_ids g ~root:0 ids in
+          List.iter
+            (fun target ->
+              let label = Printf.sprintf "%s tree %d target %d" name i target in
+              let fr = Fragments.partition tree ~target in
+              let links = One_respect.frag_links tree fr in
+              let audit = One_respect.frag_ancestor_downcast ~cfg g tree links fr in
+              check_bool (label ^ " sends") true (audit.Mincut_congest.Network.total_messages > 0);
+              check_bool (label ^ " audit") true
+                (audit = smallest_first_downcast ~cfg g links fr))
+            [ Params.sqrt_target ~n:(Graph.n g); 3 ])
+        packing.Mincut_treepack.Tree_packing.trees)
+    [
+      ("torus12", Generators.torus 12 12);
+      ("gnp96", Generators.gnp_connected ~rng:(Rng.create 1) 96 0.3);
+      ("cliques8x16", Generators.path_of_cliques ~clique:8 ~length:16);
+    ]
+
 (* ---- Exact.run against a loop over every packed tree ------------------- *)
 
 (* [Exact.run] as written before it solved each distinct packing tree
@@ -568,13 +701,12 @@ let qcheck_tests =
     qtest ~count:60 "paper lca = oracle lca" (arbitrary_connected ())
       (fun g ->
         let tree = Tree.bfs_tree g ~root:0 in
-        let oracle = Tree.Lca.build tree in
         let rs = One_respect.lca_by_fragments g tree in
         let ok = ref true in
         Array.iteri
           (fun i (z, _, _) ->
             let e = Graph.edge g i in
-            if Tree.Lca.query oracle e.Graph.u e.Graph.v <> z then ok := false)
+            if naive_lca tree e.Graph.u e.Graph.v <> z then ok := false)
           rs;
         !ok);
     qtest ~count:60 "shared backbone = per-run backbone, both modes"
@@ -614,6 +746,9 @@ let suite =
     tc "dist: One_respect.run pinned at a low target" test_one_respect_pinned_low_target;
     tc "dist: backbone must match the tree's root, graph and mode" test_backbone_root_checked;
     tc "dist: fragment LCA pinned (lca, case, items)" test_lca_pinned;
+    prop_step5_matches_climbing;
+    tc "dist: Step 2b downcast audit = smallest-id-first schedule"
+      test_downcast_matches_smallest_first;
   ]
   @ qcheck_tests
   @ [

@@ -120,24 +120,51 @@ let test_lca_fixed () =
   check_int "lca(v,v)" 3 (Tree.Lca.query lca 3 3);
   check_int "lca with root" 0 (Tree.Lca.query lca 0 6)
 
-(* reference LCA by walking parent pointers *)
-let naive_lca t a b =
-  let rec up acc v = if v = -1 then acc else up (v :: acc) t.Tree.parent.(v) in
-  let anc_a = up [] a in
-  let rec go b = if List.mem b anc_a then b else go t.Tree.parent.(b) in
-  go b
+(* A random tree whose parent is one of the three nodes before it, so
+   it is deep (about n/2) and bushy at once; labels are shuffled so
+   depth does not follow node order. *)
+let deep_random_tree rng n =
+  let label = Array.init n Fun.id in
+  Mincut_util.Rng.shuffle rng label;
+  let parent = Array.make n (-1) and parent_edge = Array.make n (-1) in
+  for i = 1 to n - 1 do
+    let p = i - 1 - Mincut_util.Rng.int rng (Int.min i 3) in
+    parent.(label.(i)) <- label.(p);
+    parent_edge.(label.(i)) <- i - 1
+  done;
+  Tree.of_parents ~graph_n:n ~root:label.(0) ~parent ~parent_edge
 
 let test_lca_matches_naive_random () =
   let rng = Mincut_util.Rng.create 31 in
-  for _ = 1 to 10 do
-    let g = Generators.random_tree ~rng 40 in
-    let t = Tree.bfs_tree g ~root:0 in
-    let lca = Tree.Lca.build t in
-    for _ = 1 to 50 do
-      let a = Mincut_util.Rng.int rng 40 and b = Mincut_util.Rng.int rng 40 in
-      check_int "lca vs naive" (naive_lca t a b) (Tree.Lca.query lca a b)
-    done
-  done
+  let trees =
+    List.concat_map
+      (fun n ->
+        [
+          Tree.bfs_tree (Generators.random_tree ~rng n) ~root:(Mincut_util.Rng.int rng n);
+          Tree.bfs_tree (Generators.path n) ~root:0;
+          Tree.bfs_tree (Generators.path n) ~root:(n / 2);
+          deep_random_tree rng n;
+        ])
+      [ 2; 3; 17; 40; 128; 300 ]
+    @ [ Tree.bfs_tree (Generators.spider ~legs:6 ~leg_length:50) ~root:0 ]
+  in
+  List.iter
+    (fun t ->
+      let n = Tree.n_nodes t in
+      let lca = Tree.Lca.build t in
+      for _ = 1 to 100 do
+        let a = Mincut_util.Rng.int rng n and b = Mincut_util.Rng.int rng n in
+        check_int "lca vs naive" (naive_lca t a b) (Tree.Lca.query lca a b)
+      done;
+      (* every node against the root and against itself, and every
+         tree edge: the range-minimum's end cases *)
+      for v = 0 to n - 1 do
+        check_int "lca with root" t.Tree.root (Tree.Lca.query lca v t.Tree.root);
+        check_int "lca with self" v (Tree.Lca.query lca v v);
+        if t.Tree.parent.(v) <> -1 then
+          check_int "lca with parent" t.Tree.parent.(v) (Tree.Lca.query lca t.Tree.parent.(v) v)
+      done)
+    trees
 
 let test_mst_known_weights () =
   (* square with diagonal: MST must take the three lightest edges *)
