@@ -338,21 +338,22 @@ let t5 () =
   List.iter
     (fun (gname, g) ->
       let n = Graph.n g in
-      let tree, _, a_bfs = Primitives.bfs_tree_audited g ~root:0 in
+      let audit c = Option.get (Cost.leaf_audit c) in
+      let tree, c_bfs = Primitives.bfs_tree g ~root:0 in
+      let a_bfs = audit c_bfs in
       profiles := (gname, a_bfs.Network.messages_per_round) :: !profiles;
       row "bfs-tree flood" gname n a_bfs;
-      let _, _, a_cc =
-        Primitives.convergecast_sum_audited g ~tree ~values:(Array.make n 1)
+      let _, c_cc = Primitives.convergecast_sum g ~tree ~values:(Array.make n 1) in
+      row "convergecast" gname n (audit c_cc);
+      let _, c_bc =
+        Primitives.broadcast_items g ~tree ~items:(Array.init 16 (fun i -> i))
       in
-      row "convergecast" gname n a_cc;
-      let _, _, a_bc =
-        Primitives.broadcast_items_audited g ~tree ~items:(Array.init 16 (fun i -> i))
-      in
-      row "pipelined broadcast x16" gname n a_bc;
-      let _, _, a_up =
-        Primitives.upcast_distinct_audited g ~tree
+      row "pipelined broadcast x16" gname n (audit c_bc);
+      let _, c_up =
+        Primitives.upcast_distinct g ~tree
           ~initial:(Array.init n (fun v -> [ v mod 23 ]))
       in
+      let a_up = audit c_up in
       row "pipelined upcast" gname n a_up)
     [ ("grid-12x12", Generators.grid 12 12);
       ("gnp-256", Workloads.gnp_supercritical ~seed:5 256) ];

@@ -257,13 +257,20 @@ let solve_cmd =
                      else Printf.sprintf "ratio %.3f"
                             (float_of_int s.Api.value /. float_of_int truth))
                 end;
-                if certify then begin
-                  let r = Mincut_core.Certificate.certify_summary g s in
-                  Printf.printf "certified: %b (recomputed %d, %d extra rounds)\n"
-                    r.Mincut_core.Certificate.accepted r.Mincut_core.Certificate.recomputed
-                    r.Mincut_core.Certificate.rounds
-                end;
-                0
+                if not certify then 0
+                else
+                  (* certification floods a BFS tree, which a disconnected
+                     graph refuses with Invalid_argument *)
+                  match Mincut_core.Certificate.certify_summary g s with
+                  | exception Invalid_argument msg ->
+                      flush stdout;
+                      prerr_endline ("mincut: error: " ^ msg);
+                      1
+                  | r ->
+                      Printf.printf "certified: %b (recomputed %d, %d extra rounds)\n"
+                        r.Mincut_core.Certificate.accepted r.Mincut_core.Certificate.recomputed
+                        r.Mincut_core.Certificate.rounds;
+                      0
                 end)
   in
   Cmd.v
@@ -345,22 +352,17 @@ let trace_cmd =
         let module N = Mincut_congest.Network in
         let audit =
           match prog with
-          | "bfs" ->
-              let _, _, a = P.bfs_tree_audited g ~root:0 in
-              Some a
+          | "bfs" -> Mincut_congest.Cost.leaf_audit (snd (P.bfs_tree g ~root:0))
           | "broadcast" ->
-              let tree, _, _ = P.bfs_tree_audited g ~root:0 in
-              let _, _, a =
-                P.broadcast_items_audited g ~tree ~items:(Array.init 16 (fun i -> i))
-              in
-              Some a
+              let tree, _ = P.bfs_tree g ~root:0 in
+              Mincut_congest.Cost.leaf_audit
+                (snd (P.broadcast_items g ~tree ~items:(Array.init 16 (fun i -> i))))
           | "upcast" ->
-              let tree, _, _ = P.bfs_tree_audited g ~root:0 in
-              let _, _, a =
-                P.upcast_distinct_audited g ~tree
-                  ~initial:(Array.init (Graph.n g) (fun v -> [ v mod 31 ]))
-              in
-              Some a
+              let tree, _ = P.bfs_tree g ~root:0 in
+              Mincut_congest.Cost.leaf_audit
+                (snd
+                   (P.upcast_distinct g ~tree
+                      ~initial:(Array.init (Graph.n g) (fun v -> [ v mod 31 ]))))
           | "mst" ->
               let r = Mincut_mst.Boruvka_dist.run g in
               Printf.printf "distributed MST: %d phases, %d rounds total

@@ -67,8 +67,7 @@ let replay kind ~diff run =
 let replay_checks () =
   [
     replay "bfs-audit" ~diff:Replay.diff_audits (fun g ->
-        let _, _, audit = Primitives.bfs_tree_audited g ~root:0 in
-        audit);
+        Option.get (Cost.leaf_audit (snd (Primitives.bfs_tree g ~root:0))));
     replay "exact" ~diff:Replay.diff_summary (fun g ->
         Api.min_cut ~params:Params.fast ~algorithm:Api.Exact_small_lambda ~seed:0 g);
     replay "one-respect" ~diff:Replay.diff_one_respect (fun g ->

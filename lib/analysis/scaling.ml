@@ -67,22 +67,20 @@ type sample = {
 let sample ~params ~seed n =
   let g = supercritical ~seed:(seed + n) n in
   let root = 0 in
-  let tree, _cost, bfs_audit = Primitives.bfs_tree_audited g ~root in
+  let tree, bfs_cost = Primitives.bfs_tree g ~root in
   let h = Tree.height tree in
   let k = Params.sqrt_target ~n in
   let initial = Array.make n [] in
   for v = 0 to k - 1 do
     initial.(v) <- [ v ]
   done;
-  let _items, _ucost, up_audit =
-    Primitives.upcast_distinct_audited g ~tree ~initial
-  in
+  let _items, up_cost = Primitives.upcast_distinct g ~tree ~initial in
   let r = One_respect.run ~params g tree in
   {
     s_n = n;
-    bfs_rounds = bfs_audit.Network.rounds;
+    bfs_rounds = bfs_cost.Cost.rounds;
     bfs_envelope = h + 2;
-    upcast_rounds = up_audit.Network.rounds;
+    upcast_rounds = up_cost.Cost.rounds;
     upcast_envelope = h + k;
     or_rounds = r.One_respect.cost.Cost.rounds;
     or_envelope = (k * Params.log_star n) + h;

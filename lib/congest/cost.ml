@@ -40,6 +40,7 @@ let leaf ?audit provenance label rounds =
 let executed ?audit label rounds = leaf ?audit Executed label rounds
 let scheduled label rounds = leaf Scheduled label rounds
 let charged label rounds = leaf Charged label rounds
+let leaf_audit t = match t.spans with [ s ] -> s.audit | _ -> None
 
 (* Dominant provenance of a forest: a phase that ran any real program is
    [Executed]; otherwise an analytic schedule dominates a published

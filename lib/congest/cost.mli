@@ -53,6 +53,10 @@ val scheduled : string -> int -> t
 val charged : string -> int -> t
 (** A leaf charged at a published bound. *)
 
+val leaf_audit : t -> Network.audit option
+(** The engine audit of a single-span cost (e.g. one built by
+    {!executed}); [None] for anything else. *)
+
 val group : string -> t -> t
 (** [group label t] wraps [t]'s spans as children of a single new span;
     rounds and the flat {!breakdown} are unchanged.  Its provenance is

@@ -13,49 +13,21 @@ type report = {
 
 let outputs g side = Array.init (Graph.n g) (Bitset.mem side)
 
-(* 1-round neighbor bit exchange, computing each node's local crossing
-   weight; runs as a real program. *)
-type xch = { phase : int; local_crossing : int }
-
-let local_crossings ~cfg g bits =
-  let distinct_neighbors v =
-    List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v)))
-  in
-  let prog : (xch, int) Network.program =
-    {
-      initial = (fun _ -> { phase = 0; local_crossing = 0 });
-      step =
-        (fun ~node ~round:_ ~inbox st ->
-          match st.phase with
-          | 0 ->
-              ( { st with phase = 1 },
-                List.map
-                  (fun u -> (u, if bits.(node) then 1 else 0))
-                  (distinct_neighbors node) )
-          | _ ->
-              (* sum crossing weight towards neighbors with the other bit *)
-              let crossing = ref 0 in
-              List.iter
-                (fun (sender, bit) ->
-                  if (bit = 1) <> bits.(node) then
-                    Array.iter
-                      (fun (u, id) -> if u = sender then crossing := !crossing + Graph.weight g id)
-                      (Graph.adj g node))
-                inbox;
-              ({ phase = 2; local_crossing = !crossing }, []))
-        ;
-      halted = (fun st -> st.phase >= 2);
-    }
-  in
-  let states, audit = Network.run ~cfg ~words:(fun _ -> 1) g prog in
-  (Array.map (fun st -> st.local_crossing) states, audit.Network.rounds)
-
 let certify ?(params = Params.default) g ~value ~side =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Certificate.certify: need n >= 2";
   let cfg = params.Params.congest in
   let bits = outputs g side in
-  let crossings, r1 = local_crossings ~cfg g bits in
+  (* one real round of bit exchange; each node's crossing weight is the
+     weight of its edges towards neighbors that reported the other bit *)
+  let heard, x_audit = Primitives.exchange ~cfg ~words:(fun _ -> 1) g bits in
+  let crossings =
+    Array.init n (fun v ->
+        Array.fold_left
+          (fun acc (u, id) ->
+            if List.assoc u heard.(v) <> bits.(v) then acc + Graph.weight g id else acc)
+          0 (Graph.adj g v))
+  in
   let tree, c_bfs = Primitives.bfs_tree ~cfg g ~root:0 in
   let double_total, c_sum = Primitives.convergecast_sum ~cfg g ~tree ~values:crossings in
   let in_count, c_cnt =
@@ -68,7 +40,7 @@ let certify ?(params = Params.default) g ~value ~side =
     accepted;
     claimed = value;
     recomputed;
-    rounds = r1 + c_bfs.Cost.rounds + c_sum.Cost.rounds + c_cnt.Cost.rounds;
+    rounds = x_audit.Network.rounds + c_bfs.Cost.rounds + c_sum.Cost.rounds + c_cnt.Cost.rounds;
   }
 
 let certify_summary ?params g (s : Api.summary) =

@@ -83,10 +83,8 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
         assert (Array.for_all (fun x -> x = n - 1) learned);
         (* a single executed leaf (keeping the flood-max audit) so the
            flat breakdown reads the same as the measured primitive *)
-        let audit =
-          match c.Cost.spans with [ s ] -> s.Cost.audit | _ -> None
-        in
-        Cost.executed ?audit "leader election (real flood-max)" c.Cost.rounds
+        Cost.executed ?audit:(Cost.leaf_audit c) "leader election (real flood-max)"
+          c.Cost.rounds
       end
       else Cost.scheduled "leader election" ((2 * diameter) + 2)
     in

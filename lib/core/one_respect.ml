@@ -144,121 +144,16 @@ let lca_by_fragments ?target g tree =
 (* ------------------------------------------------------------------ *)
 
 (* The tree restricted to each fragment, computed once per run and
-   shared by the three within-fragment programs: [up.(v)] is [v]'s
-   in-fragment parent (-1 at a fragment root), [down.(v)] its
-   in-fragment children. *)
-type frag_links = { up : int array; down : int list array }
-
+   shared by the three within-fragment programs: a forest whose roots
+   are the fragment roots.  Steps 2a and 3 run [Primitives]' forest
+   upcast and convergecast on it, all fragments in parallel (they are
+   vertex-disjoint). *)
 let frag_links tree (fr : Fragments.t) =
   let frag_of = fr.Fragments.frag_of in
-  let up =
-    Array.mapi
-      (fun v p -> if p <> -1 && frag_of.(p) = frag_of.(v) then p else -1)
-      tree.Tree.parent
-  in
-  let down =
-    Array.map
-      (fun kids -> List.filter (fun c -> up.(c) <> -1) (Array.to_list kids))
-      tree.Tree.children
-  in
-  { up; down }
-
-(* Real within-fragment convergecast wave: every node learns the sum of
-   [values] over its within-fragment subtree.  All fragments run in
-   parallel on the engine: each node forwards one partial sum to its
-   in-fragment parent once all of its in-fragment children have
-   reported. *)
-type wave_state = { remaining : int; acc : int; sent : bool }
-
-let frag_wave ~cfg g links values =
-  let module Network = Mincut_congest.Network in
-  let up = links.up in
-  let prog : (wave_state, int) Network.program =
-    {
-      initial =
-        (fun v -> { remaining = List.length links.down.(v); acc = values.(v); sent = false });
-      step =
-        (fun ~node ~round:_ ~inbox st ->
-          match inbox with
-          | [] when st.remaining > 0 -> (st, [])
-          | _ ->
-              let acc = List.fold_left (fun a (_, x) -> a + x) st.acc inbox in
-              let remaining = st.remaining - List.length inbox in
-              if remaining = 0 && not st.sent then
-                let p = up.(node) in
-                if p = -1 then ({ remaining; acc; sent = true }, [])
-                else ({ remaining; acc; sent = true }, [ (p, acc) ])
-              else ({ st with remaining; acc }, []))
-        ;
-      halted = (fun st -> st.sent);
-    }
-  in
-  let states, audit = Network.run ~cfg ~words:(fun _ -> 2) g prog in
-  (Array.map (fun st -> st.acc) states, audit)
-
-(* ------------------------------------------------------------------ *)
-(* Real pipelined multi-item upcast within fragments (Step 2a)         *)
-(* ------------------------------------------------------------------ *)
-
-(* Each node starts holding the ids of the child fragments attached
-   directly below it; every id must flow up to the fragment root, one
-   item per tree edge per round (the paper's "upcast the list of child
-   fragments ... O(√n) time" schedule, executed for real). *)
-(* Canonical sets ([Mincut_util.Intset], strictly-increasing lists):
-   the engine's sanitize mode byte-compares marshalled states, so state
-   components must have one representation per value — [Set.Make] AVL
-   shapes depend on insertion order and would trip it. *)
-module ISet = Mincut_util.Intset
-
-(* [unsent] holds the ids not yet passed up, so the next one is its
-   head: the smallest-id-first schedule, popped in O(1).  Each id starts
-   at one node and climbs one parent chain, so every id a node receives
-   is new to it and joins both sets.  A fragment root sends nothing and
-   keeps [unsent] empty.  A node with an empty inbox and nothing left to
-   send returns its state physically unchanged, which the engine steps
-   in O(1). *)
-type multi_up = { known : ISet.t; unsent : ISet.t }
-
-let absorb inbox s = List.fold_left (fun a (_, x) -> ISet.add x a) s inbox
-
-let frag_multi_upcast ~cfg g links (fr : Fragments.t) initial_items =
-  let module Network = Mincut_congest.Network in
-  let up = links.up in
-  let prog : (multi_up, int) Network.program =
-    {
-      initial =
-        (fun v ->
-          let known = ISet.of_list initial_items.(v) in
-          { known; unsent = (if up.(v) = -1 then ISet.empty else known) });
-      step =
-        (fun ~node ~round:_ ~inbox st ->
-          match (inbox, (st.unsent :> int list)) with
-          | [], [] -> (st, [])
-          | _ ->
-              let known = absorb inbox st.known in
-              let p = up.(node) in
-              if p = -1 then ({ st with known }, [])
-              else
-                let unsent = absorb inbox st.unsent in
-                match (unsent :> int list) with
-                | [] -> ({ known; unsent }, [])
-                | item :: _ -> ({ known; unsent = ISet.remove_min unsent }, [ (p, item) ]))
-        ;
-      halted = (fun _ -> false);
-    }
-  in
-  let max_items =
-    Array.fold_left
-      (fun acc ms ->
-        max acc
-          (List.fold_left (fun a v -> a + List.length initial_items.(v)) 0 ms))
-      0 fr.Fragments.members
-  in
-  let bound = Fragments.max_height fr + max_items + 2 in
-  let states, audit =
-    Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog
-  in
-  (Array.map (fun st -> st.known) states, audit)
+  Primitives.forest_of_parents
+    (Array.mapi
+       (fun v p -> if p <> -1 && frag_of.(p) = frag_of.(v) then p else -1)
+       tree.Tree.parent)
 
 (* ------------------------------------------------------------------ *)
 (* Real pipelined ancestor-id downcast within fragments (Step 2b)      *)
@@ -281,8 +176,8 @@ let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let module Network = Mincut_congest.Network in
   let n = Graph.n g in
   let frag_of = fr.Fragments.frag_of in
-  let down = links.down in
-  let send node id = List.map (fun c -> (c, id)) down.(node) in
+  let down = links.Primitives.children in
+  let send node id = Array.fold_right (fun c acc -> (c, id) :: acc) down.(node) [] in
   let prog : (int list, int) Network.program =
     {
       initial = (fun v -> [ v ]);
@@ -407,14 +302,26 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
           let attach = tree.Tree.parent.(r) in
           if attach <> -1 then initial_items.(attach) <- j :: initial_items.(attach))
         fr.Fragments.roots;
-      let known, up_audit = frag_multi_upcast ~cfg:params.Params.congest g links fr initial_items in
+      (* run for the tallest fragment's height plus the most ids any one
+         fragment carries *)
+      let max_items =
+        Array.fold_left
+          (fun acc ms ->
+            max acc
+              (List.fold_left (fun a v -> a + List.length initial_items.(v)) 0 ms))
+          0 fr.Fragments.members
+      in
+      let known, up_audit =
+        Primitives.upcast ~cfg:params.Params.congest ~rounds:(max 1 (maxh + max_items + 2)) g
+          links ~initial:initial_items
+      in
       Array.iteri
         (fun i r ->
           let expected = List.sort Int.compare fr.Fragments.frag_children.(i) in
           let got =
             List.filter
               (fun j -> fr.Fragments.frag_parent.(j) = i)
-              (ISet.elements known.(r))
+              (Mincut_util.Intset.elements known.(r))
           in
           assert (List.sort Int.compare got = expected))
         fr.Fragments.roots;
@@ -489,7 +396,10 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
     | Some links ->
       (* run the within-fragment wave for real on the engine: every
          fragment converges in parallel (they are vertex-disjoint) *)
-      let real, wave_audit = frag_wave ~cfg:params.Params.congest g links delta in
+      let real, wave_audit =
+        Primitives.convergecast ~cfg:params.Params.congest ~words:(fun _ -> 2) ~combine:( + ) g
+          links delta
+      in
       assert (real = s_delta);
       Cost.executed ~audit:wave_audit "step3: within-fragment delta sums (real)"
         wave_audit.Mincut_congest.Network.rounds

@@ -85,20 +85,16 @@ val run :
     is rooted elsewhere, spans a different number of nodes than [g], or
     has the other mode's cost provenance. *)
 
-type frag_links = {
-  up : int array;          (** in-fragment parent; [-1] at a fragment root *)
-  down : int list array;   (** in-fragment children *)
-}
-(** The tree restricted to each fragment, shared by the within-fragment
-    engine programs of one run. *)
-
-val frag_links : Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> frag_links
+val frag_links : Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> Mincut_congest.Primitives.forest
+(** The tree restricted to each fragment: a forest rooted at the
+    fragment roots, shared by the within-fragment engine programs of one
+    run. *)
 
 val frag_ancestor_downcast :
   cfg:Mincut_congest.Config.t ->
   Mincut_graph.Graph.t ->
   Mincut_graph.Tree.t ->
-  frag_links ->
+  Mincut_congest.Primitives.forest ->
   Mincut_mst.Fragments.t ->
   Mincut_congest.Network.audit
 (** Step 2b on the engine, exposed for testing: every node learns the

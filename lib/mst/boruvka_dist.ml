@@ -2,121 +2,13 @@ module Graph = Mincut_graph.Graph
 module Union_find = Mincut_graph.Union_find
 module Network = Mincut_congest.Network
 module Cost = Mincut_congest.Cost
+module Primitives = Mincut_congest.Primitives
 
 type result = { edge_ids : int list; phases : int; cost : Cost.t }
-
-(* One message type for all four per-phase programs. *)
-type msg =
-  | Frag of int            (* step A: my fragment id *)
-  | Cand of int * int      (* step B: best outgoing (weight, edge id); max_int = none *)
-  | Decide of int          (* step C: fragment's chosen edge id; -1 = none *)
-  | New_frag of int        (* step D: merged fragment id flood *)
-
-let words = function Frag _ -> 1 | Cand _ -> 2 | Decide _ -> 1 | New_frag _ -> 1
 
 let none_cand = (max_int, max_int)
 
 let better (w1, i1) (w2, i2) = if w1 < w2 || (w1 = w2 && i1 < i2) then (w1, i1) else (w2, i2)
-
-let distinct_neighbors g v =
-  List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v)))
-
-(* --- step A: 1-round fragment id exchange ------------------------- *)
-
-(* [heard] is kept sorted by sender, so the state does not depend on
-   the order the inbox was delivered in. *)
-type exch_state = { round_ : int; heard : (int * int) list }
-
-let by_sender (s, f) (s', f') =
-  match Int.compare s s' with 0 -> Int.compare f f' | c -> c
-
-let exchange_frags ?cfg g frag =
-  let prog : (exch_state, msg) Network.program =
-    {
-      initial = (fun _ -> { round_ = 0; heard = [] });
-      step =
-        (fun ~node ~round ~inbox st ->
-          let heard =
-            List.filter_map (fun (s, m) -> match m with Frag f -> Some (s, f) | _ -> None) inbox
-            @ st.heard
-            |> List.sort by_sender
-          in
-          if round = 0 then
-            ( { round_ = 1; heard },
-              List.map (fun u -> (u, Frag frag.(node))) (distinct_neighbors g node) )
-          else ({ round_ = 2; heard }, []))
-        ;
-      halted = (fun st -> st.round_ >= 2);
-    }
-  in
-  let states, audit = Network.run ?cfg ~words g prog in
-  let heard = Array.map (fun st -> st.heard) states in
-  (heard, Cost.executed ~audit "boruvka: frag exchange (real)" audit.Network.rounds)
-
-(* --- step B: convergecast of the min outgoing edge ----------------- *)
-
-type cc_state = { remaining : int; best : int * int; sent : bool }
-
-let converge_candidates ?cfg g ~parent ~child_count ~local =
-  let prog : (cc_state, msg) Network.program =
-    {
-      initial = (fun v -> { remaining = child_count.(v); best = local.(v); sent = false });
-      step =
-        (fun ~node ~round:_ ~inbox st ->
-          let best =
-            List.fold_left
-              (fun b (_, m) -> match m with Cand (w, id) -> better b (w, id) | _ -> b)
-              st.best inbox
-          in
-          let remaining = st.remaining - List.length inbox in
-          if remaining = 0 && not st.sent then
-            if parent.(node) = -1 then ({ remaining; best; sent = true }, [])
-            else
-              ( { remaining; best; sent = true },
-                [ (parent.(node), Cand (fst best, snd best)) ] )
-          else ({ st with remaining; best }, []))
-        ;
-      halted = (fun st -> st.sent);
-    }
-  in
-  let states, audit = Network.run ?cfg ~words g prog in
-  (Array.map (fun st -> st.best) states, Cost.executed ~audit "boruvka: candidate convergecast (real)" audit.Network.rounds)
-
-(* --- step C: broadcast the decision down each fragment ------------- *)
-
-type dc_state = { decision : int option; forwarded : bool }
-
-let broadcast_decision ?cfg g ~parent ~children ~leader_decision =
-  let prog : (dc_state, msg) Network.program =
-    {
-      initial =
-        (fun v ->
-          {
-            decision = (if parent.(v) = -1 then Some leader_decision.(v) else None);
-            forwarded = false;
-          });
-      step =
-        (fun ~node ~round:_ ~inbox st ->
-          match st.decision with
-          | Some d when not st.forwarded ->
-              ( { st with forwarded = true },
-                List.map (fun c -> (c, Decide d)) children.(node) )
-          | Some _ -> (st, [])
-          | None -> (
-              match
-                List.find_map (fun (_, m) -> match m with Decide d -> Some d | _ -> None) inbox
-              with
-              | None -> (st, [])
-              | Some d ->
-                  ( { decision = Some d; forwarded = true },
-                    List.map (fun c -> (c, Decide d)) children.(node) )))
-        ;
-      halted = (fun st -> st.decision <> None && st.forwarded);
-    }
-  in
-  let states, audit = Network.run ?cfg ~words g prog in
-  ( Array.map (fun st -> match st.decision with Some d -> d | None -> -1) states,
-    Cost.executed ~audit "boruvka: decision broadcast (real)" audit.Network.rounds )
 
 (* --- step D: flood merged fragment ids, re-orienting the tree ------ *)
 
@@ -129,7 +21,7 @@ type fl_state = {
 }
 
 let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id =
-  let prog : (fl_state, msg) Network.program =
+  let prog : (fl_state, int) Network.program =
     {
       initial =
         (fun v ->
@@ -141,14 +33,12 @@ let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id =
           if st.adopted then
             if not st.flooded then
               ( { st with flooded = true },
-                List.map (fun (u, _) -> (u, New_frag st.frag)) allowed.(node) )
+                List.map (fun (u, _) -> (u, st.frag)) allowed.(node) )
             else (st, [])
           else
-            match
-              List.find_map (fun (s, m) -> match m with New_frag f -> Some (s, f) | _ -> None) inbox
-            with
-            | None -> (st, [])
-            | Some (sender, f) ->
+            match inbox with
+            | [] -> (st, [])
+            | (sender, f) :: _ ->
                 let parent_edge =
                   match List.assoc_opt sender allowed.(node) with
                   | Some id -> id
@@ -156,7 +46,7 @@ let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id =
                 in
                 let onward =
                   List.filter (fun (u, _) -> u <> sender) allowed.(node)
-                  |> List.map (fun (u, _) -> (u, New_frag f))
+                  |> List.map (fun (u, _) -> (u, f))
                 in
                 ( { adopted = true; flooded = true; frag = f; parent = sender; parent_edge },
                   onward ))
@@ -164,19 +54,22 @@ let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id =
       halted = (fun st -> st.adopted && st.flooded);
     }
   in
-  let states, audit = Network.run ?cfg ~words g prog in
+  let states, audit = Network.run ?cfg ~words:(fun _ -> 1) g prog in
   (states, Cost.executed ~audit "boruvka: merge flood (real)" audit.Network.rounds)
 
 (* --- main loop ------------------------------------------------------ *)
 
 module ISet = Set.Make (Int)
 
+(* Steps A-C are [Primitives]' forest programs over the fragment trees:
+   A is a one-round exchange of fragment ids, B a convergecast of the
+   cheapest outgoing (weight, edge id), C a one-item broadcast of each
+   leader's decision. *)
 let run ?cfg g =
   let n = Graph.n g in
   let frag = Array.init n (fun v -> v) in
   let parent = Array.make n (-1) in
   let parent_edge = Array.make n (-1) in
-  let children = Array.make n [] in
   let mst = ref ISet.empty in
   let cost = ref Cost.zero in
   let phases = ref 0 in
@@ -188,8 +81,10 @@ let run ?cfg g =
   let continue = ref (n > 1) in
   while !continue do
     incr phases;
+    let forest = Primitives.forest_of_parents parent in
     (* A: learn neighbor fragments *)
-    let heard, c1 = exchange_frags ?cfg g frag in
+    let heard, a_audit = Primitives.exchange ?cfg ~words:(fun _ -> 1) g frag in
+    let c1 = Cost.executed ~audit:a_audit "boruvka: frag exchange (real)" a_audit.Network.rounds in
     (* local candidate per node: cheapest incident edge leaving the
        fragment, under the global (weight, id) order.  Each node writes
        what it heard into [nbr_frag], stamped with its (phase, node)
@@ -210,8 +105,13 @@ let run ?cfg g =
         (Graph.adj g v)
     done;
     (* B: fragment leaders learn their min outgoing edge *)
-    let child_count = Array.map List.length children in
-    let best, c2 = converge_candidates ?cfg g ~parent ~child_count ~local in
+    let best, b_audit =
+      Primitives.convergecast ?cfg ~words:(fun _ -> 2) ~combine:better g forest local
+    in
+    let c2 =
+      Cost.executed ~audit:b_audit "boruvka: candidate convergecast (real)"
+        b_audit.Network.rounds
+    in
     let chosen = Hashtbl.create 64 in
     for v = 0 to n - 1 do
       if parent.(v) = -1 && best.(v) <> none_cand then
@@ -235,8 +135,17 @@ let run ?cfg g =
           leader_decision.(v) <-
             (match Hashtbl.find_opt chosen frag.(v) with Some id -> id | None -> -1)
       done;
-      let _, c3 = broadcast_decision ?cfg g ~parent ~children ~leader_decision in
-      let c3 = Cost.( ++ ) c3 (Cost.scheduled "boruvka: merge handshake" 1) in
+      let _, c_audit =
+        Primitives.broadcast ?cfg ~words:(fun _ -> 1) ~k:1
+          ~item:(fun r _ -> leader_decision.(r))
+          g forest
+      in
+      let c3 =
+        Cost.( ++ )
+          (Cost.executed ~audit:c_audit "boruvka: decision broadcast (real)"
+             c_audit.Network.rounds)
+          (Cost.scheduled "boruvka: merge handshake" 1)
+      in
       (* resolve merges *)
       let uf = Union_find.create n in
       Hashtbl.iter
@@ -266,9 +175,9 @@ let run ?cfg g =
       let allowed = Array.make n [] in
       for v = 0 to n - 1 do
         if parent.(v) <> -1 then allowed.(v) <- (parent.(v), parent_edge.(v)) :: allowed.(v);
-        List.iter
+        Array.iter
           (fun c -> allowed.(v) <- (c, parent_edge.(c)) :: allowed.(v))
-          children.(v)
+          forest.Primitives.children.(v)
       done;
       Hashtbl.iter
         (fun _ id ->
@@ -292,10 +201,6 @@ let run ?cfg g =
           parent.(v) <- st.parent;
           parent_edge.(v) <- st.parent_edge)
         states;
-      Array.fill children 0 n [];
-      for v = 0 to n - 1 do
-        if parent.(v) <> -1 then children.(parent.(v)) <- v :: children.(parent.(v))
-      done;
       cost :=
         Cost.( ++ ) !cost
           (Cost.group

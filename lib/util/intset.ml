@@ -25,20 +25,7 @@ let elements t = t
 
 let cardinal = List.length
 
-let min_elt_opt = function [] -> None | x :: _ -> Some x
-
-(* elements of [a] not in [b]; both strictly increasing *)
-let diff a b =
-  let rec go a b =
-    match (a, b) with
-    | [], _ -> []
-    | _, [] -> a
-    | x :: a', y :: b' ->
-        if x < y then x :: go a' b
-        else if x = y then go a' b'
-        else go a b'
-  in
-  go a b
+let rec mem x = function [] -> false | y :: rest -> y = x || (y < x && mem x rest)
 
 let remove_min = function [] -> [] | _ :: rest -> rest
 

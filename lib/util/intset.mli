@@ -26,10 +26,8 @@ val elements : t -> int list
 
 val cardinal : t -> int
 
-val min_elt_opt : t -> int option
-
-val diff : t -> t -> t
-(** [diff a b] — elements of [a] not in [b]. *)
+val mem : int -> t -> bool
+(** Stops at the first element not below the query. *)
 
 val remove_min : t -> t
 (** The set without its least element ([empty] stays [empty]); O(1)

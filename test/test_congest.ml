@@ -8,6 +8,8 @@ module Diameter = Mincut_graph.Diameter
 
 let words1 _ = 1
 
+let audit_of cost = Option.get (Cost.leaf_audit cost)
+
 (* trivial program: every node sends its id to all neighbors once and
    collects round-1 inbox *)
 type hello = { sent : bool; seen : int list; rounds_alive : int }
@@ -187,6 +189,14 @@ let test_bfs_tree_real () =
         (cost.Cost.rounds >= ecc && cost.Cost.rounds <= ecc + 3))
     (small_connected_graphs ())
 
+let test_bfs_tree_disconnected () =
+  (* two paths: the flood from 0 never reaches the second one, whose
+     nodes would never halt *)
+  let g = Graph.create ~n:6 [ (0, 1, 1); (1, 2, 1); (3, 4, 1); (4, 5, 2) ] in
+  match Primitives.bfs_tree g ~root:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument on a disconnected graph"
+
 let test_convergecast_sum_real () =
   List.iter
     (fun (name, g) ->
@@ -264,7 +274,7 @@ let test_engine_deterministic () =
 
 let test_congestion_profile () =
   let g = Generators.grid 5 5 in
-  let _, _, audit = Primitives.bfs_tree_audited g ~root:0 in
+  let audit = audit_of (snd (Primitives.bfs_tree g ~root:0)) in
   let profile = audit.Network.messages_per_round in
   check_int "profile length = rounds" audit.Network.rounds (Array.length profile);
   check_int "profile sums to total" audit.Network.total_messages
@@ -272,13 +282,6 @@ let test_congestion_profile () =
   (* flooding: traffic starts at round 0 and ends before the drain *)
   check_bool "round 0 active" true (profile.(0) > 0);
   check_int "drain round is silent" 0 profile.(Array.length profile - 1)
-
-let test_audited_variants_agree () =
-  let g = Generators.torus 4 4 in
-  let t1, c1 = Primitives.bfs_tree g ~root:0 in
-  let t2, c2, _ = Primitives.bfs_tree_audited g ~root:0 in
-  check_bool "same tree" true (t1.Tree.parent = t2.Tree.parent);
-  check_int "same rounds" c1.Cost.rounds c2.Cost.rounds
 
 let test_flood_echo () =
   List.iter
@@ -330,7 +333,7 @@ let test_max_edge_load_pipelined () =
   let g = Generators.path 4 in
   let tree, _ = Primitives.bfs_tree g ~root:0 in
   let items = Array.init 7 (fun i -> 100 + i) in
-  let _, _, audit = Primitives.broadcast_items_audited g ~tree ~items in
+  let audit = audit_of (snd (Primitives.broadcast_items g ~tree ~items)) in
   check_int "7 messages per channel" 7 audit.Network.max_edge_load;
   check_int "one word per round per channel" 1 audit.Network.max_edge_words
 
@@ -407,28 +410,50 @@ let test_driver_matches_reference () =
       (Network.run_bounded ~words ~rounds g prog)
       (reference_bounded ~words ~rounds g prog)
   in
+  (* the forest programs on one forest: convergecast, a three-item
+     broadcast from every root, and an upcast of ids held by several
+     nodes at once *)
+  let forest_programs name g (f : Primitives.forest) ~height =
+    let n = Graph.n g in
+    let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+    let initial = Array.init n (fun v -> if v mod 4 = 0 then [ v mod 5; v ] else []) in
+    let k = List.length (List.sort_uniq Int.compare (List.concat (Array.to_list initial))) in
+    unbounded (name ^ " convergecast") ~words:(fun _ -> 2) g
+      (Primitives.convergecast_program f ~combine:( + ) ~values);
+    unbounded (name ^ " broadcast") ~words:words1 g
+      (Primitives.broadcast_program f ~k:3 ~item:(fun r i -> (3 * r) + i));
+    bounded (name ^ " upcast") ~words:words1 ~rounds:(height + k + 2) g
+      (Primitives.upcast_program f ~initial)
+  in
   List.iter
     (fun (name, g) ->
       let n = Graph.n g in
       let tree = Mincut_graph.Tree.bfs_tree g ~root:0 in
       let height = Mincut_graph.Tree.height tree in
       let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
-      let initial = Array.init n (fun v -> if v mod 4 = 0 then [ v ] else []) in
-      let k = List.length (List.concat (Array.to_list initial)) in
-      let words2 _ = 2 in
       unbounded (name ^ " bfs") ~words:words1 g (Primitives.bfs_program g ~root:0);
       unbounded (name ^ " tally") ~words:words1 g (tally_program g);
-      unbounded (name ^ " convergecast") ~words:words2 g
-        (Primitives.convergecast_program ~tree ~values);
-      unbounded (name ^ " broadcast") ~words:words1 g
-        (Primitives.broadcast_program ~tree ~items:(Array.init 5 (fun i -> 3 * i)));
-      unbounded (name ^ " echo") ~words:words1 g (Primitives.echo_program ~tree);
-      bounded (name ^ " upcast") ~words:words1 ~rounds:(height + k + 2) g
-        (Primitives.upcast_program ~tree ~initial);
+      forest_programs name g (Primitives.forest_of_tree tree) ~height;
       bounded (name ^ " flood-max") ~words:words1 ~rounds:((2 * height) + 2) g
         (Primitives.flood_max_program g ~values);
       (* past the last message: the tail rounds carry no traffic *)
-      bounded (name ^ " tally bounded") ~words:words1 ~rounds:(n + 3) g (tally_program g))
+      bounded (name ^ " tally bounded") ~words:words1 ~rounds:(n + 3) g (tally_program g);
+      (* many roots: the Kutten-Peleg fragment forests of the BFS tree,
+         as Steps 2a and 3 run them (gnp24's tree is too shallow to
+         split at height 3, hence also height 1), and the fragment-id
+         exchange of Boruvka's step A *)
+      List.iter
+        (fun target ->
+          let fr = Mincut_mst.Fragments.partition tree ~target in
+          let label = Printf.sprintf "%s fragments@%d" name target in
+          check_bool (label ^ ": several roots") true
+            (target = 3 || Mincut_mst.Fragments.count fr > 1);
+          forest_programs label g
+            (Mincut_core.One_respect.frag_links tree fr)
+            ~height:(Mincut_mst.Fragments.max_height fr);
+          unbounded (label ^ " exchange") ~words:words1 g
+            (Primitives.exchange_program g ~values:fr.Mincut_mst.Fragments.frag_of))
+        [ 3; 1 ])
     (replay_graphs ())
 
 let test_seed_driver_goldens () =
@@ -445,7 +470,7 @@ let test_seed_driver_goldens () =
   List.iter2
     (fun (name, g) (name', rounds, msgs, per_round) ->
       check_bool "tables aligned" true (String.equal name name');
-      let _, _, audit = Primitives.bfs_tree_audited g ~root:0 in
+      let audit = audit_of (snd (Primitives.bfs_tree g ~root:0)) in
       check_int (name ^ " rounds") rounds audit.Network.rounds;
       check_int (name ^ " messages") msgs audit.Network.total_messages;
       check_int (name ^ " words") msgs audit.Network.total_words;
@@ -455,6 +480,60 @@ let test_seed_driver_goldens () =
       check_bool (name ^ " profile") true
         (audit.Network.messages_per_round = per_round))
     (replay_graphs ()) expect
+
+(* Parent-recorded digests of the shipped primitives on the replay
+   graphs: each digest covers the primitive's answer and its [Cost] JSON,
+   engine audit included (rounds, message and word totals, per-edge
+   loads, the per-round profile).  The forest programs replaced the
+   per-tree ones with these digests unchanged; a program that sends one
+   message more or one round later moves them. *)
+let cost_digest parts cost =
+  String.concat "|" (parts @ [ Mincut_util.Json.to_string (Cost.to_json cost) ])
+  |> Digest.string |> Digest.to_hex
+
+let ints a = String.concat "," (List.map string_of_int (Array.to_list a))
+
+let golden_primitives =
+  [
+    ("torus4 convergecast", "1d21a3fc3a917caf3d93fe8377f6018a");
+    ("torus4 broadcast", "1c2e5dcd9300fb584a2bc8303799ff54");
+    ("torus4 upcast", "f0a6ae7e8e4c121f3c5db251628d4b80");
+    ("torus4 echo", "6cd7b93cbc4d9a54ecce207b34d567e0");
+    ("grid5 convergecast", "7a75424d0f67988f99b3799d384ff430");
+    ("grid5 broadcast", "3431196abe92b67734d2e2a923fa880f");
+    ("grid5 upcast", "fbe6a2f1cdc5f4074db9d71523c27fe6");
+    ("grid5 echo", "90d1a78f03a306889b0eb76f46159727");
+    ("gnp24 convergecast", "0e59f72e294be878912e468d37dc0e2b");
+    ("gnp24 broadcast", "7c0c7fa2f7c149489870101cf7bbccd5");
+    ("gnp24 upcast", "a670c622a35c3adcf8c24dbf9093d75a");
+    ("gnp24 echo", "f5cb123d21832318972bf0d2feb270ac");
+  ]
+
+let test_primitive_goldens () =
+  let got =
+    List.concat_map
+      (fun (name, g) ->
+        let n = Graph.n g in
+        let tree, _ = Primitives.bfs_tree g ~root:0 in
+        let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+        let total, c_cc = Primitives.convergecast_sum g ~tree ~values in
+        let per_node, c_bc =
+          Primitives.broadcast_items g ~tree ~items:(Array.init 7 (fun i -> 100 + i))
+        in
+        (* overlapping holdings: the same ids start at many nodes *)
+        let initial = Array.init n (fun v -> [ v mod 5; 100 + (v * 3 mod 7) ]) in
+        let items, c_up = Primitives.upcast_distinct g ~tree ~initial in
+        let echo_tree, c_echo = Primitives.flood_echo g ~root:0 in
+        [
+          (name ^ " convergecast", cost_digest [ string_of_int total ] c_cc);
+          ( name ^ " broadcast",
+            cost_digest (Array.to_list (Array.map ints per_node)) c_bc );
+          (name ^ " upcast", cost_digest [ ints (Array.of_list items) ] c_up);
+          (name ^ " echo", cost_digest [ ints echo_tree.Tree.parent ] c_echo);
+        ])
+      (replay_graphs ())
+  in
+  Alcotest.(check (list (pair string string))) "primitive digests" golden_primitives got
 
 let test_audit_word_budget_respected () =
   (* all primitives must fit the default 4-word budget *)
@@ -475,6 +554,7 @@ let suite =
     tc "engine: strict mode catches edge overload" test_engine_strict_edge_overload;
     tc "config: strict rejects bad budget" test_strict_rejects_bad_budget;
     tc "primitives: bfs tree (real rounds)" test_bfs_tree_real;
+    tc "primitives: bfs tree refuses a disconnected graph" test_bfs_tree_disconnected;
     tc "primitives: convergecast sum" test_convergecast_sum_real;
     tc "primitives: pipelined broadcast" test_broadcast_items_real;
     tc "primitives: broadcast of nothing" test_broadcast_empty;
@@ -484,11 +564,11 @@ let suite =
     tc "primitives: flood with echo" test_flood_echo;
     tc "engine: deterministic" test_engine_deterministic;
     tc "engine: congestion profile" test_congestion_profile;
-    tc "primitives: audited variants agree" test_audited_variants_agree;
     tc "audit: max edge load counts pipelined traffic" test_max_edge_load_pipelined;
     tc "audit: max edge load of one-shot flood" test_max_edge_load_single_shot;
     tc "engine: flat driver matches reference driver" test_driver_matches_reference;
     tc "engine: seed-driver audit goldens" test_seed_driver_goldens;
+    tc "primitives: parent-recorded audit goldens" test_primitive_goldens;
     tc "cost: algebra" test_cost_algebra;
     tc "pipeline: formulas" test_pipeline_formulas;
     tc "config: bits per word" test_bits_per_word;

@@ -147,6 +147,36 @@ let test_certificate_rejects_trivial_side () =
   let report = Certificate.certify g ~value:0 ~side:empty in
   check_bool "empty side rejected" false report.Certificate.accepted
 
+(* Parent-recorded reports on the replay graphs, for the true claim and
+   for a claim one too high: the crossing exchange and the two
+   convergecasts run on the forest programs with every round unchanged. *)
+let golden_certificates =
+  [
+    ("torus4", "true/4/4/18 false/5/4/18");
+    ("grid5", "true/2/2/30 false/3/2/30");
+    ("gnp24", "true/3/3/12 false/4/3/12");
+  ]
+
+let test_certificate_goldens () =
+  let report_string (r : Certificate.report) =
+    Printf.sprintf "%b/%d/%d/%d" r.Certificate.accepted r.Certificate.claimed
+      r.Certificate.recomputed r.Certificate.rounds
+  in
+  let got =
+    List.map
+      (fun (name, g) ->
+        let s = Api.min_cut ~params:Params.fast g in
+        let truth = Certificate.certify_summary g s in
+        let lie = Certificate.certify g ~value:(s.Api.value + 1) ~side:s.Api.side in
+        (name, report_string truth ^ " " ^ report_string lie))
+      [
+        ("torus4", Generators.torus 4 4);
+        ("grid5", Generators.grid 5 5);
+        ("gnp24", Generators.gnp_connected ~rng:(Rng.create 12) 24 0.3);
+      ]
+  in
+  Alcotest.(check (list (pair string string))) "certificate reports" golden_certificates got
+
 let test_certificate_outputs () =
   let g = Generators.barbell 4 in
   let s = Api.min_cut ~params:Params.fast g in
@@ -197,5 +227,6 @@ let suite =
     tc "certificate: rejects wrong values" test_certificate_rejects_wrong_value;
     tc "certificate: rejects trivial sides" test_certificate_rejects_trivial_side;
     tc "certificate: per-node outputs" test_certificate_outputs;
+    tc "certificate: parent-recorded report goldens" test_certificate_goldens;
   ]
   @ qcheck_tests

@@ -543,15 +543,15 @@ let prop_step5_matches_climbing =
    ids still to forward. *)
 module ISet = Mincut_util.Intset
 
-let smallest_first_downcast ~cfg g (links : One_respect.frag_links) fr =
+let smallest_first_downcast ~cfg g (links : Mincut_congest.Primitives.forest) fr =
   let module Network = Mincut_congest.Network in
-  let down = links.One_respect.down in
+  let down = links.Mincut_congest.Primitives.children in
   let prog : (ISet.t, int) Network.program =
     {
-      initial = (fun v -> match down.(v) with [] -> ISet.empty | _ -> ISet.add v ISet.empty);
+      initial = (fun v -> if down.(v) = [||] then ISet.empty else ISet.add v ISet.empty);
       step =
         (fun ~node ~round:_ ~inbox unsent ->
-          match down.(node) with
+          match Array.to_list down.(node) with
           | [] -> (unsent, [])
           | kids -> (
               let unsent = List.fold_left (fun a (_, x) -> ISet.add x a) unsent inbox in

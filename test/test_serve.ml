@@ -538,24 +538,47 @@ let test_server_weight_bound () =
       Alcotest.fail
         (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
 
-(* the CLI answers the same weight with an error line and exit 1, where
-   it used to die on the uncaught Invalid_argument (exit 125) *)
-let test_cli_weight_bound () =
-  let path = "heavy_weight.graph" in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc "p 2 1\ne 0 1 %d\n" max_int);
+(* [mincut_cli solve ARGS FILE] on a DIMACS file holding [graph]:
+   (exit status, stdout, stderr) *)
+let run_cli_solve ~path ~graph args =
+  Out_channel.with_open_text path (fun oc -> output_string oc graph);
   let cli = "../bin/mincut_cli.exe" in
   let out, inp, err =
-    Unix.open_process_args_full cli [| cli; "solve"; path |] (Unix.environment ())
+    Unix.open_process_args_full cli
+      (Array.of_list ((cli :: "solve" :: args) @ [ path ]))
+      (Unix.environment ())
   in
   close_out inp;
   let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
   let status = Unix.close_process_full (out, inp, err) in
   Sys.remove path;
+  (status, stdout, stderr)
+
+(* the CLI answers the same weight with an error line and exit 1, where
+   it used to die on the uncaught Invalid_argument (exit 125) *)
+let test_cli_weight_bound () =
+  let status, stdout, stderr =
+    run_cli_solve ~path:"heavy_weight.graph"
+      ~graph:(Printf.sprintf "p 2 1\ne 0 1 %d\n" max_int)
+      []
+  in
   check_bool "exits 1" true (status = Unix.WEXITED 1);
   check_string "no answer printed" "" stdout;
   check_string "one error line naming the bound"
     "mincut: error: Tree_packing.greedy: edge weight above max_int / 8\n" stderr
+
+(* certifying floods a BFS tree, which a disconnected graph refuses up
+   front: an error line and exit 1, where the flood used to run to the
+   watchdog and exit 125 *)
+let test_cli_certify_disconnected () =
+  let status, _, stderr =
+    run_cli_solve ~path:"disconnected.graph"
+      ~graph:"p 6 4\ne 0 1 1\ne 1 2 1\ne 3 4 1\ne 4 5 2\n"
+      [ "--certify" ]
+  in
+  check_bool "exits 1" true (status = Unix.WEXITED 1);
+  check_string "one error line"
+    "mincut: error: Primitives.bfs_tree: disconnected graph\n" stderr
 
 let test_protocol_parse_errors () =
   let is_err s = match Protocol.parse s with Error _ -> true | Ok _ -> false in
@@ -872,4 +895,7 @@ let suite =
     tc "server: scripted incremental session" test_server_incremental_session;
   ]
   @ qcheck_tests
-  @ [ tc "cli: solve refuses a weight past the packing bound" test_cli_weight_bound ]
+  @ [
+      tc "cli: solve refuses a weight past the packing bound" test_cli_weight_bound;
+      tc "cli: certify on a disconnected graph is an error" test_cli_certify_disconnected;
+    ]

@@ -11,6 +11,7 @@ module Tree = Mincut_graph.Tree
 module Bfs = Mincut_graph.Bfs
 module Primitives = Mincut_congest.Primitives
 module Network = Mincut_congest.Network
+module Cost = Mincut_congest.Cost
 module Rng = Mincut_util.Rng
 module Chunk = Mincut_store.Chunk
 module Chunk_io = Mincut_store.Chunk_io
@@ -312,9 +313,9 @@ let test_bfs_matches_engine () =
       let dir, _ = load_graph ~chunk_bits:4 g in
       let cg = open_unbounded dir in
       let b = Traverse.bfs cg ~root:0 in
-      let tree, _cost, audit = Primitives.bfs_tree_audited g ~root:0 in
+      let tree, cost = Primitives.bfs_tree g ~root:0 in
       let reference = Bfs.run g ~source:0 in
-      check_int (name ^ ": rounds = engine rounds") audit.Network.rounds
+      check_int (name ^ ": rounds = engine rounds") cost.Cost.rounds
         b.Traverse.rounds;
       check_bool (name ^ ": distances") true (b.Traverse.dist = reference.Bfs.dist);
       check_bool (name ^ ": parents = engine min-id adoption") true
@@ -332,10 +333,10 @@ let test_upcast_matches_engine () =
       let sources = List.init n (fun v -> v) in
       let initial = Array.make n [] in
       List.iter (fun v -> initial.(v) <- [ v ]) sources;
-      let _items, _cost, audit = Primitives.upcast_distinct_audited g ~tree ~initial in
+      let _items, cost = Primitives.upcast_distinct g ~tree ~initial in
       check_int
         (name ^ ": simulated upcast rounds = engine rounds")
-        audit.Network.rounds
+        cost.Cost.rounds
         (Traverse.upcast_rounds ~parent:tree.Tree.parent ~root:0 ~sources))
     (small_connected_graphs ())
 

@@ -235,16 +235,17 @@ let qcheck_tests =
         List.iter (Bitset.add s) xs;
         List.for_all (Bitset.mem s) xs
         && Bitset.cardinal s = List.length (List.sort_uniq compare xs));
-    qtest ~count:500 "intset remove_min = diff of the min"
-      QCheck2.Gen.(list_size (int_range 0 12) (int_range 0 20))
-      (fun xs ->
-        let a = Intset.of_list xs in
-        let least =
-          match Intset.min_elt_opt a with
-          | Some m -> Intset.of_list [ m ]
-          | None -> Intset.empty
-        in
-        Intset.equal (Intset.remove_min a) (Intset.diff a least)
+    qtest ~count:500 "intset add/mem/remove_min vs oracle"
+      QCheck2.Gen.(pair (list_size (int_range 0 12) (int_range 0 20)) (int_range (-1) 21))
+      (fun (xs, y) ->
+        let oracle = List.sort_uniq Int.compare xs in
+        let a = List.fold_left (fun s x -> Intset.add x s) Intset.empty xs in
+        Intset.elements a = oracle
+        && Intset.equal a (Intset.of_list xs)
+        && Intset.mem y a = List.mem y oracle
+        && List.for_all (fun x -> Intset.mem x a) xs
+        && Intset.elements (Intset.remove_min a)
+           = (match oracle with [] -> [] | _ :: rest -> rest)
         && Intset.equal (Intset.remove_min Intset.empty) Intset.empty);
   ]
 
