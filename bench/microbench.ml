@@ -41,6 +41,24 @@ let tests () =
             in
             let backbone = One_respect.backbone g_dense ~root:0 in
             fun () -> ignore (One_respect.run ~backbone g_dense tree)));
+      (* the engine's per-message cost: Step 2b's pipelined downcast on
+         that tree's fragment forest (most node-rounds idle, sends to a
+         few children), and a BFS flood that addresses every neighbour *)
+      Test.make ~name:"engine:frag-downcast-gnp144"
+        (Staged.stage
+           (let tree =
+              Tree.of_edge_ids g_dense ~root:0
+                (Tree_packing.greedy g_dense ~trees:1).Tree_packing.trees.(0)
+            in
+            let fr =
+              Mincut_mst.Fragments.partition tree
+                ~target:(Params.sqrt_target ~n:(Mincut_graph.Graph.n g_dense))
+            in
+            let links = One_respect.frag_links tree fr in
+            let cfg = Params.default.Params.congest in
+            fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_dense tree links fr)));
+      Test.make ~name:"engine:bfs-flood-gnp144"
+        (Staged.stage (fun () -> ignore (Mincut_congest.Primitives.bfs_tree g_dense ~root:0)));
       Test.make ~name:"t3-diameter:one-respect-cliques-path"
         (Staged.stage (fun () ->
              let tree = Tree.bfs_tree g_deep ~root:0 in

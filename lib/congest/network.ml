@@ -6,6 +6,7 @@ type violation_kind =
   | Duplicate_send
   | Edge_overload
   | Order_dependence
+  | Round_dependence
   | Watchdog
 
 type violation = {
@@ -41,6 +42,11 @@ let violation_message v =
       Printf.sprintf
         "round %d: node %s diverged under a permuted inbox order \
          (state/outbox depends on delivery order)"
+        v.round (endpoint v.sender)
+  | Round_dependence ->
+      Printf.sprintf
+        "round %d: node %s acted on an empty inbox after an idle step \
+         (an empty-inbox step must depend only on node and state)"
         v.round (endpoint v.sender)
   | Watchdog ->
       Printf.sprintf "watchdog: exceeded %s rounds" (endpoint v.budget)
@@ -127,20 +133,39 @@ let shadow_check ~prog ~node ~round ~inbox st state' outs =
   replay (List.rev inbox);
   replay (shuffle ~seed:((node * 1_000_003) + round) inbox)
 
+(* Sanitize mode's check of the idle contract.  A sleeping node is
+   stepped anyway, and the step must send nothing and leave the
+   marshalled state as it was; otherwise the program reads the round as
+   a timer, and sleeping the node would change the run. *)
+let idle_check ~node ~round st0 state' outs =
+  let same_state =
+    state' == st0 || String.equal (Marshal.to_string state' []) (Marshal.to_string st0 [])
+  in
+  match outs with
+  | [] when same_state -> ()
+  | _ -> violate Round_dependence ~round ~sender:node
+
 (* Per-domain scratch for [drive]'s monomorphic round structures.
 
    A solve is hundreds of [drive] calls over small graphs, so the
    per-call [Array.make]s of the slot registries dominated the driver's
    minor-heap traffic.  The int/bool scratch is domain-local (each pool
    worker reuses its own across calls; no sharing, no locks) and
-   versioned so reuse needs no per-call refill:
+   versioned so reuse needs no per-call refill of anything sized by m:
 
    - [sent_round] stores [epoch + r]; [epoch] advances past every stamp
      the previous call wrote (see [finally]), so stale entries can never
      collide with the current call's duplicate check.  Zero-initialized
      growth is safe because [epoch] starts at 1.
-   - [slot_load] accumulates genuine per-run totals, so it alone is
-     [Array.fill]ed (no allocation) on entry.
+   - [slot_load] counts the messages a slot carried in this call.  It is
+     valid only where [sent_round] holds a stamp of this call
+     ([>= epoch]); elsewhere it is stale and reads as 0, so the first
+     send of a call overwrites it instead of a fill on entry.
+   - [from_slot] / [to_slot] remember, per node, the slot of its last
+     send and the slot last used to reach it.  [deliver] validates an
+     entry before using it, so any value (another call's, another
+     graph's) is safe and they are never reset.
+   - [halted] and [asleep] are per-node flags, set on entry: O(n).
    - [counts] is a growable per-round message-count buffer replacing
      the old cons-per-round list.
 
@@ -149,8 +174,11 @@ let shadow_check ~prog ~node ~round ~inbox st state' outs =
    type and cannot be cached monomorphically. *)
 type scratch = {
   mutable sent_round : int array;  (* per slot: epoch-stamped last-send round *)
-  mutable slot_load : int array;   (* per slot: messages over the whole run *)
+  mutable slot_load : int array;   (* per slot: messages this call *)
   mutable halted : bool array;     (* per node: monotone halt flags *)
+  mutable asleep : bool array;     (* per node: idle until mail arrives *)
+  mutable from_slot : int array;   (* per node: slot of its last send *)
+  mutable to_slot : int array;     (* per node: slot last used to reach it *)
   mutable counts : int array;      (* per round: messages sent *)
   mutable epoch : int;             (* monotone across calls; >= 1 *)
   mutable in_use : bool;           (* re-entrant drive gets fresh scratch *)
@@ -161,6 +189,9 @@ let fresh_scratch () =
     sent_round = [||];
     slot_load = [||];
     halted = [||];
+    asleep = [||];
+    from_slot = [||];
+    to_slot = [||];
     counts = [||];
     epoch = 1;
     in_use = false;
@@ -184,10 +215,11 @@ let rec bisect nbr dst lo hi =
    traffic_pending).
 
    Hot-path layout: every per-round structure is a flat array indexed
-   by the graph's CSR slots — reused across calls through the
-   domain-local [scratch] — so a round allocates nothing beyond the
+   by the graph's CSR slots or by node — reused across calls through
+   the domain-local [scratch] — so a round allocates nothing beyond the
    message payloads themselves, and a whole run allocates little
-   beyond states and mailboxes.
+   beyond states and mailboxes.  Apart from O(n) flags on entry, a
+   call's work follows its steps and its messages.
 
    - Mailboxes are double-buffered list arrays.  Senders are stepped in
      descending node order, so consing onto the destination's next-round
@@ -203,14 +235,25 @@ let rec bisect nbr dst lo hi =
      store and the [prog.halted] call.  [halted] is a pure function of
      the state and the node was stepped because its flag is false, so
      the flag cannot change.
-   - The duplicate-send registry and per-directed-edge word counters are
+   - Wake-on-mail: after round 0, a step with an empty inbox that
+     returns its state physically unchanged and sends nothing puts the
+     node to sleep, and a sleeping node is not stepped until mail
+     arrives.  By the contract on [program.step] such a step depends
+     only on node and state, so every skipped step would have repeated
+     it.  Sanitize mode steps sleeping nodes anyway and checks that.
+   - The duplicate-send registry and per-directed-edge counters are
      arrays indexed by CSR slot; storing the epoch-stamped round of the
      last send makes entries self-invalidating, so there is no per-round
-     (or even per-call) reset at all ("dirty list" of size zero).
-   - Neighbor membership and directed-slot lookup search the sender's
-     CSR row, which is sorted by (neighbor, edge id): nothing per row,
-     since tree programs address a few of a node's neighbors, not all
-     of them.  Each message bisects the row, O(log deg).
+     or per-call reset at all, and [max_edge_load] is kept at delivery.
+   - A message's channel is found from memory first: the slot the
+     sender used last (a pipeline to one neighbour), the slot last used
+     to reach [dst] (a parent streaming to several children), then the
+     slot right after the sender's last (a flood addressing its
+     neighbours in ascending order).  On a miss it bisects the sender's
+     CSR row, sorted by (neighbor, edge id), O(log deg): nothing per
+     row, since tree programs address a few of a node's neighbors, not
+     all of them.  The memo check is written inline: as a local closure
+     it allocated once per message.
    - Message validation and delivery run in [deliver], one closure per
      call rather than one per stepped node per round. *)
 let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
@@ -225,14 +268,21 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     sc.sent_round <- grown_int sc.sent_round slots;
     sc.slot_load <- grown_int sc.slot_load slots
   end;
-  if Array.length sc.halted < n then
-    sc.halted <- Array.make (max n (2 * Array.length sc.halted)) false;
+  if Array.length sc.halted < n then begin
+    let len = max n (2 * Array.length sc.halted) in
+    sc.halted <- Array.make len false;
+    sc.asleep <- Array.make len false;
+    sc.from_slot <- Array.make len 0;
+    sc.to_slot <- Array.make len 0
+  end;
   if Array.length sc.counts = 0 then sc.counts <- Array.make 64 0;
   let epoch = sc.epoch in
   let sent_round = sc.sent_round in
   let slot_load = sc.slot_load in
-  Array.fill slot_load 0 slots 0;
   let halted = sc.halted in
+  let asleep = sc.asleep in
+  let from_slot = sc.from_slot in
+  let to_slot = sc.to_slot in
   let states = Array.init n prog.initial in
   let cur : (int * _) list array ref = ref (Array.make n []) in
   let next : (int * _) list array ref = ref (Array.make n []) in
@@ -243,6 +293,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
   for v = 0 to n - 1 do
     let h = prog.halted states.(v) in
     halted.(v) <- h;
+    asleep.(v) <- false;
     if not h then incr live
   done;
   let pending = ref false in
@@ -250,6 +301,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
   let total_words = ref 0 in
   let sent_count = ref 0 in
   let max_words = ref 0 in
+  let max_edge_load = ref 0 in
   let max_edge_words = ref 0 in
   let last_traffic_round = ref (-1) in
   let round = ref 0 in
@@ -265,8 +317,20 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     match outs with
     | [] -> ()
     | (dst, payload) :: rest ->
-        let hi = off.(v + 1) in
-        let s = bisect nbr dst off.(v) hi in
+        let lo = off.(v) and hi = off.(v + 1) in
+        (* a remembered slot counts only if it lies in v's row, leads
+           to dst and is the channel's first parallel slot *)
+        let s = from_slot.(v) in
+        let s =
+          if s >= lo && s < hi && nbr.(s) = dst && (s = lo || nbr.(s - 1) <> dst) then s
+          else
+            let t = if dst >= 0 && dst < n then to_slot.(dst) else -1 in
+            if t >= lo && t < hi && nbr.(t) = dst && (t = lo || nbr.(t - 1) <> dst) then t
+            else
+              let t = s + 1 in
+              if t > lo && t < hi && nbr.(t) = dst && nbr.(t - 1) <> dst then t
+              else bisect nbr dst lo hi
+        in
         if s = hi || nbr.(s) <> dst then
           violate Non_neighbor_send ~round:r ~sender:v ~receiver:dst;
         if sent_round.(s) = epoch + r then
@@ -283,8 +347,12 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
             violate Edge_overload ~round:r ~sender:v ~receiver:dst ~words:w
               ~budget:cap
         | _ -> ());
+        let load = if sent_round.(s) < epoch then 1 else slot_load.(s) + 1 in
+        slot_load.(s) <- load;
+        if load > !max_edge_load then max_edge_load := load;
         sent_round.(s) <- epoch + r;
-        slot_load.(s) <- slot_load.(s) + 1;
+        from_slot.(v) <- s;
+        to_slot.(dst) <- s;
         incr total_messages;
         incr sent_count;
         total_words := !total_words + w;
@@ -313,24 +381,36 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
       let inbox = inboxes.(v) in
       (match inbox with [] -> () | _ -> inboxes.(v) <- []);
       if not halted.(v) then begin
-        let st0 = states.(v) in
-        let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
-        if cfg.Config.sanitize then begin
-          match inbox with
-          | [] | [ _ ] -> ()
-          | _ -> shadow_check ~prog ~node:v ~round:r ~inbox st0 state' outs
-        end;
-        (match probe with
-        | None -> ()
-        | Some f -> f ~node:v ~round:r ~inbox state' outs);
-        if state' != st0 then begin
-          states.(v) <- state';
-          if prog.halted state' then begin
-            halted.(v) <- true;
-            decr live
-          end
-        end;
-        deliver outbox v r outs
+        match inbox with
+        | [] when asleep.(v) ->
+            if cfg.Config.sanitize then begin
+              let st0 = states.(v) in
+              let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
+              (match probe with
+              | None -> ()
+              | Some f -> f ~node:v ~round:r ~inbox state' outs);
+              idle_check ~node:v ~round:r st0 state' outs
+            end
+        | _ ->
+            let st0 = states.(v) in
+            let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
+            if cfg.Config.sanitize then begin
+              match inbox with
+              | [] | [ _ ] -> ()
+              | _ -> shadow_check ~prog ~node:v ~round:r ~inbox st0 state' outs
+            end;
+            (match probe with
+            | None -> ()
+            | Some f -> f ~node:v ~round:r ~inbox state' outs);
+            if state' != st0 then begin
+              states.(v) <- state';
+              if prog.halted state' then begin
+                halted.(v) <- true;
+                decr live
+              end
+            end;
+            asleep.(v) <- r > 0 && state' == st0 && inbox == [] && outs == [];
+            deliver outbox v r outs
       end
     done;
     (* swap buffers: the outbox already holds ascending-sender inboxes,
@@ -339,10 +419,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     next := inboxes;
     note_round_count r !sent_count;
     incr round
-  done;
-  let max_edge_load = ref 0 in
-  for s = 0 to slots - 1 do
-    if slot_load.(s) > !max_edge_load then max_edge_load := slot_load.(s)
   done;
   let audit =
     {

@@ -25,6 +25,10 @@ type violation_kind =
                            edge in one round exceeded the cap *)
   | Order_dependence   (** sanitize mode: a step's outcome changed under
                            a permuted inbox delivery order *)
+  | Round_dependence   (** sanitize mode: a sleeping node's empty-inbox
+                           step sent or changed its marshalled state,
+                           so it read the round as a timer (see
+                           [program.step]) *)
   | Watchdog           (** the configured round limit was reached *)
 
 type violation = {
@@ -53,7 +57,17 @@ type ('state, 'msg) program = {
     node:int -> round:int -> inbox:(int * 'msg) list -> 'state -> 'state * (int * 'msg) list;
       (** One synchronous round: consume the messages delivered this
           round (as [(sender, payload)], sorted by sender) and return the
-          new state plus outgoing [(neighbor, payload)] messages. *)
+          new state plus outgoing [(neighbor, payload)] messages.
+
+          Contract: after round 0, an empty-inbox step depends only on
+          node and state.  A program may test [round = 0] to start, but
+          must not use the round number as a timer.  The engine relies
+          on it: after round 0, a node whose empty-inbox step returns
+          its state physically unchanged and sends nothing sleeps, and
+          is not stepped again until mail arrives (wake-on-mail).
+          {!Config.sanitize} steps sleeping nodes anyway and raises
+          {!Model_violation} with kind {!Round_dependence} when such a
+          step sends or changes the marshalled state. *)
   halted : 'state -> bool;
       (** Halted nodes no longer step; messages sent to them are
           dropped.  The engine stops when every node has halted.  It
@@ -89,7 +103,8 @@ type ('state, 'msg) probe =
   'state ->
   (int * 'msg) list ->
   unit
-(** Instrumentation callback: invoked once per executed step with the
+(** Instrumentation callback: invoked once per executed step (sleeping
+    nodes are not stepped, except under [cfg.sanitize]) with the
     delivered inbox, the {e post-step} state, and the outbox, before
     any model-discipline checks run on the outbox.  The sanitizer's
     footprint/word-growth tracker hooks in here; the callback must not
@@ -108,7 +123,8 @@ val run :
     reversed and a deterministically shuffled inbox; any divergence in
     marshalled state, outbox multiset, or halted flag raises
     [Model_violation] with kind {!Order_dependence} carrying the node
-    and round. *)
+    and round; and every sleeping node is stepped and checked against
+    the contract on [program.step] ({!Round_dependence}). *)
 
 val run_bounded :
   ?cfg:Config.t ->

@@ -3,7 +3,9 @@
     Semantically identical to {!Network.run} but
     implemented the pre-overhaul way: list mailboxes sorted per node per
     round, a fresh [Hashtbl] of directed-edge word counters every round,
-    and per-run neighbor hash tables.  It exists for two reasons:
+    and per-run neighbor hash tables.  It steps every live node every
+    round, so it is also the oracle for {!Network}'s wake-on-mail
+    stepping and remembered channel slots.  It exists for two reasons:
 
     - the equivalence tests diff its full audits against the flat-array
       driver's on the replay workloads, pinning the rewrite to the seed

@@ -172,28 +172,29 @@ let frag_links tree (fr : Fragments.t) =
    first and built by cons: the fragment root ... parent, then itself.
    A node with an empty inbox after round 0 returns its state
    physically unchanged. *)
-let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
-  let module Network = Mincut_congest.Network in
-  let n = Graph.n g in
-  let frag_of = fr.Fragments.frag_of in
+let ancestor_downcast_program (links : Primitives.forest) :
+    (int list, int) Mincut_congest.Network.program =
   let down = links.Primitives.children in
   let send node id = Array.fold_right (fun c acc -> (c, id) :: acc) down.(node) [] in
-  let prog : (int list, int) Network.program =
-    {
-      initial = (fun v -> [ v ]);
-      step =
-        (fun ~node ~round ~inbox chain ->
-          match inbox with
-          | (_, id) :: _ -> (id :: chain, send node id)
-          | [] -> (chain, if round = 0 then send node node else []))
-        ;
-      halted = (fun _ -> false);
-    }
-  in
+  {
+    initial = (fun v -> [ v ]);
+    step =
+      (fun ~node ~round ~inbox chain ->
+        match inbox with
+        | (_, id) :: _ -> (id :: chain, send node id)
+        | [] -> (chain, if round = 0 then send node node else []))
+      ;
+    halted = (fun _ -> false);
+  }
+
+let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
+  let n = Graph.n g in
+  let frag_of = fr.Fragments.frag_of in
   let maxh = Fragments.max_height fr in
   let bound = (2 * maxh) + 3 in
   let chains, audit =
-    Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog
+    Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g
+      (ancestor_downcast_program links)
   in
   (* verify: each node's chain = its within-fragment ancestors (incl
      self).  Fragments are subtrees, so those are exactly the

@@ -90,6 +90,13 @@ val frag_links : Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> Mincut_congest
     fragment roots, shared by the within-fragment engine programs of one
     run. *)
 
+val ancestor_downcast_program :
+  Mincut_congest.Primitives.forest -> (int list, int) Mincut_congest.Network.program
+(** Step 2b's engine program on a fragment forest: every node sends its
+    id to its children in round 0 and forwards each id in the round it
+    arrives; a node's state is the chain of ids heard, newest first.
+    Never halts: run it for a bounded number of rounds. *)
+
 val frag_ancestor_downcast :
   cfg:Mincut_congest.Config.t ->
   Mincut_graph.Graph.t ->

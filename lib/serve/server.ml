@@ -35,9 +35,11 @@ let err session fmt = Printf.ksprintf (fun s -> session.io.write_line ("ERR " ^ 
 
 (* Read the m edge lines following a GRAPH header.  On a malformed edge
    the remaining announced lines are still consumed, so the client and
-   server never disagree about where the edge list ends. *)
+   server never disagree about where the edge list ends.  The edge
+   buffer grows as lines arrive: the header's m is the client's claim,
+   and sizing an array by it up front let one line exhaust memory. *)
 let read_graph_def session ~name ~n ~m =
-  let triples = Array.make m (0, 0, 0) in
+  let triples = ref (Array.make (min m 4096) (0, 0, 0)) in
   let rec read i =
     if i = m then Ok ()
     else
@@ -64,7 +66,10 @@ let read_graph_def session ~name ~n ~m =
                 (int_of_string_opt u, int_of_string_opt v, int_of_string_opt w)
               with
               | Some u, Some v, Some w ->
-                  triples.(i) <- (u, v, w);
+                  (* full: double it, up to the announced m *)
+                  if i = Array.length !triples then
+                    triples := Array.append !triples (Array.make (min (m - i) i) (0, 0, 0));
+                  !triples.(i) <- (u, v, w);
                   read (i + 1)
               | _ -> bad ())
           | _ -> bad ())
@@ -72,7 +77,7 @@ let read_graph_def session ~name ~n ~m =
   match read 0 with
   | Error e -> Error e
   | Ok () -> (
-      match Graph.of_array ~n triples with
+      match Graph.of_array ~n !triples with
       | g ->
           Hashtbl.replace session.named name g;
           Ok g

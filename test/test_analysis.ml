@@ -81,20 +81,22 @@ let test_replay_deterministic_program () =
 
 let test_replay_catches_nondeterminism () =
   (* a hidden mutable global leaks across runs: the second run sends in a
-     different round, so the audits differ *)
+     different round, so the audits differ.  Each node counts its steps
+     in its state (-1 once node 0 has sent), so an empty-inbox step
+     depends on node, state and the hidden global, never on the round *)
   let sneak = ref 0 in
   let g = Generators.path 2 in
-  let prog : (bool, int) Network.program =
+  let prog : (int, int) Network.program =
     {
-      initial = (fun _ -> false);
+      initial = (fun _ -> 0);
       step =
-        (fun ~node ~round ~inbox:_ _ ->
-          if node = 0 && round = !sneak then begin
+        (fun ~node ~round:_ ~inbox:_ steps ->
+          if node = 0 && steps = !sneak then begin
             incr sneak;
-            (true, [ (1, 0) ])
+            (-1, [ (1, 0) ])
           end
-          else (round > 2, []));
-      halted = (fun b -> b);
+          else (steps + 1, []));
+      halted = (fun steps -> steps < 0 || steps > 3);
     }
   in
   match

@@ -141,6 +141,87 @@ let test_engine_watchdog () =
   check_opt "round limit as budget" (Some 10) v.Network.budget;
   check_int "round" 10 v.Network.round
 
+(* Node 0 keeps its state and acts at round 5 on an empty inbox: it
+   reads the round as a timer, against the contract on [program.step].
+   The plain engine sleeps it from round 1 on, so it never sends;
+   sanitize mode steps it anyway and names the node and the round. *)
+let test_sanitize_catches_round_timer () =
+  let g = Generators.path 3 in
+  let prog : (bool, int) Network.program =
+    {
+      initial = (fun _ -> false);
+      step =
+        (fun ~node ~round ~inbox:_ sent ->
+          if node = 0 && round = 5 then (true, [ (1, 0) ]) else (sent, []));
+      halted = (fun _ -> false);
+    }
+  in
+  let _, audit = Network.run_bounded ~words:words1 ~rounds:8 g prog in
+  check_int "plain engine: the sleeper never acts" 0 audit.Network.total_messages;
+  let v =
+    expect_violation "round timer" (fun () ->
+        Network.run_bounded ~cfg:(Config.sanitized Config.default) ~words:words1 ~rounds:8 g
+          prog)
+  in
+  check_bool "kind" true (v.Network.kind = Network.Round_dependence);
+  check_int "round" 5 v.Network.round;
+  check_opt "sender" (Some 0) v.Network.sender;
+  let msg = Network.violation_message v in
+  check_bool "message names node and round" true
+    (String.length msg > 16 && String.sub msg 0 16 = "round 5: node 0 ")
+
+(* Every edge of [g] twice: each channel then has two parallel CSR
+   slots, and the engine must always settle on the first. *)
+let doubled g =
+  let es = Array.map (fun (e : Graph.edge) -> (e.u, e.v, e.w)) (Graph.edges g) in
+  Graph.of_array ~n:(Graph.n g) (Array.append es es)
+
+let test_duplicate_send_with_warm_memo () =
+  (* node 0 reaches node 1 alone in rounds 0 and 1, so both remembered
+     slots sit on the channel; in round 2 it sends to node 1 twice *)
+  let g = doubled (Generators.torus 4 4) in
+  let prog : (int, int) Network.program =
+    {
+      initial = (fun _ -> 0);
+      step =
+        (fun ~node ~round:_ ~inbox:_ k ->
+          if node <> 0 then (k, [])
+          else (k + 1, if k < 2 then [ (1, k) ] else [ (1, k); (1, k) ]));
+      halted = (fun _ -> false);
+    }
+  in
+  let v =
+    expect_violation "duplicate" (fun () -> Network.run_bounded ~words:words1 ~rounds:5 g prog)
+  in
+  check_bool "kind" true (v.Network.kind = Network.Duplicate_send);
+  check_int "round" 2 v.Network.round;
+  check_opt "sender" (Some 0) v.Network.sender;
+  check_opt "receiver" (Some 1) v.Network.receiver
+
+let test_stale_memo_never_hides_a_duplicate () =
+  (* the channel memo outlives a call: on the triangle node 0 last sends
+     on its second slot and node 2 reaches node 1 on its second slot;
+     on three parallel 0-1 edges both remembered slots then lie in or
+     past the channel, and neither may stand in for its first slot *)
+  let send_once sends : (bool, int) Network.program =
+    {
+      initial = (fun _ -> false);
+      step = (fun ~node ~round:_ ~inbox:_ _ -> (true, List.assoc node sends));
+      halted = (fun b -> b);
+    }
+  in
+  ignore
+    (Network.run ~words:words1 (Generators.complete 3)
+       (send_once [ (0, [ (2, 0) ]); (1, []); (2, [ (1, 0) ]) ]));
+  let triple = Graph.of_array ~n:2 [| (0, 1, 1); (0, 1, 1); (0, 1, 1) |] in
+  let v =
+    expect_violation "duplicate" (fun () ->
+        Network.run ~words:words1 triple (send_once [ (0, [ (1, 0); (1, 1) ]); (1, []) ]))
+  in
+  check_bool "kind" true (v.Network.kind = Network.Duplicate_send);
+  check_opt "sender" (Some 0) v.Network.sender;
+  check_opt "receiver" (Some 1) v.Network.receiver
+
 let test_engine_strict_edge_overload () =
   (* one word per message passes the lenient per-message budget but two
      messages never cross one edge in one round, so the only way to trip
@@ -368,6 +449,33 @@ let tally_program g : (tally, int) Network.program =
     halted = (fun st -> st.hits >= st.need);
   }
 
+(* A token walks the path 0 -> n-1, one hop per round, from round 1:
+   every node idles in round 0, which the contract lets a program treat
+   specially, so no node may sleep before round 1.  Node v then sleeps
+   until the token reaches it in round v + 1, so most nodes sleep for
+   many rounds before their mail arrives.  With [halt] a node halts
+   once it has passed the token on; without, it goes back to sleep. *)
+let walk_program ~halt n : (int, int) Network.program =
+  {
+    initial = (fun _ -> -1);
+    step =
+      (fun ~node ~round ~inbox hops ->
+        match inbox with
+        | (_, h) :: _ -> (h, if node + 1 < n then [ (node + 1, h + 1) ] else [])
+        | [] ->
+            if node = 0 && round <> 0 && hops < 0 then (0, [ (1, 1) ]) else (hops, []));
+    halted = (fun hops -> halt && hops >= 0);
+  }
+
+(* Node 0 sends to node 1 every round without changing its state: a
+   step that sends is not idle, so the sender must never sleep. *)
+let beacon_program : (unit, int) Network.program =
+  {
+    initial = (fun _ -> ());
+    step = (fun ~node ~round:_ ~inbox:_ () -> ((), if node = 0 then [ (1, 0) ] else []));
+    halted = (fun () -> false);
+  }
+
 (* [Network.run_bounded] as the reference driver's [run]: a round
    counter halts every node after [rounds] steps, and the completion
    time is the delivery round of the last message. *)
@@ -446,15 +554,24 @@ let test_driver_matches_reference () =
         (fun target ->
           let fr = Mincut_mst.Fragments.partition tree ~target in
           let label = Printf.sprintf "%s fragments@%d" name target in
+          let links = Mincut_core.One_respect.frag_links tree fr in
+          let maxh = Mincut_mst.Fragments.max_height fr in
           check_bool (label ^ ": several roots") true
             (target = 3 || Mincut_mst.Fragments.count fr > 1);
-          forest_programs label g
-            (Mincut_core.One_respect.frag_links tree fr)
-            ~height:(Mincut_mst.Fragments.max_height fr);
+          forest_programs label g links ~height:maxh;
+          (* Step 2b: a node sleeps between the ids it forwards *)
+          bounded (label ^ " ancestor downcast") ~words:words1 ~rounds:((2 * maxh) + 3) g
+            (Mincut_core.One_respect.ancestor_downcast_program links);
           unbounded (label ^ " exchange") ~words:words1 g
             (Primitives.exchange_program g ~values:fr.Mincut_mst.Fragments.frag_of))
         [ 3; 1 ])
-    (replay_graphs ())
+    (* the multigraph gives every channel two parallel slots *)
+    (replay_graphs () @ [ ("torus4x2", doubled (Generators.torus 4 4)) ]);
+  (* late wakes: the walk leaves nodes asleep for up to 39 rounds *)
+  let path = Generators.path 40 in
+  unbounded "walk" ~words:words1 path (walk_program ~halt:true 40);
+  bounded "walk bounded" ~words:words1 ~rounds:46 path (walk_program ~halt:false 40);
+  bounded "beacon" ~words:words1 ~rounds:6 path beacon_program
 
 let test_seed_driver_goldens () =
   (* audits recorded from the pre-rewrite driver on the lint replay
@@ -551,6 +668,12 @@ let suite =
     tc "engine: rejects oversized messages" test_engine_rejects_oversized;
     tc "engine: rejects self sends" test_engine_rejects_self_send;
     tc "engine: watchdog" test_engine_watchdog;
+    tc "sanitize: round-timer program raises Round_dependence"
+      test_sanitize_catches_round_timer;
+    tc "engine: duplicate send caught with a warm channel memo"
+      test_duplicate_send_with_warm_memo;
+    tc "engine: a stale channel memo never hides a duplicate"
+      test_stale_memo_never_hides_a_duplicate;
     tc "engine: strict mode catches edge overload" test_engine_strict_edge_overload;
     tc "config: strict rejects bad budget" test_strict_rejects_bad_budget;
     tc "primitives: bfs tree (real rounds)" test_bfs_tree_real;

@@ -510,6 +510,26 @@ let test_server_graph_payload_drained () =
       Alcotest.fail
         (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
 
+let test_server_oversized_graph_header () =
+  (* the header's m is a claim, not an allocation: the edge buffer grows
+     as lines arrive, so a long list loads in full and a list that ends
+     early is an ERR line, after which the server reads on to end of
+     input *)
+  let long = List.init 5000 (fun i -> Printf.sprintf "0 1 %d" (1 + (i mod 3))) in
+  let io, collected =
+    scripted_io (("GRAPH long 2 5000" :: long) @ [ "GRAPH u 2 100000000000"; "0 1 1" ])
+  in
+  let reason = Server.run (service ()) io in
+  check_bool "eof ends session" true (reason = Server.Eof);
+  match collected () with
+  | [ ok; err ] ->
+      check_bool "long list loads" true (has_prefix ~prefix:"OK graph long n=2 m=5000 " ok);
+      check_bool "GRAPH error line" true (has_prefix ~prefix:"ERR GRAPH u: " err);
+      check_bool "names the short edge list" true (contains ~sub:"end of input" err)
+  | lines ->
+      Alcotest.fail
+        (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
+
 let test_server_weight_bound () =
   (* a 2-node graph packs the 96-tree cap; a weight past max_int / 96
      would overflow the packing's load comparison, so it is an ERR *)
@@ -885,6 +905,7 @@ let suite =
     tc "server: scripted session" test_server_session;
     tc "server: submit/flush protocol" test_server_submit_flush;
     tc "server: malformed GRAPH payload drained" test_server_graph_payload_drained;
+    tc "server: oversized GRAPH header is an error" test_server_oversized_graph_header;
     tc "server: weight past the packing bound is ERR" test_server_weight_bound;
     tc "protocol: parse errors" test_protocol_parse_errors;
     tc "service: expired requests shed at flush" test_service_flush_sheds_expired;
