@@ -14,9 +14,10 @@
      layer would run per update) is timed on a fixed subsample and
      extrapolated to the full stream.
 
-   Emits BENCH_delta.json and gates: every λ exact, every side
-   achieving, and incremental answers/sec ≥ 5× the naive baseline
-   (printed as "delta gate: PASS" — CI greps for it). *)
+   Emits BENCH_delta.json (BENCH_delta_quick.json in --quick) and
+   gates: every λ exact, every side achieving, and incremental
+   answers/sec ≥ 5× the naive baseline (printed as "delta gate: PASS"
+   — CI greps for it). *)
 
 module Rng = Mincut_util.Rng
 module Json = Mincut_util.Json
@@ -34,9 +35,11 @@ let speedup_floor = 5.0
    failwiths fire before the artifact is assembled, and a run they kill
    must still leave a BENCH_delta.json explaining itself *)
 let run () =
-  Artifact.guard ~path:"BENCH_delta.json" ~bench:"delta-stream"
-  @@ fun emit ->
   let quick = !Sim.quick in
+  (* quick mode never overwrites the committed full-mode artifact *)
+  let path = if quick then "BENCH_delta_quick.json" else "BENCH_delta.json" in
+  Artifact.guard ~path ~bench:"delta-stream"
+  @@ fun emit ->
   let nops = if quick then 1_000 else 10_000 in
   let sample_every = if quick then 8 else 16 in
   let base = Generators.torus 10 10 in
@@ -111,7 +114,6 @@ let run () =
         ("side_violations", Json.Int !bad_sides);
       ]
   in
-  let path = "BENCH_delta.json" in
   emit json;
   Printf.printf
     "delta stream: %d ops in %.1f ms (%.0f answers/s), naive %.3f ms/solve \

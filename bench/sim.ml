@@ -1,6 +1,7 @@
 (* sim — CONGEST engine hot-path benchmark.
 
-   Two questions, one artifact (BENCH_sim.json):
+   Two questions, one artifact (BENCH_sim.json; BENCH_sim_quick.json in
+   --quick):
 
    1. How much faster is the flat-array driver ({!Mincut_congest.Network})
       than the seed driver preserved as {!Mincut_congest.Network_reference}?
@@ -366,7 +367,9 @@ let phase_profile (wname, g) =
    ladder, rss) fires before the end-of-run writes, so the whole bench
    runs under [Artifact.guard] *)
 let run () =
-  Artifact.guard ~path:"BENCH_sim.json" ~bench:"sim"
+  (* quick mode never overwrites the committed full-mode artifact *)
+  let path = if !quick then "BENCH_sim_quick.json" else "BENCH_sim.json" in
+  Artifact.guard ~path ~bench:"sim"
   @@ fun emit ->
   let iters = if !quick then 500 else 20_000 in
   let solves = if !quick then 4 else 16 in
@@ -392,7 +395,6 @@ let run () =
         ("phase_profiles", Json.List (List.map phase_profile (workloads ())));
       ]
   in
-  let path = "BENCH_sim.json" in
   emit json;
   (* the ladder section also stands alone, so CI can upload it as its
      own artifact without dragging the engine microbenchmarks along *)

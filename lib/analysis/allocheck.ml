@@ -63,11 +63,9 @@ let is_raising name =
   List.mem name raising_heads || Srcread.has_suffix ~suffix:"violate" name
 
 let is_printf name =
-  let p = Srcread.strip_stdlib name in
-  let pre s =
-    String.length p >= String.length s && String.sub p 0 (String.length s) = s
-  in
-  pre "Printf." || pre "Format."
+  let name = Srcread.strip_stdlib name in
+  String.starts_with ~prefix:"Printf." name
+  || String.starts_with ~prefix:"Format." name
 
 (* count sites inside [e]; [skip_head_lambda] drops the leading funs of
    a handler (the handler closure itself is allocated once, not per
@@ -115,13 +113,7 @@ let count_sites ~cg ~(from : Callgraph.def) ~skip_head_lambda e =
         add Lazy_block e.pexp_loc;
         Ast_iterator.default_iterator.expr it e
     | Pexp_apply (f, args) -> (
-        let head =
-          match f.Parsetree.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-              Some (Srcread.strip_stdlib (Srcread.name_of txt))
-          | _ -> None
-        in
-        match head with
+        match Option.map Srcread.strip_stdlib (Srcread.head_name f) with
         | Some name when is_raising name ->
             let saved = !in_error in
             in_error := true;

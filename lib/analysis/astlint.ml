@@ -52,10 +52,6 @@ let known_rule r = List.exists (fun (name, _) -> name = r) rules
 
 (* ---- hazard rules -------------------------------------------------------- *)
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* the parser folds a negated literal into the constant: [x = -2.5]
    compares against [Pconst_float "-2.5"] *)
 let float_lit (e : Parsetree.expression) =
@@ -78,11 +74,11 @@ let hazards (s : Srcread.source) =
       report loc "hashtbl-hash"
         "Hashtbl.hash output varies across OCaml versions; use the FNV-1a \
          Mincut_util.Hash for anything persisted or compared across runs";
-    if name = "Random" || has_prefix ~prefix:"Random." name then
+    if name = "Random" || String.starts_with ~prefix:"Random." name then
       report loc "unseeded-random"
         "ambient Random state breaks deterministic replay; draw from a \
          seeded Mincut_util.Rng passed in explicitly";
-    if has_prefix ~prefix:"Obj." name then
+    if String.starts_with ~prefix:"Obj." name then
       report loc "obj-magic" "Obj.* defeats the type system; find a typed way";
     if name = "Mutex.create" then
       report loc "bare-mutex"

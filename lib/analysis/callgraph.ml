@@ -67,6 +67,10 @@ type t = {
   order : string list;  (* ids in (file, line) order *)
   globals : (string, global) Hashtbl.t;
   index : (string, string list) Hashtbl.t;  (* dotted suffix -> candidate ids *)
+  edges : (string, (string * refsite) list) Hashtbl.t;
+      (* resolved def->def calls, in source order *)
+  callers : (string, string list) Hashtbl.t;
+      (* reverse edges, latest caller first *)
 }
 
 (* ---- per-file collection ----------------------------------------------- *)
@@ -104,12 +108,6 @@ let rec arity_of (e : Parsetree.expression) =
   | Pexp_constraint (e, _) -> arity_of e
   | _ -> 0
 
-let rec head_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Srcread.name_of txt)
-  | Pexp_constraint (e, _) -> head_name e
-  | _ -> None
-
 let pool_spawns = [ "Pool.map" ]
 
 let is_pool_spawn name =
@@ -140,7 +138,7 @@ let rec global_of_expr (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_constraint (e, _) -> global_of_expr e
   | Pexp_apply (f, _) -> (
-      match head_name f with
+      match Srcread.head_name f with
       | Some name ->
           let name = Srcread.strip_stdlib name in
           List.find_map
@@ -184,11 +182,7 @@ let scan_body ~aliases (body : Parsetree.expression) =
         Hashtbl.replace aliases alias (expand (Srcread.name_of txt));
         it.expr it body
     | Pexp_record (fields, base) ->
-        let label (l : Longident.t Asttypes.loc) =
-          match List.rev (Srcread.flatten l.txt) with
-          | last :: _ -> last
-          | [] -> ""
-        in
+        let label (l : Longident.t Asttypes.loc) = Longident.last l.txt in
         let labels = List.map (fun (l, _) -> label l) fields in
         if List.mem "initial" labels && List.mem "step" labels then begin
           let line, _ = Srcread.lc e.pexp_loc in
@@ -200,7 +194,7 @@ let scan_body ~aliases (body : Parsetree.expression) =
         Option.iter (it.expr it) base;
         List.iter (fun (_, payload) -> it.expr it payload) fields
     | Pexp_apply (f, args) -> (
-        match head_name f with
+        match Srcread.head_name f with
         | Some name when is_guard (expand name) ->
             expr it f;
             let saved = !guarded in
@@ -220,17 +214,6 @@ let scan_body ~aliases (body : Parsetree.expression) =
   it.expr it body;
   (List.rev !refs, !mutates, List.rev !programs)
 
-let binding_names (p : Parsetree.pattern) =
-  let names = ref [] in
-  let pat (it : Ast_iterator.iterator) (p : Parsetree.pattern) =
-    match p.ppat_desc with
-    | Ppat_var { txt; _ } -> names := txt :: !names
-    | _ -> Ast_iterator.default_iterator.pat it p
-  in
-  let it = { Ast_iterator.default_iterator with pat } in
-  pat it p;
-  List.rev !names
-
 let collect_source (s : Srcread.source) ~add_def ~add_global =
   let aliases : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let rec structure path (items : Parsetree.structure) =
@@ -242,7 +225,7 @@ let collect_source (s : Srcread.source) ~add_def ~add_global =
           (fun (vb : Parsetree.value_binding) ->
             let line, _ = Srcread.lc vb.pvb_loc in
             let name =
-              match binding_names vb.pvb_pat with
+              match Srcread.binding_names vb.pvb_pat with
               | n :: _ -> n
               | [] -> Printf.sprintf "_init_line%d" line
             in
@@ -288,44 +271,18 @@ let collect_source (s : Srcread.source) ~add_def ~add_global =
 
 (* ---- graph assembly ---------------------------------------------------- *)
 
-(* every dotted suffix with >= 2 components indexes the id, so
+(* every proper dotted suffix with >= 2 components indexes the id, so
    "Primitives.bfs_program" finds "Mincut_congest.Primitives.bfs_program" *)
 let index_id index id =
-  let parts = split_path id in
-  let n = List.length parts in
-  let rec suffixes i parts =
-    match parts with
-    | [] | [ _ ] -> ()
-    | _ :: rest ->
-        if i > 0 then begin
-          let key = String.concat "." parts in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt index key) in
-          if not (List.mem id prev) then Hashtbl.replace index key (id :: prev)
-        end;
-        suffixes (i + 1) rest
+  let rec suffixes = function
+    | _ :: _ :: _ as parts ->
+        let key = String.concat "." parts in
+        let prev = Option.value ~default:[] (Hashtbl.find_opt index key) in
+        if not (List.mem id prev) then Hashtbl.replace index key (id :: prev);
+        suffixes (List.tl parts)
+    | _ -> ()
   in
-  ignore n;
-  suffixes 0 parts
-
-let build sources =
-  let defs = Hashtbl.create 512 in
-  let globals = Hashtbl.create 32 in
-  let index = Hashtbl.create 1024 in
-  let order = ref [] in
-  List.iter
-    (fun s ->
-      collect_source s
-        ~add_def:(fun d ->
-          if not (Hashtbl.mem defs d.id) then begin
-            Hashtbl.replace defs d.id d;
-            index_id index d.id;
-            order := d.id :: !order
-          end)
-        ~add_global:(fun g ->
-          if not (Hashtbl.mem globals g.gid) then
-            Hashtbl.replace globals g.gid g))
-    sources;
-  { defs; order = List.rev !order; globals; index }
+  suffixes (List.tl (split_path id))
 
 let find_def t id = Hashtbl.find_opt t.defs id
 
@@ -361,14 +318,53 @@ let resolve t ~(from : def) name =
     in
     climb (List.rev (List.tl (List.rev (split_path from.id))))
 
-(* resolved def-to-def edges, with the reference site of each *)
-let callees t (d : def) =
-  List.filter_map
-    (fun r ->
-      match resolve t ~from:d r.name with
-      | Some id when Hashtbl.mem t.defs id && id <> d.id -> Some (id, r)
-      | _ -> None)
-    d.refs
+let lookup table id = Option.value ~default:[] (Hashtbl.find_opt table id)
+
+let callees t (d : def) = lookup t.edges d.id
+
+let defs_in_order t =
+  List.filter_map (fun id -> find_def t id) t.order
+
+let build sources =
+  let defs = Hashtbl.create 512 in
+  let globals = Hashtbl.create 32 in
+  let index = Hashtbl.create 1024 in
+  let order = ref [] in
+  List.iter
+    (fun s ->
+      collect_source s
+        ~add_def:(fun d ->
+          if not (Hashtbl.mem defs d.id) then begin
+            Hashtbl.replace defs d.id d;
+            index_id index d.id;
+            order := d.id :: !order
+          end)
+        ~add_global:(fun g ->
+          if not (Hashtbl.mem globals g.gid) then
+            Hashtbl.replace globals g.gid g))
+    sources;
+  let edges = Hashtbl.create 512 and callers = Hashtbl.create 512 in
+  let t = { defs; order = List.rev !order; globals; index; edges; callers } in
+  (* every reference is resolved here, once; the analyses look edges up *)
+  List.iter
+    (fun d ->
+      let out =
+        List.filter_map
+          (fun r ->
+            match resolve t ~from:d r.name with
+            | Some id when Hashtbl.mem defs id && id <> d.id -> Some (id, r)
+            | _ -> None)
+          d.refs
+      in
+      Hashtbl.replace edges d.id out;
+      List.iter
+        (fun (callee, _) ->
+          let prev = lookup callers callee in
+          if not (List.mem d.id prev) then
+            Hashtbl.replace callers callee (d.id :: prev))
+        out)
+    (defs_in_order t);
+  t
 
 (* BFS from [roots]; each reached id maps to its witness chain
    (root first, the id itself last) *)
@@ -385,18 +381,61 @@ let reachable t ~roots =
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
     let chain = Hashtbl.find chains id in
-    match find_def t id with
-    | None -> ()
-    | Some d ->
-        List.iter
-          (fun (callee, _) ->
-            if not (Hashtbl.mem chains callee) then begin
-              Hashtbl.replace chains callee (chain @ [ callee ]);
-              Queue.add callee queue
-            end)
-          (callees t d)
+    List.iter
+      (fun (callee, _) ->
+        if not (Hashtbl.mem chains callee) then begin
+          Hashtbl.replace chains callee (chain @ [ callee ]);
+          Queue.add callee queue
+        end)
+      (lookup t.edges id)
   done;
   chains
 
-let defs_in_order t =
-  List.filter_map (fun id -> find_def t id) t.order
+(* ---- the dataflow engine ------------------------------------------------ *)
+
+(* Each def starts at its pin, or at [bottom].  A FIFO worklist seeded
+   with the unpinned defs in (file, line) order recomputes a def with
+   [transfer] from its callees' current values; a result not [equal] to
+   the stored value replaces it and requeues the def's callers.  What
+   [equal] ignores (a witness site, a callee link) is kept from the
+   value first stored with the current compared part, so the seed order
+   decides the links. *)
+let solve t ~bottom ~pinned ~transfer ~equal =
+  let value = Hashtbl.create 512 and free = Hashtbl.create 512 in
+  List.iter
+    (fun d ->
+      match pinned d with
+      | Some v -> Hashtbl.replace value d.id v
+      | None ->
+          Hashtbl.replace value d.id bottom;
+          Hashtbl.replace free d.id d)
+    (defs_in_order t);
+  let queue = Queue.create () and queued = Hashtbl.create 512 in
+  let push id =
+    if Hashtbl.mem free id && not (Hashtbl.mem queued id) then begin
+      Hashtbl.replace queued id ();
+      Queue.add id queue
+    end
+  in
+  List.iter push t.order;
+  while not (Queue.is_empty queue) do
+    let id = Queue.pop queue in
+    Hashtbl.remove queued id;
+    let v = transfer (Hashtbl.find free id) (Hashtbl.find value) in
+    if not (equal (Hashtbl.find value id) v) then begin
+      Hashtbl.replace value id v;
+      List.iter push (lookup t.callers id)
+    end
+  done;
+  value
+
+(* follow each def's "came through callee X" link from [root] until a
+   def with no link, whose own site is the witness, or a def already on
+   the chain: (root-first chain, that last def) *)
+let chain ~link root =
+  let rec go acc id =
+    match link id with
+    | Some next when not (List.mem next (id :: acc)) -> go (id :: acc) next
+    | _ -> (List.rev (id :: acc), id)
+  in
+  go [] root

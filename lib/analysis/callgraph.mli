@@ -63,8 +63,33 @@ val resolve : t -> from:def -> string -> string option
     externals/locals. *)
 
 val callees : t -> def -> (string * refsite) list
-(** Resolved def→def edges with the reference site of each. *)
+(** Resolved def→def edges with the reference site of each, in source
+    order.  Resolution runs once, in {!build}; this is a lookup. *)
 
 val reachable : t -> roots:string list -> (string, string list) Hashtbl.t
 (** BFS closure; each reached id maps to a witness chain (root first,
     the id itself last). *)
+
+val solve :
+  t ->
+  bottom:'a ->
+  pinned:(def -> 'a option) ->
+  transfer:(def -> (string -> 'a) -> 'a) ->
+  equal:('a -> 'a -> bool) ->
+  (string, 'a) Hashtbl.t
+(** The one fixpoint engine of the call-graph analyses.  A def starts
+    at [pinned d] (kept for good) or at [bottom].  A FIFO worklist,
+    seeded with the unpinned defs in {!defs_in_order} order, sets a
+    def to [transfer d value] — [value] reads any def's current value —
+    and requeues its callers (latest caller first) whenever the result
+    is not [equal] to the stored value.  [transfer] must be monotone in
+    the part [equal] compares.  Whatever [equal] ignores (a callee
+    link, a witness site) is kept from the value first stored with the
+    current compared part, so the seed order decides the links, and
+    with them every witness. *)
+
+val chain : link:(string -> string option) -> string -> string list * string
+(** [chain ~link root] is the witness rule: follow each def's recorded
+    "came through callee X" link from [root] until a def with no link —
+    its own site is the witness — or a def already on the chain.
+    Returns the chain, root first, and its last def. *)

@@ -6,10 +6,11 @@
 
    intrinsically from its body (externals table, global accesses,
    mutation syntax), then propagated as a max over resolved callees to a
-   fixpoint.  The enforced rule: everything reachable from a CONGEST
-   step handler — the program-literal defs plus all of
-   [lib/congest/primitives.ml] and [lib/congest/pipeline.ml] — must sit
-   in the two deterministic classes.  This is the static complement of
+   fixpoint by [Callgraph.solve].  The enforced rule: everything
+   reachable from a CONGEST step handler — the program-literal defs
+   plus all of [lib/congest/primitives.ml] and
+   [lib/congest/pipeline.ml] — must sit in the two deterministic
+   classes.  This is the static complement of
    the runtime [Sanitize] pass: the sanitizer proves the shipped runs it
    saw were order-independent; this proves no reachable code *can*
    consult a clock, ambient randomness, I/O, or unsynchronized global
@@ -45,10 +46,6 @@ let cls_of_name = function
 let deterministic c = rank c <= rank Det_stateful
 
 (* ---- intrinsic classification ------------------------------------------ *)
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 (* exact names in the worst class *)
 let io_exact =
@@ -90,20 +87,18 @@ let stateful_array =
 (* classification of one unresolved (external) name; callers strip
    [Stdlib.] before asking *)
 let classify_external name =
+  let under prefix = String.starts_with ~prefix name in
   if List.mem name io_exact then Clock_random_io
-  else if has_prefix ~prefix:"Random.State." name then Det_stateful
-  else if name = "Random" || has_prefix ~prefix:"Random." name then
-    Clock_random_io
-  else if has_prefix ~prefix:"Domain.DLS." name then Det_stateful
-  else if has_prefix ~prefix:"Domain." name then Clock_random_io
-  else if List.exists (fun p -> has_prefix ~prefix:p name) io_prefix then
-    Clock_random_io
-  else if List.exists (fun p -> has_prefix ~prefix:p name) shared_prefix then
-    Global_mutable
+  else if under "Random.State." then Det_stateful
+  else if name = "Random" || under "Random." then Clock_random_io
+  else if under "Domain.DLS." then Det_stateful
+  else if under "Domain." then Clock_random_io
+  else if List.exists under io_prefix then Clock_random_io
+  else if List.exists under shared_prefix then Global_mutable
   else if
     List.mem name stateful_exact
     || List.mem name stateful_array
-    || List.exists (fun p -> has_prefix ~prefix:p name) stateful_prefix
+    || List.exists under stateful_prefix
   then Det_stateful
   else Pure
 
@@ -115,7 +110,7 @@ type culprit = {
   creason : string;
 }
 
-type info = { cls : cls; culprit : culprit option }
+type info = { cls : cls; culprit : culprit option; via : string option }
 
 let intrinsic cg (d : Callgraph.def) =
   let cls = ref (if d.Callgraph.mutates then Det_stateful else Pure) in
@@ -154,67 +149,44 @@ let intrinsic cg (d : Callgraph.def) =
           if rank c > rank Pure then
             bump c r (cls_name c) r.Callgraph.name)
     d.Callgraph.refs;
-  { cls = !cls; culprit = !culprit }
+  { cls = !cls; culprit = !culprit; via = None }
 
 (* ---- propagation ------------------------------------------------------- *)
 
+(* a def's class is the max of its own and its callees'.  When callees
+   raise it, the def links to the first of them, in source order, that
+   holds the new class; [equal] compares classes only, so the link
+   stands until the class rises again, and following links ends at a
+   def whose own reference carries the class. *)
 let classify cg =
-  let info : (string, info) Hashtbl.t = Hashtbl.create 512 in
-  let defs = Callgraph.defs_in_order cg in
+  let own = Hashtbl.create 512 in
   List.iter
     (fun (d : Callgraph.def) ->
-      let i =
-        match Option.bind d.Callgraph.effect_annot cls_of_name with
-        | Some c -> { cls = c; culprit = None }
-        | None -> intrinsic cg d
-      in
-      Hashtbl.replace info d.Callgraph.id i)
-    defs;
-  let annotated (d : Callgraph.def) =
-    match Option.bind d.Callgraph.effect_annot cls_of_name with
-    | Some _ -> true
-    | None -> false
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (d : Callgraph.def) ->
-        if not (annotated d) then
-          List.iter
-            (fun (callee, (r : Callgraph.refsite)) ->
-              match Hashtbl.find_opt info callee with
-              | Some ci when rank ci.cls > rank (Hashtbl.find info d.Callgraph.id).cls
-                ->
-                  Hashtbl.replace info d.Callgraph.id
-                    {
-                      cls = ci.cls;
-                      culprit =
-                        Some
-                          {
-                            cname = callee;
-                            cfile = d.Callgraph.file;
-                            cline = r.Callgraph.rline;
-                            ccol = r.Callgraph.rcol;
-                            creason = "via call";
-                          };
-                    };
-                  changed := true
-              | _ -> ())
-            (Callgraph.callees cg d))
-      defs
-  done;
-  info
+      Hashtbl.replace own d.Callgraph.id (intrinsic cg d))
+    (Callgraph.defs_in_order cg);
+  Callgraph.solve cg
+    ~bottom:{ cls = Pure; culprit = None; via = None }
+    ~pinned:(fun d ->
+      Option.map
+        (fun cls -> { cls; culprit = None; via = None })
+        (Option.bind d.Callgraph.effect_annot cls_of_name))
+    ~transfer:(fun d value ->
+      List.fold_left
+        (fun acc (callee, _) ->
+          let c = (value callee).cls in
+          if rank c > rank acc.cls then
+            { cls = c; culprit = None; via = Some callee }
+          else acc)
+        (Hashtbl.find own d.Callgraph.id)
+        (Callgraph.callees cg d))
+    ~equal:(fun a b -> a.cls = b.cls)
 
 (* ---- the step-handler rule --------------------------------------------- *)
 
 let is_congest_core (d : Callgraph.def) =
-  let f = d.Callgraph.file in
-  let suffix s =
-    String.length f >= String.length s
-    && String.sub f (String.length f - String.length s) (String.length s) = s
-  in
-  suffix "lib/congest/primitives.ml" || suffix "lib/congest/pipeline.ml"
+  List.exists
+    (fun suffix -> String.ends_with ~suffix d.Callgraph.file)
+    [ "lib/congest/primitives.ml"; "lib/congest/pipeline.ml" ]
 
 let roots cg =
   List.filter_map
@@ -224,94 +196,52 @@ let roots cg =
       else None)
     (Callgraph.defs_in_order cg)
 
-(* walk from a bad root to the nearest def whose own intrinsic (or
-   annotation) carries the bad class, so the finding lands on the
-   offending reference, not on the handler *)
-let witness cg info root =
-  let bad c = not (deterministic c) in
-  let visited = Hashtbl.create 64 in
-  let rec hunt chain id =
-    if Hashtbl.mem visited id then None
-    else begin
-      Hashtbl.replace visited id ();
-      match (Callgraph.find_def cg id, Hashtbl.find_opt info id) with
-      | Some d, Some i when bad i.cls -> (
-          match i.culprit with
-          | Some c when c.creason <> "via call" ->
-              Some (List.rev (id :: chain), i.cls, c)
-          | _ ->
-              (* class came from a callee; follow the worst edge *)
-              let next =
-                List.filter
-                  (fun (callee, _) ->
-                    match Hashtbl.find_opt info callee with
-                    | Some ci -> bad ci.cls
-                    | None -> false)
-                  (Callgraph.callees cg d)
-              in
-              List.find_map (fun (callee, _) -> hunt (id :: chain) callee) next
-          )
-      | _ -> None
-    end
-  in
-  hunt [] root
-
 let check cg =
   let info = classify cg in
-  let findings = ref [] in
+  let finding file line col message =
+    { Lint.file; line; col; rule = "step-effect"; message }
+  in
   (* invalid annotations are findings too: a typo must not silently
      disable enforcement *)
-  List.iter
-    (fun (d : Callgraph.def) ->
-      match d.Callgraph.effect_annot with
-      | Some s when cls_of_name s = None ->
-          findings :=
-            {
-              Lint.file = d.Callgraph.file;
-              line = d.Callgraph.line;
-              col = 0;
-              rule = "step-effect";
-              message =
-                Printf.sprintf
-                  "unknown [@mincut.effect %S]; expected pure, \
-                   deterministic-stateful, global-mutable or clock-random-io"
-                  s;
-            }
-            :: !findings
-      | _ -> ())
-    (Callgraph.defs_in_order cg);
-  List.iter
-    (fun root ->
-      match Hashtbl.find_opt info root with
-      | Some i when not (deterministic i.cls) -> (
-          match witness cg info root with
-          | Some (chain, cls, c) ->
-              findings :=
-                {
-                  Lint.file = c.cfile;
-                  line = c.cline;
-                  col = c.ccol;
-                  rule = "step-effect";
-                  message =
-                    Printf.sprintf
-                      "step handler %s reaches %s (%s, %s): %s" root c.cname
-                      (cls_name cls) c.creason
-                      (String.concat " -> " chain);
-                }
-                :: !findings
-          | None ->
-              let d = Option.get (Callgraph.find_def cg root) in
-              findings :=
-                {
-                  Lint.file = d.Callgraph.file;
-                  line = d.Callgraph.line;
-                  col = 0;
-                  rule = "step-effect";
-                  message =
-                    Printf.sprintf "step handler %s classified %s" root
-                      (cls_name i.cls);
-                }
-                :: !findings)
-      | _ -> ())
-    (roots cg);
-  List.rev !findings
+  let bad_annotations =
+    List.filter_map
+      (fun (d : Callgraph.def) ->
+        match d.Callgraph.effect_annot with
+        | Some s when cls_of_name s = None ->
+            Some
+              (finding d.Callgraph.file d.Callgraph.line 0
+                 (Printf.sprintf
+                    "unknown [@mincut.effect %S]; expected pure, \
+                     deterministic-stateful, global-mutable or clock-random-io"
+                    s))
+        | _ -> None)
+      (Callgraph.defs_in_order cg)
+  in
+  let escapes =
+    List.filter_map
+      (fun root ->
+        match Hashtbl.find_opt info root with
+        | Some i when not (deterministic i.cls) -> (
+            (* the finding lands on the offending reference the links
+               end at, not on the handler *)
+            let chain, last =
+              Callgraph.chain ~link:(fun id -> (Hashtbl.find info id).via) root
+            in
+            let leaf = Hashtbl.find info last in
+            match leaf.culprit with
+            | Some c ->
+                Some
+                  (finding c.cfile c.cline c.ccol
+                     (Printf.sprintf "step handler %s reaches %s (%s, %s): %s"
+                        root c.cname (cls_name leaf.cls) c.creason
+                        (String.concat " -> " chain)))
+            | None ->
+                let d = Option.get (Callgraph.find_def cg root) in
+                Some
+                  (finding d.Callgraph.file d.Callgraph.line 0
+                     (Printf.sprintf "step handler %s classified %s" root
+                        (cls_name i.cls))))
+        | _ -> None)
+      (roots cg)
+  in
+  bad_annotations @ escapes

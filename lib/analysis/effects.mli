@@ -30,14 +30,22 @@ type culprit = {
   creason : string;
 }
 
-type info = { cls : cls; culprit : culprit option }
+type info = {
+  cls : cls;
+  culprit : culprit option;  (** the def's own worst reference, if any *)
+  via : string option;  (** the callee the class came through *)
+}
 
 val classify : Callgraph.t -> (string, info) Hashtbl.t
-(** Fixpoint classification of every def. *)
+(** Fixpoint classification of every def, by {!Callgraph.solve}.  A
+    def whose class came from callees links ([via]) to the first of
+    them, in source order, that held that class when the def rose to
+    it. *)
 
 val roots : Callgraph.t -> string list
 (** The enforced roots, in deterministic order. *)
 
 val check : Callgraph.t -> Lint.finding list
 (** [step-effect] findings: each non-deterministic root reported at the
-    nearest offending reference with its witness call chain. *)
+    offending reference its callee links end at ({!Callgraph.chain}),
+    with that witness call chain. *)

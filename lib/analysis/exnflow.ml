@@ -16,15 +16,15 @@
      the protected expression's set (a catch-all removes everything,
      including "?"); handler guards catch nothing, conservatively —
 
-   and propagated to a fixpoint over a reverse-dependency worklist.
+   and propagated to a fixpoint by [Callgraph.solve].
    Typed-error returns ([result]) subtract for free: they are not
    exceptions.  [[@mincut.raises "A,B"]] pins a def's complete set
    (the empty string pins the empty set) where inference is too coarse
    or an invariant is discharged elsewhere — pinned defs neither infer
    nor inherit.  Each set element carries the site it was first seen at
-   and the callee it was inherited through, so a finding can descend
-   [ocall] links to the intrinsic raise site and report an exact
-   file:line:col witness chain, in the style of [Effects].
+   and the callee it was inherited through, so a finding follows
+   [ocall] links ([Callgraph.chain]) to the intrinsic raise site and
+   reports an exact file:line:col witness chain, as [Effects] does.
 
    Deliberately out of scope: the implicit [Invalid_argument] of bounds
    checks ([Array.get], [String.sub], ...) — tabulating those would
@@ -61,13 +61,7 @@ type origin = {
   ocall : string option;  (* callee def id the exception came through *)
 }
 
-type raises = origin Smap.t
-
 (* ---- the raising-externals table --------------------------------------- *)
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 let raising_exact =
   [
@@ -128,11 +122,12 @@ let external_raises name =
   | Some exns -> exns
   | None ->
       if
-        has_prefix ~prefix:"Unix." name
+        String.starts_with ~prefix:"Unix." name
         && (not (List.mem name unix_safe))
-        && not (has_prefix ~prefix:"Unix.PF_" name
-               || has_prefix ~prefix:"Unix.SOCK_" name
-               || has_prefix ~prefix:"Unix.SO_" name)
+        && not
+             (List.exists
+                (fun prefix -> String.starts_with ~prefix name)
+                [ "Unix.PF_"; "Unix.SOCK_"; "Unix.SO_" ])
       then [ "Unix_error" ]
       else []
 
@@ -154,10 +149,7 @@ let rec pat_catches (p : Parsetree.pattern) =
   | Ppat_alias (p, _) -> pat_catches p
   | Ppat_or (a, b) -> join_catches (pat_catches a) (pat_catches b)
   | Ppat_constraint (p, _) -> pat_catches p
-  | Ppat_construct ({ txt; _ }, _) -> (
-      match List.rev (Srcread.flatten txt) with
-      | last :: _ -> Names [ last ]
-      | [] -> Names [])
+  | Ppat_construct ({ txt; _ }, _) -> Names [ Longident.last txt ]
   | _ -> Names []
 
 (* the [exception p] sub-patterns of a match case *)
@@ -168,23 +160,24 @@ let rec exc_subpats (p : Parsetree.pattern) =
   | Ppat_alias (p, _) | Ppat_constraint (p, _) -> exc_subpats p
   | _ -> []
 
+(* what the unguarded handlers of [cases] catch; [handlers] picks the
+   handler patterns out of a case's pattern (a guard may decline) *)
+let caught handlers cases =
+  List.fold_left
+    (fun acc (c : Parsetree.case) ->
+      if c.pc_guard <> None then acc
+      else
+        List.fold_left
+          (fun acc p -> join_catches acc (pat_catches p))
+          acc (handlers c.pc_lhs))
+    (Names []) cases
+
 let subtract set = function
   | All -> Smap.empty
   | Names ns -> Smap.filter (fun k _ -> not (List.mem k ns)) set
 
-let rec head_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Srcread.name_of txt)
-  | Pexp_constraint (e, _) -> head_name e
-  | _ -> None
-
-let last_component name =
-  match List.rev (String.split_on_char '.' name) with
-  | last :: _ -> last
-  | [] -> name
-
-(* the raise set of [d]'s body given the current [table] of callee sets *)
-let body_raises cg table (d : Callgraph.def) =
+(* the raise set of [d]'s body given the current callee sets *)
+let body_raises cg (d : Callgraph.def) value =
   let refmap = Hashtbl.create 64 in
   List.iter
     (fun (r : Callgraph.refsite) ->
@@ -196,11 +189,8 @@ let body_raises cg table (d : Callgraph.def) =
   in
   let of_name name loc =
     match Callgraph.resolve cg ~from:d name with
-    | Some id when id <> d.Callgraph.id && Callgraph.find_def cg id <> None -> (
-        match Hashtbl.find_opt table id with
-        | Some s ->
-            Smap.map (fun _ -> site loc ("call to " ^ id) (Some id)) s
-        | None -> Smap.empty)
+    | Some id when id <> d.Callgraph.id && Callgraph.find_def cg id <> None ->
+        Smap.map (fun _ -> site loc ("call to " ^ id) (Some id)) (value id)
     | Some _ -> Smap.empty (* a global, or self-recursion *)
     | None ->
         List.fold_left
@@ -221,54 +211,28 @@ let body_raises cg table (d : Callgraph.def) =
         let argsets () =
           List.fold_left (fun acc (_, a) -> union acc (go a)) Smap.empty args
         in
-        match Option.map Srcread.strip_stdlib (head_name f) with
+        match Option.map Srcread.strip_stdlib (Srcread.head_name f) with
         | Some ("raise" | "raise_notrace") -> (
             match args with
-            | [ (_, a) ] -> (
-                match a.pexp_desc with
-                | Pexp_construct ({ txt; _ }, payload) ->
-                    let exn = last_component (Srcread.name_of txt) in
-                    let payload_set =
-                      match payload with Some p -> go p | None -> Smap.empty
-                    in
-                    union
-                      (Smap.singleton exn
-                         (site a.pexp_loc ("raise " ^ exn) None))
-                      payload_set
-                | _ ->
-                    union
-                      (Smap.singleton "?" (site e.pexp_loc "re-raise" None))
-                      (go a))
+            | [
+                (_, ({ pexp_desc = Pexp_construct ({ txt; _ }, payload); _ } as a));
+              ] ->
+                let exn = Longident.last txt in
+                union
+                  (Smap.singleton exn (site a.pexp_loc ("raise " ^ exn) None))
+                  (Option.fold ~none:Smap.empty ~some:go payload)
             | _ ->
                 union
                   (Smap.singleton "?" (site e.pexp_loc "re-raise" None))
                   (argsets ()))
         | _ -> union (go f) (argsets ()))
     | Pexp_try (body, cases) ->
-        let caught =
-          List.fold_left
-            (fun acc (c : Parsetree.case) ->
-              if c.pc_guard <> None then acc
-              else join_catches acc (pat_catches c.pc_lhs))
-            (Names []) cases
-        in
         union
-          (subtract (go body) caught)
+          (subtract (go body) (caught (fun p -> [ p ]) cases))
           (cases_raises cases)
     | Pexp_match (scrut, cases) ->
-        let caught =
-          List.fold_left
-            (fun acc (c : Parsetree.case) ->
-              if c.pc_guard <> None then acc
-              else
-                List.fold_left
-                  (fun acc p -> join_catches acc (pat_catches p))
-                  acc
-                  (exc_subpats c.pc_lhs))
-            (Names []) cases
-        in
         union
-          (subtract (go scrut) caught)
+          (subtract (go scrut) (caught exc_subpats cases))
           (cases_raises cases)
     | Pexp_assert _ ->
         (* even [assert false]: compiled out only under -noassert, which
@@ -318,67 +282,27 @@ let pin_of (d : Callgraph.def) annot =
            acc)
        Smap.empty
 
+(* a changed key set requeues the callers; a def keeps the origins first
+   stored with its current keys *)
 let analyze cg =
-  let table : (string, raises) Hashtbl.t = Hashtbl.create 512 in
-  let defs = Callgraph.defs_in_order cg in
-  List.iter
+  Callgraph.solve cg ~bottom:Smap.empty
+    ~pinned:(fun d -> Option.map (pin_of d) d.Callgraph.raises_annot)
+    ~transfer:(body_raises cg)
+    ~equal:(Smap.equal (fun _ _ -> true))
+
+let raise_sets cg =
+  let table = analyze cg in
+  List.map
     (fun (d : Callgraph.def) ->
-      let init =
-        match d.Callgraph.raises_annot with
-        | Some annot -> pin_of d annot
-        | None -> Smap.empty
-      in
-      Hashtbl.replace table d.Callgraph.id init)
-    defs;
-  (* reverse edges: recompute a caller when a callee's set grows *)
-  let callers : (string, string list) Hashtbl.t = Hashtbl.create 512 in
-  List.iter
-    (fun (d : Callgraph.def) ->
-      List.iter
-        (fun (callee, _) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt callers callee) in
-          if not (List.mem d.Callgraph.id prev) then
-            Hashtbl.replace callers callee (d.Callgraph.id :: prev))
-        (Callgraph.callees cg d))
-    defs;
-  let queue = Queue.create () in
-  let queued = Hashtbl.create 512 in
-  let push id =
-    if not (Hashtbl.mem queued id) then begin
-      Hashtbl.replace queued id ();
-      Queue.add id queue
-    end
-  in
-  List.iter (fun (d : Callgraph.def) -> push d.Callgraph.id) defs;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    Hashtbl.remove queued id;
-    match Callgraph.find_def cg id with
-    | Some d when d.Callgraph.raises_annot = None ->
-        let s = body_raises cg table d in
-        let old = Hashtbl.find table id in
-        if not (Smap.equal (fun _ _ -> true) old s) then begin
-          Hashtbl.replace table id s;
-          List.iter push (Option.value ~default:[] (Hashtbl.find_opt callers id))
-        end
-    | _ -> ()
-  done;
-  table
+      let set = Hashtbl.find table d.Callgraph.id in
+      (d.Callgraph.id, List.map fst (Smap.bindings set)))
+    (Callgraph.defs_in_order cg)
 
 (* descend [ocall] links to the intrinsic raise site *)
 let witness table root exn =
-  let rec go acc id =
-    match Option.bind (Hashtbl.find_opt table id) (Smap.find_opt exn) with
-    | None -> None
-    | Some o -> (
-        match o.ocall with
-        | Some callee when not (List.mem callee (id :: acc)) -> (
-            match go (id :: acc) callee with
-            | Some r -> Some r
-            | None -> Some (List.rev (id :: acc), o))
-        | _ -> Some (List.rev (id :: acc), o))
-  in
-  go [] root
+  let origin id = Smap.find exn (Hashtbl.find table id) in
+  let chain, last = Callgraph.chain ~link:(fun id -> (origin id).ocall) root in
+  (chain, origin last)
 
 (* ---- boundary policies -------------------------------------------------- *)
 
@@ -401,27 +325,21 @@ let suffix_roots =
 
 (* roots of the empty-set policies, in deterministic def order *)
 let policy_roots cg =
-  let roots = List.map (fun p -> (p, ref [])) [ "serve-total"; "pool-no-leak" ] in
-  List.iter
-    (fun (d : Callgraph.def) ->
-      List.iter
-        (fun (policy, dir, suffixes) ->
-          if
-            in_dir dir d
-            && List.exists
-                 (fun s -> Srcread.has_suffix ~suffix:s d.Callgraph.id)
-                 suffixes
-          then
-            let cell = List.assoc policy roots in
-            cell := d.Callgraph.id :: !cell)
-        suffix_roots;
-      match d.Callgraph.boundary_annot with
-      | Some p when List.mem_assoc p roots ->
-          let cell = List.assoc p roots in
-          cell := d.Callgraph.id :: !cell
-      | _ -> ())
-    (Callgraph.defs_in_order cg);
-  List.map (fun (p, cell) -> (p, List.rev !cell)) roots
+  List.map
+    (fun (policy, dir, suffixes) ->
+      ( policy,
+        List.filter_map
+          (fun (d : Callgraph.def) ->
+            if
+              (in_dir dir d
+              && List.exists
+                   (fun suffix -> Srcread.has_suffix ~suffix d.Callgraph.id)
+                   suffixes)
+              || d.Callgraph.boundary_annot = Some policy
+            then Some d.Callgraph.id
+            else None)
+          (Callgraph.defs_in_order cg) ))
+    suffix_roots
 
 type summary = {
   defs_raising : int;  (** defs with a non-empty inferred raise set *)
@@ -433,23 +351,18 @@ let exn_display = function "?" -> "an unnamed exception" | e -> e
 let check cg =
   let table = analyze cg in
   let findings = ref [] in
-  let add f = findings := f :: !findings in
+  let add file line col message =
+    findings :=
+      { Lint.file; line; col; rule = "exn-escape"; message } :: !findings
+  in
   (* a typo'd policy name must not silently disable enforcement *)
   List.iter
     (fun (d : Callgraph.def) ->
       match d.Callgraph.boundary_annot with
       | Some p when not (List.mem p policy_names) ->
-          add
-            {
-              Lint.file = d.Callgraph.file;
-              line = d.Callgraph.line;
-              col = 0;
-              rule = "exn-escape";
-              message =
-                Printf.sprintf
-                  "unknown [@mincut.boundary %S]; expected %s" p
-                  (String.concat ", " policy_names);
-            }
+          add d.Callgraph.file d.Callgraph.line 0
+            (Printf.sprintf "unknown [@mincut.boundary %S]; expected %s" p
+               (String.concat ", " policy_names))
       | _ -> ())
     (Callgraph.defs_in_order cg);
   let roots = policy_roots cg in
@@ -464,21 +377,11 @@ let check cg =
           | Some set ->
               Smap.iter
                 (fun exn _ ->
-                  match witness table root exn with
-                  | None -> ()
-                  | Some (chain, o) ->
-                      add
-                        {
-                          Lint.file = o.ofile;
-                          line = o.oline;
-                          col = o.ocol;
-                          rule = "exn-escape";
-                          message =
-                            Printf.sprintf
-                              "boundary %s: %s may raise %s (%s): %s" policy
-                              root (exn_display exn) o.via
-                              (String.concat " -> " chain);
-                        })
+                  let chain, o = witness table root exn in
+                  add o.ofile o.oline o.ocol
+                    (Printf.sprintf "boundary %s: %s may raise %s (%s): %s"
+                       policy root (exn_display exn) o.via
+                       (String.concat " -> " chain)))
                 set)
         ids)
     roots;
@@ -502,24 +405,13 @@ let check cg =
                    match Callgraph.find_def cg callee with
                    | Some cd -> in_dir "lib/store" cd
                    | None -> false)) ->
-            let chain, o =
-              match witness table d.Callgraph.id "Store_error" with
-              | Some w -> w
-              | None -> ([ d.Callgraph.id ], o)
-            in
-            add
-              {
-                Lint.file = o.ofile;
-                line = o.oline;
-                col = o.ocol;
-                rule = "exn-escape";
-                message =
-                  Printf.sprintf
-                    "boundary store-typed: %s lets Store_error escape the \
-                     store layer (%s): %s"
-                    d.Callgraph.id o.via
-                    (String.concat " -> " chain);
-              }
+            let chain, o = witness table d.Callgraph.id "Store_error" in
+            add o.ofile o.oline o.ocol
+              (Printf.sprintf
+                 "boundary store-typed: %s lets Store_error escape the store \
+                  layer (%s): %s"
+                 d.Callgraph.id o.via
+                 (String.concat " -> " chain))
         | _ -> ()
       end)
     (Callgraph.defs_in_order cg);

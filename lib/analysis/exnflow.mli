@@ -23,6 +23,10 @@ val external_raises : string -> string list
 (** Exceptions one unresolved ([Stdlib.]-stripped) name may raise,
     per the curated table; [[]] for anything unlisted. *)
 
+val raise_sets : Callgraph.t -> (string * string list) list
+(** Every def's raise set, as sorted constructor names, in
+    {!Callgraph.defs_in_order} order. *)
+
 val policy_names : string list
 
 val policy_roots : Callgraph.t -> (string * string list) list

@@ -68,17 +68,9 @@ module Allow = struct
     | exception Sys_error e -> Error e
     | lines -> of_lines ~known lines
 
-  let path_matches ~entry_path ~file =
-    file = entry_path
-    || (let suffix = "/" ^ entry_path in
-        String.length file > String.length suffix
-        && String.sub file (String.length file - String.length suffix)
-             (String.length suffix)
-           = suffix)
-
   let matches (e : entry) (f : finding) =
     e.rule = f.rule
-    && path_matches ~entry_path:e.path ~file:f.file
+    && (f.file = e.path || String.ends_with ~suffix:("/" ^ e.path) f.file)
     && match e.line_no with None -> true | Some l -> l = f.line
 
   let filter t findings =

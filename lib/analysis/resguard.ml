@@ -36,12 +36,6 @@ let acquisitions =
 let transfer_heads =
   [ "Array.set"; "Array.unsafe_set"; ":="; "Hashtbl.add"; "Hashtbl.replace" ]
 
-let rec head_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Srcread.name_of txt)
-  | Pexp_constraint (e, _) -> head_name e
-  | _ -> None
-
 let rec unconstrained (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_constraint (e, _) -> unconstrained e
@@ -50,23 +44,12 @@ let rec unconstrained (e : Parsetree.expression) =
 let acquisition_of (e : Parsetree.expression) =
   match (unconstrained e).pexp_desc with
   | Pexp_apply (f, _) ->
-      Option.bind (head_name f) (fun name ->
+      Option.bind (Srcread.head_name f) (fun name ->
           let name = Srcread.strip_stdlib name in
           List.find_opt
             (fun a -> name = a || Srcread.has_suffix ~suffix:a name)
             acquisitions)
   | _ -> None
-
-let binding_names (p : Parsetree.pattern) =
-  let names = ref [] in
-  let pat (it : Ast_iterator.iterator) (p : Parsetree.pattern) =
-    match p.ppat_desc with
-    | Ppat_var { txt; _ } -> names := txt :: !names
-    | _ -> Ast_iterator.default_iterator.pat it p
-  in
-  let it = { Ast_iterator.default_iterator with pat } in
-  pat it p;
-  List.rev !names
 
 let mentions var (e : Parsetree.expression) =
   let found = ref false in
@@ -85,7 +68,7 @@ let released var (scope : Parsetree.expression) =
   let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
     (match e.pexp_desc with
     | Pexp_apply (f, args) -> (
-        match Option.map Srcread.strip_stdlib (head_name f) with
+        match Option.map Srcread.strip_stdlib (Srcread.head_name f) with
         | Some name
           when name = "Fun.protect"
                || Srcread.has_suffix ~suffix:"Fun.protect" name ->
@@ -157,7 +140,7 @@ let check cg =
                     Hashtbl.replace bound (unconstrained vb.pvb_expr).pexp_loc
                       ();
                     incr checked;
-                    let vars = binding_names vb.pvb_pat in
+                    let vars = Srcread.binding_names vb.pvb_pat in
                     if List.exists (fun v -> released v cont) vars then incr ok
                     else
                       note_leak vb.pvb_expr.pexp_loc what

@@ -34,14 +34,34 @@ let rec flatten = function
 let name_of lid = String.concat "." (flatten lid)
 
 let strip_stdlib name =
-  if String.length name > 7 && String.sub name 0 7 = "Stdlib." then
+  if String.length name > 7 && String.starts_with ~prefix:"Stdlib." name then
     String.sub name 7 (String.length name - 7)
   else name
 
 let has_suffix ~suffix name =
-  name = suffix
-  || (let sl = String.length suffix and nl = String.length name in
-      nl > sl + 1 && String.sub name (nl - sl - 1) (sl + 1) = "." ^ suffix)
+  name = suffix || String.ends_with ~suffix:("." ^ suffix) name
+
+(* ---- shared syntax shapes ---------------------------------------------- *)
+
+(* the identifier an application's function position names, looking
+   through type constraints *)
+let rec head_name (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> Some (name_of txt)
+  | Pexp_constraint (e, _) -> head_name e
+  | _ -> None
+
+(* every variable a pattern binds, left to right *)
+let binding_names (p : Parsetree.pattern) =
+  let names = ref [] in
+  let pat (it : Ast_iterator.iterator) (p : Parsetree.pattern) =
+    match p.ppat_desc with
+    | Ppat_var { txt; _ } -> names := txt :: !names
+    | _ -> Ast_iterator.default_iterator.pat it p
+  in
+  let it = { Ast_iterator.default_iterator with pat } in
+  pat it p;
+  List.rev !names
 
 (* ---- module paths ------------------------------------------------------ *)
 

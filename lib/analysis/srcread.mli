@@ -44,3 +44,10 @@ val strip_stdlib : string -> string
 val has_suffix : suffix:string -> string -> bool
 (** [has_suffix ~suffix:"Pool.map" "Mincut_parallel.Pool.map"] is true:
     equality or a ["."]-preceded dotted-path suffix. *)
+
+val head_name : Parsetree.expression -> string option
+(** The dotted identifier in an application's function position,
+    looking through type constraints; [None] for any other shape. *)
+
+val binding_names : Parsetree.pattern -> string list
+(** Every variable a pattern binds, left to right. *)

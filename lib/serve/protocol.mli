@@ -81,6 +81,11 @@ type command =
   | Shutdown
   | Nop  (** blank line or [#] comment: no response *)
 
+val max_graph_nodes : int
+(** The largest n a [GRAPH] header may announce (2{^22}): a larger one is
+    an [ERR GRAPH] line naming the cap, so one header cannot exhaust
+    memory before its first edge is read. *)
+
 val parse : string -> (command, string) result
 (** Parse one request line. *)
 

@@ -178,6 +178,7 @@ let test_only_keep =
     "Mincut_parallel.Lockcheck.set_raise_on_inversion";
     "Mincut_parallel.Lockcheck.reset";
     "Mincut_congest.Config.strict";
+    "Mincut_analysis.Exnflow.raise_sets";
     "Mincut_store.Chunked_graph.total_weight";
     "Mincut_store.Chunked_graph.total_bytes";
     "Mincut_store.Chunked_graph.structural_hash";
@@ -276,6 +277,23 @@ let classify_fixture src =
         | None -> "?" ))
     (Callgraph.defs_in_order cg)
 
+(* a recursive pair on each path, so a witness must walk through a
+   cycle to reach the intrinsic site: lines 1-5 feed [Effects], lines
+   7-11 feed [Exnflow] *)
+let chain_fixture =
+  {|let leaf () = Unix.gettimeofday ()
+let mid x = x +. leaf ()
+let rec ping n = if n = 0 then mid 0. else pong (n - 1)
+and pong n = ping n
+let prog = { initial = (fun _ -> 0.); step = (fun s _ -> s +. ping 3) }
+
+let risky t k = Hashtbl.find t k
+let middle t k = risky t k
+let rec loop_a t k = if k = 0 then middle t k else loop_b t (k - 1)
+and loop_b t k = loop_a t k
+let dispatch t k = loop_a t k [@@mincut.boundary "serve-total"]
+|}
+
 let test_effect_lattice () =
   let classes =
     classify_fixture
@@ -299,7 +317,39 @@ let calls_clock x = x +. clocky ()
     (cls "seeded" = "deterministic-stateful");
   check_bool "pure propagates" true (cls "calls_pure" = "pure");
   check_bool "global propagates" true (cls "calls_bump" = "global-mutable");
-  check_bool "clock propagates" true (cls "calls_clock" = "clock-random-io")
+  check_bool "clock propagates" true (cls "calls_clock" = "clock-random-io");
+  match Effects.check (Callgraph.build [ parse chain_fixture ]) with
+  | [ f ] ->
+      check_int "witness lands on the clock call" 1 f.Lint.line;
+      check_bool "witness chain through the recursive pair" true
+        (f.Lint.message
+       = "step handler Fixture.prog reaches Unix.gettimeofday \
+          (clock-random-io, clock-random-io): Fixture.prog -> Fixture.ping \
+          -> Fixture.mid -> Fixture.leaf")
+  | fs -> Alcotest.failf "expected 1 effect finding, got %d" (List.length fs)
+
+let test_effect_witness_worst_callee () =
+  (* the handler is classed by its worst callee, and the finding must
+     name that callee's site, not a weaker one met first *)
+  match
+    Effects.check
+      (Callgraph.build
+         [
+           parse ~file:"order.ml"
+             {|let counter = ref 0
+let bump () = counter := !counter + 1
+let clocky () = Unix.gettimeofday ()
+let prog = { initial = (fun _ -> 0.); step = (fun s _ -> bump (); s +. clocky ()) }
+|};
+         ])
+  with
+  | [ f ] ->
+      check_int "finding on the clock call" 3 f.Lint.line;
+      check_bool "chain ends at the clock, not the counter" true
+        (f.Lint.message
+       = "step handler Order.prog reaches Unix.gettimeofday \
+          (clock-random-io, clock-random-io): Order.prog -> Order.clocky")
+  | fs -> Alcotest.failf "expected 1 effect finding, got %d" (List.length fs)
 
 let test_effect_annotation_pins () =
   let classes =
@@ -329,6 +379,9 @@ let effect_pool =
     "let compose x = pure_add x (pure_add x 1)";
     "let noisy () = print_endline \"x\"";
     "let maybe_bump b = if b then bump () else ()";
+    "let lookup k = Hashtbl.find table k";
+    "let rec walk n = if n = 0 then lookup n else hop (n - 1)\n\
+     and hop n = maybe_bump true; walk n";
   |]
 
 let test_effects_stable_under_reparse =
@@ -344,6 +397,26 @@ let test_effects_stable_under_reparse =
       let parsed = parse src in
       let printed = Pprintast.string_of_structure parsed.Srcread.ast in
       classify_fixture src = classify_fixture printed)
+
+(* the engine's answer is a function of the call graph, not of the
+   order the worklist meets the defs in: reordering the top-level items
+   keeps every def's class and every def's raise-set keys *)
+let test_engine_order_independent =
+  qtest ~count:60 "effects: classes and raise sets independent of def order"
+    QCheck2.Gen.(
+      list_size (int_range 1 (Array.length effect_pool))
+        (int_range 0 (Array.length effect_pool - 1))
+      >>= fun picks ->
+      let picks = List.sort_uniq Int.compare picks in
+      pair (return picks) (shuffle_l picks))
+    (fun (picks, shuffled) ->
+      let answers order =
+        let src = String.concat "\n" (List.map (fun i -> effect_pool.(i)) order) in
+        let by_id l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+        ( by_id (classify_fixture src),
+          by_id (Exnflow.raise_sets (Callgraph.build [ parse src ])) )
+      in
+      answers picks = answers shuffled)
 
 (* ---- allocation budgets ------------------------------------------------ *)
 
@@ -414,7 +487,17 @@ let dispatch table key = risky table key [@@mincut.boundary "serve-total"]
       check_bool "names the exception" true
         (contains ~sub:"Not_found" f.Lint.message);
       check_bool "witness chain root-to-leaf" true
-        (contains ~sub:"Fixture.dispatch -> Fixture.risky" f.Lint.message)
+        (contains ~sub:"Fixture.dispatch -> Fixture.risky" f.Lint.message);
+      (match exn_check chain_fixture with
+      | _, [ f ] ->
+          check_int "witness lands on Hashtbl.find" 7 f.Lint.line;
+          check_bool "witness chain through the recursive pair" true
+            (f.Lint.message
+           = "boundary serve-total: Fixture.dispatch may raise Not_found \
+              (Hashtbl.find): Fixture.dispatch -> Fixture.loop_a -> \
+              Fixture.middle -> Fixture.risky")
+      | _, fs ->
+          Alcotest.failf "expected 1 exn finding, got %d" (List.length fs))
   | fs -> Alcotest.failf "expected 1 exn finding, got %d" (List.length fs)
 
 let test_exnflow_handlers_subtract () =
@@ -490,6 +573,21 @@ let dispatch () = 0 [@@mincut.boundary "serve-partial"]
       check_bool "unknown policy is loud" true
         (contains ~sub:"unknown [@mincut.boundary" f.Lint.message)
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
+
+let test_exnflow_root_listed_once () =
+  (* a def that is a named serve-total root and also carries the
+     annotation is one root, with one finding per exception *)
+  let summary, findings =
+    Exnflow.check
+      (Callgraph.build
+         [
+           parse ~file:"lib/serve/server.ml"
+             {|let run t k = Hashtbl.find t k [@@mincut.boundary "serve-total"]
+|};
+         ])
+  in
+  check_int "one finding" 1 (List.length findings);
+  check_int "one serve-total root" 1 (List.assoc "serve-total" summary.Exnflow.policies)
 
 let test_exnflow_external_table () =
   check_bool "Hashtbl.find raises Not_found" true
@@ -695,7 +793,10 @@ let suite =
       test_lib_reached_by_shipped_code;
     tc "effects: lattice and propagation" test_effect_lattice;
     tc "effects: annotations pin classes" test_effect_annotation_pins;
+    tc "effects: witness follows the worst callee"
+      test_effect_witness_worst_callee;
     test_effects_stable_under_reparse;
+    test_engine_order_independent;
     tc "allocheck: counts sites, skips handler lambda" test_allocheck_counts;
     tc "allocheck: error paths are free" test_allocheck_error_path_free;
     tc "exnflow: boundary leak carries its witness" test_exnflow_boundary_leak;
@@ -703,6 +804,8 @@ let suite =
     tc "exnflow: raises pins discharge and propagate" test_exnflow_pins;
     tc "exnflow: unknown boundary policy is a finding"
       test_exnflow_unknown_boundary;
+    tc "exnflow: a named and annotated root is listed once"
+      test_exnflow_root_listed_once;
     tc "exnflow: curated externals table" test_exnflow_external_table;
     tc "resguard: unbracketed open leaks" test_resguard_leak;
     tc "resguard: unbound acquisition leaks" test_resguard_unbound_acquisition;

@@ -514,16 +514,23 @@ let test_server_oversized_graph_header () =
   (* the header's m is a claim, not an allocation: the edge buffer grows
      as lines arrive, so a long list loads in full and a list that ends
      early is an ERR line, after which the server reads on to end of
-     input *)
+     input.  The header's n is capped before anything is allocated: a
+     10^11-node header is an ERR line naming the cap, its edge line is
+     then an unknown verb, and the session answers on *)
   let long = List.init 5000 (fun i -> Printf.sprintf "0 1 %d" (1 + (i mod 3))) in
   let io, collected =
-    scripted_io (("GRAPH long 2 5000" :: long) @ [ "GRAPH u 2 100000000000"; "0 1 1" ])
+    scripted_io
+      ((("GRAPH long 2 5000" :: long) @ [ "GRAPH v 100000000000 1"; "0 1 1"; "PING" ])
+      @ [ "GRAPH u 2 100000000000"; "0 1 1" ])
   in
   let reason = Server.run (service ()) io in
   check_bool "eof ends session" true (reason = Server.Eof);
   match collected () with
-  | [ ok; err ] ->
+  | [ ok; cap; _; pong; err ] ->
       check_bool "long list loads" true (has_prefix ~prefix:"OK graph long n=2 m=5000 " ok);
+      check_string "GRAPH error names the node cap"
+        "ERR GRAPH: n=100000000000 is above the cap of 4194304 nodes" cap;
+      check_string "session answers on" "PONG" pong;
       check_bool "GRAPH error line" true (has_prefix ~prefix:"ERR GRAPH u: " err);
       check_bool "names the short edge list" true (contains ~sub:"end of input" err)
   | lines ->
@@ -607,6 +614,12 @@ let test_protocol_parse_errors () =
   check_bool "bad int" true (is_err "SOLVE family=ring size=abc");
   check_bool "bad algo" true (is_err "SOLVE family=ring algo=magic");
   check_bool "graph usage" true (is_err "GRAPH only-a-name");
+  check_bool "n at the cap parses" true
+    (Protocol.parse (Printf.sprintf "GRAPH u %d 1" Protocol.max_graph_nodes)
+    = Ok (Protocol.Graph_def { name = "u"; n = Protocol.max_graph_nodes; m = 1 }));
+  check_bool "n above the cap names the cap" true
+    (Protocol.parse (Printf.sprintf "GRAPH u %d 1" (Protocol.max_graph_nodes + 1))
+    = Error "GRAPH: n=4194305 is above the cap of 4194304 nodes");
   check_bool "estimate needs a source" true (is_err "ESTIMATE seed=3");
   check_bool "estimate rejects trials=0" true
     (is_err "ESTIMATE family=ring trials=0");
