@@ -59,6 +59,13 @@ let tests () =
             fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_dense tree links fr)));
       Test.make ~name:"engine:bfs-flood-gnp144"
         (Staged.stage (fun () -> ignore (Mincut_congest.Primitives.bfs_tree g_dense ~root:0)));
+      (* leader election as Exact.run runs it: the flood alone, bounded
+         by the BFS backbone the caller already holds *)
+      Test.make ~name:"engine:flood-max-gnp144"
+        (Staged.stage
+           (let tree, _ = Mincut_congest.Primitives.bfs_tree g_dense ~root:0 in
+            let values = Array.init (Mincut_graph.Graph.n g_dense) Fun.id in
+            fun () -> ignore (Mincut_congest.Primitives.flood_max ~tree g_dense ~values)));
       Test.make ~name:"t3-diameter:one-respect-cliques-path"
         (Staged.stage (fun () ->
              let tree = Tree.bfs_tree g_deep ~root:0 in
@@ -78,6 +85,11 @@ let tests () =
         (Staged.stage (fun () -> ignore (Tree_packing.greedy g_planted ~trees:16)));
       Test.make ~name:"f3-packing:greedy-96-trees-gnp144"
         (Staged.stage (fun () -> ignore (Tree_packing.greedy g_dense ~trees:96)));
+      (* solve-deep's shape: unit weights, so no re-sort runs *)
+      Test.make ~name:"f3-packing:greedy-96-trees-torus18"
+        (Staged.stage
+           (let g = Mincut_graph.Generators.torus 18 18 in
+            fun () -> ignore (Tree_packing.greedy g ~trees:96)));
       (* keying alone, on a packing with no repeats and on one with many *)
       Test.make ~name:"f3-packing:distinct-72-trees-torus18"
         (Staged.stage

@@ -65,6 +65,9 @@ type ('state, 'msg) program = {
           on it: after round 0, a node whose empty-inbox step returns
           its state physically unchanged and sends nothing sleeps, and
           is not stepped again until mail arrives (wake-on-mail).
+          "Unchanged" means physically equal: an idle step that
+          returns a fresh but equal state (say [{ st with x }]) keeps
+          the node awake, stepped every round until it halts.
           {!Config.sanitize} steps sleeping nodes anyway and raises
           {!Model_violation} with kind {!Round_dependence} when such a
           step sends or changes the marshalled state. *)

@@ -20,11 +20,22 @@ let forest_of_parents parent =
   done;
   { parent; children = Array.map Array.of_list kids }
 
-(* Neighbors without multiplicity: the engine models one channel per
-   node pair, so flooding primitives address each neighbor once even in
-   multigraphs (conservative for round counts). *)
-let distinct_neighbors g v =
-  List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v)))
+(* One message carrying [x] to each distinct neighbor of [v], in
+   ascending order: the engine models one channel per node pair, so
+   flooding primitives address each neighbor once even in multigraphs
+   (conservative for round counts).  The CSR row is sorted by
+   (neighbor, edge id), so parallel slots are adjacent and the walk
+   needs no sort. *)
+let send_neighbors g v x =
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
+  let lo = off.(v) in
+  let rec walk s acc =
+    if s < lo then acc
+    else
+      let u = nbr.(s) in
+      walk (s - 1) (if s > lo && nbr.(s - 1) = u then acc else (u, x) :: acc)
+  in
+  walk (off.(v + 1) - 1) []
 
 (* one message carrying [x] to each of [dsts] *)
 let send_all dsts x = Array.fold_right (fun c acc -> (c, x) :: acc) dsts []
@@ -50,8 +61,7 @@ let bfs_program g ~root : (bfs_state, int) Network.program =
       (fun ~node ~round ~inbox st ->
         if st.dist = 0 && round = 0 then
           (* the root announces itself and is done *)
-          ( { st with done_ = true },
-            List.map (fun u -> (u, 0)) (distinct_neighbors g node) )
+          ({ st with done_ = true }, send_neighbors g node 0)
         else if st.dist = -1 then
           match inbox with
           | [] -> (st, [])
@@ -65,8 +75,7 @@ let bfs_program g ~root : (bfs_state, int) Network.program =
                   (fun (bp, bd) (p, d) -> if p < bp then (p, d) else (bp, bd))
                   first rest
               in
-              ( { dist = d + 1; parent = p; done_ = true },
-                List.map (fun u -> (u, d + 1)) (distinct_neighbors g node) )
+              ({ dist = d + 1; parent = p; done_ = true }, send_neighbors g node (d + 1))
         else (st, []))
       ;
     halted = (fun st -> st.done_);
@@ -228,7 +237,7 @@ let exchange_program g ~values : ((int * 'a) list option, 'a) Network.program =
     initial = (fun _ -> None);
     step =
       (fun ~node ~round ~inbox st ->
-        if round = 0 then (st, List.map (fun u -> (u, values.(node))) (distinct_neighbors g node))
+        if round = 0 then (st, send_neighbors g node values.(node))
         else (Some (List.sort by_sender inbox), []))
       ;
     halted = Option.is_some;
@@ -242,6 +251,10 @@ let exchange ?cfg ~words g values =
 (* Flooding a maximum (leader election)                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A node floods its value in round 0 and then each improvement the
+   round it learns it.  A step that learns nothing returns [st] itself,
+   not an equal copy, so the engine puts the node to sleep until mail
+   arrives; a fresh record would keep every node stepping every round. *)
 type fm_state = { best : int; fresh : bool }
 
 let flood_max_program g ~values : (fm_state, int) Network.program =
@@ -250,16 +263,17 @@ let flood_max_program g ~values : (fm_state, int) Network.program =
     step =
       (fun ~node ~round:_ ~inbox st ->
         let best = List.fold_left (fun a (_, x) -> max a x) st.best inbox in
-        if best > st.best || st.fresh then
-          ( { best; fresh = false },
-            List.map (fun u -> (u, best)) (distinct_neighbors g node) )
-        else ({ st with best }, []))
+        if best > st.best || st.fresh then ({ best; fresh = false }, send_neighbors g node best)
+        else (st, []))
       ;
     halted = (fun _ -> false);
   }
 
-let flood_max ?cfg g ~values =
-  let tree0, _ = bfs_tree ?cfg g ~root:0 in
+(* Any spanning tree rooted at r has height h >= ecc(r), and every hop
+   distance is <= 2·ecc(r), so the flood is complete after 2h + 2
+   rounds. *)
+let flood_max ?cfg ?tree g ~values =
+  let tree0 = match tree with Some t -> t | None -> fst (bfs_tree ?cfg g ~root:0) in
   let bound = (2 * Tree.height tree0) + 2 in
   let prog = flood_max_program g ~values in
   let states, audit = Network.run_bounded ?cfg ~words:(fun _ -> 1) ~rounds:bound g prog in

@@ -127,10 +127,15 @@ val upcast_distinct :
     reaches the root, which returns it sorted.  Runs {!upcast} for
     [height + k + 2] rounds, [k] the number of distinct words. *)
 
-val flood_max : ?cfg:Config.t -> Graph.t -> values:int array -> int array * Cost.t
+val flood_max :
+  ?cfg:Config.t -> ?tree:Tree.t -> Graph.t -> values:int array -> int array * Cost.t
 (** Every node learns [max values] (e.g. leader election on ids);
-    runs for (hop-eccentricity) rounds via echo-free flooding with a
-    known-diameter bound derived from the BFS tree. *)
+    runs for (hop-eccentricity) rounds via echo-free flooding with the
+    known-diameter bound [2·height + 2] of a spanning tree.  [tree] is
+    that tree when the caller already holds one ([Exact.run]
+    passes its BFS backbone); without it, {!bfs_tree} from node 0 is run
+    first (and its rounds are not charged).  Any spanning tree gives a
+    valid bound; the BFS tree from node 0 gives this one's audit. *)
 
 val flood_echo : ?cfg:Config.t -> Graph.t -> root:int -> Tree.t * Cost.t
 (** BFS flooding {e with echo}: after joining, every node acknowledges

@@ -75,11 +75,16 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
     let backbone = One_respect.backbone ~params g ~root:0 in
     let diameter = Tree.height (fst backbone) in
     (* the network first agrees on a leader (all ids flood; the paper
-       assumes unique ids); real in full-fidelity mode *)
+       assumes unique ids); real in full-fidelity mode, where the
+       backbone is the engine's BFS tree from node 0 and sets the
+       flood's round bound *)
     let c_leader =
       if params.Params.run_real_primitives then begin
         let ids = Array.init n (fun v -> v) in
-        let learned, c = Mincut_congest.Primitives.flood_max ~cfg:params.Params.congest g ~values:ids in
+        let learned, c =
+          Mincut_congest.Primitives.flood_max ~cfg:params.Params.congest
+            ~tree:(fst backbone) g ~values:ids
+        in
         assert (Array.for_all (fun x -> x = n - 1) learned);
         (* a single executed leaf (keeping the flood-max audit) so the
            flat breakdown reads the same as the measured primitive *)

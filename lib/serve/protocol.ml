@@ -131,60 +131,70 @@ let parse_estimate_args toks =
   in
   Ok { esource; eseed; etrials }
 
-let parse line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  match tokens line with
+let strip_comment line =
+  match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line
+
+(* A [GRAPH <name> <n> <m>] header.  A rejected one still carries its m,
+   when m parses, as the number of edge lines it announced. *)
+let graph_header = function
+  | [ name; n; m ] -> (
+      let m = int_of_string_opt m in
+      let payload = match m with Some m when m >= 0 -> m | _ -> 0 in
+      match (int_of_string_opt n, m) with
+      | Some n, Some m when n > max_graph_nodes && m >= 0 ->
+          Error
+            ( Printf.sprintf "GRAPH: n=%d is above the cap of %d nodes" n
+                max_graph_nodes,
+              payload )
+      | Some n, Some m when n >= 2 && m >= 0 -> Ok (Graph_def { name; n; m })
+      | _ -> Error ("GRAPH: bad <n> or <m>", payload))
+  | _ -> Error ("usage: GRAPH <name> <n> <m>", 0)
+
+let parse_verb verb rest =
+  match verb with
+  | "SOLVE" ->
+      let* args = parse_solve_args rest in
+      Ok (Solve args)
+  | "SUBMIT" ->
+      let* args = parse_solve_args rest in
+      Ok (Submit args)
+  | "ESTIMATE" ->
+      let* args = parse_estimate_args rest in
+      Ok (Estimate args)
+  | "SESSION" -> (
+      match rest with
+      | name :: srcs ->
+          let* args = kv_args srcs in
+          let* ssource = parse_source args in
+          Ok (Session_open { sname = name; ssource })
+      | [] -> Error "usage: SESSION <name> graph=<g>|family=<fam> [...]")
+  | "DELTA" -> (
+      match rest with
+      | name :: optoks ->
+          let* dop = Delta.parse_tokens optoks in
+          Ok (Delta_op { sname = name; dop })
+      | [] -> Error "usage: DELTA <name> add|remove|reweight|merge|split ...")
+  | "COMPACT" -> (
+      match rest with
+      | [ name ] -> Ok (Compact name)
+      | _ -> Error "usage: COMPACT <name>")
+  | "FLUSH" -> Ok Flush
+  | "STATS" -> Ok Stats
+  | "PING" -> Ok Ping
+  | "HELP" -> Ok Help
+  | "QUIT" -> Ok Quit
+  | "SHUTDOWN" -> Ok Shutdown
+  | other -> Error (Printf.sprintf "unknown verb %S (try HELP)" other)
+
+let parse_with_payload line =
+  match tokens (strip_comment line) with
   | [] -> Ok Nop
   | verb :: rest -> (
       match String.uppercase_ascii verb with
-      | "GRAPH" -> (
-          match rest with
-          | [ name; n; m ] -> (
-              match (int_of_string_opt n, int_of_string_opt m) with
-              | Some n, Some m when n > max_graph_nodes && m >= 0 ->
-                  Error
-                    (Printf.sprintf "GRAPH: n=%d is above the cap of %d nodes" n
-                       max_graph_nodes)
-              | Some n, Some m when n >= 2 && m >= 0 -> Ok (Graph_def { name; n; m })
-              | _ -> Error "GRAPH: bad <n> or <m>")
-          | _ -> Error "usage: GRAPH <name> <n> <m>")
-      | "SOLVE" ->
-          let* args = parse_solve_args rest in
-          Ok (Solve args)
-      | "SUBMIT" ->
-          let* args = parse_solve_args rest in
-          Ok (Submit args)
-      | "ESTIMATE" ->
-          let* args = parse_estimate_args rest in
-          Ok (Estimate args)
-      | "SESSION" -> (
-          match rest with
-          | name :: srcs ->
-              let* args = kv_args srcs in
-              let* ssource = parse_source args in
-              Ok (Session_open { sname = name; ssource })
-          | [] -> Error "usage: SESSION <name> graph=<g>|family=<fam> [...]")
-      | "DELTA" -> (
-          match rest with
-          | name :: optoks ->
-              let* dop = Delta.parse_tokens optoks in
-              Ok (Delta_op { sname = name; dop })
-          | [] -> Error "usage: DELTA <name> add|remove|reweight|merge|split ...")
-      | "COMPACT" -> (
-          match rest with
-          | [ name ] -> Ok (Compact name)
-          | _ -> Error "usage: COMPACT <name>")
-      | "FLUSH" -> Ok Flush
-      | "STATS" -> Ok Stats
-      | "PING" -> Ok Ping
-      | "HELP" -> Ok Help
-      | "QUIT" -> Ok Quit
-      | "SHUTDOWN" -> Ok Shutdown
-      | other -> Error (Printf.sprintf "unknown verb %S (try HELP)" other))
+      | "GRAPH" -> graph_header rest
+      | verb -> Result.map_error (fun e -> (e, 0)) (parse_verb verb rest))
+
+let parse line = Result.map_error fst (parse_with_payload line)
 
 let format_response (r : Request.response) =
   Printf.sprintf "value=%d rounds=%d cached=%b ms=%.3f key=%s"

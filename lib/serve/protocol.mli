@@ -89,6 +89,14 @@ val max_graph_nodes : int
 val parse : string -> (command, string) result
 (** Parse one request line. *)
 
+val parse_with_payload : string -> (command, string * int) result
+(** {!parse}, with the number of payload lines a rejected request
+    announced: a [GRAPH <name> <n> <m>] header whose [m] is a
+    non-negative integer carries [m] whether or not its [n] is accepted
+    (n above {!max_graph_nodes}, say); every other error carries 0.  The
+    server drains them after the ERR line, so one request still gets one
+    reply. *)
+
 val format_response : Request.response -> string
 (** The [key=value] tail shared by [OK] and [RESULT] lines:
     [value=… rounds=… cached=… ms=… key=…]. *)

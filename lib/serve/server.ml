@@ -33,6 +33,11 @@ type session = {
 
 let err session fmt = Printf.ksprintf (fun s -> session.io.write_line ("ERR " ^ s)) fmt
 
+(* Consume [k] lines of announced payload, or up to end of input. *)
+let rec drain session k =
+  if k > 0 then
+    match session.io.read_line () with None -> () | Some _ -> drain session (k - 1)
+
 (* Read the m edge lines following a GRAPH header.  On a malformed edge
    the remaining announced lines are still consumed, so the client and
    server never disagree about where the edge list ends.  The edge
@@ -47,16 +52,8 @@ let read_graph_def session ~name ~n ~m =
       | None -> Error "end of input inside GRAPH edge list"
       | Some line -> (
           let bad () =
-            let e = Error (Printf.sprintf "edge %d: expected 'u v w'" i) in
-            (* drain the rest of the announced payload *)
-            let rec drain j =
-              if j < m then
-                match session.io.read_line () with
-                | None -> ()
-                | Some _ -> drain (j + 1)
-            in
-            drain (i + 1);
-            e
+            drain session (m - i - 1);
+            Error (Printf.sprintf "edge %d: expected 'u v w'" i)
           in
           match
             String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
@@ -258,9 +255,12 @@ let run service io =
     match io.read_line () with
     | None -> Eof
     | Some line -> (
-        match Protocol.parse line with
-        | Error e ->
+        match Protocol.parse_with_payload line with
+        | Error (e, payload) ->
+            (* a rejected GRAPH header's edge lines are payload, not
+               requests *)
             err session "%s" e;
+            drain session payload;
             loop ()
         | Ok cmd -> (
             match handle_command session cmd with

@@ -17,11 +17,23 @@ let load_order loads w a b =
   | 0 -> ( match Int.compare w.(a) w.(b) with 0 -> Int.compare a b | c -> c)
   | c -> c
 
+(* Sort [a] by [load_order] only when some neighbouring pair is out of
+   order: the scan is O(length), and [Array.sort] runs only on an
+   inversion.  The order is strict, so a sorted pair compares < 0. *)
+let sort_by_load loads w a =
+  let rec sorted i =
+    i >= Array.length a || (load_order loads w a.(i - 1) a.(i) < 0 && sorted (i + 1))
+  in
+  if not (sorted 1) then Array.sort (load_order loads w) a
+
 (* One edge order, kept sorted by [load_order] across trees.  Tree i is
    the Kruskal prefix of the order up to its (n-1)-th union.  Only those
    n-1 edges gain load, so they are lifted out (the rejected edges of the
    prefix and the untouched tail close up, still sorted), re-sorted among
-   themselves and merged back from the end. *)
+   themselves and merged back from the end.  The lifted edges are a
+   subsequence of the sorted order and all gain the same +1, so under
+   uniform weights they are still in order and the re-sort is a scan;
+   the initial order (all loads 0) is then the identity, likewise. *)
 let greedy g ~trees =
   if trees < 1 then invalid_arg "Tree_packing.greedy: need at least one tree";
   if not (Bfs.is_connected g) then invalid_arg "Tree_packing.greedy: disconnected graph";
@@ -33,7 +45,7 @@ let greedy g ~trees =
       (Printf.sprintf "Tree_packing.greedy: edge weight above max_int / %d" trees);
   let loads = Array.make m 0 in
   let order = Array.init m Fun.id in
-  Array.sort (load_order loads w) order;
+  sort_by_load loads w order;
   let picked = Array.make (max 0 (n - 1)) 0 in
   let k = Array.length picked in
   let uf = Union_find.create n in
@@ -55,7 +67,7 @@ let greedy g ~trees =
     Array.iter (fun id -> loads.(id) <- loads.(id) + 1) picked;
     if i < trees - 1 then begin
       Array.blit order !pos order (!pos - k) (m - !pos);
-      Array.sort (load_order loads w) picked;
+      sort_by_load loads w picked;
       let rest = ref (m - k - 1) and d = ref (m - 1) in
       for j = k - 1 downto 0 do
         let id = picked.(j) in

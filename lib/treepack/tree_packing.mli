@@ -16,8 +16,13 @@
     {b Cost.}  One edge order is kept sorted across trees.  Each tree is
     a Kruskal scan of that order that stops after [n−1] unions; then
     only those [n−1] edges gain load, so they alone are re-sorted and
-    merged back.  A tree costs [O(m + n log n)] after one initial
-    [O(m log m)] sort, against [O(m log m)] for a fresh sort per tree.
+    merged back.  Each of these sorts first scans for an out-of-order
+    pair and runs only if it finds one.  The picked edges are a
+    subsequence of the order and all gain the same [+1], so under
+    uniform weights they stay in order (and the initial order is the
+    identity): a tree then costs [O(m + n)].  In general a tree costs
+    [O(m + n log n)] after one initial [O(m log m)] sort, against
+    [O(m log m)] for a fresh sort per tree.
     Scratch is [O(m + n)], allocated once per call.  Because
     (relative load, weight, id) is a strict total order, the maintained
     order is the unique sorted order a fresh sort would produce, so the

@@ -652,6 +652,81 @@ let test_primitive_goldens () =
   in
   Alcotest.(check (list (pair string string))) "primitive digests" golden_primitives got
 
+(* Parent-recorded digests of the flooding primitives on multigraphs,
+   where a node's CSR row holds parallel slots per neighbour and the
+   floods must still address each neighbour once.  Each digest covers
+   the answer and the [Cost] JSON with its engine audit. *)
+let multigraphs () =
+  let gnp = Generators.gnp_connected ~rng:(Mincut_util.Rng.create 12) 24 0.3 in
+  (* every third edge tripled, the copies with other weights and with
+     ids interleaved *)
+  let tripled =
+    List.concat_map
+      (fun (e : Graph.edge) ->
+        if e.id mod 3 = 0 then [ (e.v, e.u, e.w + 1); (e.u, e.v, e.w); (e.u, e.v, e.w + 2) ]
+        else [ (e.u, e.v, e.w) ])
+      (Array.to_list (Graph.edges gnp))
+  in
+  [ ("torus4x2", doubled (Generators.torus 4 4)); ("gnp24x3", Graph.create ~n:24 tripled) ]
+
+let golden_multigraph_floods =
+  [
+    ("torus4x2 bfs", "589fe7a7a9cfbe3f0402f710261c3021");
+    ("torus4x2 flood-max", "40769dd04f16ba2610226db9cee32b33");
+    ("torus4x2 exchange", "d3595887255d19d60d24f9d1a64742ba");
+    ("gnp24x3 bfs", "7b3bcf44f28ec8970e1bd43b39cdaa43");
+    ("gnp24x3 flood-max", "7e58f945e4f208fb6a95b14bdfa6eb39");
+    ("gnp24x3 exchange", "3977413301636508d0ea7a1bebc03d80");
+  ]
+
+let test_multigraph_flood_goldens () =
+  let got =
+    List.concat_map
+      (fun (name, g) ->
+        let n = Graph.n g in
+        let tree, c_bfs = Primitives.bfs_tree g ~root:0 in
+        let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+        let learned, c_fm = Primitives.flood_max g ~values in
+        (* the caller's BFS tree sets the same bound as the flood's own *)
+        let learned', c_fm' = Primitives.flood_max ~tree g ~values in
+        check_bool (name ^ " flood-max on the caller's tree") true
+          (learned = learned' && Cost.to_json c_fm = Cost.to_json c_fm');
+        let heard, audit = Primitives.exchange ~words:words1 g (Array.init n (fun v -> 3 * v)) in
+        let heard =
+          Array.map (fun l -> ints (Array.of_list (List.concat_map (fun (s, x) -> [ s; x ]) l))) heard
+        in
+        [
+          (name ^ " bfs", cost_digest [ ints tree.Tree.parent; ints tree.Tree.parent_edge ] c_bfs);
+          (name ^ " flood-max", cost_digest [ ints learned ] c_fm);
+          ( name ^ " exchange",
+            cost_digest (Array.to_list heard)
+              (Cost.executed ~audit "exchange" audit.Network.rounds) );
+        ])
+      (multigraphs ())
+  in
+  Alcotest.(check (list (pair string string))) "flood digests" golden_multigraph_floods got
+
+(* Flood-max steps a node only when mail arrives (plus the step that
+   puts it to sleep): on a 64-node path with one raised value the flood
+   runs 2·63 + 2 rounds but steps O(messages + n) times, not once per
+   node-round. *)
+let test_flood_max_sleeps () =
+  let n = 64 in
+  let g = Generators.path n in
+  let values = Array.init n (fun v -> if v = 0 then 1 else 0) in
+  let steps = ref 0 in
+  let probe ~node:_ ~round:_ ~inbox:_ _ _ = incr steps in
+  let rounds = (2 * (n - 1)) + 2 in
+  let _, audit =
+    Network.run_bounded ~probe ~words:words1 ~rounds g (Primitives.flood_max_program g ~values)
+  in
+  let messages = audit.Network.total_messages in
+  check_bool
+    (Printf.sprintf "%d steps <= 2·%d messages + 2n" !steps messages)
+    true
+    (!steps <= (2 * messages) + (2 * n));
+  check_bool "far below one step per node-round" true (4 * !steps < n * rounds)
+
 let test_audit_word_budget_respected () =
   (* all primitives must fit the default 4-word budget *)
   let g = Generators.gnp_connected ~rng:(Mincut_util.Rng.create 2) 20 0.3 in
@@ -692,6 +767,8 @@ let suite =
     tc "engine: flat driver matches reference driver" test_driver_matches_reference;
     tc "engine: seed-driver audit goldens" test_seed_driver_goldens;
     tc "primitives: parent-recorded audit goldens" test_primitive_goldens;
+    tc "primitives: flood audits on multigraphs" test_multigraph_flood_goldens;
+    tc "primitives: flood max sleeps between messages" test_flood_max_sleeps;
     tc "cost: algebra" test_cost_algebra;
     tc "pipeline: formulas" test_pipeline_formulas;
     tc "config: bits per word" test_bits_per_word;

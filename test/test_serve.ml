@@ -516,7 +516,7 @@ let test_server_oversized_graph_header () =
      early is an ERR line, after which the server reads on to end of
      input.  The header's n is capped before anything is allocated: a
      10^11-node header is an ERR line naming the cap, its edge line is
-     then an unknown verb, and the session answers on *)
+     drained as payload, and the session answers on *)
   let long = List.init 5000 (fun i -> Printf.sprintf "0 1 %d" (1 + (i mod 3))) in
   let io, collected =
     scripted_io
@@ -526,13 +526,28 @@ let test_server_oversized_graph_header () =
   let reason = Server.run (service ()) io in
   check_bool "eof ends session" true (reason = Server.Eof);
   match collected () with
-  | [ ok; cap; _; pong; err ] ->
+  | [ ok; cap; pong; err ] ->
       check_bool "long list loads" true (has_prefix ~prefix:"OK graph long n=2 m=5000 " ok);
       check_string "GRAPH error names the node cap"
         "ERR GRAPH: n=100000000000 is above the cap of 4194304 nodes" cap;
       check_string "session answers on" "PONG" pong;
       check_bool "GRAPH error line" true (has_prefix ~prefix:"ERR GRAPH u: " err);
       check_bool "names the short edge list" true (contains ~sub:"end of input" err)
+  | lines ->
+      Alcotest.fail
+        (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
+
+let test_server_rejected_header_drained () =
+  (* a header [parse] rejects still announces its m edge lines: they are
+     drained as payload, not answered as requests, so each request gets
+     exactly one reply *)
+  let edges = List.init 5 (fun _ -> "0 1 1") in
+  let io, collected = scripted_io (("GRAPH u 1 5" :: edges) @ [ "PING" ]) in
+  let _ = Server.run (service ()) io in
+  match collected () with
+  | [ err; pong ] ->
+      check_bool "one ERR GRAPH line" true (has_prefix ~prefix:"ERR GRAPH" err);
+      check_string "then the PING's reply" "PONG" pong
   | lines ->
       Alcotest.fail
         (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
@@ -620,6 +635,21 @@ let test_protocol_parse_errors () =
   check_bool "n above the cap names the cap" true
     (Protocol.parse (Printf.sprintf "GRAPH u %d 1" (Protocol.max_graph_nodes + 1))
     = Error "GRAPH: n=4194305 is above the cap of 4194304 nodes");
+  (* a header announces its m edge lines whether or not n is accepted *)
+  List.iter
+    (fun (line, k) ->
+      check_int ("payload of " ^ line) k
+        (match Protocol.parse_with_payload line with Error (_, k) -> k | Ok _ -> -1))
+    [
+      ("GRAPH u 1 5", 5);
+      ("graph u 100000000000 1 # comment", 1);
+      ("GRAPH u x 3", 3);
+      ("GRAPH u 2 -1", 0);
+      ("GRAPH u 2", 0);
+      ("SOLVE family=ring size=abc", 0);
+    ];
+  check_bool "parse drops the payload" true
+    (Protocol.parse "GRAPH u 1 5" = Error "GRAPH: bad <n> or <m>");
   check_bool "estimate needs a source" true (is_err "ESTIMATE seed=3");
   check_bool "estimate rejects trials=0" true
     (is_err "ESTIMATE family=ring trials=0");
@@ -919,6 +949,8 @@ let suite =
     tc "server: submit/flush protocol" test_server_submit_flush;
     tc "server: malformed GRAPH payload drained" test_server_graph_payload_drained;
     tc "server: oversized GRAPH header is an error" test_server_oversized_graph_header;
+    tc "server: rejected GRAPH header drains its edge lines"
+      test_server_rejected_header_drained;
     tc "server: weight past the packing bound is ERR" test_server_weight_bound;
     tc "protocol: parse errors" test_protocol_parse_errors;
     tc "service: expired requests shed at flush" test_service_flush_sheds_expired;

@@ -291,6 +291,68 @@ let arbitrary_packing_input ?(max_n = 24) () =
        in
        (Graph.create ~n (tree @ chords), trees)))
 
+(* How many of the packing's re-sorts must run: tree i's edges, in
+   Kruskal order, are sorted under the loads before it; count the trees
+   (all but the last, which [greedy] never re-sorts) whose edges the +1
+   loads leave out of order. *)
+let reordered_buffers g ~trees =
+  let edges = Graph.edges g in
+  let loads = Array.make (Graph.m g) 0 in
+  let rec in_order = function
+    | a :: (b :: _ as rest) -> load_order loads edges.(a) edges.(b) < 0 && in_order rest
+    | _ -> true
+  in
+  let out, _ = oracle g ~trees in
+  let count = ref 0 in
+  Array.iteri
+    (fun i tree ->
+      List.iter (fun id -> loads.(id) <- loads.(id) + 1) tree;
+      if i < trees - 1 && not (in_order tree) then incr count)
+    out;
+  !count
+
+(* Two shapes the packing's sorts treat differently, with the outcome
+   each must show.  Unit-weight tori and paths of cliques (solve-deep's
+   families): every picked buffer stays in order, so no re-sort runs
+   ([false]).  A spanning tree plus chords under distinct weights,
+   with at least two trees: tree 1 picks edges of unequal weight at
+   load 0, and the +1 loads reverse their order, so some re-sort must
+   run ([true]).  The mixed multigraphs of [arbitrary_packing_input] may
+   go either way and keep their own property. *)
+let shaped_packing_input () =
+  QCheck2.Gen.(
+    let unit_shape =
+      let* trees = int_range 1 96 in
+      let* torus = bool in
+      let* a = int_range 3 7 in
+      let* b = int_range 1 6 in
+      return
+        ( (if torus then Generators.torus a (b + 2)
+           else Generators.path_of_cliques ~clique:a ~length:b),
+          trees,
+          false )
+    in
+    let reordering =
+      let* seed = int_range 0 1_000_000 in
+      let* n = int_range 3 24 in
+      let* extra = int_range 0 (2 * n) in
+      let* trees = int_range 2 96 in
+      return
+        (let rng = Rng.create seed in
+         let tree = List.init (n - 1) (fun v -> (Rng.int rng (v + 1), v + 1)) in
+         let chords =
+           List.init extra (fun _ ->
+               let u = Rng.int rng n in
+               let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+               (min u v, max u v))
+         in
+         let ws = Array.init (n - 1 + extra) (fun i -> 1 + i) in
+         Rng.shuffle rng ws;
+         let g = Graph.create ~n (List.mapi (fun i (u, v) -> (u, v, ws.(i))) (tree @ chords)) in
+         (g, trees, true))
+    in
+    oneof [ unit_shape; reordering ])
+
 let qcheck_tests =
   [
     qtest ~count:50 "packing load invariant" (arbitrary_connected ()) (fun g ->
@@ -315,6 +377,10 @@ let qcheck_tests =
     qtest ~count:150 "greedy = per-tree-sort oracle (trees, order, loads)"
       (arbitrary_packing_input ())
       (fun (g, trees) -> same_as_oracle g ~trees);
+    qtest ~count:150 "greedy = per-tree-sort oracle on sorted and reordered buffers"
+      (shaped_packing_input ())
+      (fun (g, trees, reorders) ->
+        same_as_oracle g ~trees && reordered_buffers g ~trees > 0 = reorders);
   ]
 
 let distinct_tests =
