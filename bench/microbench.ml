@@ -41,6 +41,23 @@ let tests () =
             in
             let backbone = One_respect.backbone g_dense ~root:0 in
             fun () -> ignore (One_respect.run ~backbone g_dense tree)));
+      (* the same tree in fast mode: no engine programs, so Step 5's
+         per-edge LCA loop dominates *)
+      Test.make ~name:"t2-theorem21:one-respect-fast-gnp144"
+        (Staged.stage
+           (let tree =
+              Tree.of_edge_ids g_dense ~root:0
+                (Tree_packing.greedy g_dense ~trees:1).Tree_packing.trees.(0)
+            in
+            let backbone = One_respect.backbone ~params:fast g_dense ~root:0 in
+            fun () -> ignore (One_respect.run ~params:fast ~backbone g_dense tree)));
+      (* building a packed tree from its edge ids, once per distinct tree
+         of a solve *)
+      Test.make ~name:"graph:tree-of-edge-ids-torus18"
+        (Staged.stage
+           (let g = Mincut_graph.Generators.torus 18 18 in
+            let ids = (Tree_packing.greedy g ~trees:1).Tree_packing.trees.(0) in
+            fun () -> ignore (Tree.of_edge_ids g ~root:0 ids)));
       (* the engine's per-message cost: Step 2b's pipelined downcast on
          that tree's fragment forest (most node-rounds idle, sends to a
          few children), and a BFS flood that addresses every neighbour *)
@@ -59,6 +76,13 @@ let tests () =
             fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_dense tree links fr)));
       Test.make ~name:"engine:bfs-flood-gnp144"
         (Staged.stage (fun () -> ignore (Mincut_congest.Primitives.bfs_tree g_dense ~root:0)));
+      (* one round to every neighbour, as Borůvka's Step A runs it each
+         phase: the inboxes arrive in sender order *)
+      Test.make ~name:"engine:exchange-gnp144"
+        (Staged.stage
+           (let values = Array.init (Mincut_graph.Graph.n g_dense) Fun.id in
+            fun () ->
+              ignore (Mincut_congest.Primitives.exchange ~words:(fun _ -> 1) g_dense values)));
       (* leader election as Exact.run runs it: the flood alone, bounded
          by the BFS backbone the caller already holds *)
       Test.make ~name:"engine:flood-max-gnp144"

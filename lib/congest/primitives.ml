@@ -11,14 +11,25 @@ type forest = { parent : int array; children : int array array }
 
 let forest_of_tree (t : Tree.t) = { parent = t.Tree.parent; children = t.Tree.children }
 
+(* children by counting: size every row, then fill in ascending node
+   order *)
 let forest_of_parents parent =
   let n = Array.length parent in
-  let kids = Array.make n [] in
-  for v = n - 1 downto 0 do
+  let count = Array.make n 0 in
+  for v = 0 to n - 1 do
     let p = parent.(v) in
-    if p <> -1 then kids.(p) <- v :: kids.(p)
+    if p <> -1 then count.(p) <- count.(p) + 1
   done;
-  { parent; children = Array.map Array.of_list kids }
+  let children = Array.init n (fun v -> Array.make count.(v) 0) in
+  for v = 0 to n - 1 do
+    let p = parent.(v) in
+    if p <> -1 then begin
+      let row = children.(p) in
+      row.(Array.length row - count.(p)) <- v;
+      count.(p) <- count.(p) - 1
+    end
+  done;
+  { parent; children }
 
 (* One message carrying [x] to each distinct neighbor of [v], in
    ascending order: the engine models one channel per node pair, so
@@ -37,8 +48,11 @@ let send_neighbors g v x =
   in
   walk (off.(v + 1) - 1) []
 
-(* one message carrying [x] to each of [dsts] *)
-let send_all dsts x = Array.fold_right (fun c acc -> (c, x) :: acc) dsts []
+(* one message carrying [x] to each of [dsts], in their order; a
+   top-level loop, so a step that calls it allocates no closure *)
+let rec send_from dsts x i acc = if i < 0 then acc else send_from dsts x (i - 1) ((dsts.(i), x) :: acc)
+
+let send_all dsts x = send_from dsts x (Array.length dsts - 1) []
 
 let min_edge_between g u v =
   let best = ref (-1) in
@@ -229,8 +243,14 @@ let upcast_distinct ?cfg g ~tree ~initial =
 
 (* Round 0 sends; round 1 records the inbox, sorted by sender (each
    sender sends once, so the order is canonical under any delivery
-   order), and halts. *)
+   order), and halts.  The engine delivers inboxes in ascending sender
+   order already, so the sort runs only on an inbox found out of order:
+   a permuted one, as sanitize mode replays. *)
 let by_sender (s, _) (s', _) = Int.compare s s'
+
+let rec ascending_senders prev = function
+  | [] -> true
+  | (s, _) :: rest -> prev < s && ascending_senders s rest
 
 let exchange_program g ~values : ((int * 'a) list option, 'a) Network.program =
   {
@@ -238,6 +258,7 @@ let exchange_program g ~values : ((int * 'a) list option, 'a) Network.program =
     step =
       (fun ~node ~round ~inbox st ->
         if round = 0 then (st, send_neighbors g node values.(node))
+        else if ascending_senders (-1) inbox then (Some inbox, [])
         else (Some (List.sort by_sender inbox), []))
       ;
     halted = Option.is_some;

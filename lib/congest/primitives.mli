@@ -53,6 +53,10 @@ val forest_of_parents : int array -> forest
 (** Children derived from the parent map, in ascending node order; the
     map is shared, not copied. *)
 
+val send_all : int array -> 'a -> (int * 'a) list
+(** [send_all dsts x]: one message carrying [x] to each of [dsts], in
+    their order, as a step's outbox. *)
+
 (** {1 Forest programs} *)
 
 val convergecast :

@@ -125,32 +125,33 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
         (fun ids -> One_respect.run ~params ~backbone g (Tree.of_edge_ids g ~root:0 ids))
         reps
     in
-    let _, sweep, best =
+    (* the per-tree groups are gathered newest first and summed once:
+       folding [Cost.( ++ )] would copy the growing span list per tree,
+       quadratic in the packing budget *)
+    let _, groups, best =
       Array.fold_left
-        (fun (i, sweep, best) s ->
+        (fun (i, groups, best) s ->
           let r = runs.(s) in
-          let sweep =
-            Cost.( ++ ) sweep
-              (Cost.group
-                 (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)" (i + 1))
-                 r.One_respect.cost)
+          let groups =
+            Cost.group
+              (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)" (i + 1))
+              r.One_respect.cost
+            :: groups
           in
           match best with
-          | Some (v, _, _, _) when v <= r.One_respect.best_value -> (i + 1, sweep, best)
+          | Some (v, _, _, _) when v <= r.One_respect.best_value -> (i + 1, groups, best)
           | _ ->
               ( i + 1,
-                sweep,
+                groups,
                 Some (r.One_respect.best_value, r.One_respect.best_node, i, r) ))
-        (0, Cost.zero, None) slot
+        (0, [], None) slot
     in
+    let sweep = Cost.sum (List.rev groups) in
     (* one fixed-label parent over the per-tree spans: consumers that
        count rounds per top-level phase (serve metrics, bench profiles)
        must not grow with the packing budget *)
     let cost =
-      ref
-        (Cost.( ++ )
-           (Cost.( ++ ) c_leader c_pack)
-           (Cost.group "per-tree 1-respecting cuts" sweep))
+      Cost.sum [ c_leader; c_pack; Cost.group "per-tree 1-respecting cuts" sweep ]
     in
     match best with
     | None -> assert false
@@ -162,7 +163,7 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
           side;
           best_tree = tree_idx;
           trees_used = trees;
-          cost = !cost;
+          cost;
           stats = r.One_respect.stats;
         }
   end

@@ -51,49 +51,57 @@ let analyze ?target g tree =
   let target = match target with Some t -> t | None -> Params.sqrt_target ~n in
   let fr = Fragments.partition tree ~target in
   let k = Fragments.count fr in
+  let parent = tree.Tree.parent in
+  let roots = fr.Fragments.roots and frag_of = fr.Fragments.frag_of in
   (* F(v): walk up from each fragment root; every proper ancestor fully
      contains that fragment. *)
   let f_sets = Array.make n [] in
   for j = 0 to k - 1 do
-    let rec up v =
-      if v <> -1 then begin
-        f_sets.(v) <- j :: f_sets.(v);
-        up tree.Tree.parent.(v)
-      end
-    in
-    up tree.Tree.parent.(fr.Fragments.roots.(j))
+    let v = ref parent.(roots.(j)) in
+    while !v <> -1 do
+      f_sets.(!v) <- j :: f_sets.(!v);
+      v := parent.(!v)
+    done
   done;
   (* merging nodes: two children whose subtrees contain whole fragments *)
-  let has_frag v =
-    f_sets.(v) <> [] || fr.Fragments.roots.(fr.Fragments.frag_of.(v)) = v
-  in
   let is_merging = Array.make n false in
+  let merging_count = ref 0 in
   for v = 0 to n - 1 do
-    let cnt =
-      Array.fold_left
-        (fun acc c -> if has_frag c then acc + 1 else acc)
-        0 tree.Tree.children.(v)
-    in
-    is_merging.(v) <- cnt >= 2
+    let kids = tree.Tree.children.(v) in
+    let cnt = ref 0 in
+    for i = 0 to Array.length kids - 1 do
+      let c = kids.(i) in
+      match f_sets.(c) with
+      | _ :: _ -> incr cnt
+      | [] -> if roots.(frag_of.(c)) = c then incr cnt
+    done;
+    if !cnt >= 2 then begin
+      is_merging.(v) <- true;
+      incr merging_count
+    end
   done;
   (* T'F: fragment roots and merging nodes, wired by lowest-ancestor *)
-  let in_tfp = Array.make n false in
-  Array.iter (fun r -> in_tfp.(r) <- true) fr.Fragments.roots;
-  Array.iteri (fun v m -> if m then in_tfp.(v) <- true) is_merging;
+  let in_tfp = Array.copy is_merging in
+  for j = 0 to k - 1 do
+    in_tfp.(roots.(j)) <- true
+  done;
   let lta = Array.make n (-1) in
   let tf_parent = Array.make n (-1) in
   let tf_depth = Array.make n 0 in
-  Array.iter
-    (fun v ->
-      let p = tree.Tree.parent.(v) in
-      lta.(v) <- (if in_tfp.(v) then v else lta.(p));
-      if in_tfp.(v) then begin
-        tf_parent.(v) <- (if p = -1 then -1 else lta.(p));
-        tf_depth.(v) <- (if tf_parent.(v) = -1 then 0 else tf_depth.(tf_parent.(v)) + 1)
-      end)
-    tree.Tree.preorder;
-  let merging_count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 is_merging in
-  let tfp_size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in_tfp in
+  let tfp_size = ref 0 in
+  for i = 0 to n - 1 do
+    let v = tree.Tree.preorder.(i) in
+    let p = parent.(v) in
+    if in_tfp.(v) then begin
+      incr tfp_size;
+      lta.(v) <- v;
+      let tp = if p = -1 then -1 else lta.(p) in
+      tf_parent.(v) <- tp;
+      tf_depth.(v) <- (if tp = -1 then 0 else tf_depth.(tp) + 1)
+    end
+    else lta.(v) <- lta.(p)
+  done;
+  let merging_count = !merging_count and tfp_size = !tfp_size in
   { fr; f_sets; is_merging; in_tfp; lta; tf_parent; tf_depth; merging_count; tfp_size }
 
 (* ------------------------------------------------------------------ *)
@@ -175,17 +183,30 @@ let frag_links tree (fr : Fragments.t) =
 let ancestor_downcast_program (links : Primitives.forest) :
     (int list, int) Mincut_congest.Network.program =
   let down = links.Primitives.children in
-  let send node id = Array.fold_right (fun c acc -> (c, id) :: acc) down.(node) [] in
   {
     initial = (fun v -> [ v ]);
     step =
       (fun ~node ~round ~inbox chain ->
         match inbox with
-        | (_, id) :: _ -> (id :: chain, send node id)
-        | [] -> (chain, if round = 0 then send node node else []))
+        | (_, id) :: _ -> (id :: chain, Primitives.send_all down.(node) id)
+        | [] -> (chain, if round = 0 then Primitives.send_all down.(node) node else []))
       ;
     halted = (fun _ -> false);
   }
+
+(* One pass over [v]'s chain, reading [tin]/[tout]/[depth] directly:
+   every id is a same-fragment ancestor of [v], deeper than the one
+   before ([above]); returns the chain's length. *)
+let rec chain_length (tree : Tree.t) frag_of v above len = function
+  | [] -> len
+  | u :: rest ->
+      assert (
+        frag_of.(u) = frag_of.(v)
+        && tree.Tree.tin.(u) <= tree.Tree.tin.(v)
+        && tree.Tree.tout.(v) <= tree.Tree.tout.(u));
+      let d = tree.Tree.depth.(u) in
+      assert (d > above);
+      chain_length tree frag_of v d (len + 1) rest
 
 let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let n = Graph.n g in
@@ -202,15 +223,7 @@ let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
      length drawn from them, strictly deepening, is all of them. *)
   let dif = fr.Fragments.depth_in_frag in
   for v = 0 to n - 1 do
-    let chain = chains.(v) in
-    assert (List.length chain = dif.(v) + 1);
-    ignore
-      (List.fold_left
-         (fun above u ->
-           assert (frag_of.(u) = frag_of.(v) && Tree.is_ancestor tree u v);
-           assert (tree.Tree.depth.(u) > above);
-           tree.Tree.depth.(u))
-         (-1) chain)
+    assert (chain_length tree frag_of v (-1) 0 chains.(v) = dif.(v) + 1)
   done;
   audit
 
@@ -227,6 +240,11 @@ let backbone ?(params = Params.default) g ~root =
   else
     let t = Tree.bfs_tree g ~root in
     (t, Cost.scheduled "bfs-tree (scheduled)" (Tree.height t + 1))
+
+(* [acc] plus [per_frag] summed over the fragment list [js] *)
+let rec add_frags per_frag acc = function
+  | [] -> acc
+  | j :: js -> add_frags per_frag (acc + per_frag.(j)) js
 
 let run ?(params = Params.default) ?target ?backbone:given g tree =
   let n = Graph.n g in
@@ -275,20 +293,15 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   (* (a) upcast child-fragment lists within each fragment: per-edge load
      is the number of child fragments attached strictly below. *)
   let load_a = Array.make n 0 in
-  Array.iteri
-    (fun j r ->
-      let attach = tree.Tree.parent.(r) in
-      if attach <> -1 then begin
-        ignore j;
-        (* the message about this child fragment crosses every edge from
-           the attach node up to its fragment root *)
-        let rec up v =
-          load_a.(v) <- load_a.(v) + 1;
-          if dif.(v) > 0 then up tree.Tree.parent.(v)
-        in
-        up attach
-      end)
-    fr.Fragments.roots;
+  for j = 0 to k - 1 do
+    (* the message about this child fragment crosses every edge from
+       the attach node up to its fragment root *)
+    let v = ref tree.Tree.parent.(fr.Fragments.roots.(j)) in
+    while !v <> -1 do
+      load_a.(!v) <- load_a.(!v) + 1;
+      v := if dif.(!v) > 0 then tree.Tree.parent.(!v) else -1
+    done
+  done;
   let max_load_a = Array.fold_left max 0 load_a in
   let c_f_up =
     match links with
@@ -416,10 +429,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
     Cost.scheduled "step3: broadcast delta(F_i) for all fragments"
       (Pipeline.upcast ~depth:hb ~items:k + Pipeline.broadcast ~depth:hb ~items:k)
   in
-  let delta_down =
-    Array.init n (fun v ->
-        List.fold_left (fun acc j -> acc + delta_frag.(j)) s_delta.(v) an.f_sets.(v))
-  in
+  let delta_down = Array.init n (fun v -> add_frags delta_frag s_delta.(v) an.f_sets.(v)) in
 
   (* -------- Step 4: merging nodes and T'F ---------------------------- *)
   let c_merging =
@@ -435,23 +445,29 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   let rho = Array.make n 0 in
   let case_counts = [| 0; 0; 0 |] in
   let max_exchange = ref 0 in
-  let case2_lcas = Hashtbl.create 64 in
+  (* distinct case-2 LCAs: a per-node flag, counted as it is first set *)
+  let case2_at = Array.make n false in
+  let m2 = ref 0 in
   let lca = Tree.Lca.build tree in
-  Graph.iter_edges
-    (fun e ->
-      let z = Tree.Lca.query lca e.u e.v in
-      let case = lca_case an z e.u e.v in
-      rho.(z) <- rho.(z) + e.w;
-      case_counts.(case - 1) <- case_counts.(case - 1) + 1;
-      max_exchange := Int.max !max_exchange (lca_items an case e.u e.v);
-      if case = 2 then Hashtbl.replace case2_lcas z ())
-    g;
+  let edges = Graph.edges g in
+  for i = 0 to Array.length edges - 1 do
+    let e = edges.(i) in
+    let z = Tree.Lca.query lca e.u e.v in
+    let case = lca_case an z e.u e.v in
+    rho.(z) <- rho.(z) + e.w;
+    case_counts.(case - 1) <- case_counts.(case - 1) + 1;
+    max_exchange := Int.max !max_exchange (lca_items an case e.u e.v);
+    if case = 2 && not case2_at.(z) then begin
+      case2_at.(z) <- true;
+      incr m2
+    end
+  done;
+  let m2 = !m2 in
   let c_lca =
     Cost.scheduled "step5: per-edge LCA (1 frag exchange + list exchanges)"
       (1 + Pipeline.exchange ~items:!max_exchange)
   in
   (* type (i): count case-2 messages over the BFS tree *)
-  let m2 = Hashtbl.length case2_lcas in
   let c_type1 =
     Cost.scheduled "step5: count type-(i) messages over BFS tree"
       (Pipeline.convergecast ~depth:hb ~max_edge_load:(max 1 m2)
@@ -469,10 +485,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   for v = 0 to n - 1 do
     rho_frag.(fr.Fragments.frag_of.(v)) <- rho_frag.(fr.Fragments.frag_of.(v)) + rho.(v)
   done;
-  let rho_down =
-    Array.init n (fun v ->
-        List.fold_left (fun acc j -> acc + rho_frag.(j)) s_rho.(v) an.f_sets.(v))
-  in
+  let rho_down = Array.init n (fun v -> add_frags rho_frag s_rho.(v) an.f_sets.(v)) in
   let c_rho_down =
     Cost.scheduled "step5: rho_down aggregation (delta_down machinery)"
       (Pipeline.convergecast ~depth:maxh ~max_edge_load:1

@@ -131,23 +131,25 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
     let runs =
       Pool.map pool (fun ids -> run ~params g (Tree.of_edge_ids g ~root:0 ids)) reps
     in
-    let _, sweep, best =
+    (* gathered newest first and summed once, as in [Exact.run]: a
+       [Cost.( ++ )] fold is quadratic in the tree budget *)
+    let _, groups, best =
       Array.fold_left
-        (fun (i, sweep, best) s ->
+        (fun (i, groups, best) s ->
           let r = runs.(s) in
-          let sweep =
-            Cost.( ++ ) sweep
-              (Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.cost)
+          let groups =
+            Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.cost :: groups
           in
           match best with
-          | Some b when b.value <= r.value -> (i + 1, sweep, best)
-          | _ -> (i + 1, sweep, Some r))
-        (0, Cost.zero, None) slot
+          | Some b when b.value <= r.value -> (i + 1, groups, best)
+          | _ -> (i + 1, groups, Some r))
+        (0, [], None) slot
     in
     (* fixed-label parent: per-phase consumers must not scale with the
        tree budget *)
     let cost =
-      Cost.( ++ ) c_pack (Cost.group "per-tree 2-respect sweeps" sweep)
+      Cost.( ++ ) c_pack
+        (Cost.group "per-tree 2-respect sweeps" (Cost.sum (List.rev groups)))
     in
     match best with
     | None -> assert false

@@ -33,26 +33,27 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
       fill.(p) <- fill.(p) + 1
     end
   done;
-  (* Iterative preorder DFS; also detects cycles / disconnection because a
-     valid tree visits exactly graph_n nodes. *)
+  (* Iterative preorder DFS on an int-array stack, with each node's next
+     child index kept per node; also detects cycles / disconnection
+     because a valid tree visits exactly graph_n nodes. *)
   let depth = Array.make graph_n 0 in
   let preorder = Array.make graph_n (-1) in
   let tin = Array.make graph_n (-1) in
   let tout = Array.make graph_n (-1) in
   let size = Array.make graph_n 1 in
-  let clock = ref 0 in
-  let idx = ref 0 in
-  (* stack entries: (node, next child index) *)
-  let stack = Stack.create () in
-  Stack.push (root, 0) stack;
-  tin.(root) <- !clock;
-  incr clock;
-  preorder.(!idx) <- root;
-  incr idx;
-  while not (Stack.is_empty stack) do
-    let v, ci = Stack.pop stack in
+  let next_child = Array.make graph_n 0 in
+  let stack = Array.make graph_n 0 in
+  let top = ref 0 in
+  let clock = ref 1 in
+  let idx = ref 1 in
+  stack.(0) <- root;
+  tin.(root) <- 0;
+  preorder.(0) <- root;
+  while !top >= 0 do
+    let v = stack.(!top) in
+    let ci = next_child.(v) in
     if ci < Array.length children.(v) then begin
-      Stack.push (v, ci + 1) stack;
+      next_child.(v) <- ci + 1;
       let c = children.(v).(ci) in
       depth.(c) <- depth.(v) + 1;
       tin.(c) <- !clock;
@@ -60,11 +61,13 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
       if !idx >= graph_n then invalid_arg "Tree.of_parents: not a tree";
       preorder.(!idx) <- c;
       incr idx;
-      Stack.push (c, 0) stack
+      incr top;
+      stack.(!top) <- c
     end
     else begin
       tout.(v) <- !clock;
-      incr clock
+      incr clock;
+      decr top
     end
   done;
   if !idx <> graph_n then invalid_arg "Tree.of_parents: does not span all nodes";
@@ -75,36 +78,57 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
   done;
   { graph_n; root; parent; parent_edge; children; depth; preorder; tin; tout; size }
 
+(* The n - 1 tree edges as a CSR (per-node offsets into one neighbour
+   and one edge-id array), walked by a BFS over an int-array queue.  A
+   spanning tree fixes every node's parent and parent edge, so the walk
+   order does not show in the result. *)
 let of_edge_ids g ~root ids =
   let n = Graph.n g in
-  let adj = Array.make n [] in
+  let len = List.length ids in
+  let off = Array.make (n + 1) 0 in
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
-      adj.(u) <- (v, id) :: adj.(u);
-      adj.(v) <- (u, id) :: adj.(v))
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1)
     ids;
-  if List.length ids <> n - 1 then invalid_arg "Tree.of_edge_ids: wrong edge count";
+  if len <> n - 1 then invalid_arg "Tree.of_edge_ids: wrong edge count";
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let fill = Array.sub off 0 n in
+  let nbr = Array.make (2 * len) 0 and eid = Array.make (2 * len) 0 in
+  List.iter
+    (fun id ->
+      let u, v = Graph.endpoints g id in
+      nbr.(fill.(u)) <- v;
+      eid.(fill.(u)) <- id;
+      fill.(u) <- fill.(u) + 1;
+      nbr.(fill.(v)) <- u;
+      eid.(fill.(v)) <- id;
+      fill.(v) <- fill.(v) + 1)
+    ids;
   let parent = Array.make n (-1) in
   let parent_edge = Array.make n (-1) in
   let seen = Array.make n false in
-  let q = Queue.create () in
-  Queue.add root q;
+  let queue = Array.make n root in
+  let head = ref 0 and tail = ref 1 in
   seen.(root) <- true;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun (u, id) ->
-        if not seen.(u) then begin
-          seen.(u) <- true;
-          parent.(u) <- v;
-          parent_edge.(u) <- id;
-          Queue.add u q
-        end)
-      adj.(v)
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for s = off.(v) to off.(v + 1) - 1 do
+      let u = nbr.(s) in
+      if not seen.(u) then begin
+        seen.(u) <- true;
+        parent.(u) <- v;
+        parent_edge.(u) <- eid.(s);
+        queue.(!tail) <- u;
+        incr tail
+      end
+    done
   done;
-  if not (Array.for_all (fun b -> b) seen) then
-    invalid_arg "Tree.of_edge_ids: edges do not span the graph";
+  if !tail <> n then invalid_arg "Tree.of_edge_ids: edges do not span the graph";
   of_parents ~graph_n:n ~root ~parent ~parent_edge
 
 let bfs_tree g ~root =

@@ -22,47 +22,49 @@ let partition (tree : Tree.t) ~target =
   let is_root = Array.make n false in
   for i = n - 1 downto 0 do
     let v = tree.Tree.preorder.(i) in
-    let h =
-      Array.fold_left
-        (fun acc c -> if is_root.(c) then acc else max acc (pending.(c) + 1))
-        0 tree.Tree.children.(v)
-    in
-    pending.(v) <- h;
-    if h >= target then is_root.(v) <- true
+    let kids = tree.Tree.children.(v) in
+    let h = ref 0 in
+    for j = 0 to Array.length kids - 1 do
+      let c = kids.(j) in
+      if not is_root.(c) then h := Int.max !h (pending.(c) + 1)
+    done;
+    pending.(v) <- !h;
+    if !h >= target then is_root.(v) <- true
   done;
   is_root.(tree.Tree.root) <- true;
-  (* fragment index assignment in preorder of fragment roots *)
-  let frag_of = Array.make n (-1) in
-  let index_of_root = Hashtbl.create 64 in
-  let roots_rev = ref [] in
+  (* fragment indices in preorder of fragment roots: one preorder pass
+     numbers each root as it meets it, and every other node inherits
+     its parent's fragment (parents come first in preorder) *)
   let k = ref 0 in
-  Array.iter
-    (fun v ->
-      if is_root.(v) then begin
-        Hashtbl.add index_of_root v !k;
-        roots_rev := v :: !roots_rev;
-        incr k
-      end)
-    tree.Tree.preorder;
-  let roots = Array.of_list (List.rev !roots_rev) in
-  let depth_in_frag = Array.make n 0 in
-  Array.iter
-    (fun v ->
-      if is_root.(v) then begin
-        frag_of.(v) <- Hashtbl.find index_of_root v;
-        depth_in_frag.(v) <- 0
-      end
-      else begin
-        let p = tree.Tree.parent.(v) in
-        frag_of.(v) <- frag_of.(p);
-        depth_in_frag.(v) <- depth_in_frag.(p) + 1
-      end)
-    tree.Tree.preorder;
-  let members = Array.make !k [] in
-  for v = n - 1 downto 0 do
-    members.(frag_of.(v)) <- v :: members.(frag_of.(v))
+  for v = 0 to n - 1 do
+    if is_root.(v) then incr k
   done;
-  let ids = Array.map (fun ms -> List.fold_left min max_int ms) members in
+  let roots = Array.make !k 0 in
+  let frag_of = Array.make n (-1) in
+  let depth_in_frag = Array.make n 0 in
+  let next = ref 0 in
+  for i = 0 to n - 1 do
+    let v = tree.Tree.preorder.(i) in
+    if is_root.(v) then begin
+      roots.(!next) <- v;
+      frag_of.(v) <- !next;
+      incr next
+    end
+    else begin
+      let p = tree.Tree.parent.(v) in
+      frag_of.(v) <- frag_of.(p);
+      depth_in_frag.(v) <- depth_in_frag.(p) + 1
+    end
+  done;
+  (* descending node order: member lists come out ascending, and the
+     last write of a fragment's id is its smallest member *)
+  let members = Array.make !k [] in
+  let ids = Array.make !k max_int in
+  for v = n - 1 downto 0 do
+    let f = frag_of.(v) in
+    members.(f) <- v :: members.(f);
+    ids.(f) <- v
+  done;
   let frag_parent =
     Array.map
       (fun r ->
@@ -75,7 +77,10 @@ let partition (tree : Tree.t) ~target =
     (fun i p -> if p <> -1 then frag_children.(p) <- i :: frag_children.(p))
     frag_parent;
   let heights = Array.make !k 0 in
-  Array.iteri (fun v d -> heights.(frag_of.(v)) <- max heights.(frag_of.(v)) d) depth_in_frag;
+  for v = 0 to n - 1 do
+    let f = frag_of.(v) in
+    heights.(f) <- Int.max heights.(f) depth_in_frag.(v)
+  done;
   {
     tree;
     target;

@@ -287,6 +287,52 @@ let qcheck_tests =
         Graph.cut_of_bitset g r.Su.side = r.Su.value && r.Su.value >= lambda_of g);
   ]
 
+(* [Exact.run] and [Two_respect.min_cut] gather their per-tree groups
+   and sum them once; the span tree must equal the left fold of
+   [Cost.( ++ )] it replaced, on a 200-tree packing with repeats. *)
+let test_sweep_sum_equals_fold () =
+  let module Tree_packing = Mincut_treepack.Tree_packing in
+  let module One_respect = Mincut_core.One_respect in
+  let module Two_respect = Mincut_core.Two_respect in
+  let g = Generators.torus 3 3 in
+  let trees = 200 in
+  let slot, reps = Tree_packing.distinct (Tree_packing.greedy g ~trees) in
+  let tree_of ids = Tree.of_edge_ids g ~root:0 ids in
+  let fold label cost_of runs =
+    snd
+      (Array.fold_left
+         (fun (i, sweep) s ->
+           (i + 1, Cost.( ++ ) sweep (Cost.group (label (i + 1)) (cost_of runs.(s)))))
+         (0, Cost.zero) slot)
+  in
+  let child label (c : Cost.t) =
+    match List.filter (fun (sp : Cost.span) -> sp.Cost.label = label) c.Cost.spans with
+    | [ sp ] -> { Cost.rounds = sp.Cost.rounds; spans = [ sp ] }
+    | _ -> Alcotest.failf "no single %S span" label
+  in
+  let backbone = One_respect.backbone g ~root:0 in
+  let ones = Array.map (fun ids -> One_respect.run ~backbone g (tree_of ids)) reps in
+  let want =
+    Cost.group "per-tree 1-respecting cuts"
+      (fold
+         (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)")
+         (fun (r : One_respect.result) -> r.One_respect.cost)
+         ones)
+  in
+  check_bool "exact: sum = fold" true
+    (Cost.equal want (child "per-tree 1-respecting cuts" (Exact.run g ~trees).Exact.cost));
+  let twos = Array.map (fun ids -> Two_respect.run g (tree_of ids)) reps in
+  let want =
+    Cost.group "per-tree 2-respect sweeps"
+      (fold
+         (Printf.sprintf "tree %d: 2-respect sweep")
+         (fun (r : Two_respect.result) -> r.Two_respect.cost)
+         twos)
+  in
+  check_bool "two-respect: sum = fold" true
+    (Cost.equal want
+       (child "per-tree 2-respect sweeps" (Two_respect.min_cut g ~trees).Two_respect.cost))
+
 let suite =
   [
     tc "exact: known families" test_exact_known_families;
@@ -311,5 +357,6 @@ let suite =
     tc "api: verify rejects lies" test_api_verify_rejects_lies;
     tc_slow "approx: statistical guarantee over seeds" test_approx_statistical;
     tc "exact: leader election in the bill" test_exact_cost_breakdown_has_leader;
+    tc "exact: per-tree sweep summed once = (++) fold" test_sweep_sum_equals_fold;
   ]
   @ qcheck_tests

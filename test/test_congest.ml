@@ -735,6 +735,25 @@ let test_audit_word_budget_respected () =
   let _, c2 = Primitives.broadcast_items g ~tree ~items:[| 1; 2; 3 |] in
   check_bool "ran fine under budget" true (c1.Cost.rounds > 0 && c2.Cost.rounds > 0)
 
+(* [exchange] sorts an inbox only when it arrives out of order.
+   Sanitize mode replays every multi-message step with reversed and
+   shuffled inboxes, so there the sort must still run: the run raises
+   nothing and returns the inboxes and audit of the always-sort
+   program. *)
+let test_exchange_sanitized_matches_oracle () =
+  let cfg = Config.sanitized Config.default in
+  List.iter
+    (fun (name, g) ->
+      let values = Array.init (Graph.n g) (fun v -> (v * 5 mod 13) + 1) in
+      let heard, audit = Primitives.exchange ~cfg ~words:words1 g values in
+      let states, audit' = Network.run ~cfg ~words:words1 g (ref_exchange_program g ~values) in
+      check_bool (name ^ " inboxes") true (heard = Array.map (Option.value ~default:[]) states);
+      check_bool (name ^ " audit") true (audit = audit'))
+    [
+      ("gnp24", Generators.gnp_connected ~rng:(Mincut_util.Rng.create 12) 24 0.3);
+      ("torus4x2", doubled (Generators.torus 4 4));
+    ]
+
 let suite =
   [
     tc "engine: delivers to neighbors" test_engine_delivers_neighbors;
@@ -773,4 +792,6 @@ let suite =
     tc "pipeline: formulas" test_pipeline_formulas;
     tc "config: bits per word" test_bits_per_word;
     tc "audit: primitives fit word budget" test_audit_word_budget_respected;
+    tc "primitives: sanitized exchange = always-sort oracle"
+      test_exchange_sanitized_matches_oracle;
   ]

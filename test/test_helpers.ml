@@ -88,3 +88,240 @@ let arbitrary_connected ?(max_n = 14) () =
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* ------------------------------------------------------------------ *)
+(* List-based oracles for the flat-array builders                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The builders [Tree.of_parents], [Tree.of_edge_ids],
+   [Fragments.partition] and [Primitives.forest_of_parents] as they were
+   written before they moved to flat arrays: adjacency lists, [Queue],
+   [Stack] and [Hashtbl].  The flat versions must agree with them field
+   for field and raise the same [Invalid_argument] messages.
+   [Tree.t] is private, so the tree oracle returns its fields in a
+   record of its own. *)
+
+type ref_tree = {
+  r_graph_n : int;
+  r_root : int;
+  r_parent : int array;
+  r_parent_edge : int array;
+  r_children : int array array;
+  r_depth : int array;
+  r_preorder : int array;
+  r_tin : int array;
+  r_tout : int array;
+  r_size : int array;
+}
+
+let ref_of_parents ~graph_n ~root ~parent ~parent_edge =
+  if Array.length parent <> graph_n || Array.length parent_edge <> graph_n then
+    invalid_arg "Tree.of_parents: array length mismatch";
+  if root < 0 || root >= graph_n || parent.(root) <> -1 then
+    invalid_arg "Tree.of_parents: bad root";
+  let kids = Array.make graph_n [] in
+  Array.iteri
+    (fun v p ->
+      if v <> root then begin
+        if p < 0 || p >= graph_n then invalid_arg "Tree.of_parents: bad parent";
+        kids.(p) <- v :: kids.(p)
+      end)
+    parent;
+  let children = Array.map (fun l -> Array.of_list (List.rev l)) kids in
+  let depth = Array.make graph_n 0 in
+  let preorder = Array.make graph_n (-1) in
+  let tin = Array.make graph_n (-1) in
+  let tout = Array.make graph_n (-1) in
+  let size = Array.make graph_n 1 in
+  let clock = ref 0 in
+  let idx = ref 0 in
+  let stack = Stack.create () in
+  Stack.push (root, 0) stack;
+  tin.(root) <- !clock;
+  incr clock;
+  preorder.(!idx) <- root;
+  incr idx;
+  while not (Stack.is_empty stack) do
+    let v, ci = Stack.pop stack in
+    if ci < Array.length children.(v) then begin
+      Stack.push (v, ci + 1) stack;
+      let c = children.(v).(ci) in
+      depth.(c) <- depth.(v) + 1;
+      tin.(c) <- !clock;
+      incr clock;
+      if !idx >= graph_n then invalid_arg "Tree.of_parents: not a tree";
+      preorder.(!idx) <- c;
+      incr idx;
+      Stack.push (c, 0) stack
+    end
+    else begin
+      tout.(v) <- !clock;
+      incr clock
+    end
+  done;
+  if !idx <> graph_n then invalid_arg "Tree.of_parents: does not span all nodes";
+  for i = graph_n - 1 downto 1 do
+    let v = preorder.(i) in
+    size.(parent.(v)) <- size.(parent.(v)) + size.(v)
+  done;
+  {
+    r_graph_n = graph_n;
+    r_root = root;
+    r_parent = parent;
+    r_parent_edge = parent_edge;
+    r_children = children;
+    r_depth = depth;
+    r_preorder = preorder;
+    r_tin = tin;
+    r_tout = tout;
+    r_size = size;
+  }
+
+let ref_of_edge_ids g ~root ids =
+  let n = Graph.n g in
+  let adj = Array.make n [] in
+  List.iter
+    (fun id ->
+      let u, v = Graph.endpoints g id in
+      adj.(u) <- (v, id) :: adj.(u);
+      adj.(v) <- (u, id) :: adj.(v))
+    ids;
+  if List.length ids <> n - 1 then invalid_arg "Tree.of_edge_ids: wrong edge count";
+  let parent = Array.make n (-1) in
+  let parent_edge = Array.make n (-1) in
+  let seen = Array.make n false in
+  let q = Queue.create () in
+  Queue.add root q;
+  seen.(root) <- true;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    List.iter
+      (fun (u, id) ->
+        if not seen.(u) then begin
+          seen.(u) <- true;
+          parent.(u) <- v;
+          parent_edge.(u) <- id;
+          Queue.add u q
+        end)
+      adj.(v)
+  done;
+  if not (Array.for_all (fun b -> b) seen) then
+    invalid_arg "Tree.of_edge_ids: edges do not span the graph";
+  ref_of_parents ~graph_n:n ~root ~parent ~parent_edge
+
+(* every field of a built tree against the oracle's *)
+let tree_matches (t : Tree.t) r =
+  t.Tree.graph_n = r.r_graph_n
+  && t.Tree.root = r.r_root
+  && t.Tree.parent = r.r_parent
+  && t.Tree.parent_edge = r.r_parent_edge
+  && t.Tree.children = r.r_children
+  && t.Tree.depth = r.r_depth
+  && t.Tree.preorder = r.r_preorder
+  && t.Tree.tin = r.r_tin
+  && t.Tree.tout = r.r_tout
+  && t.Tree.size = r.r_size
+
+let ref_partition (tree : Tree.t) ~target =
+  let module Fragments = Mincut_mst.Fragments in
+  if target < 1 then invalid_arg "Fragments.partition: target must be >= 1";
+  let n = tree.Tree.graph_n in
+  let pending = Array.make n 0 in
+  let is_root = Array.make n false in
+  for i = n - 1 downto 0 do
+    let v = tree.Tree.preorder.(i) in
+    let h =
+      Array.fold_left
+        (fun acc c -> if is_root.(c) then acc else max acc (pending.(c) + 1))
+        0 tree.Tree.children.(v)
+    in
+    pending.(v) <- h;
+    if h >= target then is_root.(v) <- true
+  done;
+  is_root.(tree.Tree.root) <- true;
+  let frag_of = Array.make n (-1) in
+  let index_of_root = Hashtbl.create 64 in
+  let roots_rev = ref [] in
+  let k = ref 0 in
+  Array.iter
+    (fun v ->
+      if is_root.(v) then begin
+        Hashtbl.add index_of_root v !k;
+        roots_rev := v :: !roots_rev;
+        incr k
+      end)
+    tree.Tree.preorder;
+  let roots = Array.of_list (List.rev !roots_rev) in
+  let depth_in_frag = Array.make n 0 in
+  Array.iter
+    (fun v ->
+      if is_root.(v) then frag_of.(v) <- Hashtbl.find index_of_root v
+      else begin
+        let p = tree.Tree.parent.(v) in
+        frag_of.(v) <- frag_of.(p);
+        depth_in_frag.(v) <- depth_in_frag.(p) + 1
+      end)
+    tree.Tree.preorder;
+  let members = Array.make !k [] in
+  for v = n - 1 downto 0 do
+    members.(frag_of.(v)) <- v :: members.(frag_of.(v))
+  done;
+  let ids = Array.map (fun ms -> List.fold_left min max_int ms) members in
+  let frag_parent =
+    Array.map
+      (fun r ->
+        let p = tree.Tree.parent.(r) in
+        if p = -1 then -1 else frag_of.(p))
+      roots
+  in
+  let frag_children = Array.make !k [] in
+  Array.iteri
+    (fun i p -> if p <> -1 then frag_children.(p) <- i :: frag_children.(p))
+    frag_parent;
+  let heights = Array.make !k 0 in
+  Array.iteri (fun v d -> heights.(frag_of.(v)) <- max heights.(frag_of.(v)) d) depth_in_frag;
+  {
+    Fragments.tree;
+    target;
+    frag_of;
+    roots;
+    members;
+    ids;
+    frag_parent;
+    frag_children;
+    depth_in_frag;
+    heights;
+  }
+
+(* every field of a partition against the oracle's ([tree] by
+   identity: both were built on the same tree) *)
+let partition_matches (a : Mincut_mst.Fragments.t) (b : Mincut_mst.Fragments.t) =
+  let open Mincut_mst.Fragments in
+  a.tree == b.tree && a.target = b.target && a.frag_of = b.frag_of && a.roots = b.roots
+  && a.members = b.members && a.ids = b.ids && a.frag_parent = b.frag_parent
+  && a.frag_children = b.frag_children
+  && a.depth_in_frag = b.depth_in_frag
+  && a.heights = b.heights
+
+let ref_forest_of_parents parent =
+  let n = Array.length parent in
+  let kids = Array.make n [] in
+  for v = n - 1 downto 0 do
+    let p = parent.(v) in
+    if p <> -1 then kids.(p) <- v :: kids.(p)
+  done;
+  { Mincut_congest.Primitives.parent; children = Array.map Array.of_list kids }
+
+(* The exchange program before it learned to skip sorting an inbox that
+   arrives in order: round 1 always sorts by sender. *)
+let ref_exchange_program g ~values : ((int * 'a) list option, 'a) Mincut_congest.Network.program =
+  {
+    initial = (fun _ -> None);
+    step =
+      (fun ~node ~round ~inbox st ->
+        if round = 0 then
+          let nbrs = List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g node))) in
+          (st, List.map (fun u -> (u, values.(node))) nbrs)
+        else (Some (List.sort (fun (s, _) (s', _) -> Int.compare s s') inbox), []));
+    halted = Option.is_some;
+  }

@@ -242,6 +242,108 @@ let qcheck_tests =
         !ok);
   ]
 
+(* A spanning tree of a graph with chords, as (graph, root, tree edge
+   ids in shuffled order).  Shapes: 0 a random recursive tree, 1 a
+   path-like deep tree (each node hangs one or two places up), 2 a
+   star.  Nodes are relabelled at random and the tree edges scattered
+   among the chords, so ids, labels and child orders are all mixed. *)
+let spanning_case (seed, n, shape) =
+  let rng = Mincut_util.Rng.create seed in
+  let label = Array.init n Fun.id in
+  Mincut_util.Rng.shuffle rng label;
+  let tree_edges =
+    List.init (n - 1) (fun j ->
+        let i = j + 1 in
+        let p =
+          match shape with
+          | 0 -> Mincut_util.Rng.int rng i
+          | 1 -> i - 1 - Mincut_util.Rng.int rng (Int.min i 2)
+          | _ -> 0
+        in
+        let a = label.(i) and b = label.(p) in
+        if Mincut_util.Rng.int rng 2 = 0 then (a, b, 1) else (b, a, 1))
+  in
+  let chords =
+    List.filter
+      (fun (u, v, _) -> u <> v)
+      (List.init n (fun _ ->
+           let u = Mincut_util.Rng.int rng n and v = Mincut_util.Rng.int rng n in
+           (u, v, 1 + Mincut_util.Rng.int rng 3)))
+  in
+  let all = Array.of_list (tree_edges @ chords) in
+  let perm = Array.init (Array.length all) Fun.id in
+  Mincut_util.Rng.shuffle rng perm;
+  let g = Graph.of_array ~n (Array.map (fun i -> all.(i)) perm) in
+  let ids = List.filter (fun id -> perm.(id) < n - 1) (List.init (Array.length perm) Fun.id) in
+  let ids = Array.of_list ids in
+  Mincut_util.Rng.shuffle rng ids;
+  (g, Mincut_util.Rng.int rng n, Array.to_list ids)
+
+let spanning_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n = oneof [ int_range 2 40; int_range 257 600 ] in
+    let* shape = int_range 0 2 in
+    return (seed, n, shape))
+
+(* The flat-array builders against the list-based oracles in
+   [Test_helpers], field for field: the tree from edge ids and from its
+   parent map, the fragment partition at targets 1, 3 and ⌈√n⌉, and the
+   forests of the whole tree and of its fragments. *)
+let flat_builders_match case =
+  let g, root, ids = spanning_case case in
+  let n = Graph.n g in
+  let t = Tree.of_edge_ids g ~root ids in
+  let r = ref_of_edge_ids g ~root ids in
+  tree_matches t r
+  && tree_matches
+       (Tree.of_parents ~graph_n:n ~root ~parent:t.Tree.parent ~parent_edge:t.Tree.parent_edge)
+       r
+  && Mincut_congest.Primitives.forest_of_parents t.Tree.parent
+     = ref_forest_of_parents t.Tree.parent
+  && List.for_all
+       (fun target ->
+         let fr = Mincut_mst.Fragments.partition t ~target in
+         let links = Mincut_core.One_respect.frag_links t fr in
+         partition_matches fr (ref_partition t ~target)
+         && links = ref_forest_of_parents links.Mincut_congest.Primitives.parent)
+       [ 1; 3; Mincut_core.Params.sqrt_target ~n ]
+
+let test_flat_builders_raise_oracle_messages () =
+  let msg f = match f () with _ -> "no exception" | exception Invalid_argument m -> m in
+  let same name flat oracle =
+    let m = msg flat in
+    Alcotest.(check string) name (msg oracle) m;
+    check_bool (name ^ " raises") true (m <> "no exception")
+  in
+  let ring = Generators.ring 6 in
+  let tri = Graph.create ~n:4 [ (0, 1, 1); (1, 2, 1); (0, 2, 1); (2, 3, 1) ] in
+  let edge_ids name g ids =
+    same name
+      (fun () -> ignore (Tree.of_edge_ids g ~root:0 ids))
+      (fun () -> ignore (ref_of_edge_ids g ~root:0 ids))
+  in
+  edge_ids "too few edges" ring [ 0; 1; 2; 3 ];
+  edge_ids "too many edges" ring [ 0; 1; 2; 3; 4; 5 ];
+  edge_ids "a cycle leaves a node out" tri [ 0; 1; 2 ];
+  edge_ids "a repeated id" tri [ 0; 0; 3 ];
+  let parents name ~root parent =
+    let parent_edge = Array.make (Array.length parent) (-1) in
+    same name
+      (fun () ->
+        ignore (Tree.of_parents ~graph_n:(Array.length parent) ~root ~parent ~parent_edge))
+      (fun () ->
+        ignore (ref_of_parents ~graph_n:(Array.length parent) ~root ~parent ~parent_edge))
+  in
+  parents "cyclic parent array" ~root:0 [| -1; 2; 1 |];
+  parents "cycle through a longer loop" ~root:0 [| -1; 0; 3; 4; 2 |];
+  parents "parent out of range" ~root:0 [| -1; 7; 0 |];
+  parents "root with a parent" ~root:0 [| 1; -1 |];
+  let t = Tree.of_edge_ids ring ~root:0 [ 0; 1; 2; 3; 4 ] in
+  same "partition target 0"
+    (fun () -> ignore (Mincut_mst.Fragments.partition t ~target:0))
+    (fun () -> ignore (ref_partition t ~target:0))
+
 let suite =
   [
     tc "tree: of_parents basic" test_of_parents_basic;
@@ -265,3 +367,8 @@ let suite =
     tc "mst: boruvka forest when disconnected" test_boruvka_forest_on_disconnected;
   ]
   @ qcheck_tests
+  @ [
+      qtest ~count:60 "flat builders = list oracles on random spanning trees" spanning_gen
+        flat_builders_match;
+      tc "flat builders raise the oracles' messages" test_flat_builders_raise_oracle_messages;
+    ]
