@@ -27,6 +27,7 @@ let experiments =
     ("a4", Experiments.a4);
     ("delta", Delta.run);
     ("sim", Sim.run);
+    ("gc", Gcbench.run);
   ]
 
 let run_one id =

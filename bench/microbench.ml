@@ -24,6 +24,7 @@ let tests () =
   let g_deep = Workloads.cliques_path ~length:16 in
   let g_planted = Workloads.planted ~seed:1 ~n:128 ~lambda:4 in
   let g_dense = Mincut_graph.Generators.gnp_connected ~rng:(Rng.create 1) 144 0.3 in
+  let g_torus18 = Mincut_graph.Generators.torus 18 18 in
   let tree256 = Tree.bfs_tree g256 ~root:0 in
   Test.make_grouped ~name:"mincut"
     [
@@ -41,6 +42,16 @@ let tests () =
             in
             let backbone = One_respect.backbone g_dense ~root:0 in
             fun () -> ignore (One_respect.run ~backbone g_dense tree)));
+      (* the same at n = 324, over the 256-word line: every per-node
+         array of the run is a major-heap block *)
+      Test.make ~name:"t2-theorem21:one-respect-torus18"
+        (Staged.stage
+           (let tree =
+              Tree.of_edge_ids g_torus18 ~root:0
+                (Tree_packing.greedy g_torus18 ~trees:1).Tree_packing.trees.(0)
+            in
+            let backbone = One_respect.backbone g_torus18 ~root:0 in
+            fun () -> ignore (One_respect.run ~backbone g_torus18 tree)));
       (* the same tree in fast mode: no engine programs, so Step 5's
          per-edge LCA loop dominates *)
       Test.make ~name:"t2-theorem21:one-respect-fast-gnp144"
@@ -74,6 +85,19 @@ let tests () =
             let links = One_respect.frag_links tree fr in
             let cfg = Params.default.Params.congest in
             fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_dense tree links fr)));
+      Test.make ~name:"engine:frag-downcast-torus18"
+        (Staged.stage
+           (let tree =
+              Tree.of_edge_ids g_torus18 ~root:0
+                (Tree_packing.greedy g_torus18 ~trees:1).Tree_packing.trees.(0)
+            in
+            let fr =
+              Mincut_mst.Fragments.partition tree
+                ~target:(Params.sqrt_target ~n:(Mincut_graph.Graph.n g_torus18))
+            in
+            let links = One_respect.frag_links tree fr in
+            let cfg = Params.default.Params.congest in
+            fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_torus18 tree links fr)));
       Test.make ~name:"engine:bfs-flood-gnp144"
         (Staged.stage (fun () -> ignore (Mincut_congest.Primitives.bfs_tree g_dense ~root:0)));
       (* one round to every neighbour, as Borůvka's Step A runs it each

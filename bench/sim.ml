@@ -80,7 +80,7 @@ let driver_stats name ~iters ~(audit : Network.audit) (ms, words_per_run) =
 
 let bench_drivers ~iters (wname, g) =
   let prog = Primitives.bfs_program g ~root:0 in
-  let flat () = snd (Network.run ~words:(fun _ -> 1) g prog) in
+  let flat () = snd (Network.run ~words:(fun _ -> 1) ~result:(fun _ _ -> ()) g prog) in
   let reference () = snd (Reference.run ~words:(fun _ -> 1) g prog) in
   let a_flat = flat () and a_ref = reference () in
   (match Replay.diff_audits a_flat a_ref with
@@ -180,10 +180,15 @@ let bench_parallel ~solves (name, g) =
     failwith "sim: pool task counter did not advance across the solves";
   let speedup = seq_ms /. par_ms in
   let host_cores = Domain.recommended_domain_count () in
+  (* the minor heap's size decides how often a minor collection stops
+     every domain, so it is part of the host the speedup was read on *)
+  let gc = Gc.get () in
   Printf.printf
     "  parallel exact: %d solves of %s, workers 1: %.1f ms, workers 4: \
-     %.1f ms => %.2fx, bit-identical=%b (host cores: %d)\n%!"
-    solves name seq_ms par_ms speedup identical host_cores;
+     %.1f ms => %.2fx, bit-identical=%b (host cores: %d, minor heap: %d \
+     words, space_overhead: %d)\n%!"
+    solves name seq_ms par_ms speedup identical host_cores gc.Gc.minor_heap_size
+    gc.Gc.space_overhead;
   Printf.printf
     "  pool: %d domains spawned this bench, %d tasks, %d steals, %d \
      batches (process totals: %d spawns)\n%!"
@@ -218,6 +223,8 @@ let bench_parallel ~solves (name, g) =
       ("speedup_meaningful", Json.Bool (host_cores > 1));
       ("bit_identical", Json.Bool identical);
       ("host_cores", Json.Int host_cores);
+      ("minor_heap_size", Json.Int gc.Gc.minor_heap_size);
+      ("space_overhead", Json.Int gc.Gc.space_overhead);
       ( "pool",
         Json.Obj
           [

@@ -52,8 +52,8 @@ let run ?(cfg = Config.default) ?limit ~words g prog =
       ok = Option.is_none order && Option.is_none violation && flags = [];
     }
   in
-  match Network.run ~cfg ~probe ~words g prog with
-  | _states, _audit -> finish None None
+  match Network.run ~cfg ~probe ~words ~result:(fun _ _ -> ()) g prog with
+  | _ -> finish None None
   | exception Network.Model_violation v -> (
       match (v.Network.kind, v.Network.sender) with
       | Network.Order_dependence, Some node ->

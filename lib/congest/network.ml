@@ -256,7 +256,7 @@ let rec bisect nbr dst lo hi =
      it allocated once per message.
    - Message validation and delivery run in [deliver], one closure per
      call rather than one per stepped node per round. *)
-let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
+let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   let n = Graph.n g in
   let off = Graph.csr_offsets g in
   let nbr = Graph.csr_neighbors g in
@@ -420,6 +420,15 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
     note_round_count r !sent_count;
     incr round
   done;
+  (* Reduce every state, then drop them from [states] (all but node 0's,
+     which fills every slot) and any undelivered mail from the mailbox:
+     once n > 256 these arrays live in the major heap, and a slot still
+     pointing at a young value when the next minor collection runs would
+     promote it, since the remembered set keeps the dead array's slots
+     as roots. *)
+  let out = Array.init n (fun v -> result v states.(v)) in
+  if n > 0 then Array.fill states 1 (n - 1) states.(0);
+  if !pending then Array.fill !cur 0 n [];
   let audit =
     {
       rounds = !round;
@@ -431,21 +440,21 @@ let drive ?(cfg = Config.default) ?probe ~words ~stop g prog =
       messages_per_round = Array.sub sc.counts 0 !round;
     }
   in
-  (states, audit, !last_traffic_round)
+  (out, audit, !last_traffic_round)
 
-let run ?cfg ?probe ~words g prog =
-  let states, audit, _ =
-    drive ?cfg ?probe ~words
+let run ?cfg ?probe ~words ~result g prog =
+  let out, audit, _ =
+    drive ?cfg ?probe ~words ~result
       ~stop:(fun ~round:_ ~all_halted -> all_halted)
       g prog
   in
-  (states, audit)
+  (out, audit)
 
-let run_bounded ?cfg ?probe ~words ~rounds g prog =
-  let states, audit, last_traffic =
-    drive ?cfg ?probe ~words
+let run_bounded ?cfg ?probe ~words ~result ~rounds g prog =
+  let out, audit, last_traffic =
+    drive ?cfg ?probe ~words ~result
       ~stop:(fun ~round ~all_halted:_ -> round >= rounds)
       g prog
   in
   (* effective completion time: the delivery round of the last message *)
-  (states, { audit with rounds = (if last_traffic < 0 then 0 else last_traffic + 2) })
+  (out, { audit with rounds = (if last_traffic < 0 then 0 else last_traffic + 2) })

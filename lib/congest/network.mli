@@ -117,13 +117,23 @@ val run :
   ?cfg:Config.t ->
   ?probe:('state, 'msg) probe ->
   words:('msg -> int) ->
+  result:(int -> 'state -> 'r) ->
   Mincut_graph.Graph.t ->
   ('state, 'msg) program ->
-  'state array * audit
-(** Run until all nodes halt.  Raises [Model_violation] if the watchdog
-    round limit is reached.  With [cfg.sanitize] set, every step whose
-    inbox holds ≥ 2 messages is additionally re-executed under a
-    reversed and a deterministically shuffled inbox; any divergence in
+  'r array * audit
+(** Run until all nodes halt, and return [result v s] for every node [v]
+    and its final state [s], in node order.  [result] is where a caller
+    reduces a state to what it needs (or checks it): the engine drops
+    every state from its own arrays before it returns, so a state that
+    [result] does not keep is garbage at once.  Once n > 256 the
+    engine's per-node arrays live in the major heap, and a dead one
+    still holding young states would have the next minor collection
+    promote them all.  Returning the state itself keeps it.
+
+    Raises [Model_violation] if the watchdog round limit is reached.
+    With [cfg.sanitize] set, every step whose inbox holds ≥ 2 messages
+    is additionally re-executed under a reversed and a
+    deterministically shuffled inbox; any divergence in
     marshalled state, outbox multiset, or halted flag raises
     [Model_violation] with kind {!Order_dependence} carrying the node
     and round; and every sleeping node is stepped and checked against
@@ -133,10 +143,12 @@ val run_bounded :
   ?cfg:Config.t ->
   ?probe:('state, 'msg) probe ->
   words:('msg -> int) ->
+  result:(int -> 'state -> 'r) ->
   rounds:int ->
   Mincut_graph.Graph.t ->
   ('state, 'msg) program ->
-  'state array * audit
+  'r array * audit
 (** Run exactly [rounds] rounds (halted nodes stop stepping early); the
     audit's [rounds] field reports the last round in which any message
-    was in flight (+1), i.e. the effective completion time. *)
+    was in flight (+1), i.e. the effective completion time.  [result] is
+    applied as in {!run}, and undelivered mail is dropped. *)

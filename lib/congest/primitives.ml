@@ -100,13 +100,10 @@ let bfs_tree ?cfg g ~root =
      would run to the watchdog: refuse it before sending anything *)
   if not (Mincut_graph.Bfs.is_connected g) then
     invalid_arg "Primitives.bfs_tree: disconnected graph";
-  let states, audit = Network.run ?cfg ~words:(fun _ -> 1) g (bfs_program g ~root) in
-  let parent = Array.map (fun (st : bfs_state) -> st.parent) states in
-  let parent_edge =
-    Array.mapi
-      (fun v (st : bfs_state) -> if st.parent = -1 then -1 else min_edge_between g v st.parent)
-      states
+  let parent, audit =
+    Network.run ?cfg ~words:(fun _ -> 1) ~result:(fun _ st -> st.parent) g (bfs_program g ~root)
   in
+  let parent_edge = Array.mapi (fun v p -> if p = -1 then -1 else min_edge_between g v p) parent in
   let tree = Tree.of_parents ~graph_n:(Graph.n g) ~root ~parent ~parent_edge in
   (tree, Cost.executed ~audit "bfs-tree (real)" audit.Network.rounds)
 
@@ -140,8 +137,7 @@ let convergecast_program (f : forest) ~combine ~values : ('a cc_state, 'a) Netwo
   }
 
 let convergecast ?cfg ~words ~combine g f values =
-  let states, audit = Network.run ?cfg ~words g (convergecast_program f ~combine ~values) in
-  (Array.map (fun st -> st.acc) states, audit)
+  Network.run ?cfg ~words ~result:(fun _ st -> st.acc) g (convergecast_program f ~combine ~values)
 
 let convergecast_sum ?cfg g ~tree ~values =
   let acc, audit =
@@ -172,8 +168,7 @@ let broadcast_program (f : forest) ~k ~item : ('a bc_state, 'a) Network.program 
   }
 
 let broadcast ?cfg ~words ~k ~item g f =
-  let states, audit = Network.run ?cfg ~words g (broadcast_program f ~k ~item) in
-  (Array.map (fun st -> List.rev st.got) states, audit)
+  Network.run ?cfg ~words ~result:(fun _ st -> List.rev st.got) g (broadcast_program f ~k ~item)
 
 let broadcast_items ?cfg g ~tree ~items =
   let per_node, audit =
@@ -210,7 +205,7 @@ let upcast_program (f : forest) ~initial : (up_state, int) Network.program =
   {
     initial =
       (fun v ->
-        let known = ISet.of_list initial.(v) in
+        let known = ISet.of_list (initial v) in
         { known; unsent = (if f.parent.(v) = -1 then ISet.empty else known) });
     step =
       (fun ~node ~round:_ ~inbox st ->
@@ -223,16 +218,17 @@ let upcast_program (f : forest) ~initial : (up_state, int) Network.program =
     halted = (fun _ -> false);
   }
 
-let upcast ?cfg ~rounds g f ~initial =
-  let states, audit =
-    Network.run_bounded ?cfg ~words:(fun _ -> 1) ~rounds g (upcast_program f ~initial)
-  in
-  (Array.map (fun st -> st.known) states, audit)
+(* only the roots' sets are kept: every caller reads what the roots
+   learned, and each other node's set would be one more list to drop *)
+let upcast ?cfg ~rounds g (f : forest) ~initial =
+  let at_root v st = if f.parent.(v) = -1 then st.known else ISet.empty in
+  Network.run_bounded ?cfg ~words:(fun _ -> 1) ~result:at_root ~rounds g
+    (upcast_program f ~initial)
 
 let upcast_distinct ?cfg g ~tree ~initial =
   let all = ISet.of_list (List.concat (Array.to_list initial)) in
   let rounds = Tree.height tree + ISet.cardinal all + 2 in
-  let known, audit = upcast ?cfg ~rounds g (forest_of_tree tree) ~initial in
+  let known, audit = upcast ?cfg ~rounds g (forest_of_tree tree) ~initial:(Array.get initial) in
   let got = known.(tree.Tree.root) in
   if not (ISet.equal got all) then failwith "Primitives.upcast_distinct: incomplete upcast";
   (ISet.elements got, Cost.executed ~audit "pipelined upcast (real)" audit.Network.rounds)
@@ -265,8 +261,8 @@ let exchange_program g ~values : ((int * 'a) list option, 'a) Network.program =
   }
 
 let exchange ?cfg ~words g values =
-  let states, audit = Network.run ?cfg ~words g (exchange_program g ~values) in
-  (Array.map (Option.value ~default:[]) states, audit)
+  Network.run ?cfg ~words ~result:(fun _ st -> Option.value ~default:[] st) g
+    (exchange_program g ~values)
 
 (* ------------------------------------------------------------------ *)
 (* Flooding a maximum (leader election)                                *)
@@ -297,8 +293,10 @@ let flood_max ?cfg ?tree g ~values =
   let tree0 = match tree with Some t -> t | None -> fst (bfs_tree ?cfg g ~root:0) in
   let bound = (2 * Tree.height tree0) + 2 in
   let prog = flood_max_program g ~values in
-  let states, audit = Network.run_bounded ?cfg ~words:(fun _ -> 1) ~rounds:bound g prog in
-  (Array.map (fun st -> st.best) states, Cost.executed ~audit "flood-max (real)" audit.Network.rounds)
+  let best, audit =
+    Network.run_bounded ?cfg ~words:(fun _ -> 1) ~result:(fun _ st -> st.best) ~rounds:bound g prog
+  in
+  (best, Cost.executed ~audit "flood-max (real)" audit.Network.rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Flood with echo (termination detection at the root)                 *)

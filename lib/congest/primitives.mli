@@ -79,14 +79,15 @@ val upcast :
   rounds:int ->
   Graph.t ->
   forest ->
-  initial:int list array ->
+  initial:(int -> int list) ->
   Mincut_util.Intset.t array * Network.audit
-(** Each node starts holding a set of ids; every node passes up one id
-    it has not yet sent per round, smallest first, and drops ids it
-    already knows, so each id crosses each edge at most once.  Runs
-    exactly [rounds] rounds ({!Network.run_bounded}, which also sets the
-    length of the audit's [messages_per_round]); returns what every node
-    knows at the end.  One-word payloads. *)
+(** Each node [v] starts holding the set of ids [initial v]; every node
+    passes up one id it has not yet sent per round, smallest first, and
+    drops ids it already knows, so each id crosses each edge at most
+    once.  Runs exactly [rounds] rounds ({!Network.run_bounded}, which
+    also sets the length of the audit's [messages_per_round]); returns
+    what every root knows at the end, and the empty set at every other
+    node.  One-word payloads. *)
 
 val broadcast :
   ?cfg:Config.t ->
@@ -179,7 +180,7 @@ val broadcast_program :
 
 type up_state
 
-val upcast_program : forest -> initial:int list array -> (up_state, int) Network.program
+val upcast_program : forest -> initial:(int -> int list) -> (up_state, int) Network.program
 
 val exchange_program :
   Graph.t -> values:'a array -> ((int * 'a) list option, 'a) Network.program

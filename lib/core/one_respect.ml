@@ -4,6 +4,7 @@ module Fragments = Mincut_mst.Fragments
 module Cost = Mincut_congest.Cost
 module Pipeline = Mincut_congest.Pipeline
 module Primitives = Mincut_congest.Primitives
+module Scratch = Mincut_util.Scratch
 
 type stats = {
   n : int;
@@ -34,75 +35,107 @@ type result = {
 (* Shared fragment-level analysis                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-node fragment-id lists, flat: node [v]'s ids are
+   [ids.(off.(v)) .. ids.(off.(v + 1) - 1)].  Both arrays come from the
+   run's scratch frame. *)
+type csr = { off : int array; ids : int array }
+
+(* Fragment [j] is listed at the parent of its root and, with
+   [~up_to_root], at every node above that too.  Counted first, then
+   written from the back of each node's slice in ascending [j], so a
+   slice lists its ids in descending order, as consing them did. *)
+let fragment_lists sc (tree : Tree.t) (fr : Fragments.t) ~up_to_root =
+  let n = Tree.n_nodes tree in
+  let parent = tree.Tree.parent and roots = fr.Fragments.roots in
+  let k = Fragments.count fr in
+  let off = Scratch.filled sc (n + 1) 0 in
+  for j = 0 to k - 1 do
+    let v = ref parent.(roots.(j)) in
+    while !v <> -1 do
+      off.(!v + 1) <- off.(!v + 1) + 1;
+      v := if up_to_root then parent.(!v) else -1
+    done
+  done;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let ids = Scratch.ints sc off.(n) in
+  let cur = Scratch.ints sc n in
+  Array.blit off 1 cur 0 n;
+  for j = 0 to k - 1 do
+    let v = ref parent.(roots.(j)) in
+    while !v <> -1 do
+      cur.(!v) <- cur.(!v) - 1;
+      ids.(cur.(!v)) <- j;
+      v := if up_to_root then parent.(!v) else -1
+    done
+  done;
+  { off; ids }
+
+(* F(v): the fragments fully contained in v↓, those whose root is a
+   proper descendant of [v] *)
+let f_sets sc tree fr = fragment_lists sc tree fr ~up_to_root:true
+
+(* Step 2a's seed: the child fragments hanging directly below each
+   node *)
+let child_fragment_items sc tree fr = fragment_lists sc tree fr ~up_to_root:false
+
 type analysis = {
   fr : Fragments.t;
-  f_sets : int list array;    (* F(v): fragments fully contained in v↓ *)
-  is_merging : bool array;
-  in_tfp : bool array;        (* member of T'F *)
+  f_sets : csr;               (* F(v): fragments fully contained in v↓ *)
   lta : int array;            (* lowest T'F ancestor-or-self *)
-  tf_parent : int array;      (* parent within T'F; -1 at the tree root *)
   tf_depth : int array;       (* depth within T'F (T'F members only) *)
   merging_count : int;
   tfp_size : int;
 }
 
-let analyze ?target g tree =
+let analyze sc ?target g tree =
   let n = Graph.n g in
   let target = match target with Some t -> t | None -> Params.sqrt_target ~n in
   let fr = Fragments.partition tree ~target in
   let k = Fragments.count fr in
   let parent = tree.Tree.parent in
   let roots = fr.Fragments.roots and frag_of = fr.Fragments.frag_of in
-  (* F(v): walk up from each fragment root; every proper ancestor fully
-     contains that fragment. *)
-  let f_sets = Array.make n [] in
-  for j = 0 to k - 1 do
-    let v = ref parent.(roots.(j)) in
-    while !v <> -1 do
-      f_sets.(!v) <- j :: f_sets.(!v);
-      v := parent.(!v)
-    done
-  done;
-  (* merging nodes: two children whose subtrees contain whole fragments *)
-  let is_merging = Array.make n false in
+  let f_sets = f_sets sc tree fr in
+  let f_off = f_sets.off in
+  (* T'F: merging nodes (two children whose subtrees contain whole
+     fragments) and fragment roots, flagged 1, wired by lowest
+     ancestor *)
+  let in_tfp = Scratch.filled sc n 0 in
   let merging_count = ref 0 in
   for v = 0 to n - 1 do
     let kids = tree.Tree.children.(v) in
     let cnt = ref 0 in
     for i = 0 to Array.length kids - 1 do
       let c = kids.(i) in
-      match f_sets.(c) with
-      | _ :: _ -> incr cnt
-      | [] -> if roots.(frag_of.(c)) = c then incr cnt
+      if f_off.(c + 1) > f_off.(c) || roots.(frag_of.(c)) = c then incr cnt
     done;
     if !cnt >= 2 then begin
-      is_merging.(v) <- true;
+      in_tfp.(v) <- 1;
       incr merging_count
     end
   done;
-  (* T'F: fragment roots and merging nodes, wired by lowest-ancestor *)
-  let in_tfp = Array.copy is_merging in
   for j = 0 to k - 1 do
-    in_tfp.(roots.(j)) <- true
+    in_tfp.(roots.(j)) <- 1
   done;
-  let lta = Array.make n (-1) in
-  let tf_parent = Array.make n (-1) in
-  let tf_depth = Array.make n 0 in
+  (* preorder sets every node's [lta] before its children read it; the
+     root is a fragment root, so it is in T'F *)
+  let lta = Scratch.ints sc n in
+  let tf_depth = Scratch.filled sc n 0 in
   let tfp_size = ref 0 in
   for i = 0 to n - 1 do
     let v = tree.Tree.preorder.(i) in
     let p = parent.(v) in
-    if in_tfp.(v) then begin
+    if in_tfp.(v) = 1 then begin
       incr tfp_size;
       lta.(v) <- v;
       let tp = if p = -1 then -1 else lta.(p) in
-      tf_parent.(v) <- tp;
       tf_depth.(v) <- (if tp = -1 then 0 else tf_depth.(tp) + 1)
     end
     else lta.(v) <- lta.(p)
   done;
   let merging_count = !merging_count and tfp_size = !tfp_size in
-  { fr; f_sets; is_merging; in_tfp; lta; tf_parent; tf_depth; merging_count; tfp_size }
+  { fr; f_sets; lta; tf_depth; merging_count; tfp_size }
 
 (* ------------------------------------------------------------------ *)
 (* Step 5 LCA: the paper's three-case computation                      *)
@@ -138,8 +171,9 @@ let lca_items an case x y =
   | _ -> 0
 
 let lca_by_fragments ?target g tree =
-  let an = analyze ?target g tree in
-  let lca = Tree.Lca.build tree in
+  Scratch.frame @@ fun sc ->
+  let an = analyze sc ?target g tree in
+  let lca = Tree.Lca.build sc tree in
   Array.map
     (fun (e : Graph.edge) ->
       let z = Tree.Lca.query lca e.u e.v in
@@ -209,22 +243,20 @@ let rec chain_length (tree : Tree.t) frag_of v above len = function
       chain_length tree frag_of v d (len + 1) rest
 
 let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
-  let n = Graph.n g in
   let frag_of = fr.Fragments.frag_of in
   let maxh = Fragments.max_height fr in
   let bound = (2 * maxh) + 3 in
-  let chains, audit =
-    Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g
-      (ancestor_downcast_program links)
-  in
-  (* verify: each node's chain = its within-fragment ancestors (incl
-     self).  Fragments are subtrees, so those are exactly the
-     depth_in_frag + 1 same-fragment ancestors of v; a chain of that
-     length drawn from them, strictly deepening, is all of them. *)
+  (* verify, as the engine hands each chain back: each node's chain =
+     its within-fragment ancestors (incl self).  Fragments are
+     subtrees, so those are exactly the depth_in_frag + 1 same-fragment
+     ancestors of v; a chain of that length drawn from them, strictly
+     deepening, is all of them.  No chain outlives the run. *)
   let dif = fr.Fragments.depth_in_frag in
-  for v = 0 to n - 1 do
-    assert (chain_length tree frag_of v (-1) 0 chains.(v) = dif.(v) + 1)
-  done;
+  let check v chain = assert (chain_length tree frag_of v (-1) 0 chain = dif.(v) + 1) in
+  let _, audit =
+    Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1) ~result:check
+      ~rounds:(max 1 bound) g (ancestor_downcast_program links)
+  in
   audit
 
 (* ------------------------------------------------------------------ *)
@@ -241,10 +273,13 @@ let backbone ?(params = Params.default) g ~root =
     let t = Tree.bfs_tree g ~root in
     (t, Cost.scheduled "bfs-tree (scheduled)" (Tree.height t + 1))
 
-(* [acc] plus [per_frag] summed over the fragment list [js] *)
-let rec add_frags per_frag acc = function
-  | [] -> acc
-  | j :: js -> add_frags per_frag (acc + per_frag.(j)) js
+(* [acc] plus [per_frag] summed over the fragment ids [ids.(i .. hi - 1)] *)
+let rec add_frags per_frag ids acc i hi =
+  if i >= hi then acc else add_frags per_frag ids (acc + per_frag.(ids.(i))) (i + 1) hi
+
+(* the ids [ids.(lo .. hi - 1)] as a list, in order *)
+let rec slice_list ids lo hi acc =
+  if hi <= lo then acc else slice_list ids lo (hi - 1) (ids.(hi - 1) :: acc)
 
 let run ?(params = Params.default) ?target ?backbone:given g tree =
   let n = Graph.n g in
@@ -264,7 +299,10 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
         b
   in
   let hb = Tree.height bfs_tree in
-  let an = analyze ?target g tree in
+  (* every per-node int temporary of the run comes from this frame; only
+     [cuts] and the cost leave it *)
+  Scratch.frame @@ fun sc ->
+  let an = analyze sc ?target g tree in
   let fr = an.fr in
   let links = if params.Params.run_real_primitives then Some (frag_links tree fr) else None in
   let k = Fragments.count fr in
@@ -292,7 +330,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   (* -------- Step 2: F(v) and A(v) knowledge ------------------------- *)
   (* (a) upcast child-fragment lists within each fragment: per-edge load
      is the number of child fragments attached strictly below. *)
-  let load_a = Array.make n 0 in
+  let load_a = Scratch.filled sc n 0 in
   for j = 0 to k - 1 do
     (* the message about this child fragment crosses every edge from
        the attach node up to its fragment root *)
@@ -302,7 +340,11 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
       v := if dif.(!v) > 0 then tree.Tree.parent.(!v) else -1
     done
   done;
-  let max_load_a = Array.fold_left max 0 load_a in
+  let max_load_a = ref 0 in
+  for v = 0 to n - 1 do
+    max_load_a := max !max_load_a load_a.(v)
+  done;
+  let max_load_a = !max_load_a in
   let c_f_up =
     match links with
     | Some links ->
@@ -310,24 +352,18 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
          ids of the child fragments hanging directly below it, pipeline
          them to the fragment roots, and check the roots learned exactly
          their T_F children *)
-      let initial_items = Array.make n [] in
-      Array.iteri
-        (fun j r ->
-          let attach = tree.Tree.parent.(r) in
-          if attach <> -1 then initial_items.(attach) <- j :: initial_items.(attach))
-        fr.Fragments.roots;
+      let items = child_fragment_items sc tree fr in
+      let off = items.off in
       (* run for the tallest fragment's height plus the most ids any one
          fragment carries *)
       let max_items =
         Array.fold_left
-          (fun acc ms ->
-            max acc
-              (List.fold_left (fun a v -> a + List.length initial_items.(v)) 0 ms))
+          (fun acc ms -> max acc (List.fold_left (fun a v -> a + off.(v + 1) - off.(v)) 0 ms))
           0 fr.Fragments.members
       in
       let known, up_audit =
         Primitives.upcast ~cfg:params.Params.congest ~rounds:(max 1 (maxh + max_items + 2)) g
-          links ~initial:initial_items
+          links ~initial:(fun v -> slice_list items.ids off.(v) off.(v + 1) [])
       in
       Array.iteri
         (fun i r ->
@@ -380,10 +416,9 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   in
   (* (c) each node also learns F(u) for u in A(v): one message per
      fragment below the topmost element of A(v) *)
+  let f_off = an.f_sets.off and f_ids = an.f_sets.ids in
   let max_f_items =
-    Array.fold_left
-      (fun acc r -> max acc (List.length an.f_sets.(r)))
-      0 fr.Fragments.roots
+    Array.fold_left (fun acc r -> max acc (f_off.(r + 1) - f_off.(r))) 0 fr.Fragments.roots
   in
   let c_f_down =
     Cost.scheduled "step2: downcast F(u) for ancestors"
@@ -391,10 +426,14 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   in
 
   (* -------- Step 3: delta_down ---------------------------------------- *)
-  let delta = Array.init n (Graph.weighted_degree g) in
+  let delta = Scratch.ints sc n in
+  for v = 0 to n - 1 do
+    delta.(v) <- Graph.weighted_degree g v
+  done;
   (* within-fragment subtree sums (one wave up each fragment) *)
   let frag_subtree_sum values =
-    let out = Array.copy values in
+    let out = Scratch.ints sc n in
+    Array.blit values 0 out 0 n;
     (* reverse preorder: add into the parent while staying in-fragment *)
     for i = n - 1 downto 1 do
       let v = tree.Tree.preorder.(i) in
@@ -414,7 +453,9 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
         Primitives.convergecast ~cfg:params.Params.congest ~words:(fun _ -> 2) ~combine:( + ) g
           links delta
       in
-      assert (real = s_delta);
+      for v = 0 to n - 1 do
+        assert (real.(v) = s_delta.(v))
+      done;
       Cost.executed ~audit:wave_audit "step3: within-fragment delta sums (real)"
         wave_audit.Mincut_congest.Network.rounds
     | None ->
@@ -429,7 +470,6 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
     Cost.scheduled "step3: broadcast delta(F_i) for all fragments"
       (Pipeline.upcast ~depth:hb ~items:k + Pipeline.broadcast ~depth:hb ~items:k)
   in
-  let delta_down = Array.init n (fun v -> add_frags delta_frag s_delta.(v) an.f_sets.(v)) in
 
   (* -------- Step 4: merging nodes and T'F ---------------------------- *)
   let c_merging =
@@ -442,13 +482,13 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   in
 
   (* -------- Step 5: per-edge LCA and rho_down ------------------------- *)
-  let rho = Array.make n 0 in
+  let rho = Scratch.filled sc n 0 in
   let case_counts = [| 0; 0; 0 |] in
   let max_exchange = ref 0 in
   (* distinct case-2 LCAs: a per-node flag, counted as it is first set *)
-  let case2_at = Array.make n false in
+  let case2_at = Scratch.filled sc n 0 in
   let m2 = ref 0 in
-  let lca = Tree.Lca.build tree in
+  let lca = Tree.Lca.build sc tree in
   let edges = Graph.edges g in
   for i = 0 to Array.length edges - 1 do
     let e = edges.(i) in
@@ -457,8 +497,8 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
     rho.(z) <- rho.(z) + e.w;
     case_counts.(case - 1) <- case_counts.(case - 1) + 1;
     max_exchange := Int.max !max_exchange (lca_items an case e.u e.v);
-    if case = 2 && not case2_at.(z) then begin
-      case2_at.(z) <- true;
+    if case = 2 && case2_at.(z) = 0 then begin
+      case2_at.(z) <- 1;
       incr m2
     end
   done;
@@ -485,7 +525,6 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   for v = 0 to n - 1 do
     rho_frag.(fr.Fragments.frag_of.(v)) <- rho_frag.(fr.Fragments.frag_of.(v)) + rho.(v)
   done;
-  let rho_down = Array.init n (fun v -> add_frags rho_frag s_rho.(v) an.f_sets.(v)) in
   let c_rho_down =
     Cost.scheduled "step5: rho_down aggregation (delta_down machinery)"
       (Pipeline.convergecast ~depth:maxh ~max_edge_load:1
@@ -494,7 +533,15 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   in
 
   (* -------- Finish: Karger's lemma, global minimum ------------------- *)
-  let cuts = Array.init n (fun v -> delta_down.(v) - (2 * rho_down.(v))) in
+  (* C(v↓) = δ↓(v) − 2ρ↓(v), each a within-fragment sum plus the
+     whole fragments of F(v) *)
+  let cuts = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let lo = f_off.(v) and hi = f_off.(v + 1) in
+    let delta_down = add_frags delta_frag f_ids s_delta.(v) lo hi in
+    let rho_down = add_frags rho_frag f_ids s_rho.(v) lo hi in
+    cuts.(v) <- delta_down - (2 * rho_down)
+  done;
   let best = ref (-1) in
   for v = 0 to n - 1 do
     if v <> root && (!best = -1 || cuts.(v) < cuts.(!best)) then best := v

@@ -85,6 +85,22 @@ val run :
     is rooted elsewhere, spans a different number of nodes than [g], or
     has the other mode's cost provenance. *)
 
+type csr = { off : int array; ids : int array }
+(** Per-node id lists laid out flat: node [v]'s ids are
+    [ids.(off.(v)) .. ids.(off.(v + 1) - 1)].  The arrays come from a
+    {!Mincut_util.Scratch} frame, so they may be longer than that and
+    last only as long as the frame. *)
+
+val f_sets :
+  Mincut_util.Scratch.frame -> Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> csr
+(** Exposed for testing: F(v), the fragments whose root is a proper
+    descendant of [v], each node's ids in descending order. *)
+
+val child_fragment_items :
+  Mincut_util.Scratch.frame -> Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> csr
+(** Exposed for testing: Step 2a's seed, the fragments whose root is a
+    child of [v], each node's ids in descending order. *)
+
 val frag_links : Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> Mincut_congest.Primitives.forest
 (** The tree restricted to each fragment: a forest rooted at the
     fragment roots, shared by the within-fragment engine programs of one
@@ -106,7 +122,8 @@ val frag_ancestor_downcast :
   Mincut_congest.Network.audit
 (** Step 2b on the engine, exposed for testing: every node learns the
     ids of its within-fragment ancestors.  Returns the engine audit.
-    Asserts that every node ends with exactly that ancestor path. *)
+    Asserts, as the engine hands back each node's final chain, that it
+    is exactly that ancestor path. *)
 
 val lca_by_fragments :
   ?target:int -> Mincut_graph.Graph.t -> Mincut_graph.Tree.t -> (int * int * int) array

@@ -16,12 +16,13 @@ let run g tree =
   if n < 2 then invalid_arg "One_respect_seq.run: need n >= 2";
   let delta = Array.init n (Graph.weighted_degree g) in
   let rho = Array.make n 0 in
-  let lca = Tree.Lca.build tree in
-  Graph.iter_edges
-    (fun e ->
-      let z = Tree.Lca.query lca e.u e.v in
-      rho.(z) <- rho.(z) + e.w)
-    g;
+  (Mincut_util.Scratch.frame @@ fun sc ->
+   let lca = Tree.Lca.build sc tree in
+   Graph.iter_edges
+     (fun e ->
+       let z = Tree.Lca.query lca e.u e.v in
+       rho.(z) <- rho.(z) + e.w)
+     g);
   let delta_down = Tree.accumulate_up tree delta in
   let rho_down = Tree.accumulate_up tree rho in
   let cuts = Array.init n (fun v -> delta_down.(v) - (2 * rho_down.(v))) in

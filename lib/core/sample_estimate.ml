@@ -54,7 +54,7 @@ let run ?(seed = 0) ?trials g =
     let queue = Array.make n 0 in
     let trial_connected ~p ~tag =
       Graph.iter_edges
-        (fun e -> keep.(e.Graph.id) <- Rng.binomial rng e.Graph.w p > 0)
+        (fun e -> keep.(e.Graph.id) <- Rng.any_success rng e.Graph.w p)
         g;
       let head = ref 0 in
       let tail = ref 0 in

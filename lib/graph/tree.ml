@@ -11,21 +11,27 @@ type t = {
   size : int array;
 }
 
+module Scratch = Mincut_util.Scratch
+
+(* The counts, fill cursors and DFS stack are per-call temporaries, so
+   they come from the domain's [Scratch]; every array of the result is
+   allocated. *)
 let of_parents ~graph_n ~root ~parent ~parent_edge =
   if Array.length parent <> graph_n || Array.length parent_edge <> graph_n then
     invalid_arg "Tree.of_parents: array length mismatch";
   if root < 0 || root >= graph_n || parent.(root) <> -1 then
     invalid_arg "Tree.of_parents: bad root";
-  let child_count = Array.make graph_n 0 in
-  Array.iteri
-    (fun v p ->
-      if v <> root then begin
-        if p < 0 || p >= graph_n then invalid_arg "Tree.of_parents: bad parent";
-        child_count.(p) <- child_count.(p) + 1
-      end)
-    parent;
+  Scratch.frame @@ fun sc ->
+  let child_count = Scratch.filled sc graph_n 0 in
+  for v = 0 to graph_n - 1 do
+    if v <> root then begin
+      let p = parent.(v) in
+      if p < 0 || p >= graph_n then invalid_arg "Tree.of_parents: bad parent";
+      child_count.(p) <- child_count.(p) + 1
+    end
+  done;
   let children = Array.init graph_n (fun v -> Array.make child_count.(v) 0) in
-  let fill = Array.make graph_n 0 in
+  let fill = Scratch.filled sc graph_n 0 in
   for v = 0 to graph_n - 1 do
     if v <> root then begin
       let p = parent.(v) in
@@ -41,8 +47,8 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
   let tin = Array.make graph_n (-1) in
   let tout = Array.make graph_n (-1) in
   let size = Array.make graph_n 1 in
-  let next_child = Array.make graph_n 0 in
-  let stack = Array.make graph_n 0 in
+  let next_child = Scratch.filled sc graph_n 0 in
+  let stack = Scratch.ints sc graph_n in
   let top = ref 0 in
   let clock = ref 1 in
   let idx = ref 1 in
@@ -81,11 +87,15 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
 (* The n - 1 tree edges as a CSR (per-node offsets into one neighbour
    and one edge-id array), walked by a BFS over an int-array queue.  A
    spanning tree fixes every node's parent and parent edge, so the walk
-   order does not show in the result. *)
+   order does not show in the result.  The CSR, queue and seen flags
+   come from the domain's [Scratch]. *)
 let of_edge_ids g ~root ids =
   let n = Graph.n g in
   let len = List.length ids in
-  let off = Array.make (n + 1) 0 in
+  let parent = Array.make n (-1) in
+  let parent_edge = Array.make n (-1) in
+  (Scratch.frame @@ fun sc ->
+  let off = Scratch.filled sc (n + 1) 0 in
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
@@ -96,8 +106,9 @@ let of_edge_ids g ~root ids =
   for v = 1 to n do
     off.(v) <- off.(v) + off.(v - 1)
   done;
-  let fill = Array.sub off 0 n in
-  let nbr = Array.make (2 * len) 0 and eid = Array.make (2 * len) 0 in
+  let fill = Scratch.ints sc n in
+  Array.blit off 0 fill 0 n;
+  let nbr = Scratch.ints sc (2 * len) and eid = Scratch.ints sc (2 * len) in
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
@@ -108,19 +119,18 @@ let of_edge_ids g ~root ids =
       eid.(fill.(v)) <- id;
       fill.(v) <- fill.(v) + 1)
     ids;
-  let parent = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Array.make n root in
+  let seen = Scratch.filled sc n 0 in
+  let queue = Scratch.ints sc n in
   let head = ref 0 and tail = ref 1 in
-  seen.(root) <- true;
+  queue.(0) <- root;
+  seen.(root) <- 1;
   while !head < !tail do
     let v = queue.(!head) in
     incr head;
     for s = off.(v) to off.(v + 1) - 1 do
       let u = nbr.(s) in
-      if not seen.(u) then begin
-        seen.(u) <- true;
+      if seen.(u) = 0 then begin
+        seen.(u) <- 1;
         parent.(u) <- v;
         parent_edge.(u) <- eid.(s);
         queue.(!tail) <- u;
@@ -128,7 +138,7 @@ let of_edge_ids g ~root ids =
       end
     done
   done;
-  if !tail <> n then invalid_arg "Tree.of_edge_ids: edges do not span the graph";
+  if !tail <> n then invalid_arg "Tree.of_edge_ids: edges do not span the graph");
   of_parents ~graph_n:n ~root ~parent ~parent_edge
 
 let bfs_tree g ~root =
@@ -176,16 +186,18 @@ module Lca = struct
     parent : int array;
   }
 
-  let build (tr : tree) =
+  let build sc (tr : tree) =
     let n = tr.graph_n in
-    let pos = Array.make n 0 in
+    let pos = Scratch.ints sc n in
     Array.iteri (fun i v -> pos.(v) <- i) tr.preorder;
-    let log2 = Array.make (n + 1) 0 in
+    let log2 = Scratch.ints sc (n + 1) in
+    log2.(0) <- 0;
+    log2.(1) <- 0;
     for i = 2 to n do
       log2.(i) <- log2.(i / 2) + 1
     done;
     let levels = log2.(max 1 n) + 1 in
-    let table = Array.make (levels * n) 0 in
+    let table = Scratch.ints sc (levels * n) in
     Array.blit tr.preorder 0 table 0 n;
     for k = 1 to levels - 1 do
       let half = 1 lsl (k - 1) in

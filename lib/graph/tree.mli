@@ -57,7 +57,10 @@ module Lca : sig
 
   type t
 
-  val build : tree -> t
+  val build : Mincut_util.Scratch.frame -> tree -> t
+  (** The table and position arrays are taken from the frame, so the
+      oracle is valid until that frame ends and must not be used after
+      it.  Two oracles built in one frame do not share arrays. *)
 
   val query : t -> int -> int -> int
   (** Least common ancestor of the two nodes. *)

@@ -20,7 +20,9 @@ type fl_state = {
   parent_edge : int;
 }
 
-let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id =
+(* each node's new fragment id and tree parent are written into [frag],
+   [parent] and [parent_edge] as the engine hands back its state *)
+let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id ~frag ~parent ~parent_edge =
   let prog : (fl_state, int) Network.program =
     {
       initial =
@@ -54,8 +56,13 @@ let flood_new_ids ?cfg g ~allowed ~is_leader ~new_id =
       halted = (fun st -> st.adopted && st.flooded);
     }
   in
-  let states, audit = Network.run ?cfg ~words:(fun _ -> 1) g prog in
-  (states, Cost.executed ~audit "boruvka: merge flood (real)" audit.Network.rounds)
+  let keep v st =
+    frag.(v) <- st.frag;
+    parent.(v) <- st.parent;
+    parent_edge.(v) <- st.parent_edge
+  in
+  let _, audit = Network.run ?cfg ~words:(fun _ -> 1) ~result:keep g prog in
+  Cost.executed ~audit "boruvka: merge flood (real)" audit.Network.rounds
 
 (* --- main loop ------------------------------------------------------ *)
 
@@ -194,13 +201,7 @@ let run ?cfg g =
                 match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
               l)
         allowed;
-      let states, c4 = flood_new_ids ?cfg g ~allowed ~is_leader ~new_id in
-      Array.iteri
-        (fun v (st : fl_state) ->
-          frag.(v) <- st.frag;
-          parent.(v) <- st.parent;
-          parent_edge.(v) <- st.parent_edge)
-        states;
+      let c4 = flood_new_ids ?cfg g ~allowed ~is_leader ~new_id ~frag ~parent ~parent_edge in
       cost :=
         Cost.( ++ ) !cost
           (Cost.group

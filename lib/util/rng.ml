@@ -44,26 +44,39 @@ let geometric t p =
   else
     let u = float t 1.0 in
     let u = if u <= 0.0 then 1e-300 else u in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))
+    (* below p = 2^-53, [1 - p] rounds to 1 and its log to 0; [log1p]
+       keeps the denominator exact there, and elsewhere the old one is
+       kept so every draw above that is unchanged *)
+    let q = 1.0 -. p in
+    let log_q = if q < 1.0 then log q else Float.log1p (-.p) in
+    let skips = floor (log u /. log_q) in
+    (* a skip past max_int is a skip past any count *)
+    if skips >= Float.of_int max_int then max_int else int_of_float (Float.of_int 0 +. skips)
 
 let binomial t n p =
   assert (n >= 0 && p >= 0.0 && p <= 1.0);
   if Float.equal p 0.0 || n = 0 then 0
   else if Float.equal p 1.0 then n
-  else if p > 0.5 then n - (let q = 1.0 -. p in
-                            (* mirror to keep the skip-sampling loop short *)
-                            let rec count acc pos =
-                              let pos = pos + 1 + geometric t q in
-                              if pos > n then acc else count (acc + 1) pos
-                            in
-                            count 0 0)
   else
-    (* Skip-based counting: expected work O(np). *)
-    let rec count acc pos =
-      let pos = pos + 1 + geometric t p in
-      if pos > n then acc else count (acc + 1) pos
+    (* Skip-based counting: expected work O(np), mirrored above p = 1/2
+       to keep the loop short.  The next success lands past [n] when
+       [pos + 1 + skip > n], tested without overflowing at n = max_int. *)
+    let rec count q acc pos =
+      let skip = geometric t q in
+      if skip >= n - pos then acc else count q (acc + 1) (pos + 1 + skip)
     in
-    count 0 0
+    if p > 0.5 then n - count (1.0 -. p) 0 0 else count p 0 0
+
+(* Up to this many expected successes, [binomial]'s skip-sampling is
+   short (about n·p draws), and [any_success] draws exactly as it. *)
+let any_success_exact_max = 256.0
+
+let any_success t n p =
+  assert (n >= 0 && p >= 0.0 && p <= 1.0);
+  if Float.equal p 0.0 || n = 0 then false
+  else if Float.equal p 1.0 then true
+  else if float_of_int n *. p <= any_success_exact_max then binomial t n p > 0
+  else float t 1.0 < -.Float.expm1 (float_of_int n *. Float.log1p (-.p))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -37,6 +37,13 @@ val binomial : t -> int -> float -> int
     [p]-coins.  Exact (inversion / direct simulation), intended for the
     modest [n] used by skeleton sampling. *)
 
+val any_success : t -> int -> float -> bool
+(** [any_success t n p]: whether at least one of [n] independent
+    [p]-coins succeeds, in O(1) expected time whatever [n] is.  While
+    [n·p <= 256] it draws exactly as [binomial t n p > 0] (same answer,
+    same generator state after); above that it makes one uniform draw
+    against [1 − (1 − p)^n]. *)
+
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of
     a [p]-coin; used to skip over non-sampled edges in sparse sampling.

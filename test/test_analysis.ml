@@ -73,7 +73,7 @@ let test_replay_deterministic_program () =
   in
   match
     Replay.check
-      ~run:(fun () -> snd (Network.run ~words:(fun _ -> 1) g final))
+      ~run:(fun () -> snd (Network.run ~result:keep_state ~words:(fun _ -> 1) g final))
       ~diff:Replay.diff_audits
   with
   | Ok audit -> check_bool "some traffic" true (audit.Network.total_messages > 0)
@@ -101,7 +101,7 @@ let test_replay_catches_nondeterminism () =
   in
   match
     Replay.check
-      ~run:(fun () -> snd (Network.run ~words:(fun _ -> 1) g prog))
+      ~run:(fun () -> snd (Network.run ~result:keep_state ~words:(fun _ -> 1) g prog))
       ~diff:Replay.diff_audits
   with
   | Ok _ -> Alcotest.fail "nondeterminism not detected"

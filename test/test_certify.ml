@@ -49,7 +49,9 @@ let test_sanitize_plain_engine_masks_it () =
   (* the same program runs clean without sanitize mode: that masking is
      exactly why the shadow harness exists *)
   let g = Generators.torus 4 4 in
-  let states, _ = Network.run ~words:(fun _ -> 1) g (order_dependent_program g) in
+  let states, _ =
+    Network.run ~result:keep_state ~words:(fun _ -> 1) g (order_dependent_program g)
+  in
   check_int "ran to completion" 16 (Array.length states)
 
 let test_shipped_primitives_sanitize_clean () =

@@ -30,7 +30,7 @@ let hello_program g : (hello, int) Network.program =
 
 let test_engine_delivers_neighbors () =
   let g = Generators.ring 5 in
-  let states, audit = Network.run ~words:words1 g (hello_program g) in
+  let states, audit = Network.run ~result:keep_state ~words:words1 g (hello_program g) in
   Array.iteri
     (fun v st ->
       let expected = List.sort compare (Array.to_list (Array.map fst (Graph.adj g v))) in
@@ -61,7 +61,7 @@ let test_engine_rejects_non_neighbor () =
     }
   in
   let v =
-    expect_violation "non-neighbor" (fun () -> Network.run ~words:words1 g prog)
+    expect_violation "non-neighbor" (fun () -> Network.run ~result:keep_state ~words:words1 g prog)
   in
   check_bool "kind" true (v.Network.kind = Network.Non_neighbor_send);
   check_int "round" 0 v.Network.round;
@@ -82,7 +82,7 @@ let test_engine_rejects_duplicate_send () =
     }
   in
   let v =
-    expect_violation "duplicate" (fun () -> Network.run ~words:words1 g prog)
+    expect_violation "duplicate" (fun () -> Network.run ~result:keep_state ~words:words1 g prog)
   in
   check_bool "kind" true (v.Network.kind = Network.Duplicate_send);
   check_opt "sender" (Some 0) v.Network.sender;
@@ -99,7 +99,7 @@ let test_engine_rejects_oversized () =
   in
   let v =
     expect_violation "oversized" (fun () ->
-        Network.run ~cfg:(Config.with_budget 2) ~words:(fun _ -> 3) g prog)
+        Network.run ~result:keep_state ~cfg:(Config.with_budget 2) ~words:(fun _ -> 3) g prog)
   in
   check_bool "kind" true (v.Network.kind = Network.Oversized_message);
   check_opt "measured words" (Some 3) v.Network.words;
@@ -116,7 +116,7 @@ let test_engine_rejects_self_send () =
     }
   in
   let v =
-    expect_violation "self send" (fun () -> Network.run ~words:words1 g prog)
+    expect_violation "self send" (fun () -> Network.run ~result:keep_state ~words:words1 g prog)
   in
   check_bool "kind" true (v.Network.kind = Network.Non_neighbor_send);
   check_opt "sender = receiver" v.Network.sender v.Network.receiver
@@ -132,7 +132,7 @@ let test_engine_watchdog () =
   in
   let v =
     expect_violation "watchdog" (fun () ->
-        Network.run
+        Network.run ~result:keep_state
           ~cfg:{ Config.default with Config.max_rounds = 10 }
           ~words:words1 g prog)
   in
@@ -156,11 +156,12 @@ let test_sanitize_catches_round_timer () =
       halted = (fun _ -> false);
     }
   in
-  let _, audit = Network.run_bounded ~words:words1 ~rounds:8 g prog in
+  let _, audit = Network.run_bounded ~result:keep_state ~words:words1 ~rounds:8 g prog in
   check_int "plain engine: the sleeper never acts" 0 audit.Network.total_messages;
   let v =
     expect_violation "round timer" (fun () ->
-        Network.run_bounded ~cfg:(Config.sanitized Config.default) ~words:words1 ~rounds:8 g
+        Network.run_bounded ~result:keep_state ~cfg:(Config.sanitized Config.default)
+          ~words:words1 ~rounds:8 g
           prog)
   in
   check_bool "kind" true (v.Network.kind = Network.Round_dependence);
@@ -191,7 +192,8 @@ let test_duplicate_send_with_warm_memo () =
     }
   in
   let v =
-    expect_violation "duplicate" (fun () -> Network.run_bounded ~words:words1 ~rounds:5 g prog)
+    expect_violation "duplicate" (fun () ->
+        Network.run_bounded ~result:keep_state ~words:words1 ~rounds:5 g prog)
   in
   check_bool "kind" true (v.Network.kind = Network.Duplicate_send);
   check_int "round" 2 v.Network.round;
@@ -211,12 +213,13 @@ let test_stale_memo_never_hides_a_duplicate () =
     }
   in
   ignore
-    (Network.run ~words:words1 (Generators.complete 3)
+    (Network.run ~result:keep_state ~words:words1 (Generators.complete 3)
        (send_once [ (0, [ (2, 0) ]); (1, []); (2, [ (1, 0) ]) ]));
   let triple = Graph.of_array ~n:2 [| (0, 1, 1); (0, 1, 1); (0, 1, 1) |] in
   let v =
     expect_violation "duplicate" (fun () ->
-        Network.run ~words:words1 triple (send_once [ (0, [ (1, 0); (1, 1) ]); (1, []) ]))
+        Network.run ~result:keep_state ~words:words1 triple
+          (send_once [ (0, [ (1, 0); (1, 1) ]); (1, []) ]))
   in
   check_bool "kind" true (v.Network.kind = Network.Duplicate_send);
   check_opt "sender" (Some 0) v.Network.sender;
@@ -236,11 +239,11 @@ let test_engine_strict_edge_overload () =
     }
   in
   (* lenient run with 3-word payloads is fine under the default budget *)
-  let _, audit = Network.run ~words:(fun _ -> 3) g prog in
+  let _, audit = Network.run ~result:keep_state ~words:(fun _ -> 3) g prog in
   check_int "lenient max_edge_words" 3 audit.Network.max_edge_words;
   let v =
     expect_violation "edge overload" (fun () ->
-        Network.run
+        Network.run ~result:keep_state
           ~cfg:(Config.strict ~budget:2 Config.default)
           ~words:(fun _ -> 3) g prog)
   in
@@ -420,7 +423,7 @@ let test_max_edge_load_pipelined () =
 
 let test_max_edge_load_single_shot () =
   let g = Generators.ring 5 in
-  let _, audit = Network.run ~words:words1 g (hello_program g) in
+  let _, audit = Network.run ~result:keep_state ~words:words1 g (hello_program g) in
   check_int "hello uses each channel once" 1 audit.Network.max_edge_load
 
 (* A flood that counts arrivals: the root announces itself in round 0,
@@ -511,11 +514,11 @@ let test_driver_matches_reference () =
     check_bool (name ^ ": states equal") true (states_a = states_b)
   in
   let unbounded name ~words g prog =
-    same name (Network.run ~words g prog) (Reference.run ~words g prog)
+    same name (Network.run ~result:keep_state ~words g prog) (Reference.run ~words g prog)
   in
   let bounded name ~words ~rounds g prog =
     same name
-      (Network.run_bounded ~words ~rounds g prog)
+      (Network.run_bounded ~result:keep_state ~words ~rounds g prog)
       (reference_bounded ~words ~rounds g prog)
   in
   (* the forest programs on one forest: convergecast, a three-item
@@ -531,7 +534,7 @@ let test_driver_matches_reference () =
     unbounded (name ^ " broadcast") ~words:words1 g
       (Primitives.broadcast_program f ~k:3 ~item:(fun r i -> (3 * r) + i));
     bounded (name ^ " upcast") ~words:words1 ~rounds:(height + k + 2) g
-      (Primitives.upcast_program f ~initial)
+      (Primitives.upcast_program f ~initial:(Array.get initial))
   in
   List.iter
     (fun (name, g) ->
@@ -718,7 +721,8 @@ let test_flood_max_sleeps () =
   let probe ~node:_ ~round:_ ~inbox:_ _ _ = incr steps in
   let rounds = (2 * (n - 1)) + 2 in
   let _, audit =
-    Network.run_bounded ~probe ~words:words1 ~rounds g (Primitives.flood_max_program g ~values)
+    Network.run_bounded ~result:keep_state ~probe ~words:words1 ~rounds g
+      (Primitives.flood_max_program g ~values)
   in
   let messages = audit.Network.total_messages in
   check_bool
@@ -746,13 +750,114 @@ let test_exchange_sanitized_matches_oracle () =
     (fun (name, g) ->
       let values = Array.init (Graph.n g) (fun v -> (v * 5 mod 13) + 1) in
       let heard, audit = Primitives.exchange ~cfg ~words:words1 g values in
-      let states, audit' = Network.run ~cfg ~words:words1 g (ref_exchange_program g ~values) in
+      let states, audit' =
+        Network.run ~result:keep_state ~cfg ~words:words1 g (ref_exchange_program g ~values)
+      in
       check_bool (name ^ " inboxes") true (heard = Array.map (Option.value ~default:[]) states);
       check_bool (name ^ " audit") true (audit = audit'))
     [
       ("gnp24", Generators.gnp_connected ~rng:(Mincut_util.Rng.create 12) 24 0.3);
       ("torus4x2", doubled (Generators.torus 4 4));
     ]
+
+(* Every [Primitives] wrapper reduces the engine's final states as it
+   hands them back.  On a graph over the 256-word line and one under
+   it, the values must be what the raw program's states give (mapped
+   here as the wrappers used to map them, or recomputed sequentially
+   where the state type is abstract) and the audit the reference
+   driver's. *)
+let test_wrappers_return_reduced_states () =
+  let module Reference = Mincut_congest.Network_reference in
+  let module Tree = Mincut_graph.Tree in
+  let module ISet = Mincut_util.Intset in
+  let same_audit name a b =
+    check_bool (name ^ ": audit") true (Mincut_analysis.Replay.diff_audits a b = [])
+  in
+  let rec root_of (f : Primitives.forest) v =
+    if f.Primitives.parent.(v) = -1 then v else root_of f f.Primitives.parent.(v)
+  in
+  let rec depth_in (f : Primitives.forest) v =
+    if f.Primitives.parent.(v) = -1 then 0 else 1 + depth_in f f.Primitives.parent.(v)
+  in
+  let forest_checks name g (f : Primitives.forest) =
+    let n = Graph.n g in
+    let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+    (* convergecast: every node's subtree sum *)
+    let sums = Array.make n 0 in
+    for v = 0 to n - 1 do
+      let u = ref v in
+      while !u <> -1 do
+        sums.(!u) <- sums.(!u) + values.(v);
+        u := f.Primitives.parent.(!u)
+      done
+    done;
+    let got, audit =
+      Primitives.convergecast ~words:(fun _ -> 2) ~combine:( + ) g f values
+    in
+    check_bool (name ^ " convergecast: values") true (got = sums);
+    same_audit (name ^ " convergecast") audit
+      (snd
+         (Reference.run ~words:(fun _ -> 2) g
+            (Primitives.convergecast_program f ~combine:( + ) ~values)));
+    (* broadcast: each node its root's items *)
+    let item r i = (3 * r) + i in
+    let got, audit = Primitives.broadcast ~words:words1 ~k:3 ~item g f in
+    check_bool (name ^ " broadcast: values") true
+      (got = Array.init n (fun v -> List.init 3 (item (root_of f v))));
+    same_audit (name ^ " broadcast") audit
+      (snd (Reference.run ~words:words1 g (Primitives.broadcast_program f ~k:3 ~item)));
+    (* upcast: every root the ids held in its tree, the empty set
+       elsewhere *)
+    let initial v = if v mod 4 = 0 then [ v mod 5; v ] else [] in
+    let height = Array.fold_left max 0 (Array.init n (depth_in f)) in
+    let k = List.length (List.sort_uniq Int.compare (List.concat (List.init n initial))) in
+    let rounds = height + k + 2 in
+    let got, audit = Primitives.upcast ~rounds g f ~initial in
+    let expected =
+      Array.init n (fun r ->
+          if f.Primitives.parent.(r) <> -1 then ISet.empty
+          else
+            ISet.of_list
+              (List.concat (List.filter_map
+                 (fun v -> if root_of f v = r then Some (initial v) else None)
+                 (List.init n Fun.id))))
+    in
+    check_bool (name ^ " upcast: values") true (Array.for_all2 ISet.equal got expected);
+    same_audit (name ^ " upcast") audit
+      (snd (reference_bounded ~words:words1 ~rounds g (Primitives.upcast_program f ~initial)))
+  in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      let tree = Tree.bfs_tree g ~root:0 in
+      let height = Tree.height tree in
+      let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+      forest_checks (name ^ " tree") g (Primitives.forest_of_tree tree);
+      let fr = Mincut_mst.Fragments.partition tree ~target:(Mincut_core.Params.sqrt_target ~n) in
+      forest_checks (name ^ " fragments") g (Mincut_core.One_respect.frag_links tree fr);
+      (* exchange and bfs: public state types, mapped as before *)
+      let got, audit = Primitives.exchange ~words:words1 g values in
+      let states, ref_audit =
+        Reference.run ~words:words1 g (Primitives.exchange_program g ~values)
+      in
+      check_bool (name ^ " exchange: values") true
+        (got = Array.map (Option.value ~default:[]) states);
+      same_audit (name ^ " exchange") audit ref_audit;
+      let bfs, cost = Primitives.bfs_tree g ~root:0 in
+      let states, ref_audit = Reference.run ~words:words1 g (Primitives.bfs_program g ~root:0) in
+      check_bool (name ^ " bfs: parents") true
+        (bfs.Tree.parent
+        = Array.map (fun (st : Primitives.bfs_state) -> st.Primitives.parent) states);
+      same_audit (name ^ " bfs") (audit_of cost) ref_audit;
+      (* flood max: everyone the maximum *)
+      let got, cost = Primitives.flood_max ~tree g ~values in
+      let top = Array.fold_left max 0 values in
+      check_bool (name ^ " flood-max: values") true (Array.for_all (( = ) top) got);
+      same_audit (name ^ " flood-max") (audit_of cost)
+        (snd
+           (reference_bounded ~words:words1 ~rounds:((2 * height) + 2) g
+              (Primitives.flood_max_program g ~values))))
+    [ ("torus4", Generators.torus 4 4); ("torus18", Generators.torus 18 18) ]
 
 let suite =
   [
@@ -794,4 +899,5 @@ let suite =
     tc "audit: primitives fit word budget" test_audit_word_budget_respected;
     tc "primitives: sanitized exchange = always-sort oracle"
       test_exchange_sanitized_matches_oracle;
+    tc "primitives: wrappers return the reduced states" test_wrappers_return_reduced_states;
   ]

@@ -86,6 +86,13 @@ let test_budget_hint_prunes () =
   check_bool "packing budget pruned" true
     (hinted.Exact.trees_used < full.Exact.trees_used)
 
+(* one edge of weight 10^17: the ladder used to draw about w·p coins
+   per edge per trial, and to skip forever once p fell below 2^-53 *)
+let test_heavy_edge_answers () =
+  let w = 100_000_000_000_000_000 in
+  let est = Api.estimate (Graph.of_array ~n:2 [| (0, 1, w) |]) in
+  check_bool "heavy bracket holds" true (est.E.lower <= w && w <= est.E.upper)
+
 let prop_bracket =
   qtest ~count:40 "estimator brackets the exact min cut"
     QCheck2.Gen.(pair (arbitrary_connected ~max_n:16 ()) (int_range 0 1_000))
@@ -114,4 +121,5 @@ let suite =
     tc "estimate: budget hint prunes without changing answers" test_budget_hint_prunes;
     prop_bracket;
     prop_hint_preserves_answer;
+    tc "estimate: a heavy edge answers" test_heavy_edge_answers;
   ]

@@ -85,6 +85,9 @@ let arbitrary_connected ?(max_n = 14) () =
            if n < 4 then Generators.path n
            else Generators.planted_cut ~rng ~n ~cut_edges:(1 + Rng.int rng 3) ~p_in:0.7 ()))
 
+(* [Network.run]'s [~result] that keeps each node's final state *)
+let keep_state _ st = st
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
@@ -325,3 +328,39 @@ let ref_exchange_program g ~values : ((int * 'a) list option, 'a) Mincut_congest
         else (Some (List.sort (fun (s, _) (s', _) -> Int.compare s s') inbox), []));
     halted = Option.is_some;
   }
+
+(* F(v) and Step 2a's child-fragment items as [One_respect] built them
+   before they became flat arrays: per-node lists, consed in ascending
+   fragment order *)
+let ref_f_sets (tree : Tree.t) (fr : Mincut_mst.Fragments.t) =
+  let parent = tree.Tree.parent in
+  let f_sets = Array.make (Tree.n_nodes tree) [] in
+  Array.iteri
+    (fun j r ->
+      let v = ref parent.(r) in
+      while !v <> -1 do
+        f_sets.(!v) <- j :: f_sets.(!v);
+        v := parent.(!v)
+      done)
+    fr.Mincut_mst.Fragments.roots;
+  f_sets
+
+let ref_child_fragment_items (tree : Tree.t) (fr : Mincut_mst.Fragments.t) =
+  let items = Array.make (Tree.n_nodes tree) [] in
+  Array.iteri
+    (fun j r ->
+      let attach = tree.Tree.parent.(r) in
+      if attach <> -1 then items.(attach) <- j :: items.(attach))
+    fr.Mincut_mst.Fragments.roots;
+  items
+
+(* a flat per-node list against the list oracle, order included *)
+let csr_matches (c : Mincut_core.One_respect.csr) lists =
+  let open Mincut_core.One_respect in
+  let n = Array.length lists in
+  c.off.(0) = 0
+  && List.for_all
+       (fun v ->
+         let lo = c.off.(v) and hi = c.off.(v + 1) in
+         hi >= lo && List.init (hi - lo) (fun i -> c.ids.(lo + i)) = lists.(v))
+       (List.init n Fun.id)

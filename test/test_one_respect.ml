@@ -562,7 +562,7 @@ let smallest_first_downcast ~cfg g (links : Mincut_congest.Primitives.forest) fr
     }
   in
   let bound = (2 * Fragments.max_height fr) + 3 in
-  snd (Network.run_bounded ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog)
+  snd (Network.run_bounded ~result:keep_state ~cfg ~words:(fun _ -> 1) ~rounds:(max 1 bound) g prog)
 
 let test_downcast_matches_smallest_first () =
   let cfg = Params.default.Params.congest in
@@ -724,6 +724,40 @@ let qcheck_tests =
         r.One_respect_seq.best_value >= lambda);
   ]
 
+(* A tree's run takes its per-node temporaries from the domain's
+   scratch stack.  Run inside a frame that already holds arrays, on a
+   torus over the 256-word line, it must leave them alone and answer as
+   a run outside any frame does, in both modes; and the same call
+   repeated must answer the same. *)
+let test_run_inside_held_scratch () =
+  let module Scratch = Mincut_util.Scratch in
+  let g = Generators.torus 18 18 in
+  let n = Graph.n g in
+  let tree =
+    Tree.of_edge_ids g ~root:0
+      (Mincut_treepack.Tree_packing.greedy g ~trees:1).Mincut_treepack.Tree_packing.trees.(0)
+  in
+  List.iter
+    (fun (mode, params) ->
+      let plain : One_respect.result = One_respect.run ~params g tree in
+      let again = One_respect.run ~params g tree in
+      Scratch.frame (fun sc ->
+          let held = Scratch.filled sc (2 * n) 7 in
+          let nested = One_respect.run ~params g tree in
+          let ids = List.filter (fun e -> e >= 0) (Array.to_list tree.Tree.parent_edge) in
+          check_bool (mode ^ ": tree rebuilt in the frame") true
+            ((Tree.of_edge_ids g ~root:0 ids).Tree.parent = tree.Tree.parent);
+          check_bool (mode ^ ": held array untouched") true
+            (Array.for_all (( = ) 7) (Array.sub held 0 (2 * n)));
+          List.iter
+            (fun (label, (r : One_respect.result)) ->
+              let name = mode ^ ": " ^ label in
+              check_bool (name ^ " cuts") true (r.cuts = plain.cuts);
+              check_int (name ^ " best") plain.best_node r.best_node;
+              check_bool (name ^ " cost") true (Cost.equal r.cost plain.cost))
+            [ ("repeated", again); ("nested", nested) ]))
+    [ ("full", Params.default); ("fast", Params.fast) ]
+
 let suite =
   [
     tc "seq: matches naive cut evaluation" test_seq_matches_naive;
@@ -755,4 +789,5 @@ let suite =
       tc "dist: Exact.run = every-tree loop on clique paths and a torus"
         test_exact_every_tree;
       prop_exact_every_tree;
+      tc "dist: run inside a held scratch frame = plain run" test_run_inside_held_scratch;
     ]

@@ -113,7 +113,8 @@ let test_bfs_tree_depth_matches_dist () =
 
 let test_lca_fixed () =
   let t = fixed_tree () in
-  let lca = Tree.Lca.build t in
+  Mincut_util.Scratch.frame @@ fun sc ->
+  let lca = Tree.Lca.build sc t in
   check_int "lca(3,6)" 1 (Tree.Lca.query lca 3 6);
   check_int "lca(3,5)" 0 (Tree.Lca.query lca 3 5);
   check_int "lca(4,6)" 4 (Tree.Lca.query lca 4 6);
@@ -151,7 +152,8 @@ let test_lca_matches_naive_random () =
   List.iter
     (fun t ->
       let n = Tree.n_nodes t in
-      let lca = Tree.Lca.build t in
+      Mincut_util.Scratch.frame @@ fun sc ->
+      let lca = Tree.Lca.build sc t in
       for _ = 1 to 100 do
         let a = Mincut_util.Rng.int rng n and b = Mincut_util.Rng.int rng n in
         check_int "lca vs naive" (naive_lca t a b) (Tree.Lca.query lca a b)
@@ -213,7 +215,8 @@ let qcheck_tests =
     qtest "lca of edge endpoints is an ancestor of both" (arbitrary_connected ())
       (fun g ->
         let t = Tree.bfs_tree g ~root:0 in
-        let lca = Tree.Lca.build t in
+        Mincut_util.Scratch.frame @@ fun sc ->
+        let lca = Tree.Lca.build sc t in
         Array.for_all
           (fun e ->
             let l = Tree.Lca.query lca e.Graph.u e.Graph.v in
@@ -288,8 +291,9 @@ let spanning_gen =
 
 (* The flat-array builders against the list-based oracles in
    [Test_helpers], field for field: the tree from edge ids and from its
-   parent map, the fragment partition at targets 1, 3 and ⌈√n⌉, and the
-   forests of the whole tree and of its fragments. *)
+   parent map, the fragment partition at targets 1, 3 and ⌈√n⌉, the
+   forests of the whole tree and of its fragments, and One_respect's
+   flat F(v) sets and Step 2a child-fragment items. *)
 let flat_builders_match case =
   let g, root, ids = spanning_case case in
   let n = Graph.n g in
@@ -306,7 +310,12 @@ let flat_builders_match case =
          let fr = Mincut_mst.Fragments.partition t ~target in
          let links = Mincut_core.One_respect.frag_links t fr in
          partition_matches fr (ref_partition t ~target)
-         && links = ref_forest_of_parents links.Mincut_congest.Primitives.parent)
+         && links = ref_forest_of_parents links.Mincut_congest.Primitives.parent
+         && Mincut_util.Scratch.frame (fun sc ->
+                csr_matches (Mincut_core.One_respect.f_sets sc t fr) (ref_f_sets t fr)
+                && csr_matches
+                     (Mincut_core.One_respect.child_fragment_items sc t fr)
+                     (ref_child_fragment_items t fr)))
        [ 1; 3; Mincut_core.Params.sqrt_target ~n ]
 
 let test_flat_builders_raise_oracle_messages () =

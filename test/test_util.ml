@@ -73,6 +73,104 @@ let test_rng_binomial_extremes () =
   check_int "p=1" 10 (Rng.binomial rng 10 1.0);
   check_int "n=0" 0 (Rng.binomial rng 0 0.5)
 
+(* [binomial] as it was written before its loop learned to stop
+   without overflowing: the draw-for-draw oracle for it and for
+   [any_success] *)
+let ref_binomial t n p =
+  if Float.equal p 0.0 || n = 0 then 0
+  else if Float.equal p 1.0 then n
+  else
+    let rec count q acc pos =
+      let pos = pos + 1 + Rng.geometric t q in
+      if pos > n then acc else count q (acc + 1) pos
+    in
+    if p > 0.5 then n - count (1.0 -. p) 0 0 else count p 0 0
+
+let rng_cases =
+  List.concat_map
+    (fun n -> List.map (fun p -> (n, p)) [ 0.0; 1e-6; 0.01; 0.125; 0.3; 0.5; 0.51; 0.9; 1.0 ])
+    [ 0; 1; 2; 7; 100; 512; 2000 ]
+
+let test_rng_binomial_matches_oracle () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (n, p) ->
+          let a = Rng.create seed and b = Rng.create seed in
+          let name = Printf.sprintf "seed %d n=%d p=%g" seed n p in
+          check_int (name ^ ": same count") (ref_binomial b n p) (Rng.binomial a n p);
+          check_bool (name ^ ": same state after") true (Rng.bits64 a = Rng.bits64 b))
+        rng_cases)
+    [ 1; 2; 3 ]
+
+(* up to n·p = 256, any_success is binomial > 0 draw for draw; above
+   it, one draw, and the answer is all but certainly yes *)
+let test_rng_any_success () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (n, p) ->
+          if float_of_int n *. p <= 256.0 then begin
+            let a = Rng.create seed and b = Rng.create seed in
+            let name = Printf.sprintf "seed %d n=%d p=%g" seed n p in
+            check_bool (name ^ ": same answer") (ref_binomial b n p > 0) (Rng.any_success a n p);
+            check_bool (name ^ ": same state after") true (Rng.bits64 a = Rng.bits64 b)
+          end)
+        rng_cases)
+    [ 1; 2; 3 ];
+  List.iter
+    (fun (n, p) ->
+      let a = Rng.create 5 and b = Rng.create 5 in
+      check_bool (Printf.sprintf "n=%d p=%g succeeds" n p) true (Rng.any_success a n p);
+      ignore (Rng.float b 1.0);
+      check_bool (Printf.sprintf "n=%d p=%g: one draw" n p) true (Rng.bits64 a = Rng.bits64 b))
+    [ (2000, 0.3); (100_000_000_000_000_000, 0.5); (max_int, 1e-3) ]
+
+(* below p = 2^-53, 1 - p rounds to 1: the skip is still finite, and a
+   count over n = max_int stops *)
+let test_rng_tiny_p_and_huge_n () =
+  let rng = Rng.create 29 in
+  for _ = 1 to 100 do
+    check_bool "tiny p skip is non-negative" true (Rng.geometric rng (Float.ldexp 1.0 (-60)) >= 0)
+  done;
+  check_bool "count at n = max_int, p = 2^-60 is small" true
+    (Rng.binomial rng max_int (Float.ldexp 1.0 (-60)) < 64);
+  (* w = 10^17 at p = 2^-57 is n·p < 1: the draw-for-draw path, which
+     used to loop forever on a zero log(1 - p) *)
+  ignore (Rng.any_success rng 100_000_000_000_000_000 (Float.ldexp 1.0 (-57)))
+
+module Scratch = Mincut_util.Scratch
+
+(* frames nest without sharing arrays, release on return and on raise,
+   and reuse the same arrays frame after frame *)
+let test_scratch_nesting () =
+  let first = Scratch.frame (fun sc -> Scratch.filled sc 300 1) in
+  Scratch.frame (fun sc ->
+      let a = Scratch.filled sc 300 1 in
+      check_bool "a later frame reuses the array" true (a == first);
+      let inner =
+        Scratch.frame (fun sc' ->
+            let b = Scratch.filled sc' 300 2 in
+            let c = Scratch.filled sc' 10 3 in
+            check_bool "nested arrays are distinct" true (b != a && c != a && b != c);
+            check_bool "outer array untouched" true (Array.for_all (( = ) 1) (Array.sub a 0 300));
+            b)
+      in
+      check_bool "outer array untouched after nesting" true
+        (Array.for_all (( = ) 1) (Array.sub a 0 300));
+      check_bool "the next array reuses the nested one" true (Scratch.ints sc 300 == inner);
+      (match Scratch.frame (fun sc' -> ignore (Scratch.ints sc' 5); failwith "boom") with
+      | () -> ()
+      | exception Failure _ -> ());
+      check_bool "a raise releases its frame" true
+        (Scratch.frame (fun sc' -> Scratch.ints sc' 300) != a);
+      Scratch.frame (fun _ ->
+          match Scratch.ints sc 1 with
+          | _ -> Alcotest.fail "an outer frame used inside an inner one"
+          | exception Invalid_argument _ -> ()));
+  check_bool "a grown request gets a longer array" true
+    (Scratch.frame (fun sc -> Array.length (Scratch.ints sc 5000)) >= 5000)
+
 let test_rng_geometric () =
   let rng = Rng.create 23 in
   check_int "p=1 never skips" 0 (Rng.geometric rng 1.0);
@@ -282,3 +380,9 @@ let suite =
     tc "table: number formats" test_table_formats;
   ]
   @ qcheck_tests
+  @ [
+      tc "rng: binomial draws as before" test_rng_binomial_matches_oracle;
+      tc "rng: any_success draws as binomial > 0" test_rng_any_success;
+      tc "rng: tiny p and n = max_int terminate" test_rng_tiny_p_and_huge_n;
+      tc "scratch: nested and repeated frames" test_scratch_nesting;
+    ]
