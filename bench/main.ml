@@ -4,6 +4,7 @@
      dune exec bench/main.exe            # every experiment + microbenches
      dune exec bench/main.exe -- t2 f3   # a selection
      dune exec bench/main.exe -- tables  # tables only (no bechamel)
+     dune exec bench/main.exe -- bechamel engine: t2  # microbench rows by name prefix
 
    Each experiment id (t1..t5, f1..f5) matches DESIGN.md §4 and
    EXPERIMENTS.md. *)
@@ -61,5 +62,5 @@ let () =
       List.iter (fun (id, _) -> run_one id) experiments;
       Microbench.run ()
   | [ "tables" ] -> List.iter (fun (id, _) -> run_one id) experiments
-  | [ "bechamel" ] -> Microbench.run ()
+  | "bechamel" :: only -> Microbench.run ~only ()
   | ids -> List.iter run_one ids

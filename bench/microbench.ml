@@ -16,17 +16,30 @@ module Ghaffari_kuhn = Mincut_core.Ghaffari_kuhn
 module Su = Mincut_core.Su
 module Params = Mincut_core.Params
 module Rng = Mincut_util.Rng
+module Primitives = Mincut_congest.Primitives
 
 let fast = Params.fast
 
-let tests () =
+let tests ~keep () =
   let g256 = Workloads.gnp_supercritical ~seed:1 256 in
   let g_deep = Workloads.cliques_path ~length:16 in
   let g_planted = Workloads.planted ~seed:1 ~n:128 ~lambda:4 in
   let g_dense = Mincut_graph.Generators.gnp_connected ~rng:(Rng.create 1) 144 0.3 in
   let g_torus18 = Mincut_graph.Generators.torus 18 18 in
   let tree256 = Tree.bfs_tree g256 ~root:0 in
-  Test.make_grouped ~name:"mincut"
+  (* the first packed tree of the 18x18 torus and its fragment forest,
+     shared by the engine rows *)
+  let tree18 =
+    Tree.of_edge_ids g_torus18 ~root:0
+      (Tree_packing.greedy g_torus18 ~trees:1).Tree_packing.trees.(0)
+  in
+  let fr18 =
+    Mincut_mst.Fragments.partition tree18
+      ~target:(Params.sqrt_target ~n:(Mincut_graph.Graph.n g_torus18))
+  in
+  let links18 = One_respect.frag_links tree18 fr18 in
+  let cfg = Params.default.Params.congest in
+  List.filter keep
     [
       Test.make ~name:"t1-ground-truth:stoer-wagner-128"
         (Staged.stage (fun () -> ignore (Stoer_wagner.run g_planted)));
@@ -86,18 +99,39 @@ let tests () =
             let cfg = Params.default.Params.congest in
             fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_dense tree links fr)));
       Test.make ~name:"engine:frag-downcast-torus18"
+        (Staged.stage (fun () ->
+             ignore (One_respect.frag_ancestor_downcast ~cfg g_torus18 tree18 links18 fr18)));
+      (* Steps 3 and 2a on the same forest: most nodes wait idle on
+         their children or hold no id to pass up *)
+      Test.make ~name:"engine:convergecast-torus18"
         (Staged.stage
-           (let tree =
-              Tree.of_edge_ids g_torus18 ~root:0
-                (Tree_packing.greedy g_torus18 ~trees:1).Tree_packing.trees.(0)
+           (let values = Array.init (Mincut_graph.Graph.n g_torus18) (fun v -> v mod 7) in
+            fun () ->
+              ignore
+                (Primitives.convergecast ~cfg ~words:(fun _ -> 2) ~combine:( + ) g_torus18
+                   links18 values)));
+      Test.make ~name:"engine:upcast-torus18"
+        (Staged.stage
+           (let n = Mincut_graph.Graph.n g_torus18 in
+            let initial =
+              Mincut_util.Scratch.frame (fun sc ->
+                  let items = One_respect.child_fragment_items sc tree18 fr18 in
+                  let off = items.One_respect.off in
+                  Array.init n (fun v ->
+                      Array.to_list (Array.sub items.One_respect.ids off.(v) (off.(v + 1) - off.(v)))))
             in
-            let fr =
-              Mincut_mst.Fragments.partition tree
-                ~target:(Params.sqrt_target ~n:(Mincut_graph.Graph.n g_torus18))
+            (* as Step 2a bounds it: the tallest fragment plus the most
+               ids one fragment carries *)
+            let rounds =
+              Mincut_mst.Fragments.max_height fr18
+              + Array.fold_left
+                  (fun acc ms ->
+                    max acc (List.fold_left (fun a v -> a + List.length initial.(v)) 0 ms))
+                  0 fr18.Mincut_mst.Fragments.members
+              + 2
             in
-            let links = One_respect.frag_links tree fr in
-            let cfg = Params.default.Params.congest in
-            fun () -> ignore (One_respect.frag_ancestor_downcast ~cfg g_torus18 tree links fr)));
+            fun () ->
+              ignore (Primitives.upcast ~cfg ~rounds g_torus18 links18 ~initial:(Array.get initial))));
       Test.make ~name:"engine:bfs-flood-gnp144"
         (Staged.stage (fun () -> ignore (Mincut_congest.Primitives.bfs_tree g_dense ~root:0)));
       (* one round to every neighbour, as Borůvka's Step A runs it each
@@ -173,10 +207,15 @@ let tests () =
             fun () -> ignore (Mincut_core.Certificate.certify_summary g s)));
     ]
 
-let run () =
+(* [only] keeps the rows whose name starts with one of its prefixes
+   (every row when empty) *)
+let run ?(only = []) () =
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances (tests ()) in
+  let keep t =
+    only = [] || List.exists (fun prefix -> String.starts_with ~prefix (Test.name t)) only
+  in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"mincut" (tests ~keep ())) in
   let results =
     List.map (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true
         ~predictors:[| Measure.run |]) instance raw)

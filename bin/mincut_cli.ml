@@ -22,12 +22,15 @@ module Params = Mincut_core.Params
 
 (* ---- graph construction -------------------------------------------- *)
 
+(* a refused input, as the line the commands print for it *)
+let error_line msg = "mincut: error: " ^ msg
+
 let make_graph ~family ~size ~seed ~weight_max =
   let rng = Rng.create seed in
   let weights =
     if weight_max <= 1 then None else Some { Generators.wmin = 1; wmax = weight_max }
   in
-  Generators.by_name ~rng ?weights ~name:family ~size ()
+  Generators.by_name ~rng ?weights ~name:family ~size () |> Result.map_error error_line
 
 let families = Generators.family_names
 
@@ -57,9 +60,10 @@ let file_arg =
 
 let load_graph file family size seed weight_max =
   match (file, family) with
-  | Some path, _ -> ( try Ok (Dimacs.load path) with e -> Error (Printexc.to_string e))
+  | Some path, _ -> (
+      try Ok (Dimacs.load path) with e -> Error (error_line (Printexc.to_string e)))
   | None, Some fam -> make_graph ~family:fam ~size ~seed ~weight_max
-  | None, None -> Error "provide a graph FILE or --family"
+  | None, None -> Error (error_line "provide a graph FILE or --family")
 
 (* ---- generate -------------------------------------------------------- *)
 
@@ -204,7 +208,7 @@ let solve_cmd =
                 ?trees g
             with
             | exception Invalid_argument msg ->
-                prerr_endline ("mincut: error: " ^ msg);
+                prerr_endline (error_line msg);
                 1
             | s ->
                 Printf.printf "algorithm: %s\n" (Api.algorithm_name algorithm);
@@ -264,7 +268,7 @@ let solve_cmd =
                   match Mincut_core.Certificate.certify_summary g s with
                   | exception Invalid_argument msg ->
                       flush stdout;
-                      prerr_endline ("mincut: error: " ^ msg);
+                      prerr_endline (error_line msg);
                       1
                   | r ->
                       Printf.printf "certified: %b (recomputed %d, %d extra rounds)\n"

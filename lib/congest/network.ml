@@ -166,6 +166,10 @@ let idle_check ~node ~round st0 state' outs =
      entry before using it, so any value (another call's, another
      graph's) is safe and they are never reset.
    - [halted] and [asleep] are per-node flags, set on entry: O(n).
+   - [active] / [active_next] are the nodes to visit this round and
+     next, 32 nodes to a word, cleared on entry: O(n/32).  The scan
+     clears each word of [active] as it reads it, so after a round it
+     is empty and becomes the next round's [active_next] by a swap.
    - [counts] is a growable per-round message-count buffer replacing
      the old cons-per-round list.
 
@@ -177,6 +181,8 @@ type scratch = {
   mutable slot_load : int array;   (* per slot: messages this call *)
   mutable halted : bool array;     (* per node: monotone halt flags *)
   mutable asleep : bool array;     (* per node: idle until mail arrives *)
+  mutable active : int array;      (* per 32 nodes: visit this round *)
+  mutable active_next : int array; (* per 32 nodes: visit next round *)
   mutable from_slot : int array;   (* per node: slot of its last send *)
   mutable to_slot : int array;     (* per node: slot last used to reach it *)
   mutable counts : int array;      (* per round: messages sent *)
@@ -190,6 +196,8 @@ let fresh_scratch () =
     slot_load = [||];
     halted = [||];
     asleep = [||];
+    active = [||];
+    active_next = [||];
     from_slot = [||];
     to_slot = [||];
     counts = [||];
@@ -200,6 +208,9 @@ let fresh_scratch () =
 let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key fresh_scratch
 
 let grown_int a len = Array.make (max len (2 * Array.length a)) 0
+
+(* put node [v] in the bitset [bits], 32 nodes to a word *)
+let mark bits v = bits.(v lsr 5) <- bits.(v lsr 5) lor (1 lsl (v land 31))
 
 (* Channel lookup in a sender's CSR row [nbr.(lo) .. nbr.(hi - 1)],
    sorted by (neighbor, edge id): the first slot whose neighbor is at
@@ -219,8 +230,17 @@ let rec bisect nbr dst lo hi =
    the domain-local [scratch] — so a round allocates nothing beyond the
    message payloads themselves, and a whole run allocates little
    beyond states and mailboxes.  Apart from O(n) flags on entry, a
-   call's work follows its steps and its messages.
+   call's work follows its steps and its messages: a round costs
+   O(visited nodes + n/32).
 
+   - Active set: a round visits only the nodes marked in [active].  A
+     node is marked for round r + 1 when a message is delivered to it
+     in round r, or when it steps in round r and neither halts nor
+     falls asleep; round 0 marks every node that has not halted.  Any
+     other node would have nothing to do: it is halted, or asleep with
+     an empty inbox.  Sanitize mode marks every node that has not
+     halted, so sleeping nodes are still stepped and checked.  The scan
+     tests the 32 bits of a non-zero word one by one, from the top.
    - Mailboxes are double-buffered list arrays.  Senders are stepped in
      descending node order, so consing onto the destination's next-round
      buffer yields an inbox already in ascending sender order — the
@@ -228,8 +248,9 @@ let rec bisect nbr dst lo hi =
      round are independent, so the processing order is unobservable
      except through delivery order, which this preserves.)  Each inbox
      is emptied as it is read, halted nodes' included (their mail is
-     dropped), so the drained array becomes the next round's outbox by
-     a reference swap instead of an n-cell copy.
+     dropped, and the delivery marked them), so the drained array
+     becomes the next round's outbox by a reference swap instead of an
+     n-cell copy.
    - An idle node costs O(1) and allocates nothing: a step that returns
      its state physically unchanged ([state' == st0]) skips the state
      store and the [prog.halted] call.  [halted] is a pure function of
@@ -254,8 +275,9 @@ let rec bisect nbr dst lo hi =
      row, since tree programs address a few of a node's neighbors, not
      all of them.  The memo check is written inline: as a local closure
      it allocated once per message.
-   - Message validation and delivery run in [deliver], one closure per
-     call rather than one per stepped node per round. *)
+   - Message validation and delivery run in [deliver], and a node's
+     visit in [visit]: one closure each per call rather than one per
+     stepped node per round, so the round loop allocates nothing. *)
 let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   let n = Graph.n g in
   let off = Graph.csr_offsets g in
@@ -275,6 +297,12 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
     sc.from_slot <- Array.make len 0;
     sc.to_slot <- Array.make len 0
   end;
+  let bit_words = (n + 31) lsr 5 in
+  if Array.length sc.active < bit_words then begin
+    let len = max bit_words (2 * Array.length sc.active) in
+    sc.active <- Array.make len 0;
+    sc.active_next <- Array.make len 0
+  end;
   if Array.length sc.counts = 0 then sc.counts <- Array.make 64 0;
   let epoch = sc.epoch in
   let sent_round = sc.sent_round in
@@ -283,6 +311,9 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   let asleep = sc.asleep in
   let from_slot = sc.from_slot in
   let to_slot = sc.to_slot in
+  let active = ref sc.active and active_next = ref sc.active_next in
+  Array.fill !active 0 bit_words 0;
+  Array.fill !active_next 0 bit_words 0;
   let states = Array.init n prog.initial in
   let cur : (int * _) list array ref = ref (Array.make n []) in
   let next : (int * _) list array ref = ref (Array.make n []) in
@@ -294,7 +325,10 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
     let h = prog.halted states.(v) in
     halted.(v) <- h;
     asleep.(v) <- false;
-    if not h then incr live
+    if not h then begin
+      incr live;
+      mark !active v
+    end
   done;
   let pending = ref false in
   let total_messages = ref 0 in
@@ -313,7 +347,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
     end;
     sc.counts.(r) <- c
   in
-  let rec deliver outbox v r outs =
+  let rec deliver outbox marks v r outs =
     match outs with
     | [] -> ()
     | (dst, payload) :: rest ->
@@ -360,8 +394,46 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
         if w > !max_edge_words then max_edge_words := w;
         last_traffic_round := r;
         outbox.(dst) <- (v, payload) :: outbox.(dst);
+        mark marks dst;
         pending := true;
-        deliver outbox v r rest
+        deliver outbox marks v r rest
+  in
+  let visit inboxes outbox marks r v =
+    let inbox = inboxes.(v) in
+    (match inbox with [] -> () | _ -> inboxes.(v) <- []);
+    if not halted.(v) then begin
+      (match inbox with
+      | [] when asleep.(v) ->
+          if cfg.Config.sanitize then begin
+            let st0 = states.(v) in
+            let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
+            (match probe with
+            | None -> ()
+            | Some f -> f ~node:v ~round:r ~inbox state' outs);
+            idle_check ~node:v ~round:r st0 state' outs
+          end
+      | _ ->
+          let st0 = states.(v) in
+          let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
+          if cfg.Config.sanitize then begin
+            match inbox with
+            | [] | [ _ ] -> ()
+            | _ -> shadow_check ~prog ~node:v ~round:r ~inbox st0 state' outs
+          end;
+          (match probe with
+          | None -> ()
+          | Some f -> f ~node:v ~round:r ~inbox state' outs);
+          if state' != st0 then begin
+            states.(v) <- state';
+            if prog.halted state' then begin
+              halted.(v) <- true;
+              decr live
+            end
+          end;
+          asleep.(v) <- r > 0 && state' == st0 && inbox == [] && outs == [];
+          deliver outbox marks v r outs);
+      if (not halted.(v)) && (cfg.Config.sanitize || not asleep.(v)) then mark marks v
+    end
   in
   Fun.protect
     ~finally:(fun () ->
@@ -375,48 +447,25 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
       violate Watchdog ~round:!round ~budget:cfg.Config.max_rounds;
     let r = !round in
     let inboxes = !cur and outbox = !next in
+    let bits = !active and marks = !active_next in
     sent_count := 0;
     pending := false;
-    for v = n - 1 downto 0 do
-      let inbox = inboxes.(v) in
-      (match inbox with [] -> () | _ -> inboxes.(v) <- []);
-      if not halted.(v) then begin
-        match inbox with
-        | [] when asleep.(v) ->
-            if cfg.Config.sanitize then begin
-              let st0 = states.(v) in
-              let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
-              (match probe with
-              | None -> ()
-              | Some f -> f ~node:v ~round:r ~inbox state' outs);
-              idle_check ~node:v ~round:r st0 state' outs
-            end
-        | _ ->
-            let st0 = states.(v) in
-            let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
-            if cfg.Config.sanitize then begin
-              match inbox with
-              | [] | [ _ ] -> ()
-              | _ -> shadow_check ~prog ~node:v ~round:r ~inbox st0 state' outs
-            end;
-            (match probe with
-            | None -> ()
-            | Some f -> f ~node:v ~round:r ~inbox state' outs);
-            if state' != st0 then begin
-              states.(v) <- state';
-              if prog.halted state' then begin
-                halted.(v) <- true;
-                decr live
-              end
-            end;
-            asleep.(v) <- r > 0 && state' == st0 && inbox == [] && outs == [];
-            deliver outbox v r outs
+    for w = bit_words - 1 downto 0 do
+      let x = bits.(w) in
+      if x <> 0 then begin
+        bits.(w) <- 0;
+        let base = w lsl 5 in
+        for b = 31 downto 0 do
+          if x land (1 lsl b) <> 0 then visit inboxes outbox marks r (base + b)
+        done
       end
     done;
     (* swap buffers: the outbox already holds ascending-sender inboxes,
-       and every inbox was drained above *)
+       and every inbox was drained above; the scan emptied [bits] *)
     cur := outbox;
     next := inboxes;
+    active := marks;
+    active_next := bits;
     note_round_count r !sent_count;
     incr round
   done;

@@ -14,7 +14,15 @@
     broke and where.
 
     The audit of a run (message totals, maximum payload, rounds) feeds
-    experiment T5. *)
+    experiment T5.
+
+    Cost: a call pays O(n) on entry; after that, a round costs
+    O(visited nodes + n/32) plus O(1) per message (O(log degree) when
+    the sender's channel is not one it or its receiver used last).  A
+    round visits only the nodes that have mail, and those that stepped
+    in the round before without halting or falling asleep (see
+    [program.step]); round 0 visits every node, and {!Config.sanitize}
+    every node that has not halted. *)
 
 type violation_kind =
   | Oversized_message  (** payload exceeded [words_per_message] *)

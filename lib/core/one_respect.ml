@@ -210,52 +210,44 @@ let frag_links tree (fr : Fragments.t) =
    holds a backlog: it sends its own id in round 0 and forwards each
    id in the round it arrives.  A node at in-fragment depth [d] hears
    its parent in rounds 1..d and so sends to each child in exactly
-   rounds 0..d.  Its state is the chain of ids heard so far, newest
-   first and built by cons: the fragment root ... parent, then itself.
-   A node with an empty inbox after round 0 returns its state
-   physically unchanged. *)
-let ancestor_downcast_program (links : Primitives.forest) :
-    (int list, int) Mincut_congest.Network.program =
+   rounds 0..d; it hears its ancestors deepest first, the parent's id
+   in round 1 and the fragment root's in round d.  Its state is the
+   in-fragment depth of the last id heard ([d] before the first), and
+   each id is checked as it arrives: a same-fragment ancestor exactly
+   one level above the last.  A node whose state ends at 0 has so
+   heard all [d] of its in-fragment ancestors.  A node with an empty
+   inbox after round 0 returns its state unchanged. *)
+let ancestor_downcast_program (tree : Tree.t) (links : Primitives.forest) (fr : Fragments.t) :
+    (int, int) Mincut_congest.Network.program =
   let down = links.Primitives.children in
+  let frag_of = fr.Fragments.frag_of and dif = fr.Fragments.depth_in_frag in
+  let tin = tree.Tree.tin and tout = tree.Tree.tout in
   {
-    initial = (fun v -> [ v ]);
+    initial = (fun v -> dif.(v));
     step =
-      (fun ~node ~round ~inbox chain ->
+      (fun ~node ~round ~inbox last ->
         match inbox with
-        | (_, id) :: _ -> (id :: chain, Primitives.send_all down.(node) id)
-        | [] -> (chain, if round = 0 then Primitives.send_all down.(node) node else []))
+        | (_, id) :: _ ->
+            assert (
+              frag_of.(id) = frag_of.(node)
+              && tin.(id) <= tin.(node)
+              && tout.(node) <= tout.(id)
+              && dif.(id) = last - 1);
+            (dif.(id), Primitives.send_all down.(node) id)
+        | [] -> (last, if round = 0 then Primitives.send_all down.(node) node else []))
       ;
     halted = (fun _ -> false);
   }
 
-(* One pass over [v]'s chain, reading [tin]/[tout]/[depth] directly:
-   every id is a same-fragment ancestor of [v], deeper than the one
-   before ([above]); returns the chain's length. *)
-let rec chain_length (tree : Tree.t) frag_of v above len = function
-  | [] -> len
-  | u :: rest ->
-      assert (
-        frag_of.(u) = frag_of.(v)
-        && tree.Tree.tin.(u) <= tree.Tree.tin.(v)
-        && tree.Tree.tout.(v) <= tree.Tree.tout.(u));
-      let d = tree.Tree.depth.(u) in
-      assert (d > above);
-      chain_length tree frag_of v d (len + 1) rest
-
 let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
-  let frag_of = fr.Fragments.frag_of in
   let maxh = Fragments.max_height fr in
   let bound = (2 * maxh) + 3 in
-  (* verify, as the engine hands each chain back: each node's chain =
-     its within-fragment ancestors (incl self).  Fragments are
-     subtrees, so those are exactly the depth_in_frag + 1 same-fragment
-     ancestors of v; a chain of that length drawn from them, strictly
-     deepening, is all of them.  No chain outlives the run. *)
-  let dif = fr.Fragments.depth_in_frag in
-  let check v chain = assert (chain_length tree frag_of v (-1) 0 chain = dif.(v) + 1) in
+  (* the step checked every id as it arrived; a node that ends at depth
+     0 heard its whole in-fragment ancestor path *)
   let _, audit =
-    Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1) ~result:check
-      ~rounds:(max 1 bound) g (ancestor_downcast_program links)
+    Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1)
+      ~result:(fun _ last -> assert (last = 0))
+      ~rounds:(max 1 bound) g (ancestor_downcast_program tree links fr)
   in
   audit
 

@@ -107,11 +107,18 @@ val frag_links : Mincut_graph.Tree.t -> Mincut_mst.Fragments.t -> Mincut_congest
     run. *)
 
 val ancestor_downcast_program :
-  Mincut_congest.Primitives.forest -> (int list, int) Mincut_congest.Network.program
-(** Step 2b's engine program on a fragment forest: every node sends its
-    id to its children in round 0 and forwards each id in the round it
-    arrives; a node's state is the chain of ids heard, newest first.
-    Never halts: run it for a bounded number of rounds. *)
+  Mincut_graph.Tree.t ->
+  Mincut_congest.Primitives.forest ->
+  Mincut_mst.Fragments.t ->
+  (int, int) Mincut_congest.Network.program
+(** Step 2b's engine program on a fragment forest of the tree: every
+    node sends its id to its children in round 0 and forwards each id in
+    the round it arrives, so it hears its in-fragment ancestors deepest
+    first.  A node's state is the in-fragment depth of the last id heard
+    (its own depth before the first).  The step asserts that each id is
+    a same-fragment ancestor exactly one level above the last, so a node
+    whose state ends at 0 heard all of them.  Never halts: run it for a
+    bounded number of rounds. *)
 
 val frag_ancestor_downcast :
   cfg:Mincut_congest.Config.t ->
@@ -122,8 +129,8 @@ val frag_ancestor_downcast :
   Mincut_congest.Network.audit
 (** Step 2b on the engine, exposed for testing: every node learns the
     ids of its within-fragment ancestors.  Returns the engine audit.
-    Asserts, as the engine hands back each node's final chain, that it
-    is exactly that ancestor path. *)
+    Raises [Assert_failure] if an arriving id is not the next ancestor
+    up, or if a node ends the run short of its fragment root. *)
 
 val lca_by_fragments :
   ?target:int -> Mincut_graph.Graph.t -> Mincut_graph.Tree.t -> (int * int * int) array

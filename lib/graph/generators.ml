@@ -220,25 +220,98 @@ let family_names =
   [ "path"; "ring"; "complete"; "grid"; "torus"; "hypercube"; "wheel"; "barbell";
     "spider"; "cliques-path"; "random-tree"; "regular"; "gnp"; "planted" ]
 
-let by_name ~rng ?weights ~name ~size () =
+let max_edges = 1 lsl 24
+
+(* saturating arithmetic on non-negative ints: a product or sum past
+   [max_int] reads as [max_int], which is above every cap *)
+let sat_mul a b = if a = 0 || b <= max_int / a then a * b else max_int
+let sat_add a b = if b <= max_int - a then a + b else max_int
+
+(* an expected count, rounded up and saturated *)
+let sat_of_float x = if x >= float_of_int max_int then max_int else int_of_float (Float.ceil x)
+
+(* the smallest size each family accepts *)
+let min_size = function
+  | "ring" | "torus" -> 3
+  | "wheel" | "planted" -> 4
+  | "regular" -> 5
+  | "barbell" -> 2
+  | _ -> 1
+
+(* [by_name]'s p for gnp: supercritical, 8 ln n / n *)
+let gnp_p size = Float.min 1.0 (8.0 *. log (float_of_int size) /. float_of_int size)
+
+(* (nodes, edges) of family [name] at [size] in closed form, [None] for
+   an unknown name; a negative size counts as 0 *)
+let counts ~name ~size =
+  let s = max 0 size in
+  let dec k = max 0 (k - 1) in
+  let sq = sat_mul s s in
+  let pairs k =
+    let p = sat_mul k (dec k) in
+    if p = max_int then max_int else p / 2
+  in
   match name with
-  | "path" -> Ok (path ?weights ~rng size)
-  | "ring" -> Ok (ring ?weights ~rng size)
-  | "complete" -> Ok (complete ?weights ~rng size)
-  | "grid" -> Ok (grid size size)
-  | "torus" -> Ok (torus size size)
-  | "hypercube" -> Ok (hypercube size)
-  | "wheel" -> Ok (wheel size)
-  | "barbell" -> Ok (barbell size)
-  | "spider" -> Ok (spider ~legs:size ~leg_length:(4 * size))
-  | "cliques-path" -> Ok (path_of_cliques ~clique:8 ~length:size)
-  | "random-tree" -> Ok (random_tree ~rng ?weights size)
-  | "regular" -> Ok (random_regular ~rng ?weights size 4)
-  | "gnp" ->
-      let p = 8.0 *. log (float_of_int size) /. float_of_int size in
-      Ok (gnp_connected ~rng ?weights size (Float.min 1.0 p))
-  | "planted" -> Ok (planted_cut ~rng ?weights ~n:size ~cut_edges:3 ~p_in:0.4 ())
-  | other -> Error (Printf.sprintf "unknown family %S" other)
+  | "path" | "random-tree" -> Some (s, dec s)
+  | "ring" -> Some (s, s)
+  | "complete" -> Some (s, pairs s)
+  | "grid" -> Some (sq, sat_mul 2 (sat_mul s (dec s)))
+  | "torus" -> Some (sq, sat_mul 2 sq)
+  | "hypercube" ->
+      if s >= Sys.int_size - 1 then Some (max_int, max_int)
+      else Some (1 lsl s, sat_mul s (1 lsl dec s))
+  | "wheel" -> Some (s, sat_mul 2 (dec s))
+  | "barbell" -> Some (sat_mul 2 s, sat_add (sat_mul 2 (pairs s)) 1)
+  | "spider" -> Some (sat_add (sat_mul 4 sq) 1, sat_mul 4 sq)
+  | "cliques-path" -> Some (sat_mul 8 s, sat_add (sat_mul 28 s) (sat_mul 2 (dec s)))
+  | "regular" -> Some (s, sat_mul 2 s)
+  | "gnp" -> Some (s, if s < 2 then 0 else sat_of_float (gnp_p s *. float_of_int (pairs s)))
+  | "planted" ->
+      let h1 = s / 2 in
+      let h2 = s - h1 in
+      (* two G(h, 0.4) halves, a spine through each, three cross edges *)
+      let halves = 0.4 *. (float_of_int (pairs h1) +. float_of_int (pairs h2)) in
+      Some (s, sat_of_float (halves +. float_of_int (dec h1 + dec h2 + 3)))
+  | _ -> None
+
+let check_size ~name ~size =
+  let count x = if x = max_int then "more than max_int" else string_of_int x in
+  match counts ~name ~size with
+  | None -> Error (Printf.sprintf "unknown family %S" name)
+  | Some _ when size < min_size name ->
+      Error (Printf.sprintf "family %s needs size >= %d, got %d" name (min_size name) size)
+  | Some (n, _) when n > Graph.max_nodes ->
+      Error
+        (Printf.sprintf "family %s at size %d has %s nodes, above the cap of %d" name size
+           (count n) Graph.max_nodes)
+  | Some (_, m) when m > max_edges ->
+      Error
+        (Printf.sprintf "family %s at size %d has %s edges, above the cap of %d" name size
+           (count m) max_edges)
+  | Some nm -> Ok nm
+
+let by_name ~rng ?weights ~name ~size () =
+  let build () =
+    match name with
+    | "path" -> path ?weights ~rng size
+    | "ring" -> ring ?weights ~rng size
+    | "complete" -> complete ?weights ~rng size
+    | "grid" -> grid size size
+    | "torus" -> torus size size
+    | "hypercube" -> hypercube size
+    | "wheel" -> wheel size
+    | "barbell" -> barbell size
+    | "spider" -> spider ~legs:size ~leg_length:(4 * size)
+    | "cliques-path" -> path_of_cliques ~clique:8 ~length:size
+    | "random-tree" -> random_tree ~rng ?weights size
+    | "regular" -> random_regular ~rng ?weights size 4
+    | "gnp" -> gnp_connected ~rng ?weights size (gnp_p size)
+    | "planted" -> planted_cut ~rng ?weights ~n:size ~cut_edges:3 ~p_in:0.4 ()
+    | other -> invalid_arg (Printf.sprintf "Generators.by_name: no builder for %S" other)
+  in
+  (* [check_size] refuses every name [counts] does not know, and the
+     tests keep [counts] and [build] to the same families *)
+  Result.map (fun _ -> build ()) (check_size ~name ~size)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded delta streams: reproducible edge churn over a base graph    *)

@@ -97,7 +97,21 @@ val by_name :
 (** One-string factory shared by the CLI, the benchmarks, and tests:
     ["ring"], ["grid"] (size = side), ["hypercube"] (size = dimension),
     ["gnp"] (supercritical p), ["planted"] (3 cross edges), etc.
-    [Error] carries a message naming the unknown family. *)
+    [Error] carries {!check_size}'s message, before anything is
+    allocated. *)
+
+val max_edges : int
+(** The most edges (2{^24}) a family built by {!by_name} may have. *)
+
+val check_size : name:string -> size:int -> (int * int, string) result
+(** [Ok (n, m)]: the node and edge counts of family [name] at [size],
+    in closed form and without building anything (torus size² nodes
+    and 2·size² edges, hypercube 2{^size} nodes, complete
+    size·(size − 1)/2 edges, ...).  Products and sums that would pass
+    [max_int] read as [max_int].  For ["gnp"] and ["planted"] the edge
+    count is the expected one.  [Error] names an unknown family, a size
+    below the family's smallest (3 for a ring or torus, 1 for most), or
+    counts above {!Graph.max_nodes} nodes or {!max_edges} edges. *)
 
 (** {2 Delta streams} *)
 

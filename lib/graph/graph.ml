@@ -22,6 +22,8 @@ let validate ~n (u, v, w) =
   if u = v then invalid_arg "Graph.create: self loop";
   if w <= 0 then invalid_arg "Graph.create: non-positive weight"
 
+let max_nodes = 1 lsl 22
+
 (* Core constructor over already-normalized edge records (u < v, ids
    [0 .. len-1]): every derived structure is built with flat array
    passes, no intermediate lists. *)

@@ -16,6 +16,13 @@ type edge = private { id : int; u : int; v : int; w : int }
 type t
 (** An immutable weighted undirected multigraph. *)
 
+val max_nodes : int
+(** The largest node count (2{^22}) that a size read from input may ask
+    for: a serve [GRAPH] header and a named generator family both refuse
+    more before they allocate.  Building a graph allocates about five
+    words per node before it reads an edge, so the cap bounds that
+    up-front cost near 170 MB. *)
+
 val create : n:int -> (int * int * int) list -> t
 (** [create ~n edges] builds a graph on nodes [0 .. n-1] from
     [(u, v, w)] triples.  Raises [Invalid_argument] on out-of-range

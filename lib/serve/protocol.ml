@@ -35,11 +35,6 @@ type command =
 
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
 
-(* [Graph.build] allocates about five words per node before it reads an
-   edge, so the header's n is capped before anything is built: 2^22
-   nodes bounds one header's up-front cost near 170 MB *)
-let max_graph_nodes = 1 lsl 22
-
 let tokens line =
   String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
 
@@ -141,10 +136,12 @@ let graph_header = function
       let m = int_of_string_opt m in
       let payload = match m with Some m when m >= 0 -> m | _ -> 0 in
       match (int_of_string_opt n, m) with
-      | Some n, Some m when n > max_graph_nodes && m >= 0 ->
+      (* n is capped before anything is built, at the cap the generator
+         families share *)
+      | Some n, Some m when n > Mincut_graph.Graph.max_nodes && m >= 0 ->
           Error
             ( Printf.sprintf "GRAPH: n=%d is above the cap of %d nodes" n
-                max_graph_nodes,
+                Mincut_graph.Graph.max_nodes,
               payload )
       | Some n, Some m when n >= 2 && m >= 0 -> Ok (Graph_def { name; n; m })
       | _ -> Error ("GRAPH: bad <n> or <m>", payload))

@@ -81,11 +81,6 @@ type command =
   | Shutdown
   | Nop  (** blank line or [#] comment: no response *)
 
-val max_graph_nodes : int
-(** The largest n a [GRAPH] header may announce (2{^22}): a larger one is
-    an [ERR GRAPH] line naming the cap, so one header cannot exhaust
-    memory before its first edge is read. *)
-
 val parse : string -> (command, string) result
 (** Parse one request line. *)
 
@@ -93,9 +88,9 @@ val parse_with_payload : string -> (command, string * int) result
 (** {!parse}, with the number of payload lines a rejected request
     announced: a [GRAPH <name> <n> <m>] header whose [m] is a
     non-negative integer carries [m] whether or not its [n] is accepted
-    (n above {!max_graph_nodes}, say); every other error carries 0.  The
-    server drains them after the ERR line, so one request still gets one
-    reply. *)
+    (n above {!Mincut_graph.Graph.max_nodes}, say); every other error
+    carries 0.  The server drains them after the ERR line, so one
+    request still gets one reply. *)
 
 val format_response : Request.response -> string
 (** The [key=value] tail shared by [OK] and [RESULT] lines:

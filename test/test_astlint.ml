@@ -462,11 +462,6 @@ let p =
 
 (* ---- exception flow ----------------------------------------------------- *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
 let exn_check src = Exnflow.check (Callgraph.build [ parse src ])
 
 let test_exnflow_boundary_leak () =

@@ -466,7 +466,8 @@ let walk_program ~halt n : (int, int) Network.program =
         match inbox with
         | (_, h) :: _ -> (h, if node + 1 < n then [ (node + 1, h + 1) ] else [])
         | [] ->
-            if node = 0 && round <> 0 && hops < 0 then (0, [ (1, 1) ]) else (hops, []));
+            if node = 0 && round <> 0 && hops < 0 then (0, if n > 1 then [ (1, 1) ] else [])
+            else (hops, []));
     halted = (fun hops -> halt && hops >= 0);
   }
 
@@ -482,7 +483,7 @@ let beacon_program : (unit, int) Network.program =
 (* [Network.run_bounded] as the reference driver's [run]: a round
    counter halts every node after [rounds] steps, and the completion
    time is the delivery round of the last message. *)
-let reference_bounded ~words ~rounds g (prog : (_, _) Network.program) =
+let reference_bounded ?cfg ~words ~rounds g (prog : (_, _) Network.program) =
   let counted : (_, _) Network.program =
     {
       initial = (fun v -> (0, prog.initial v));
@@ -493,7 +494,7 @@ let reference_bounded ~words ~rounds g (prog : (_, _) Network.program) =
       halted = (fun (r, st) -> r >= rounds || prog.halted st);
     }
   in
-  let states, audit = Reference.run ~words g counted in
+  let states, audit = Reference.run ?cfg ~words g counted in
   let profile = audit.Network.messages_per_round in
   let per_round = Array.init rounds (fun i -> if i < Array.length profile then profile.(i) else 0) in
   let last = ref (-1) in
@@ -564,7 +565,7 @@ let test_driver_matches_reference () =
           forest_programs label g links ~height:maxh;
           (* Step 2b: a node sleeps between the ids it forwards *)
           bounded (label ^ " ancestor downcast") ~words:words1 ~rounds:((2 * maxh) + 3) g
-            (Mincut_core.One_respect.ancestor_downcast_program links);
+            (Mincut_core.One_respect.ancestor_downcast_program tree links fr);
           unbounded (label ^ " exchange") ~words:words1 g
             (Primitives.exchange_program g ~values:fr.Mincut_mst.Fragments.frag_of))
         [ 3; 1 ])
@@ -575,6 +576,61 @@ let test_driver_matches_reference () =
   unbounded "walk" ~words:words1 path (walk_program ~halt:true 40);
   bounded "walk bounded" ~words:words1 ~rounds:46 path (walk_program ~halt:false 40);
   bounded "beacon" ~words:words1 ~rounds:6 path beacon_program
+
+(* A flood in which a node halts in the step it forwards: the root in
+   round 0, every other node on its first mail.  It floods back to its
+   senders too, so most of its mail reaches nodes that have halted. *)
+let burst_program g : (bool, int) Network.program =
+  let nbrs v = List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v))) in
+  let flood node = List.map (fun u -> (u, node)) (nbrs node) in
+  {
+    initial = (fun _ -> false);
+    step =
+      (fun ~node ~round ~inbox fired ->
+        match inbox with
+        | [] when not (node = 0 && round = 0) -> (fired, [])
+        | _ -> (true, flood node));
+    halted = Fun.id;
+  }
+
+(* A path with chords [v, v + 31] from every fifth node, so mail crosses
+   the 32-node words of the engine's active set in both directions *)
+let word_edge_graph n =
+  Graph.create ~n
+    (List.init (max 0 (n - 1)) (fun v -> (v, v + 1, 1))
+    @ List.filter_map
+        (fun v -> if v mod 5 = 0 && v + 31 < n then Some (v, v + 31, 1) else None)
+        (List.init n Fun.id))
+
+let test_engine_bitset_word_edges () =
+  (* the active set keeps 32 nodes to a word: at and around every word
+     boundary the engine must visit exactly the nodes the reference
+     driver steps, in plain and sanitize mode alike *)
+  List.iter
+    (fun n ->
+      let g = word_edge_graph n in
+      List.iter
+        (fun (mode, cfg) ->
+          let same name (states_a, audit_a) (states_b, audit_b) =
+            let label = Printf.sprintf "n=%d %s %s" n mode name in
+            check_bool (label ^ ": audits equal") true (audit_a = audit_b);
+            check_bool (label ^ ": states equal") true (states_a = states_b)
+          in
+          let unbounded name prog =
+            same name
+              (Network.run ~cfg ~result:keep_state ~words:words1 g prog)
+              (Reference.run ~cfg ~words:words1 g prog)
+          in
+          unbounded "walk" (walk_program ~halt:true n);
+          unbounded "burst" (burst_program g);
+          unbounded "tally" (tally_program g);
+          let rounds = n + 6 in
+          same "walk bounded"
+            (Network.run_bounded ~cfg ~result:keep_state ~words:words1 ~rounds g
+               (walk_program ~halt:false n))
+            (reference_bounded ~cfg ~words:words1 ~rounds g (walk_program ~halt:false n)))
+        [ ("plain", Config.default); ("sanitized", Config.sanitized Config.default) ])
+    [ 1; 31; 32; 33; 63; 64; 65; 257 ]
 
 let test_seed_driver_goldens () =
   (* audits recorded from the pre-rewrite driver on the lint replay
@@ -900,4 +956,5 @@ let suite =
     tc "primitives: sanitized exchange = always-sort oracle"
       test_exchange_sanitized_matches_oracle;
     tc "primitives: wrappers return the reduced states" test_wrappers_return_reduced_states;
+    tc "engine: active set at 32-node word edges = reference" test_engine_bitset_word_edges;
   ]

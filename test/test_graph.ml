@@ -257,6 +257,65 @@ let test_family_factory_unknown () =
      | Error _ -> true
      | Ok _ -> false)
 
+(* [Generators.check_size] counts in closed form what [by_name] builds *)
+let test_family_counts_match_built () =
+  let rng = Mincut_util.Rng.create 1 in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " known") true (Result.is_ok (Generators.check_size ~name ~size:8));
+      for size = 1 to 9 do
+        match (Generators.check_size ~name ~size, Generators.by_name ~rng ~name ~size ()) with
+        | Ok (n, m), Ok g ->
+            let label = Printf.sprintf "%s size %d" name size in
+            check_int (label ^ " n") n (Graph.n g);
+            (* gnp and planted draw their edges; their count is expected *)
+            if name <> "gnp" && name <> "planted" then check_int (label ^ " m") m (Graph.m g)
+        | Error _, Error _ -> ()
+        | _ -> Alcotest.fail (Printf.sprintf "%s size %d: check and build disagree" name size)
+      done)
+    Generators.family_names
+
+(* sizes below a family's smallest, or above the node or edge cap, are
+   typed errors; every case here is refused before anything is built *)
+let test_family_size_caps () =
+  let rng = Mincut_util.Rng.create 1 in
+  let refused ~name ~size =
+    match Generators.by_name ~rng ~name ~size () with Error _ -> true | Ok _ -> false
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun size ->
+          check_bool (Printf.sprintf "%s size %d refused" name size) true (refused ~name ~size))
+        [ 0; -5; min_int; max_int ])
+    Generators.family_names;
+  List.iter
+    (fun (name, size) ->
+      check_bool (Printf.sprintf "%s below its smallest size" name) true (refused ~name ~size))
+    [ ("ring", 2); ("torus", 2); ("wheel", 3); ("regular", 4); ("barbell", 1); ("planted", 3) ];
+  let ok name size = Result.is_ok (Generators.check_size ~name ~size) in
+  let cap = Graph.max_nodes in
+  check_bool "path at the node cap" true (ok "path" cap);
+  check_bool "path at the node cap + 1" false (ok "path" (cap + 1));
+  check_bool "torus 2048 (n = 2^22)" true
+    (Generators.check_size ~name:"torus" ~size:2048 = Ok (cap, 2 * cap));
+  check_bool "torus 2049" false (ok "torus" 2049);
+  check_bool "torus 16384 (n = 2^28)" false (ok "torus" 16384);
+  (match Generators.by_name ~rng ~name:"torus" ~size:16384 () with
+  | Error e -> check_bool "message names the node cap" true (contains ~sub:"above the cap of 4194304" e)
+  | Ok _ -> Alcotest.fail "torus 16384 built");
+  (* complete: 5793·5792/2 edges fit under 2^24, 5794·5793/2 do not *)
+  check_bool "complete 5793" true (ok "complete" 5793);
+  check_bool "complete 5794" false (ok "complete" 5794);
+  check_bool "hypercube 20" true (ok "hypercube" 20);
+  List.iter
+    (fun d -> check_bool (Printf.sprintf "hypercube %d" d) false (ok "hypercube" d))
+    [ 21; 22; 62; 63 ];
+  (match Generators.check_size ~name:"spider" ~size:max_int with
+  | Error e -> check_bool "4·size² saturates" true (contains ~sub:"more than max_int nodes" e)
+  | Ok _ -> Alcotest.fail "spider max_int accepted");
+  check_bool "unknown family" false (ok "nonsense" 8)
+
 let test_dot_export () =
   let g = Generators.ring 4 in
   let side = Bitset.create 4 in
@@ -345,3 +404,7 @@ let suite =
     tc "dimacs: comments ignored" test_dimacs_comments_ignored;
   ]
   @ qcheck_tests
+  @ [
+      tc "generators: counts = the built graph's n and m" test_family_counts_match_built;
+      tc "generators: sizes past the caps are errors" test_family_size_caps;
+    ]

@@ -88,6 +88,12 @@ let arbitrary_connected ?(max_n = 14) () =
 (* [Network.run]'s [~result] that keeps each node's final state *)
 let keep_state _ st = st
 
+(* [sub] occurs in [s] *)
+let contains ~sub s =
+  let n = String.length sub and len = String.length s in
+  let rec at i = i + n <= len && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
@@ -364,3 +370,44 @@ let csr_matches (c : Mincut_core.One_respect.csr) lists =
          let lo = c.off.(v) and hi = c.off.(v + 1) in
          hi >= lo && List.init (hi - lo) (fun i -> c.ids.(lo + i)) = lists.(v))
        (List.init n Fun.id)
+
+(* Step 2b's downcast as [One_respect] ran it before it checked each id
+   on arrival: a node's state is the chain of ids heard, newest first
+   (the fragment root ... parent, then itself), checked once the run
+   ends by walking it. *)
+let ref_ancestor_downcast_program (links : Mincut_congest.Primitives.forest) :
+    (int list, int) Mincut_congest.Network.program =
+  let down = links.Mincut_congest.Primitives.children in
+  {
+    initial = (fun v -> [ v ]);
+    step =
+      (fun ~node ~round ~inbox chain ->
+        match inbox with
+        | (_, id) :: _ -> (id :: chain, Mincut_congest.Primitives.send_all down.(node) id)
+        | [] ->
+            ( chain,
+              if round = 0 then Mincut_congest.Primitives.send_all down.(node) node else [] ));
+    halted = (fun _ -> false);
+  }
+
+(* every id of [v]'s chain a same-fragment ancestor, strictly deepening;
+   the chain's length *)
+let rec ref_chain_length (tree : Tree.t) frag_of v above len = function
+  | [] -> len
+  | u :: rest ->
+      assert (
+        frag_of.(u) = frag_of.(v)
+        && tree.Tree.tin.(u) <= tree.Tree.tin.(v)
+        && tree.Tree.tout.(v) <= tree.Tree.tout.(u));
+      let d = tree.Tree.depth.(u) in
+      assert (d > above);
+      ref_chain_length tree frag_of v d (len + 1) rest
+
+let ref_frag_ancestor_downcast ~cfg g tree links (fr : Mincut_mst.Fragments.t) =
+  let frag_of = fr.Mincut_mst.Fragments.frag_of in
+  let dif = fr.Mincut_mst.Fragments.depth_in_frag in
+  let bound = (2 * Mincut_mst.Fragments.max_height fr) + 3 in
+  let check v chain = assert (ref_chain_length tree frag_of v (-1) 0 chain = dif.(v) + 1) in
+  snd
+    (Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1) ~result:check
+       ~rounds:(max 1 bound) g (ref_ancestor_downcast_program links))

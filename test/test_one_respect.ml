@@ -580,14 +580,48 @@ let test_downcast_matches_smallest_first () =
               let audit = One_respect.frag_ancestor_downcast ~cfg g tree links fr in
               check_bool (label ^ " sends") true (audit.Mincut_congest.Network.total_messages > 0);
               check_bool (label ^ " audit") true
-                (audit = smallest_first_downcast ~cfg g links fr))
-            [ Params.sqrt_target ~n:(Graph.n g); 3 ])
+                (audit = smallest_first_downcast ~cfg g links fr);
+              (* the chain-list program it replaced, checked after the
+                 run instead of as each id arrives *)
+              check_bool (label ^ " chain-list audit") true
+                (audit = ref_frag_ancestor_downcast ~cfg g tree links fr))
+            [ Params.sqrt_target ~n:(Graph.n g); 3; 1 ])
         packing.Mincut_treepack.Tree_packing.trees)
     [
       ("torus12", Generators.torus 12 12);
       ("gnp96", Generators.gnp_connected ~rng:(Rng.create 1) 96 0.3);
       ("cliques8x16", Generators.path_of_cliques ~clique:8 ~length:16);
     ]
+
+(* a forest that skips a level: one node re-hung to its grandparent
+   (over an added edge, so every send stays on a channel) hears an id
+   two levels up, and the arrival check must refuse it *)
+let test_downcast_refuses_skipped_level () =
+  let cfg = Params.default.Params.congest in
+  let g = Generators.torus 12 12 in
+  let tree = Tree.bfs_tree g ~root:0 in
+  let fr = Fragments.partition tree ~target:(Params.sqrt_target ~n:(Graph.n g)) in
+  let links = One_respect.frag_links tree fr in
+  let dif = fr.Fragments.depth_in_frag in
+  let c =
+    match List.find_opt (fun v -> dif.(v) >= 2) (List.init (Graph.n g) Fun.id) with
+    | Some c -> c
+    | None -> Alcotest.fail "no fragment two levels deep"
+  in
+  let parent = Array.copy links.Mincut_congest.Primitives.parent in
+  let gp = parent.(parent.(c)) in
+  parent.(c) <- gp;
+  let rehung = Mincut_congest.Primitives.forest_of_parents parent in
+  let g' =
+    Graph.create ~n:(Graph.n g)
+      ((c, gp, 1) :: Graph.fold_edges (fun acc e -> (e.Graph.u, e.Graph.v, e.Graph.w) :: acc) [] g)
+  in
+  (* the same forest over the widened graph still passes *)
+  ignore (One_respect.frag_ancestor_downcast ~cfg g' tree links fr);
+  check_bool "skipped level raises Assert_failure" true
+    (match One_respect.frag_ancestor_downcast ~cfg g' tree rehung fr with
+    | _ -> false
+    | exception Assert_failure _ -> true)
 
 (* ---- Exact.run against a loop over every packed tree ------------------- *)
 
@@ -790,4 +824,5 @@ let suite =
         test_exact_every_tree;
       prop_exact_every_tree;
       tc "dist: run inside a held scratch frame = plain run" test_run_inside_held_scratch;
+      tc "dist: Step 2b refuses an id that skips a level" test_downcast_refuses_skipped_level;
     ]

@@ -412,11 +412,6 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let contains ~sub s =
-  let n = String.length sub and len = String.length s in
-  let rec at i = i + n <= len && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
 let test_server_session () =
   let io, collected =
     scripted_io
@@ -630,10 +625,10 @@ let test_protocol_parse_errors () =
   check_bool "bad algo" true (is_err "SOLVE family=ring algo=magic");
   check_bool "graph usage" true (is_err "GRAPH only-a-name");
   check_bool "n at the cap parses" true
-    (Protocol.parse (Printf.sprintf "GRAPH u %d 1" Protocol.max_graph_nodes)
-    = Ok (Protocol.Graph_def { name = "u"; n = Protocol.max_graph_nodes; m = 1 }));
+    (Protocol.parse (Printf.sprintf "GRAPH u %d 1" Graph.max_nodes)
+    = Ok (Protocol.Graph_def { name = "u"; n = Graph.max_nodes; m = 1 }));
   check_bool "n above the cap names the cap" true
-    (Protocol.parse (Printf.sprintf "GRAPH u %d 1" (Protocol.max_graph_nodes + 1))
+    (Protocol.parse (Printf.sprintf "GRAPH u %d 1" (Graph.max_nodes + 1))
     = Error "GRAPH: n=4194305 is above the cap of 4194304 nodes");
   (* a header announces its m edge lines whether or not n is accepted *)
   List.iter
