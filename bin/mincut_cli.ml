@@ -459,66 +459,71 @@ let delta_cmd =
               List.iter (fun op -> print_endline (Delta.to_line op)) ops_list;
               0
             end
-            else begin
-              let session = Api.open_session ~params:Params.fast g in
-              Printf.printf "base:      n=%d m=%d lambda=%d\n" (Graph.n g)
-                (Graph.m g) (Api.session_lambda session);
-              let bad = ref 0 and applied = ref 0 and rejected = ref 0 in
-              List.iter
-                (fun op ->
-                  match Api.apply_delta session op with
-                  | Error e ->
-                      incr rejected;
-                      if trace then
-                        Printf.printf "  REJECT %-24s %s\n" (Delta.to_line op) e
-                  | Ok (outcome, answer) ->
-                      incr applied;
-                      if trace then
-                        Printf.printf "  v%-5d %-24s lambda=%d mode=%s\n"
-                          outcome.Handle.version (Delta.to_line op)
-                          answer.Api.lambda
-                          (Incremental.mode_name answer.Api.mode);
-                      if check then begin
-                        let live = Api.session_graph session in
-                        let truth =
-                          Stoer_wagner.min_cut_value live
-                        in
-                        if truth <> answer.Api.lambda then begin
-                          incr bad;
-                          Printf.printf
-                            "  MISMATCH at v%d (%s): incremental %d, \
-                             from-scratch %d\n"
-                            outcome.Handle.version (Delta.to_line op)
-                            answer.Api.lambda truth
-                        end
-                      end)
-                ops_list;
-              let st = Api.session_stats session in
-              let h = Api.session_handle session in
-              Printf.printf "applied:   %d deltas (%d rejected)\n" !applied
-                !rejected;
-              Printf.printf "final:     v%d n=%d channels=%d lambda=%d\n"
-                (Handle.version h) (Handle.n h) (Handle.channels h)
-                (Api.session_lambda session);
-              Printf.printf "digest:    %s\n"
-                (Mincut_util.Hash.to_hex (Handle.digest h));
-              Printf.printf
-                "tiers:     reused=%d cert=%d full=%d (fallback rate %.3f)\n"
-                st.Incremental.reused st.Incremental.cert_solves
-                st.Incremental.full_resolves
-                (Incremental.fallback_rate st);
-              if check then
-                Printf.printf "check:     %s\n"
-                  (if !bad = 0 then "every λ matches from-scratch"
-                   else Printf.sprintf "%d MISMATCHES" !bad);
-              if !bad > 0 then 1 else 0
-            end)
+            else
+              (* a session re-solves its live graph, which needs n >= 2:
+                 report a smaller graph as an error, not a crash *)
+              match Api.open_session ~params:Params.fast g with
+              | exception Invalid_argument msg ->
+                  prerr_endline (error_line msg);
+                  1
+              | session ->
+                  Printf.printf "base:      n=%d m=%d lambda=%d\n" (Graph.n g)
+                    (Graph.m g) (Api.session_lambda session);
+                  let bad = ref 0 and applied = ref 0 and rejected = ref 0 in
+                  List.iter
+                    (fun op ->
+                      match Api.apply_delta session op with
+                      | Error e ->
+                          incr rejected;
+                          if trace then
+                            Printf.printf "  REJECT %-24s %s\n" (Delta.to_line op) e
+                      | Ok (outcome, answer) ->
+                          incr applied;
+                          if trace then
+                            Printf.printf "  v%-5d %-24s lambda=%d mode=%s\n"
+                              outcome.Handle.version (Delta.to_line op)
+                              answer.Api.lambda
+                              (Incremental.mode_name answer.Api.mode);
+                          if check then begin
+                            let live = Api.session_graph session in
+                            let truth =
+                              Stoer_wagner.min_cut_value live
+                            in
+                            if truth <> answer.Api.lambda then begin
+                              incr bad;
+                              Printf.printf
+                                "  MISMATCH at v%d (%s): incremental %d, \
+                                 from-scratch %d\n"
+                                outcome.Handle.version (Delta.to_line op)
+                                answer.Api.lambda truth
+                            end
+                          end)
+                    ops_list;
+                  let st = Api.session_stats session in
+                  let h = Api.session_handle session in
+                  Printf.printf "applied:   %d deltas (%d rejected)\n" !applied
+                    !rejected;
+                  Printf.printf "final:     v%d n=%d channels=%d lambda=%d\n"
+                    (Handle.version h) (Handle.n h) (Handle.channels h)
+                    (Api.session_lambda session);
+                  Printf.printf "digest:    %s\n"
+                    (Mincut_util.Hash.to_hex (Handle.digest h));
+                  Printf.printf
+                    "tiers:     reused=%d cert=%d full=%d (fallback rate %.3f)\n"
+                    st.Incremental.reused st.Incremental.cert_solves
+                    st.Incremental.full_resolves
+                    (Incremental.fallback_rate st);
+                  if check then
+                    Printf.printf "check:     %s\n"
+                      (if !bad = 0 then "every λ matches from-scratch"
+                       else Printf.sprintf "%d MISMATCHES" !bad);
+                  if !bad > 0 then 1 else 0)
   in
   Cmd.v
     (Cmd.info "delta"
        ~doc:
          "Replay an update stream through the incremental min-cut session \
-          (versioned handle + maintained NI certificate)")
+          (versioned handle + exact re-solve of the live graph)")
     Term.(
       const run $ file_arg $ family_arg $ size_arg $ seed_arg $ weight_arg
       $ stream_arg $ ops_arg $ emit_arg $ check_arg $ trace_arg)

@@ -85,7 +85,7 @@ type session = {
   inc : Incremental.t;
   sparams : Params.t;
   (* summaries anchored to the current (λ, side)-stable generation:
-     (solve tag, generation, summary).  While the certificate proves
+     (solve tag, generation, summary).  While Incremental proves
      (λ, side) unchanged, a matching solve is served verbatim. *)
   mutable anchors : (string * int * summary) list;
 }
@@ -129,8 +129,9 @@ let min_cut_session ?(algorithm = Exact_small_lambda) ?(seed = 0) ?trees
   match List.find_opt (fun (t0, _, _) -> String.equal t0 tag) s.anchors with
   | Some (_, _, summary) -> (summary, true)
   | None ->
-      (* the live certificate has λ exactly, so the packing budget is
-         seeded with the tightest valid [lambda_upper] there is *)
+      (* every delta re-solves the live graph exactly when λ may have
+         moved, so the session's λ is exact and seeds the packing budget
+         with the tightest valid [lambda_upper] there is *)
       let lambda = Incremental.lambda s.inc in
       let summary =
         min_cut ~params:s.sparams ~algorithm ~seed

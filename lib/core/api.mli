@@ -80,11 +80,11 @@ val verify : Mincut_graph.Graph.t -> summary -> bool
 (** {2 Incremental sessions}
 
     A session wraps a {!Mincut_graph.Handle} (versioned graph: base
-    snapshot + delta log) and an {!Incremental} certificate, and reuses
-    whole summaries across versions: while the certificate proves
+    snapshot + delta log) and its {!Incremental} state, and reuses
+    whole summaries across versions: while {!Incremental} proves
     (λ, side) unchanged, {!min_cut_session} re-serves the anchored
     summary without solving.  Fresh solves are seeded with
-    [?lambda_upper] = the certificate's exact λ — the tightest valid
+    [?lambda_upper] = the session's exact λ — the tightest valid
     packing-budget cap. *)
 
 type session
@@ -95,7 +95,7 @@ type delta_answer = Incremental.answer = {
 }
 
 val open_session : ?params:Params.t -> Mincut_graph.Graph.t -> session
-(** Open at version 0; builds the initial certificate eagerly.
+(** Open at version 0; solves λ eagerly (needs [n >= 2]).
     [params] is the round-accounting regime for every solve in this
     session (default {!Params.default}). *)
 
@@ -114,7 +114,7 @@ val min_cut_session :
   session ->
   summary * bool
 (** Full summary of the live version.  [true] = served from an anchor
-    (the certificate proved the previous summary for these solve
+    ({!Incremental} proved the previous summary for these solve
     coordinates still optimal — no solve ran).  Compaction never breaks
     anchoring, so delta-then-solve and compact-then-solve answer
     bit-identically. *)

@@ -1,32 +1,25 @@
-(** Incremental min-cut over a {!Mincut_graph.Handle}: a maintained
-    Nagamochi–Ibaraki sparse certificate answers λ after every delta,
-    and a full re-solve happens only when the certificate is
-    invalidated.
+(** Incremental min-cut over a {!Mincut_graph.Handle}: λ and a side
+    achieving it are answered after every delta, and a re-solve happens
+    only when the delta can have changed them.
 
-    {b The certificate.} A [k]-jungle: [k] spanning forests built by
-    greedy unit placement — each weight unit of a channel goes into the
-    lowest-indexed forest where its endpoints are still disconnected,
-    and units that fit nowhere are dropped.  The union [H] of the
-    forests preserves every cut of value [< k] of the live graph [G]
-    exactly and keeps every other cut at [>= k] (any greedy order: a
-    dropped unit certifies a full [u]–[v] path in each forest), so
-    [λ(G) = λ(H)] with the same optimal sides whenever [λ(G) < k].
-    [k] tracks [2λ + 2], capped at one past the minimum weighted degree
-    (where saturation is impossible).
+    {b The live graph certifies itself.} Every re-solve is
+    {!Mincut_graph.Mincut_seq.min_cut} on {!Mincut_graph.Handle.current}:
+    Stoer–Wagner, or node 0's component (λ = 0) when the live graph is
+    disconnected.  No sparse certificate is kept: the sequential oracle
+    is the O(n³) matrix Stoer–Wagner, which costs the same on a
+    certificate as on the live graph.
 
     {b The three answer tiers}, cheapest first:
 
-    - {e Reused}: every channel touched since the last anchored answer
-      only {e gained} weight and none crosses the anchored min-cut side
-      — λ and the side are provably unchanged, O(|delta|).
-    - {e Cert_solved}: weight-increase-only deltas, but one crossed the
-      side.  The jungle is still a valid certificate (NI certificates
-      are closed under edge insertion), so λ is recomputed exactly by a
-      sequential Stoer–Wagner pass over the {e sparse} certificate.
-    - {e Resolved}: a removal, weight decrease, merge or split (or a
-      saturated certificate) invalidated the jungle — full re-solve
-      from scratch: rebuild the forests over the compacted graph and
-      Stoer–Wagner the fresh certificate.  {!stats} exposes the rate.
+    - {e Reused}: every channel the delta touched only {e gained} weight
+      and none crosses the current side — every cut is at least as heavy
+      and this one is unchanged, so λ and the side are provably
+      unchanged, O(|delta|).
+    - {e Cert_solved}: a pure weight increase that crosses the side —
+      λ may have grown, so the live graph is re-solved.
+    - {e Resolved}: a removal, weight decrease, merge or split — λ may
+      have dropped (or the node set changed), so the live graph is
+      re-solved.  {!stats} exposes the rate.
 
     Higher layers ({!Api} sessions, the serve cache) reuse whole
     summaries across versions: {!generation} identifies a maximal run
@@ -45,9 +38,9 @@ type stats = {
   mutable deltas_applied : int;
   mutable reused : int;  (** tier-1 answers (λ proven unchanged) *)
   mutable cert_solves : int;
-      (** tier-2 answers (Stoer–Wagner over the live certificate) *)
+      (** tier-2 answers (a crossing pure increase, re-solved) *)
   mutable full_resolves : int;
-      (** tier-3 answers: certificate rebuilt from the compacted graph *)
+      (** tier-3 answers (a removal, decrease, merge or split, re-solved) *)
 }
 
 val fallback_rate : stats -> float
@@ -56,9 +49,9 @@ val fallback_rate : stats -> float
 type t
 
 val create : Mincut_graph.Graph.t -> t
-(** Open at version 0 of the channel aggregation of the graph; builds
-    the initial certificate and resolves λ eagerly.  The initial build
-    is not counted in {!stats}. *)
+(** Open at version 0 of the channel aggregation of the graph and
+    resolve λ eagerly.  The initial solve is not counted in {!stats}.
+    Raises [Invalid_argument] when the graph has fewer than 2 nodes. *)
 
 val apply : t -> Mincut_graph.Delta.op -> (Mincut_graph.Handle.outcome * answer, string) result
 (** Apply one delta and answer λ for the new version through the
@@ -78,16 +71,9 @@ val graph : t -> Mincut_graph.Graph.t
 (** {!Mincut_graph.Handle.current} of the live version. *)
 
 val compact : t -> unit
-(** {!Mincut_graph.Handle.compact} the handle.  The certificate, λ, the
-    side and {!generation} all survive — compaction is observationally
+(** {!Mincut_graph.Handle.compact} the handle.  λ, the side and
+    {!generation} all survive — compaction is observationally
     invisible, which is what makes delta-then-solve and
     compact-then-solve bit-identical. *)
 
 val stats : t -> stats
-
-val cert_k : t -> int
-(** Current certificate degree bound [k] (always [> λ]). *)
-
-val cert_graph : t -> Mincut_graph.Graph.t
-(** The maintained certificate [H] as a graph on the live node set —
-    for tests: [λ(H) = λ(G)] whenever [λ(G) < k]. *)

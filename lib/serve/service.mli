@@ -80,7 +80,7 @@ val flush : t -> flush_result
 (** {2 Incremental sessions}
 
     Named mutable graph sessions ({!Mincut_core.Api.session}: versioned
-    handle + live NI certificate), owned by the service so every client
+    handle + incremental λ and side), owned by the service so every client
     of a shared server sees the same evolving graphs.  Session solves go
     through the {e same} summary cache as one-shot solves, but under
     {!Graph_key.versioned_key} — the handle's rolled digest — so a delta
@@ -91,7 +91,8 @@ val flush : t -> flush_result
     Counters: [deltas_applied]; [incremental_hits] (answers that needed
     no full solve: tier-1/2 delta answers, anchored summaries,
     version-chain cache hits); [full_resolves] (tier-3 delta answers:
-    certificate rebuilt); [sessions_open] gauge. *)
+    a removal, decrease, merge or split re-solved); [sessions_open]
+    gauge. *)
 
 val session_open : t -> string -> Mincut_graph.Graph.t -> Mincut_core.Api.session
 (** Open (or replace) the named session at version 0 of the graph,
@@ -114,7 +115,7 @@ val session_delta :
 
 val session_compact : t -> string -> (Mincut_core.Api.session, string) result
 (** Rebase the named session's handle; observationally invisible
-    (version, digest, certificate, anchors all survive). *)
+    (version, digest, λ, side and anchors all survive). *)
 
 val session_solve :
   t ->
@@ -125,8 +126,9 @@ val session_solve :
   (Request.response, string) result
 (** Full summary of the named session's live version.  [cached] is true
     when no solve ran: a version-chain cache hit or an anchored summary
-    (the certificate proved the previous answer still optimal).  Misses
-    solve with [lambda_upper] seeded from the certificate's exact λ and
+    ({!Mincut_core.Incremental} proved the previous answer still
+    optimal).  Misses solve with [lambda_upper] seeded from the
+    session's exact λ and
     populate the cache under the live version's key. *)
 
 val metrics : t -> Metrics.t

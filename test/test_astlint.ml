@@ -148,7 +148,6 @@ let test_only_keep =
     "Mincut_graph.Karger.contraction";
     "Mincut_graph.Karger.karger_stein";
     "Mincut_graph.Mincut_seq.brute_force";
-    "Mincut_graph.Mincut_seq.min_cut";
     "Mincut_graph.Mincut_seq.is_valid_side";
     "Mincut_graph.All_min_cuts.exhaustive";
     "Mincut_graph.All_min_cuts.randomized";
@@ -167,7 +166,6 @@ let test_only_keep =
     "Mincut_graph.Handle.log";
     "Mincut_graph.Handle.base";
     "Mincut_graph.Handle.multiset_hash";
-    "Mincut_core.Incremental.cert_k";
     "Mincut_serve.Cache.mem";
     "Mincut_serve.Cache.evictions";
     "Mincut_serve.Cache.keys_mru_first";

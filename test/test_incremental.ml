@@ -1,8 +1,8 @@
 (* The delta layer: versioned handles (apply semantics, rolling
-   multiset digest, compaction invisibility), the incremental NI
-   certificate (three-tier answering, λ-exactness under arbitrary delta
-   sequences), the seeded delta-stream generator, and Api sessions
-   (anchored summary reuse across versions). *)
+   multiset digest, compaction invisibility), incremental answering
+   (three tiers, λ-exactness under arbitrary delta sequences), the
+   seeded delta-stream generator, and Api sessions (anchored summary
+   reuse across versions). *)
 
 open Test_helpers
 module Graph = Mincut_graph.Graph
@@ -158,40 +158,85 @@ let test_generator_reproducible_and_valid () =
       check_bool "stays connected" true (Bfs.is_connected (Handle.current h)))
     (gen 9)
 
-(* ---- incremental certificate ------------------------------------------ *)
+(* ---- incremental answers ---------------------------------------------- *)
 
 let test_incremental_lambda_stream () =
-  let base = Generators.torus 4 4 in
-  let ops = Generators.delta_stream ~rng:(Rng.create 3) ~wmax:3 ~base 120 in
-  let s = Api.open_session ~params:Params.fast base in
-  check_int "initial λ" (lambda_of base) (Api.session_lambda s);
+  (* unit weights, and weights past 10^9 that a per-unit structure
+     could never hold *)
+  let heavy =
+    Generators.complete
+      ~weights:{ Generators.wmin = 1_000_000_000; wmax = 2_000_000_000 }
+      ~rng:(Rng.create 7) 8
+  in
   List.iter
-    (fun op ->
-      match Api.apply_delta s op with
-      | Error e -> Alcotest.fail (Delta.to_line op ^ ": " ^ e)
-      | Ok (_, a) ->
-          let live = Api.session_graph s in
-          check_int (Delta.to_line op ^ ": λ exact") (lambda_of live) a.Api.lambda;
-          check_int
-            (Delta.to_line op ^ ": side achieves λ")
-            a.Api.lambda
-            (Graph.cut_of_bitset live (Api.session_side s)))
-    ops;
-  let st = Api.session_stats s in
-  check_int "every delta answered" (List.length ops)
-    (st.Incremental.reused + st.Incremental.cert_solves
-    + st.Incremental.full_resolves);
-  check_bool "some answers were incremental" true (st.Incremental.reused > 0)
+    (fun (name, base) ->
+      let ops = Generators.delta_stream ~rng:(Rng.create 3) ~wmax:3 ~base 120 in
+      let s = Api.open_session ~params:Params.fast base in
+      check_int (name ^ ": initial λ") (lambda_of base) (Api.session_lambda s);
+      List.iter
+        (fun op ->
+          match Api.apply_delta s op with
+          | Error e -> Alcotest.fail (name ^ ": " ^ Delta.to_line op ^ ": " ^ e)
+          | Ok (_, a) ->
+              let live = Api.session_graph s in
+              let at = name ^ ": " ^ Delta.to_line op in
+              check_int (at ^ ": λ exact") (lambda_of live) a.Api.lambda;
+              check_int (at ^ ": side achieves λ") a.Api.lambda
+                (Graph.cut_of_bitset live (Api.session_side s)))
+        ops;
+      let st = Api.session_stats s in
+      check_int (name ^ ": every delta answered") (List.length ops)
+        (st.Incremental.reused + st.Incremental.cert_solves
+        + st.Incremental.full_resolves);
+      check_bool (name ^ ": some answers were reused") true
+        (st.Incremental.reused > 0))
+    [ ("torus4x4", Generators.torus 4 4); ("heavy K8", heavy) ]
 
-let test_cert_graph_equivalence () =
-  List.iter
-    (fun (name, g) ->
-      let inc = Incremental.create g in
-      let cert = Incremental.cert_graph inc in
-      check_int (name ^ ": λ(cert) = λ(G)") (lambda_of g) (lambda_of cert);
-      check_bool (name ^ ": cert is sparse") true
-        (Graph.m cert <= Incremental.cert_k inc * (Graph.n g - 1)))
-    (small_connected_graphs ())
+(* each op kind lands in its tier: a pure increase is reused unless it
+   crosses the side, anything that can lower λ or renumbers re-solves *)
+let test_incremental_tiers () =
+  let inc = Incremental.create (Generators.grid 4 4) in
+  let find_edge crossing =
+    let side = Incremental.side inc in
+    match
+      List.find_opt
+        (fun e -> Bitset.mem side e.Graph.u <> Bitset.mem side e.Graph.v = crossing)
+        (Array.to_list (Graph.edges (Incremental.graph inc)))
+    with
+    | Some e -> (e.Graph.u, e.Graph.v)
+    | None -> Alcotest.fail "grid 4x4 has no such edge"
+  in
+  let expect name mode op =
+    let gen = Incremental.generation inc in
+    match Incremental.apply inc op with
+    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+    | Ok (_, a) ->
+        check_string name (Incremental.mode_name mode)
+          (Incremental.mode_name a.Incremental.mode);
+        check_int (name ^ ": generation")
+          (if mode = Incremental.Reused then gen else gen + 1)
+          (Incremental.generation inc);
+        check_int (name ^ ": λ exact") (lambda_of (Incremental.graph inc))
+          a.Incremental.lambda
+  in
+  let u, v = find_edge false in
+  expect "non-crossing increase" Incremental.Reused
+    (Delta.Add_edge { u; v; w = 1 });
+  let cu, cv = find_edge true in
+  expect "crossing increase" Incremental.Cert_solved
+    (Delta.Add_edge { u = cu; v = cv; w = 1 });
+  let ru, rv = if (u, v) = (cu, cv) then find_edge true else (u, v) in
+  expect "remove" Incremental.Resolved (Delta.Remove_edge { u = ru; v = rv });
+  expect "reweight down" Incremental.Resolved
+    (Delta.Reweight { u = cu; v = cv; w = 1 });
+  expect "merge" Incremental.Resolved (Delta.Merge_nodes { u = 0; v = 1 });
+  expect "split" Incremental.Resolved
+    (Delta.Split_node { v = 0; w = 1; moved = [] });
+  let st = Incremental.stats inc in
+  check_int "deltas applied" 6 st.Incremental.deltas_applied;
+  check_int "counters sum to deltas applied" st.Incremental.deltas_applied
+    (st.Incremental.reused + st.Incremental.cert_solves
+    + st.Incremental.full_resolves)
 
 (* ---- Api sessions ------------------------------------------------------ *)
 
@@ -304,7 +349,7 @@ let suite =
     tc "handle: compaction is invisible" test_handle_compact_invisible;
     tc "generators: delta stream seeded and valid" test_generator_reproducible_and_valid;
     tc "incremental: λ exact along a 120-op stream" test_incremental_lambda_stream;
-    tc "incremental: NI certificate is λ-equivalent" test_cert_graph_equivalence;
+    tc "incremental: each op kind answers in its tier" test_incremental_tiers;
     tc "session: anchored summary reuse and generation breaks" test_session_anchor_reuse;
   ]
   @ qcheck_tests

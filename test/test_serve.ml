@@ -575,21 +575,24 @@ let test_server_weight_bound () =
       Alcotest.fail
         (Printf.sprintf "unexpected responses: %s" (String.concat " | " lines))
 
-(* [mincut_cli solve ARGS FILE] on a DIMACS file holding [graph]:
-   (exit status, stdout, stderr) *)
-let run_cli_solve ~path ~graph args =
-  Out_channel.with_open_text path (fun oc -> output_string oc graph);
+(* [mincut_cli ARGS]: (exit status, stdout, stderr) *)
+let run_cli args =
   let cli = "../bin/mincut_cli.exe" in
   let out, inp, err =
-    Unix.open_process_args_full cli
-      (Array.of_list ((cli :: "solve" :: args) @ [ path ]))
+    Unix.open_process_args_full cli (Array.of_list (cli :: args))
       (Unix.environment ())
   in
   close_out inp;
   let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
   let status = Unix.close_process_full (out, inp, err) in
-  Sys.remove path;
   (status, stdout, stderr)
+
+(* [mincut_cli solve ARGS FILE] on a DIMACS file holding [graph] *)
+let run_cli_solve ~path ~graph args =
+  Out_channel.with_open_text path (fun oc -> output_string oc graph);
+  let r = run_cli (("solve" :: args) @ [ path ]) in
+  Sys.remove path;
+  r
 
 (* the CLI answers the same weight with an error line and exit 1, where
    it used to die on the uncaught Invalid_argument (exit 125) *)
@@ -616,6 +619,18 @@ let test_cli_certify_disconnected () =
   check_bool "exits 1" true (status = Unix.WEXITED 1);
   check_string "one error line"
     "mincut: error: Primitives.bfs_tree: disconnected graph\n" stderr
+
+(* a session re-solves its live graph, which needs two nodes: a
+   one-node base is an error line and exit 1, not an uncaught
+   Invalid_argument (exit 125) *)
+let test_cli_delta_one_node () =
+  let status, stdout, stderr =
+    run_cli [ "delta"; "--family"; "complete"; "--size"; "1" ]
+  in
+  check_bool "exits 1" true (status = Unix.WEXITED 1);
+  check_string "no answer printed" "" stdout;
+  check_string "one error line"
+    "mincut: error: Mincut_seq.min_cut: need n >= 2\n" stderr
 
 let test_protocol_parse_errors () =
   let is_err s = match Protocol.parse s with Error _ -> true | Ok _ -> false in
@@ -959,4 +974,5 @@ let suite =
   @ [
       tc "cli: solve refuses a weight past the packing bound" test_cli_weight_bound;
       tc "cli: certify on a disconnected graph is an error" test_cli_certify_disconnected;
+      tc "cli: delta on a one-node graph is an error" test_cli_delta_one_node;
     ]
