@@ -190,11 +190,10 @@ let bench_parallel ~solves (name, g) =
     solves name seq_ms par_ms speedup identical host_cores gc.Gc.minor_heap_size
     gc.Gc.space_overhead;
   Printf.printf
-    "  pool: %d domains spawned this bench, %d tasks, %d steals, %d \
-     batches (process totals: %d spawns)\n%!"
+    "  pool: %d domains spawned this bench, %d tasks, %d batches (process \
+     totals: %d spawns)\n%!"
     spawned
     (stats1.Pool.tasks - stats0.Pool.tasks)
-    (stats1.Pool.steals - stats0.Pool.steals)
     (stats1.Pool.batches - stats0.Pool.batches)
     stats1.Pool.spawns;
   (* the speedup gate is only a statement about parallel hardware; a
@@ -230,7 +229,6 @@ let bench_parallel ~solves (name, g) =
           [
             ("spawns", Json.Int spawned);
             ("tasks", Json.Int (stats1.Pool.tasks - stats0.Pool.tasks));
-            ("steals", Json.Int (stats1.Pool.steals - stats0.Pool.steals));
             ("batches", Json.Int (stats1.Pool.batches - stats0.Pool.batches));
             ("spawns_process_total", Json.Int stats1.Pool.spawns);
           ] );

@@ -115,55 +115,27 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
     in
     (* a run depends only on the tree's edge-id set (the graph and the
        backbone are immutable, each job builds its own tree and per-run
-       state), so each distinct tree is solved once, over the pool.  The
-       walk then charges every packed tree its own group in index order,
-       repeats included, so cost accumulation and the <=-tie-break are
-       bit-identical to running every tree *)
-    let slot, reps = Tree_packing.distinct packing in
-    let runs =
-      Pool.map pool
-        (fun ids -> One_respect.run ~params ~backbone g (Tree.of_edge_ids g ~root:0 ids))
-        reps
+       state), so the sweep solves each distinct tree once *)
+    let tree_idx, r, sweep =
+      Tree_packing.sweep ~pool ~label:"1-respecting cut (Theorem 2.1)"
+        ~run:(fun ids -> One_respect.run ~params ~backbone g (Tree.of_edge_ids g ~root:0 ids))
+        ~cost:(fun r -> r.One_respect.cost)
+        ~value:(fun r -> r.One_respect.best_value)
+        packing
     in
-    (* the per-tree groups are gathered newest first and summed once:
-       folding [Cost.( ++ )] would copy the growing span list per tree,
-       quadratic in the packing budget *)
-    let _, groups, best =
-      Array.fold_left
-        (fun (i, groups, best) s ->
-          let r = runs.(s) in
-          let groups =
-            Cost.group
-              (Printf.sprintf "tree %d: 1-respecting cut (Theorem 2.1)" (i + 1))
-              r.One_respect.cost
-            :: groups
-          in
-          match best with
-          | Some (v, _, _, _) when v <= r.One_respect.best_value -> (i + 1, groups, best)
-          | _ ->
-              ( i + 1,
-                groups,
-                Some (r.One_respect.best_value, r.One_respect.best_node, i, r) ))
-        (0, [], None) slot
-    in
-    let sweep = Cost.sum (List.rev groups) in
     (* one fixed-label parent over the per-tree spans: consumers that
        count rounds per top-level phase (serve metrics, bench profiles)
        must not grow with the packing budget *)
     let cost =
       Cost.sum [ c_leader; c_pack; Cost.group "per-tree 1-respecting cuts" sweep ]
     in
-    match best with
-    | None -> assert false
-    | Some (value, node, tree_idx, r) ->
-        let tree = Tree.of_edge_ids g ~root:0 packing.Tree_packing.trees.(tree_idx) in
-        let side = One_respect_seq.side_of tree node in
-        {
-          value;
-          side;
-          best_tree = tree_idx;
-          trees_used = trees;
-          cost;
-          stats = r.One_respect.stats;
-        }
+    let tree = Tree.of_edge_ids g ~root:0 packing.Tree_packing.trees.(tree_idx) in
+    {
+      value = r.One_respect.best_value;
+      side = One_respect_seq.side_of tree r.One_respect.best_node;
+      best_tree = tree_idx;
+      trees_used = trees;
+      cost;
+      stats = r.One_respect.stats;
+    }
   end

@@ -1,11 +1,10 @@
 type t = {
-  kp_constant : int;
   congest : Mincut_congest.Config.t;
   run_real_primitives : bool;
 }
 
 let default =
-  { kp_constant = 1; congest = Mincut_congest.Config.default; run_real_primitives = true }
+  { congest = Mincut_congest.Config.default; run_real_primitives = true }
 
 let fast = { default with run_real_primitives = false }
 
@@ -15,8 +14,7 @@ let log_star n =
 
 let isqrt_ceil n = int_of_float (ceil (sqrt (float_of_int (max 1 n))))
 
-let kp_mst_rounds t ~n ~diameter =
-  t.kp_constant * ((isqrt_ceil n * log_star n) + diameter)
+let kp_mst_rounds (_ : t) ~n ~diameter = (isqrt_ceil n * log_star n) + diameter
 
 let kp_partition_rounds = kp_mst_rounds
 

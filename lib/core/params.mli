@@ -5,10 +5,6 @@
     explicit, in one place, and adjustable by experiments. *)
 
 type t = {
-  kp_constant : int;
-      (** multiplier for the Kutten–Peleg bound; 1 charges the bare
-          [√n·log* n + D] — published analyses hide a constant, which
-          benchmark series divide out anyway *)
   congest : Mincut_congest.Config.t;  (** engine discipline parameters *)
   run_real_primitives : bool;
       (** when true (default), steps that have real message-level
@@ -27,8 +23,9 @@ val log_star : int -> int
 (** Iterated logarithm (base 2), ≥ 1 for n ≥ 2. *)
 
 val kp_mst_rounds : t -> n:int -> diameter:int -> int
-(** Rounds charged for one Kutten–Peleg MST:
-    [kp_constant · (⌈√n⌉·log* n + D)]. *)
+(** Rounds charged for one Kutten–Peleg MST: the bare
+    [⌈√n⌉·log* n + D] — published analyses hide a constant, which
+    benchmark series divide out anyway.  No field of [t] changes it. *)
 
 val kp_partition_rounds : t -> n:int -> diameter:int -> int
 (** Rounds charged for the KP tree partition ([KP98, §3.2]); same form

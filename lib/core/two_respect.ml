@@ -123,35 +123,16 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
       Tree_packing.distributed_cost ~n ~diameter ~trees
         ~per_tree_rounds:(Params.kp_mst_rounds params ~n ~diameter)
     in
-    (* a sweep depends only on the tree's edge-id set: each distinct
-       tree is swept once over the pool, then every packed tree is
-       charged in index order, which reproduces the sequential
-       tie-break exactly *)
-    let slot, reps = Tree_packing.distinct packing in
-    let runs =
-      Pool.map pool (fun ids -> run ~params g (Tree.of_edge_ids g ~root:0 ids)) reps
-    in
-    (* gathered newest first and summed once, as in [Exact.run]: a
-       [Cost.( ++ )] fold is quadratic in the tree budget *)
-    let _, groups, best =
-      Array.fold_left
-        (fun (i, groups, best) s ->
-          let r = runs.(s) in
-          let groups =
-            Cost.group (Printf.sprintf "tree %d: 2-respect sweep" (i + 1)) r.cost :: groups
-          in
-          match best with
-          | Some b when b.value <= r.value -> (i + 1, groups, best)
-          | _ -> (i + 1, groups, Some r))
-        (0, [], None) slot
+    (* a sweep depends only on the tree's edge-id set, so each distinct
+       tree is swept once *)
+    let _, best, sweep =
+      Tree_packing.sweep ~pool ~label:"2-respect sweep"
+        ~run:(fun ids -> run ~params g (Tree.of_edge_ids g ~root:0 ids))
+        ~cost:(fun r -> r.cost)
+        ~value:(fun r -> r.value)
+        packing
     in
     (* fixed-label parent: per-phase consumers must not scale with the
        tree budget *)
-    let cost =
-      Cost.( ++ ) c_pack
-        (Cost.group "per-tree 2-respect sweeps" (Cost.sum (List.rev groups)))
-    in
-    match best with
-    | None -> assert false
-    | Some b -> { b with cost }
+    { best with cost = Cost.( ++ ) c_pack (Cost.group "per-tree 2-respect sweeps" sweep) }
   end

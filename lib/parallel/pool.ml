@@ -1,20 +1,19 @@
-(* Persistent work-stealing domain pool.
+(* Persistent self-scheduling domain pool.
 
    One process-global runtime owns every worker domain; a [t] is just a
    width configuration over it.  Domains are spawned lazily the first
    time a map actually needs them, then parked on a condition variable
    between batches — a serve process or a bench loop pays spawn cost
-   once, not per call.  A batch splits the job index range into one
-   contiguous deque per participant; owners pop [grain]-sized chunks
-   off the front, and a participant that runs dry steals the back half
-   of the first non-empty deque in a fixed scan order.  Results land in
-   a slot array indexed by job — the steal order decides who computes a
-   slot, never what goes into it, which is the whole determinism
-   argument (DESIGN.md §14).
+   once, not per call.  A batch holds one atomic cursor over the job
+   index range; every participant, caller and helpers alike, claims the
+   next index with a fetch-and-add until the cursor passes the end.
+   Results land in a slot array indexed by job — the claim order decides
+   who computes a slot, never what goes into it, which is the whole
+   determinism argument (DESIGN.md §14).
 
    Synchronization is deliberately boring: every mutable runtime field
-   is either an [Atomic] counter, confined behind the runtime mutex, or
-   a per-deque mutex guarding two ints.  Helpers park with
+   is either an [Atomic] (the counters, each batch's cursor) or confined
+   behind the runtime mutex.  Helpers park with
    [Condition.wait] on the runtime mutex and drop and retake it around
    each batch's work, which the scoped [Lockcheck.with_lock] cannot
    express — so its raw [Mutex.create] sites are the allow-listed
@@ -40,77 +39,31 @@ let workers t = t.width
 (* ---- process-global counters (Atomic: safe under Domcheck) ---------- *)
 
 let spawns_ctr = Atomic.make 0
-let steals_ctr = Atomic.make 0
 let tasks_ctr = Atomic.make 0
 let batches_ctr = Atomic.make 0
 
-type stats = { spawns : int; steals : int; tasks : int; batches : int }
+type stats = { spawns : int; tasks : int; batches : int }
 
 let stats () =
   {
     spawns = Atomic.get spawns_ctr;
-    steals = Atomic.get steals_ctr;
     tasks = Atomic.get tasks_ctr;
     batches = Atomic.get batches_ctr;
   }
 
-(* Set on worker domains: a nested [map] issued from inside a task runs
+(* Set on helper domains, and on a calling domain while it runs its own
+   share of a batch: a nested [map] issued from inside a task runs
    sequentially inline instead of deadlocking on the shared runtime. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-(* ---- per-participant deques ----------------------------------------- *)
-
-(* A deque is a half-open index range [lo, hi) of jobs.  The owner pops
-   chunks from the front; thieves split off the back half.  Two ints
-   under a leaf mutex — chunks are whole CONGEST simulations, so
-   contention on these locks is noise. *)
-type deque = { dq_lock : Mutex.t; mutable lo : int; mutable hi : int }
-
-let take_front d ~grain =
-  Mutex.lock d.dq_lock;
-  if d.lo >= d.hi then begin
-    Mutex.unlock d.dq_lock;
-    None
-  end
-  else begin
-    let lo = d.lo in
-    let k = min grain (d.hi - lo) in
-    d.lo <- lo + k;
-    Mutex.unlock d.dq_lock;
-    Some (lo, lo + k)
-  end
-
-let steal_back d =
-  Mutex.lock d.dq_lock;
-  let len = d.hi - d.lo in
-  if len <= 0 then begin
-    Mutex.unlock d.dq_lock;
-    None
-  end
-  else begin
-    let k = (len + 1) / 2 in
-    let hi = d.hi in
-    d.hi <- hi - k;
-    Mutex.unlock d.dq_lock;
-    Some (hi - k, hi)
-  end
-
-(* Only ever called on the thief's own empty deque, and nothing but the
-   owner can refill a deque, so overwriting [lo]/[hi] is safe. *)
-let adopt d ~lo ~hi =
-  Mutex.lock d.dq_lock;
-  d.lo <- lo;
-  d.hi <- hi;
-  Mutex.unlock d.dq_lock
 
 (* ---- batches and the global runtime --------------------------------- *)
 
 type batch = {
   gen : int;             (* generation stamp: a helper joins each batch once *)
   bwidth : int;          (* participants, caller included *)
-  grain : int;           (* owner chunk size popped per [take_front] *)
+  njobs : int;
   run : int -> unit;     (* execute job i, store its result slot *)
-  deques : deque array;  (* one per participant *)
+  next : int Atomic.t;   (* the cursor: lowest job index not yet claimed *)
   mutable joined : int;  (* helpers that picked this batch up *)
   mutable finished : int;  (* helpers done with it *)
 }
@@ -132,28 +85,19 @@ type runtime = {
    pool values ask for width. *)
 let max_helpers = 15
 
-let run_participant b ~me =
-  let rec go () =
-    match take_front b.deques.(me) ~grain:b.grain with
-    | Some (lo, hi) ->
-        for i = lo to hi - 1 do
-          b.run i
-        done;
-        go ()
-    | None -> hunt 1
-  and hunt off =
-    (* deterministic victim scan: me+1, me+2, ... — determinism of the
-       results does not depend on it, but reproducible scan order keeps
-       steal counts stable enough to assert on in tests *)
-    if off < b.bwidth then
-      match steal_back b.deques.((me + off) mod b.bwidth) with
-      | Some (lo, hi) ->
-          Atomic.incr steals_ctr;
-          adopt b.deques.(me) ~lo ~hi;
-          go ()
-      | None -> hunt (off + 1)
+(* Claim one job at a time off the shared cursor until it passes the
+   end.  A job is a whole solve or per-tree CONGEST run, so one
+   fetch-and-add per job is noise, and claiming singly balances skewed
+   job sizes without any splitting. *)
+let run_participant b =
+  let rec loop () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.njobs then begin
+      b.run i;
+      loop ()
+    end
   in
-  go ()
+  loop ()
 
 (* Helper domain body.  Invariant: [r.lock] is held on entry to
    [helper_serve] and released before it returns.  A helper joins a
@@ -165,10 +109,9 @@ let rec helper_serve r last_gen =
     match r.batch with
     | Some b when b.gen <> last_gen && b.joined < b.bwidth - 1 ->
         b.joined <- b.joined + 1;
-        let me = b.joined in
         let gen = b.gen in
         Mutex.unlock r.lock;
-        run_participant b ~me;
+        run_participant b;
         Mutex.lock r.lock;
         b.finished <- b.finished + 1;
         if b.finished >= b.bwidth - 1 then Condition.signal r.batch_done;
@@ -259,20 +202,15 @@ let parallel_map width f jobs =
     results.(i) <-
       Some (match f jobs.(i) with v -> Ok v | exception e -> Error e)
   in
-  let grain = max 1 (n / (4 * width)) in
-  let deques =
-    Array.init width (fun k ->
-        { dq_lock = Mutex.create (); lo = k * n / width; hi = (k + 1) * n / width })
-  in
   Mutex.lock r.lock;
   r.generation <- r.generation + 1;
   let b =
     {
       gen = r.generation;
       bwidth = width;
-      grain;
+      njobs = n;
       run;
-      deques;
+      next = Atomic.make 0;
       joined = 0;
       finished = 0;
     }
@@ -281,10 +219,12 @@ let parallel_map width f jobs =
   Atomic.incr batches_ctr;
   Condition.broadcast r.work_ready;
   Mutex.unlock r.lock;
-  run_participant b ~me:0;
-  (* helpers only stop once nothing is left to claim, and every claimed
-     job is finished by its claimant before it stops — so all helpers
-     finished implies every slot is filled *)
+  Domain.DLS.set in_worker true;
+  run_participant b;
+  Domain.DLS.set in_worker false;
+  (* a participant only stops once the cursor has passed the end, and
+     every claimed job is finished by its claimant before it stops — so
+     all helpers finished implies every slot is filled *)
   Mutex.lock r.lock;
   while b.finished < b.bwidth - 1 do
     Condition.wait r.batch_done r.lock

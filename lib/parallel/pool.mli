@@ -1,5 +1,6 @@
 (** Shared deterministic parallel runtime: data-parallel map over a
-    persistent pool of OCaml 5 domains with work stealing.
+    persistent pool of OCaml 5 domains that claim jobs from one shared
+    cursor.
 
     {b Persistence.}  Worker domains are spawned lazily, once per
     process, and then reused by every subsequent [map] from any pool
@@ -9,14 +10,12 @@
     spawn/join per call.  Idle workers block on a condition variable;
     an [at_exit] hook shuts them down so processes terminate cleanly.
 
-    {b Work stealing.}  A [map] over [n] jobs installs one batch: the
-    index range is split into per-participant deques (contiguous chunk
-    ranges).  Each participant pops chunks from the front of its own
-    deque; a participant that runs dry scans the others in a fixed
-    deterministic order and steals the back half of the first
-    non-empty deque it finds — chunk-granular splitting, so skewed
-    task sizes load-balance instead of serializing behind the largest
-    round-robin share.
+    {b Self-scheduling.}  A [map] over [n] jobs installs one batch with
+    one atomic cursor over [0 .. n-1].  Every participant, the caller
+    included, claims the next job index with a fetch-and-add and runs
+    it, until the cursor passes [n].  Jobs are claimed one at a time,
+    so a participant stuck on a heavy job never holds lighter ones
+    back: skewed task sizes balance without any splitting.
 
     {b Determinism.}  [map] returns results in input order — the only
     scheduling-dependent value anywhere is {e which domain} computes
@@ -24,7 +23,7 @@
     repo-wide discipline that jobs share no mutable state (each worker
     gets its own graph copy / RNG derived from explicit seeds), every
     consumer of the pool is bit-identical to its sequential run under
-    any steal order: the exact and approx pipelines assert this
+    any claim order: the exact and approx pipelines assert this
     property under qcheck, and the serving cache relies on it.
 
     With [workers = 1] (or single-element inputs, or on hosts where
@@ -69,7 +68,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 type stats = {
   spawns : int;   (** worker domains spawned since process start *)
-  steals : int;   (** successful chunk steals across all batches *)
   tasks : int;    (** jobs executed through [map] (any path) *)
   batches : int;  (** parallel batches installed on the shared runtime *)
 }

@@ -31,8 +31,10 @@ let structural_hash g =
 
 let canonicalize g = Graph.of_array ~n:(Graph.n g) (canonical_triples g)
 
+(* the literal [kp1] prefix is the retired Kutten–Peleg multiplier,
+   kept so every cache key stays byte-identical *)
 let params_id (p : Params.t) =
-  Printf.sprintf "kp%d:%s:w%d:r%d" p.Params.kp_constant
+  Printf.sprintf "kp1:%s:w%d:r%d"
     (if p.Params.run_real_primitives then "real" else "charged")
     p.Params.congest.Mincut_congest.Config.words_per_message
     p.Params.congest.Mincut_congest.Config.max_rounds

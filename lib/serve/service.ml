@@ -283,9 +283,10 @@ let session_delta t name op =
       | Ok (outcome, answer) ->
           Metrics.incr t.deltas_applied;
           (match answer.Api.mode with
-          | Incremental.Reused | Incremental.Cert_solved ->
-              Metrics.incr t.incremental_hits
-          | Incremental.Resolved -> Metrics.incr t.full_resolves);
+          | Incremental.Reused -> Metrics.incr t.incremental_hits
+          | Incremental.Cert_solved | Incremental.Resolved ->
+              (* both re-solve the whole live graph *)
+              Metrics.incr t.full_resolves);
           Ok (s, outcome, answer))
 
 let session_compact t name =

@@ -89,10 +89,10 @@ val flush : t -> flush_result
     invalidates anything.
 
     Counters: [deltas_applied]; [incremental_hits] (answers that needed
-    no full solve: tier-1/2 delta answers, anchored summaries,
-    version-chain cache hits); [full_resolves] (tier-3 delta answers:
-    a removal, decrease, merge or split re-solved); [sessions_open]
-    gauge. *)
+    no full solve: reused delta answers, anchored summaries,
+    version-chain cache hits); [full_resolves] (delta answers that
+    re-solved the live graph: a crossing increase, or a removal,
+    decrease, merge or split); [sessions_open] gauge. *)
 
 val session_open : t -> string -> Mincut_graph.Graph.t -> Mincut_core.Api.session
 (** Open (or replace) the named session at version 0 of the graph,

@@ -4,6 +4,7 @@ module Union_find = Mincut_graph.Union_find
 module Bfs = Mincut_graph.Bfs
 module Cost = Mincut_congest.Cost
 module Bitset = Mincut_util.Bitset
+module Pool = Mincut_parallel.Pool
 
 type t = { trees : int list array; loads : int array }
 
@@ -113,6 +114,24 @@ let distinct t =
       t.trees
   in
   (slot, Array.of_list (List.rev !reps))
+
+(* Each distinct tree is run once over the pool; the walk then charges
+   every packed tree its own group in index order, repeats included, so
+   cost accumulation and the first-least tie-break are bit-identical to
+   running every tree.  The groups are gathered newest first and summed
+   once: folding [Cost.( ++ )] would copy the growing span list per
+   tree, quadratic in the packing budget. *)
+let sweep ~pool ~label ~run ~cost ~value t =
+  let slot, reps = distinct t in
+  let runs = Pool.map pool run reps in
+  let best = ref 0 and groups = ref [] in
+  Array.iteri
+    (fun i s ->
+      let r = runs.(s) in
+      groups := Cost.group (Printf.sprintf "tree %d: %s" (i + 1) label) (cost r) :: !groups;
+      if value r < value runs.(slot.(!best)) then best := i)
+    slot;
+  (!best, runs.(slot.(!best)), Cost.sum (List.rev !groups))
 
 let recommended_trees ~n ~lambda_hint =
   let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in

@@ -56,6 +56,22 @@ val distinct : t -> int array * int list array
     [key] and filed by {!Mincut_util.Bitset.hash}, which reads every
     word. *)
 
+val sweep :
+  pool:Mincut_parallel.Pool.t ->
+  label:string ->
+  run:(int list -> 'r) ->
+  cost:('r -> Mincut_congest.Cost.t) ->
+  value:('r -> int) ->
+  t ->
+  int * 'r * Mincut_congest.Cost.t
+(** [sweep ~pool ~label ~run ~cost ~value t] runs [run] on each
+    distinct tree's edge ids once, over [pool], and returns
+    [(best, r, c)]: [best] is the first tree index of least [value],
+    [r] its run, and [c] the sum of one group per packed tree, in index
+    order and repeats included, labelled ["tree <i+1>: <label>"] over
+    that tree's [cost].  The per-tree map of both exact pipelines; the
+    answer is independent of the pool's width. *)
+
 val key : t -> int list -> Mincut_util.Bitset.t
 (** The key [distinct] files a tree of [t] under: the bitmap of its edge
     ids over the packing's [m] edges, built in [O(n + m/62)] with no

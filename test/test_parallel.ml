@@ -72,10 +72,38 @@ let test_pool_reuse_across_solves () =
   check_bool "batch counter advances across solves" true
     (s2.Pool.batches > s1.Pool.batches)
 
+let test_pool_nested_map () =
+  (* a map issued from inside a job runs inline on whichever participant
+     claimed the job: input-order results, and no new domain *)
+  ignore (Pool.map pool4 Fun.id (Array.init 8 Fun.id));
+  let s0 = Pool.stats () in
+  let inner i = Pool.map pool4 (fun j -> (i, j)) (Array.init 5 Fun.id) in
+  let got = Pool.map pool4 inner (Array.init 12 Fun.id) in
+  let s1 = Pool.stats () in
+  check_bool "nested results in input order" true
+    (got = Array.init 12 (fun i -> Array.init 5 (fun j -> (i, j))));
+  check_int "nested map spawns no domain" 0 (s1.Pool.spawns - s0.Pool.spawns)
+
+let test_pool_fewer_jobs_than_width () =
+  (* width 4 over 1 and 2 jobs: the batch narrows to the job count, so
+     one job runs inline and two take a single helper *)
+  check_bool "one job" true (Pool.map pool4 (fun i -> i + 1) [| 41 |] = [| 42 |]);
+  check_bool "two jobs" true (Pool.map pool4 (fun i -> i * 10) [| 1; 2 |] = [| 10; 20 |])
+
+let test_pool_concurrent_callers () =
+  (* two domains submitting to the shared runtime at once each get their
+     own results back, in their own input order *)
+  let jobs k = Array.init 200 (fun i -> (k * 1000) + i) in
+  let call k () = Pool.map pool2 (fun x -> x * x) (jobs k) in
+  let a = Domain.spawn (call 1) and b = Domain.spawn (call 2) in
+  let ra = Domain.join a and rb = Domain.join b in
+  check_bool "first caller's results" true (ra = Array.map (fun x -> x * x) (jobs 1));
+  check_bool "second caller's results" true (rb = Array.map (fun x -> x * x) (jobs 2))
+
 let prop_skewed_bit_identity =
   (* adversarial task-size skew: a few heavy jobs among many light ones
-     exercises chunk splitting and stealing; results must still come
-     back in input order at every width *)
+     means participants finish their claims at very different times;
+     results must still come back in input order at every width *)
   qtest ~count:30 "pool: skewed task sizes identical at workers 1/2/4"
     QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 200))
     (fun sizes ->
@@ -201,4 +229,8 @@ let suite =
     prop_approx_parallel;
     prop_two_respect_parallel;
     prop_api_workers;
+    tc "pool: nested map runs inline" test_pool_nested_map;
+    tc "pool: width 4 over 1 and 2 jobs" test_pool_fewer_jobs_than_width;
+    tc "pool: concurrent callers get their own results"
+      test_pool_concurrent_callers;
   ]

@@ -745,6 +745,29 @@ let test_service_session_metrics () =
        (Service.session_delta t "nope" (Delta.Add_edge { u = 0; v = 1; w = 1 })));
   check_int "failed delta not counted" 2 (counter "deltas_applied")
 
+(* a pure increase across the session's side re-solves the live graph,
+   so it counts as a full resolve, not an incremental hit *)
+let test_service_crossing_increase_resolves () =
+  let t = service () in
+  let s = Service.session_open t "s" (Generators.torus 4 4) in
+  let counter name = List.assoc name (Service.snapshot t).Metrics.counters in
+  let side = Api.session_side s in
+  let e =
+    match
+      List.find_opt
+        (fun e -> Bitset.mem side e.Graph.u <> Bitset.mem side e.Graph.v)
+        (Array.to_list (Graph.edges (Generators.torus 4 4)))
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "torus 4x4 side crosses no edge"
+  in
+  (match Service.session_delta t "s" (Delta.Add_edge { u = e.Graph.u; v = e.Graph.v; w = 1 }) with
+  | Ok (_, _, a) ->
+      check_string "answered by a re-solve" "cert" (Mincut_core.Incremental.mode_name a.Api.mode)
+  | Error e -> Alcotest.fail e);
+  check_int "crossing increase is a full resolve" 1 (counter "full_resolves");
+  check_int "no incremental hit" 0 (counter "incremental_hits")
+
 (* A delta chain that returns to a previously-solved structure re-derives
    the same versioned key, so the solve is served from cache without
    running — the version-chain hit. *)
@@ -975,4 +998,6 @@ let suite =
       tc "cli: solve refuses a weight past the packing bound" test_cli_weight_bound;
       tc "cli: certify on a disconnected graph is an error" test_cli_certify_disconnected;
       tc "cli: delta on a one-node graph is an error" test_cli_delta_one_node;
+      tc "service: crossing increase counts as a full resolve"
+        test_service_crossing_increase_resolves;
     ]
