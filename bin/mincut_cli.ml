@@ -25,6 +25,16 @@ module Params = Mincut_core.Params
 (* a refused input, as the line the commands print for it *)
 let error_line msg = "mincut: error: " ^ msg
 
+(* a solver refuses an input it cannot answer (too few nodes, a
+   disconnected graph) with Invalid_argument: report it as an error line
+   and exit status 1, not a crash *)
+let refusing f =
+  match f () with
+  | code -> code
+  | exception Invalid_argument msg ->
+      prerr_endline (error_line msg);
+      1
+
 let make_graph ~family ~size ~seed ~weight_max =
   let rng = Rng.create seed in
   let weights =
@@ -104,17 +114,24 @@ let info_cmd =
         prerr_endline e;
         1
     | Ok g ->
+        refusing @@ fun () ->
+        let connected = Bfs.is_connected g in
+        (* solved before anything is printed, so a refusal prints nothing *)
+        let truth =
+          if connected && Graph.n g <= 400 then Some (Stoer_wagner.run g).Stoer_wagner.value
+          else None
+        in
         Printf.printf "nodes:      %d\n" (Graph.n g);
         Printf.printf "edges:      %d\n" (Graph.m g);
         Printf.printf "weight:     %d\n" (Graph.total_weight g);
-        Printf.printf "connected:  %b\n" (Bfs.is_connected g);
-        if Bfs.is_connected g then begin
+        Printf.printf "connected:  %b\n" connected;
+        if connected then begin
           Printf.printf "diameter:   %d\n" (Diameter.estimate g);
           let mindeg = Mincut_core.Exact.min_weighted_degree g in
           Printf.printf "min degree: %d (upper bound on the min cut)\n" mindeg;
-          if Graph.n g <= 400 then
-            Printf.printf "min cut:    %d (Stoer-Wagner ground truth)\n"
-              (Stoer_wagner.run g).Stoer_wagner.value
+          Option.iter
+            (Printf.printf "min cut:    %d (Stoer-Wagner ground truth)\n")
+            truth
         end;
         0
   in
@@ -305,6 +322,7 @@ let estimate_cmd =
         prerr_endline e;
         1
     | Ok g ->
+        refusing @@ fun () ->
         let module E = Mincut_core.Sample_estimate in
         let r = Api.estimate ~seed ?trials g in
         Printf.printf "estimate:  %d\n" r.E.estimate;
@@ -352,6 +370,7 @@ let trace_cmd =
         prerr_endline e;
         1
     | Ok g -> (
+        refusing @@ fun () ->
         let module P = Mincut_congest.Primitives in
         let module N = Mincut_congest.Network in
         let audit =

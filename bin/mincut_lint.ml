@@ -204,72 +204,6 @@ let serve_warm_cold_check () =
       else if cold.Request.cached then [ "first solve claimed to be cached" ]
       else Replay.diff_summary cold.Request.summary warm.Request.summary)
 
-(* Replay one seeded delta script through a Service session twice — once
-   applying deltas only, once also compacting the handle every few ops —
-   and demand every per-delta λ, every solved summary and every cache key
-   come out bit-identical.  [Handle.compact] is specified observationally
-   invisible (digest, version, generation, anchors all survive), so any
-   drift here is a real defect in the delta layer. *)
-let delta_compact_check () =
-  Certify.per_workload "serve: delta-then-solve = compact-then-solve (bit-identical)"
-    (fun g ->
-      let ops = Generators.delta_stream ~rng:(Rng.create 77) ~wmax:3 ~base:g 40 in
-      let nops = List.length ops in
-      let solve_points = [ nops / 3; (2 * nops) / 3; nops - 1 ] in
-      let errors = ref [] in
-      (* one replay: per-delta (version, λ) trace + responses at the
-         solve points; [compact_every = 0] never compacts *)
-      let replay ~compact_every =
-        let svc =
-          Service.create
-            ~config:{ Service.default_config with Service.workers = 1 }
-            ()
-        in
-        ignore (Service.session_open svc "s" g);
-        let trace = ref [] and solved = ref [] in
-        List.iteri
-          (fun i op ->
-            (match Service.session_delta svc "s" op with
-            | Ok (_, outcome, answer) ->
-                trace :=
-                  (outcome.Mincut_graph.Handle.version, answer.Api.lambda)
-                  :: !trace
-            | Error e -> errors := ("delta rejected: " ^ e) :: !errors);
-            if compact_every > 0 && i mod compact_every = compact_every - 1 then
-              ignore (Service.session_compact svc "s");
-            if List.mem i solve_points then
-              match
-                Service.session_solve svc "s" ~algorithm:Api.Exact_small_lambda
-                  ~seed:0 ~trees:None
-              with
-              | Ok resp -> solved := resp :: !solved
-              | Error e -> errors := ("solve failed: " ^ e) :: !errors)
-          ops;
-        (List.rev !trace, List.rev !solved)
-      in
-      let trace_a, solved_a = replay ~compact_every:0 in
-      let trace_b, solved_b = replay ~compact_every:7 in
-      let diffs =
-        if List.length solved_a <> List.length solved_b then [ "solve counts differ" ]
-        else
-          Replay.diff_named ~name:"per-delta (version, λ) trace"
-            ~equal:(List.equal (fun (v1, l1) (v2, l2) -> v1 = v2 && l1 = l2))
-            trace_a trace_b
-          @ List.concat
-              (List.map2
-                 (fun (a : Request.response) (b : Request.response) ->
-                   List.concat
-                     [
-                       Replay.diff_summary a.Request.summary b.Request.summary;
-                       Replay.diff_named ~name:"cache key" ~equal:String.equal
-                         a.Request.key b.Request.key;
-                       Replay.diff_named ~name:"cached flag" ~equal:Bool.equal
-                         a.Request.cached b.Request.cached;
-                     ])
-                 solved_a solved_b)
-      in
-      List.rev !errors @ diffs)
-
 let report_certify_human (r : Certify.report) =
   List.iter
     (fun (c : Certify.check) ->
@@ -299,7 +233,7 @@ let run_certify quick json slack inject =
         name;
       2
   | _ -> (
-      let extra () = [ serve_warm_cold_check (); delta_compact_check () ] in
+      let extra () = [ serve_warm_cold_check () ] in
       let r = Certify.run ~quick ?slack ?inject:(Option.join defect) ~extra () in
       if json then print_endline (Json.to_string (Certify.to_json r))
       else report_certify_human r;

@@ -161,10 +161,7 @@ let by_kind sites =
       | None -> acc @ [ (k, 1) ])
     [] sites
 
-let targets ?(budgets = []) cg =
-  let budget_for tid default =
-    match List.assoc_opt tid budgets with Some b -> b | None -> default
-  in
+let targets cg =
   List.concat_map
     (fun (d : Callgraph.def) ->
       let steps =
@@ -178,7 +175,7 @@ let targets ?(budgets = []) cg =
               tid;
               tfile = d.Callgraph.file;
               tline = line;
-              budget = budget_for tid default_step_budget;
+              budget = default_step_budget;
               sites =
                 count_sites ~cg ~from:d ~skip_head_lambda:true step;
             })
@@ -197,7 +194,7 @@ let targets ?(budgets = []) cg =
                 tid;
                 tfile = d.Callgraph.file;
                 tline;
-                budget = budget_for tid default_loop_budget;
+                budget = default_loop_budget;
                 sites = count_sites ~cg ~from:d ~skip_head_lambda:false body;
               })
             (while_loops d)
@@ -206,8 +203,8 @@ let targets ?(budgets = []) cg =
       steps @ loops)
     (Callgraph.defs_in_order cg)
 
-let check ?budgets cg =
-  let ts = targets ?budgets cg in
+let check cg =
+  let ts = targets cg in
   let findings =
     List.filter_map
       (fun t ->

@@ -37,10 +37,8 @@ val default_loop_budget : int
 val by_kind : site list -> (string * int) list
 (** Site counts keyed by kind name, first-seen order. *)
 
-val targets : ?budgets:(string * int) list -> Callgraph.t -> target list
-(** All budget targets with their counted sites; [budgets] overrides
-    per-target id. *)
+val targets : Callgraph.t -> target list
+(** All budget targets with their counted sites. *)
 
-val check :
-  ?budgets:(string * int) list -> Callgraph.t -> target list * Lint.finding list
+val check : Callgraph.t -> target list * Lint.finding list
 (** Targets plus one finding per over-budget target. *)

@@ -191,9 +191,9 @@ let effect_census cg =
     [ Effects.Pure; Effects.Det_stateful; Effects.Global_mutable;
       Effects.Clock_random_io ]
 
-let analyze ?budgets (sources, parse_errors) =
+let analyze (sources, parse_errors) =
   let cg = Callgraph.build sources in
-  let alloc_targets, alloc_findings = Allocheck.check ?budgets cg in
+  let alloc_targets, alloc_findings = Allocheck.check cg in
   let exn_summary, exn_findings = Exnflow.check cg in
   let resource_summary, resource_findings = Resguard.check cg in
   {
@@ -212,7 +212,7 @@ let analyze ?budgets (sources, parse_errors) =
     resource_findings;
   }
 
-let run ?budgets paths = analyze ?budgets (Srcread.load_paths paths)
+let run paths = analyze (Srcread.load_paths paths)
 
 let findings r =
   let of_error (e : Srcread.error) =
@@ -355,7 +355,7 @@ let inject_seeds =
     ("fdleak", ("inject_fdleak.ml", fdleak_seed, "resource-leak"));
   ]
 
-let run_inject ?budgets ~seed paths =
+let run_inject ~seed paths =
   match List.assoc_opt seed inject_seeds with
   | None -> Error (Printf.sprintf "unknown inject seed %S" seed)
   | Some (file, src, rule) -> (
@@ -365,4 +365,4 @@ let run_inject ?budgets ~seed paths =
                    e.Srcread.reason)
       | Ok parsed ->
           let sources, errors = Srcread.load_paths paths in
-          Ok (analyze ?budgets (sources @ [ parsed ], errors), rule))
+          Ok (analyze (sources @ [ parsed ], errors), rule))

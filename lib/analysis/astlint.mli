@@ -57,12 +57,9 @@ type report = {
   resource_findings : Lint.finding list;
 }
 
-val analyze :
-  ?budgets:(string * int) list ->
-  Srcread.source list * Srcread.error list ->
-  report
+val analyze : Srcread.source list * Srcread.error list -> report
 
-val run : ?budgets:(string * int) list -> string list -> report
+val run : string list -> report
 (** Parse every [.ml] under the paths and analyze. *)
 
 val findings : report -> Lint.finding list
@@ -75,10 +72,6 @@ val inject_seeds : (string * (string * string * string)) list
     injections: ["nondet"], ["alloc"], ["race"], ["exnleak"],
     ["fdleak"]. *)
 
-val run_inject :
-  ?budgets:(string * int) list ->
-  seed:string ->
-  string list ->
-  (report * string, string) result
+val run_inject : seed:string -> string list -> (report * string, string) result
 (** Analyze the paths with the seed's pseudo-module appended; returns
     the report and the rule the seed must trigger. *)

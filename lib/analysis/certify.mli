@@ -54,8 +54,7 @@ val run :
     [slack] overrides {!Scaling.default_slack}.  [extra] appends
     caller-supplied checks to a normal (non-inject) run, before the
     lockcheck check — the hook by which layers {e above} this library
-    (the serve layer's warm-vs-cold replay and delta/compact
-    equivalence) join the report without inverting the serve → analysis
-    dependency. *)
+    (the serve layer's warm-vs-cold replay) join the report without
+    inverting the serve → analysis dependency. *)
 
 val to_json : report -> Mincut_util.Json.t

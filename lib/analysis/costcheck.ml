@@ -10,8 +10,6 @@ let err path law detail = { path; law; detail }
 
 let describe e = Printf.sprintf "%s: [%s] %s" e.path e.law e.detail
 
-let overlapped_label = "(overlapped)"
-
 (* ---- structural laws ------------------------------------------------- *)
 
 (* The invariants every well-formed span tree satisfies, whatever
@@ -19,8 +17,7 @@ let overlapped_label = "(overlapped)"
    - executed-audit: an [Executed] leaf was measured on the engine, so
      it must carry the run's audit and agree with its round count;
    - audit-provenance: only executed leaves may carry audits;
-   - leaf-sum: a group span's rounds are exactly its children's sum,
-     except the zero-round "(overlapped)" marker under [Cost.par];
+   - leaf-sum: a group span's rounds are exactly its children's sum;
    - audit-profile: within an audit, the per-round congestion profile
      must sum to the message total;
    - total: the tree total is the sum of the top-level spans. *)
@@ -67,10 +64,7 @@ let check_tree (t : Cost.t) =
         let sum =
           List.fold_left (fun acc (k : Cost.span) -> acc + k.Cost.rounds) 0 kids
         in
-        let overlapped =
-          s.Cost.rounds = 0 && String.equal s.Cost.label overlapped_label
-        in
-        if (not overlapped) && sum <> s.Cost.rounds then
+        if sum <> s.Cost.rounds then
           add
             (err path "leaf-sum"
                (Printf.sprintf "children sum to %d, span has %d" sum

@@ -8,8 +8,7 @@
     - {b executed-audit}: an [Executed] leaf carries an engine audit and
       its rounds equal the audit's rounds;
     - {b audit-provenance}: only executed leaves carry audits;
-    - {b leaf-sum}: a group span's rounds equal its children's sum
-      (except the zero-round ["(overlapped)"] marker under [Cost.par]);
+    - {b leaf-sum}: a group span's rounds equal its children's sum;
     - {b audit-profile}: an audit's per-round congestion profile sums to
       its message total;
     - {b total}: the tree total equals the top-level span sum;

@@ -64,8 +64,11 @@ type sample = {
   or_words : int;          (* max payload over the run's engine audits *)
 }
 
-let sample ~params ~seed n =
-  let g = supercritical ~seed:(seed + n) n in
+(* both ladders' graphs derive from this one seed *)
+let ladder_seed = 9000
+
+let sample n =
+  let g = supercritical ~seed:(ladder_seed + n) n in
   let root = 0 in
   let tree, bfs_cost = Primitives.bfs_tree g ~root in
   let h = Tree.height tree in
@@ -75,7 +78,7 @@ let sample ~params ~seed n =
     initial.(v) <- [ v ]
   done;
   let _items, up_cost = Primitives.upcast_distinct g ~tree ~initial in
-  let r = One_respect.run ~params g tree in
+  let r = One_respect.run ~params:Params.default g tree in
   {
     s_n = n;
     bfs_rounds = bfs_cost.Cost.rounds;
@@ -100,9 +103,8 @@ let fit ~slack ~quantity ~envelope_name points =
   let ok = max_ratio <= slack *. min_ratio in
   { quantity; envelope_name; points; min_ratio; max_ratio; ok }
 
-let run ?(params = Params.default) ?(quick = false) ?(slack = default_slack)
-    ?(seed = 9000) () =
-  let samples = List.map (sample ~params ~seed) (ladder ~quick) in
+let run ?(quick = false) ?(slack = default_slack) () =
+  let samples = List.map sample (ladder ~quick) in
   let pts f g =
     List.map
       (fun s ->
@@ -163,10 +165,10 @@ let isqrt_ceil n = int_of_float (ceil (sqrt (float_of_int (max 1 n))))
 (* Deterministic per (dims, seed, bits), so a directory whose manifest
    matches is byte-for-byte what a rebuild would produce — safe to
    reuse as a cache, and a half-overwritten rebuild converges. *)
-let ensure_store ~scratch ~seed ~bits ~rows ~cols () =
+let ensure_store ~seed ~bits ~rows ~cols () =
   let n = rows * cols in
   let dir =
-    Filename.concat scratch (Printf.sprintf "torus_%dx%d_b%d_s%d" rows cols bits seed)
+    Filename.concat default_scratch (Printf.sprintf "torus_%dx%d_b%d_s%d" rows cols bits seed)
   in
   match Store.Chunk_io.read_manifest ~dir with
   | Ok m when m.Store.Chunk_io.n = n && m.Store.Chunk_io.chunk_bits = bits ->
@@ -181,15 +183,12 @@ let ensure_store ~scratch ~seed ~bits ~rows ~cols () =
             ~emit:(fun u v w -> Store.Bulk_loader.add_edge bl ~u ~v ~w);
           Result.map (fun m -> (dir, m)) (Store.Bulk_loader.finalize bl))
 
-let store_sample ?(params = Params.default) ?(scratch = default_scratch)
-    ?chunk_bits ?instruments ~seed n =
+let store_sample ?instruments ~seed n =
   let side = isqrt_ceil (max 9 n) in
   let rows = side and cols = side in
   let n = rows * cols in
-  let bits =
-    match chunk_bits with Some b -> b | None -> Store.Chunk.default_bits ~n
-  in
-  match ensure_store ~scratch ~seed ~bits ~rows ~cols () with
+  let bits = Store.Chunk.default_bits ~n in
+  match ensure_store ~seed ~bits ~rows ~cols () with
   | Error e -> Error e
   | Ok (dir, manifest) -> (
       let total = Store.Chunked_graph.manifest_bytes manifest in
@@ -212,7 +211,6 @@ let store_sample ?(params = Params.default) ?(scratch = default_scratch)
             in
             let tree =
               Tree.of_parents ~graph_n:n ~root:0 ~parent:b.Store.Traverse.parent
-                ~parent_edge:(Array.make n (-1))
             in
             let fr = Fragments.partition tree ~target:k in
             (match Fragments.check_invariants fr with
@@ -235,7 +233,7 @@ let store_sample ?(params = Params.default) ?(scratch = default_scratch)
               st_upcast_rounds = up;
               st_upcast_envelope = k + diameter;
               st_or_rounds =
-                Params.one_respect_charged_rounds params ~n ~height:ecc
+                Params.one_respect_charged_rounds Params.default ~n ~height:ecc
                   ~fragments:frags ~max_frag_height:(Fragments.max_height fr);
               st_or_envelope = (k * Params.log_star n) + diameter;
               st_fragments = frags;
@@ -249,11 +247,11 @@ let store_sample ?(params = Params.default) ?(scratch = default_scratch)
           | exception Store.Chunked_graph.Store_error e -> Error e
           | exception Invalid_argument e -> Error e))
 
-let store_samples ?params ?(quick = false) ?(seed = 9000) ?scratch () =
+let store_samples ?(quick = false) () =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | n :: rest -> (
-        match store_sample ?params ?scratch ~seed n with
+        match store_sample ~seed:ladder_seed n with
         | Ok s -> go (s :: acc) rest
         | Error e -> Error (Printf.sprintf "store ladder n=%d: %s" n e))
   in

@@ -33,13 +33,7 @@ val default_slack : float
 (** 2.5 — wide enough for small-n noise, tight enough that one extra
     √n factor across a 16→128 ladder blows through it. *)
 
-val run :
-  ?params:Mincut_core.Params.t ->
-  ?quick:bool ->
-  ?slack:float ->
-  ?seed:int ->
-  unit ->
-  report
+val run : ?quick:bool -> ?slack:float -> unit -> report
 (** Fits four quantities: BFS rounds vs D+2, a √n-item upcast vs
     √n + D, one-respecting-cut rounds vs √n·log* n + D, and its max
     engine-audited payload vs log₂ n.  [quick] drops the largest ladder
@@ -92,9 +86,6 @@ val store_ladder : quick:bool -> int list
     (actual node counts are the nearest squares, ≥ the request). *)
 
 val store_sample :
-  ?params:Mincut_core.Params.t ->
-  ?scratch:string ->
-  ?chunk_bits:int ->
   ?instruments:Mincut_store.Residency.instruments ->
   seed:int ->
   int ->
@@ -104,13 +95,7 @@ val store_sample :
     quantity under a budget of a quarter of the working set, so every
     whole-graph pass evicts. *)
 
-val store_samples :
-  ?params:Mincut_core.Params.t ->
-  ?quick:bool ->
-  ?seed:int ->
-  ?scratch:string ->
-  unit ->
-  (store_sample list, string) result
+val store_samples : ?quick:bool -> unit -> (store_sample list, string) result
 (** The whole ladder; first failure aborts with its message. *)
 
 val fit_store : ?slack:float -> store_sample list -> report

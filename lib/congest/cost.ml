@@ -70,29 +70,6 @@ let group label t =
 
 let ( ++ ) a b = { rounds = a.rounds + b.rounds; spans = a.spans @ b.spans }
 
-let overlapped_label = "(overlapped)"
-
-let par a b =
-  let winner, loser = if a.rounds >= b.rounds then (a, b) else (b, a) in
-  if loser.spans = [] then winner
-  else
-    {
-      rounds = winner.rounds;
-      spans =
-        winner.spans
-        @ [
-            {
-              label = overlapped_label;
-              (* rounds 0: the loser shares the winner's rounds, so the
-                 marker must not contribute to any leaf-sum *)
-              rounds = 0;
-              provenance = dominant loser.spans;
-              children = loser.spans;
-              audit = None;
-            };
-          ];
-    }
-
 (* one concat over the whole chain: folding [(++)] would rebuild the
    accumulated forest at every step, quadratic on long chains *)
 let sum costs =
@@ -101,21 +78,16 @@ let sum costs =
     spans = List.concat_map (fun c -> c.spans) costs;
   }
 
-let is_overlapped (s : span) = s.rounds = 0 && String.equal s.label overlapped_label
-
 (* Derived flat view: the leaves in execution order.  Group spans are
    structural only, so a tree built by wrapping the seed's flat steps
-   flattens back to the seed's exact breakdown; overlapped subtrees keep
-   the historical "(overlapped) " prefix. *)
+   flattens back to the seed's exact breakdown. *)
 let breakdown t =
-  let rec of_span prefix s =
+  let rec of_span s =
     match s.children with
-    | [] -> [ (prefix ^ s.label, s.rounds) ]
-    | kids ->
-        let prefix = if is_overlapped s then "(overlapped) " ^ prefix else prefix in
-        List.concat_map (of_span prefix) kids
+    | [] -> [ (s.label, s.rounds) ]
+    | kids -> List.concat_map of_span kids
   in
-  List.concat_map (of_span "") t.spans
+  List.concat_map of_span t.spans
 
 let audit_equal (a : Network.audit) (b : Network.audit) =
   a.Network.rounds = b.Network.rounds

@@ -67,18 +67,12 @@ val group : string -> t -> t
 val ( ++ ) : t -> t -> t
 (** Sequential composition: rounds add, span forests concatenate. *)
 
-val par : t -> t -> t
-(** Parallel composition (executions that share rounds): max of rounds.
-    The slower side's spans are kept; the faster side's are preserved
-    under a zero-round ["(overlapped)"] marker span, so the leaf-sum
-    invariant [rounds = sum of non-overlapped leaf rounds] holds. *)
-
 val sum : t list -> t
 
 val breakdown : t -> (string * int) list
-(** Derived flat view: the leaves in execution order, labels prefixed
-    with ["(overlapped) "] under {!par} markers.  This is the historical
-    [(string * int) list] breakdown; grouping never changes it. *)
+(** Derived flat view: the leaves in execution order.  This is the
+    historical [(string * int) list] breakdown; grouping never changes
+    it. *)
 
 val provenance_name : provenance -> string
 (** ["executed"] / ["scheduled"] / ["charged"] — the stable spelling

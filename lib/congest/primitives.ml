@@ -54,14 +54,6 @@ let rec send_from dsts x i acc = if i < 0 then acc else send_from dsts x (i - 1)
 
 let send_all dsts x = send_from dsts x (Array.length dsts - 1) []
 
-let min_edge_between g u v =
-  let best = ref (-1) in
-  Array.iter
-    (fun (x, id) -> if x = v && (!best = -1 || id < !best) then best := id)
-    (Graph.adj g u);
-  if !best = -1 then invalid_arg "Primitives: no edge between claimed neighbors";
-  !best
-
 (* ------------------------------------------------------------------ *)
 (* BFS tree by synchronous flooding                                    *)
 (* ------------------------------------------------------------------ *)
@@ -103,8 +95,7 @@ let bfs_tree ?cfg g ~root =
   let parent, audit =
     Network.run ?cfg ~words:(fun _ -> 1) ~result:(fun _ st -> st.parent) g (bfs_program g ~root)
   in
-  let parent_edge = Array.mapi (fun v p -> if p = -1 then -1 else min_edge_between g v p) parent in
-  let tree = Tree.of_parents ~graph_n:(Graph.n g) ~root ~parent ~parent_edge in
+  let tree = Tree.of_parents ~graph_n:(Graph.n g) ~root ~parent in
   (tree, Cost.executed ~audit "bfs-tree (real)" audit.Network.rounds)
 
 (* ------------------------------------------------------------------ *)

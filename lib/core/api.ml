@@ -105,8 +105,6 @@ let session_handle s = Incremental.handle s.inc
 let session_graph s = Incremental.graph s.inc
 let session_stats s = Incremental.stats s.inc
 
-let compact_session s = Incremental.compact s.inc
-
 (* the (algorithm, seed, trees) coordinates of a solve, as a stable
    string — %h renders ε exactly *)
 let solve_tag algorithm seed trees =
@@ -121,8 +119,7 @@ let solve_tag algorithm seed trees =
   Printf.sprintf "%s|s%d|t%s" a seed
     (match trees with None -> "-" | Some t -> string_of_int t)
 
-let min_cut_session ?(algorithm = Exact_small_lambda) ?(seed = 0) ?trees
-    ?(workers = 1) s =
+let min_cut_session ?(algorithm = Exact_small_lambda) ?(seed = 0) ?trees s =
   let tag = solve_tag algorithm seed trees in
   let gen = Incremental.generation s.inc in
   s.anchors <- List.filter (fun (_, g0, _) -> g0 = gen) s.anchors;
@@ -135,8 +132,7 @@ let min_cut_session ?(algorithm = Exact_small_lambda) ?(seed = 0) ?trees
       let lambda = Incremental.lambda s.inc in
       let summary =
         min_cut ~params:s.sparams ~algorithm ~seed
-          ~lambda_upper:(max 1 lambda) ?trees ~workers
-          (Incremental.graph s.inc)
+          ~lambda_upper:(max 1 lambda) ?trees (Incremental.graph s.inc)
       in
       s.anchors <- (tag, gen, summary) :: s.anchors;
       (summary, false)

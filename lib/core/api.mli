@@ -79,11 +79,10 @@ val verify : Mincut_graph.Graph.t -> summary -> bool
 
 (** {2 Incremental sessions}
 
-    A session wraps a {!Mincut_graph.Handle} (versioned graph: base
-    snapshot + delta log) and its {!Incremental} state, and reuses
-    whole summaries across versions: while {!Incremental} proves
-    (λ, side) unchanged, {!min_cut_session} re-serves the anchored
-    summary without solving.  Fresh solves are seeded with
+    A session wraps a {!Mincut_graph.Handle} (versioned live graph)
+    and its {!Incremental} state, and reuses whole summaries across
+    versions: while {!Incremental} proves (λ, side) unchanged,
+    {!min_cut_session} re-serves the anchored summary without solving.  Fresh solves are seeded with
     [?lambda_upper] = the session's exact λ — the tightest valid
     packing-budget cap. *)
 
@@ -110,17 +109,12 @@ val min_cut_session :
   ?algorithm:algorithm ->
   ?seed:int ->
   ?trees:int ->
-  ?workers:int ->
   session ->
   summary * bool
 (** Full summary of the live version.  [true] = served from an anchor
     ({!Incremental} proved the previous summary for these solve
-    coordinates still optimal — no solve ran).  Compaction never breaks
-    anchoring, so delta-then-solve and compact-then-solve answer
-    bit-identically. *)
-
-val compact_session : session -> unit
-(** Rebase the handle's snapshot; observationally invisible. *)
+    coordinates still optimal — no solve ran).  Fresh solves run on
+    one domain. *)
 
 val session_lambda : session -> int
 val session_side : session -> Mincut_util.Bitset.t

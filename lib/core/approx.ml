@@ -2,7 +2,6 @@ module Graph = Mincut_graph.Graph
 module Bfs = Mincut_graph.Bfs
 module Sampling = Mincut_graph.Sampling
 module Bitset = Mincut_util.Bitset
-module Rng = Mincut_util.Rng
 module Cost = Mincut_congest.Cost
 module Pool = Mincut_parallel.Pool
 
@@ -15,9 +14,12 @@ type result = {
   cost : Cost.t;
 }
 
-(* One full downward-search trial with its own RNG stream. *)
-let search_trial ~params ~trees ~pool ~rng ~epsilon g =
+let run ?(params = Params.default) ?(trees = 32) ?(pool = Pool.sequential) ~rng
+    ~epsilon g =
+  if epsilon <= 0.0 then invalid_arg "Approx.run: epsilon must be positive";
   let n = Graph.n g in
+  if n < 2 then invalid_arg "Approx.run: need n >= 2";
+  if not (Bfs.is_connected g) then invalid_arg "Approx.run: disconnected graph";
   (* skeleton min cut concentrates around p·λ = c·ln n / ε²; treat a
      result below half of that as evidence the guess λ̂ was too high *)
   let threshold =
@@ -75,43 +77,3 @@ let search_trial ~params ~trees ~pool ~rng ~epsilon g =
     end
   in
   search (max 1 (Exact.min_weighted_degree g)) 0 Cost.zero
-
-let run ?(params = Params.default) ?(trees = 32) ?(pool = Pool.sequential)
-    ?(trials = 1) ~rng ~epsilon g =
-  if epsilon <= 0.0 then invalid_arg "Approx.run: epsilon must be positive";
-  if trials < 1 then invalid_arg "Approx.run: trials must be >= 1";
-  let n = Graph.n g in
-  if n < 2 then invalid_arg "Approx.run: need n >= 2";
-  if not (Bfs.is_connected g) then invalid_arg "Approx.run: disconnected graph";
-  if trials = 1 then
-    (* single trial: the caller's RNG drives the search directly, and
-       the pool accelerates the per-tree DP inside each Exact.run *)
-    search_trial ~params ~trees ~pool ~rng ~epsilon g
-  else begin
-    (* independent skeleton trials: split one RNG per trial up front (in
-       index order — the derivation must not depend on scheduling), fan
-       the whole searches over the pool, and merge in index order.  Each
-       trial runs its inner DP sequentially: the parallelism budget is
-       spent at the trial level. *)
-    let rngs = Array.make trials rng in
-    for i = 0 to trials - 1 do
-      rngs.(i) <- Rng.split rng
-    done;
-    let results =
-      Pool.map pool
-        (fun trial_rng ->
-          search_trial ~params ~trees ~pool:Pool.sequential ~rng:trial_rng
-            ~epsilon g)
-        rngs
-    in
-    (* trials are concurrent executions over the same network, so the
-       round account is the slowest trial (Cost.par); the winner is the
-       smallest cut value, earliest trial on ties *)
-    let best = ref results.(0) in
-    let cost = ref results.(0).cost in
-    for i = 1 to trials - 1 do
-      cost := Cost.par !cost results.(i).cost;
-      if results.(i).value < !best.value then best := results.(i)
-    done;
-    { !best with cost = !cost }
-  end

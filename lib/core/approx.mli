@@ -28,20 +28,11 @@ val run :
   ?params:Params.t ->
   ?trees:int ->
   ?pool:Mincut_parallel.Pool.t ->
-  ?trials:int ->
   rng:Mincut_util.Rng.t ->
   epsilon:float ->
   Mincut_graph.Graph.t ->
   result
 (** [trees] is the packing budget used on the skeleton (default 32).
-    Requires a connected graph with n ≥ 2 and [epsilon > 0].
-
-    [trials] (default 1) runs that many independent skeleton searches and
-    keeps the smallest resulting cut (earliest trial on ties); per-trial
-    RNGs are derived from [rng] by [Rng.split] in index order, so the
-    result for a given [trials] is bit-identical for any [pool] worker
-    count.  With [trials = 1] the caller's [rng] drives the search
-    directly (exactly the historical behavior) and [pool] instead
-    accelerates the per-tree DP inside each internal exact solve.
-    Trials are concurrent executions, so their round costs combine with
-    [Cost.par]. *)
+    Requires a connected graph with n ≥ 2 and [epsilon > 0].  [pool]
+    runs the per-tree DP inside each internal exact solve; the result is
+    bit-identical for any worker count. *)

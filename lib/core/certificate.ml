@@ -13,10 +13,10 @@ type report = {
 
 let outputs g side = Array.init (Graph.n g) (Bitset.mem side)
 
-let certify ?(params = Params.default) g ~value ~side =
+let certify g ~value ~side =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Certificate.certify: need n >= 2";
-  let cfg = params.Params.congest in
+  let cfg = Params.default.Params.congest in
   let bits = outputs g side in
   (* one real round of bit exchange; each node's crossing weight is the
      weight of its edges towards neighbors that reported the other bit *)
@@ -43,5 +43,4 @@ let certify ?(params = Params.default) g ~value ~side =
     rounds = x_audit.Network.rounds + c_bfs.Cost.rounds + c_sum.Cost.rounds + c_cnt.Cost.rounds;
   }
 
-let certify_summary ?params g (s : Api.summary) =
-  certify ?params g ~value:s.Api.value ~side:s.Api.side
+let certify_summary g (s : Api.summary) = certify g ~value:s.Api.value ~side:s.Api.side

@@ -29,10 +29,9 @@ type report = {
 val outputs : Mincut_graph.Graph.t -> Mincut_util.Bitset.t -> bool array
 (** [outputs g side] — the per-node bit "I am in X". *)
 
-val certify :
-  ?params:Params.t -> Mincut_graph.Graph.t -> value:int -> side:Mincut_util.Bitset.t -> report
+val certify : Mincut_graph.Graph.t -> value:int -> side:Mincut_util.Bitset.t -> report
 (** Run the distributed certification on the engine (real messages).
     Requires a connected graph with n ≥ 2. *)
 
-val certify_summary : ?params:Params.t -> Mincut_graph.Graph.t -> Api.summary -> report
+val certify_summary : Mincut_graph.Graph.t -> Api.summary -> report
 (** [certify] applied to a summary's claim. *)

@@ -56,8 +56,6 @@ let create g =
     gen = 0;
   }
 
-let compact t = ignore (Handle.compact t.handle)
-
 let apply t op =
   match Handle.apply t.handle op with
   | Error _ as e -> e

@@ -70,10 +70,4 @@ val handle : t -> Mincut_graph.Handle.t
 val graph : t -> Mincut_graph.Graph.t
 (** {!Mincut_graph.Handle.current} of the live version. *)
 
-val compact : t -> unit
-(** {!Mincut_graph.Handle.compact} the handle.  λ, the side and
-    {!generation} all survive — compaction is observationally
-    invisible, which is what makes delta-then-solve and
-    compact-then-solve bit-identical. *)
-
 val stats : t -> stats

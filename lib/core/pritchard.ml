@@ -16,7 +16,7 @@ let bridge_side g id =
   let u, _ = Graph.endpoints g id in
   Bfs.component_of without u
 
-let run ?params:_ g =
+let run g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Pritchard.run: need n >= 2";
   if not (Bfs.is_connected g) then

@@ -19,5 +19,5 @@ type verdict =
 
 type result = { verdict : verdict; cost : Mincut_congest.Cost.t }
 
-val run : ?params:Params.t -> Mincut_graph.Graph.t -> result
+val run : Mincut_graph.Graph.t -> result
 (** Requires n ≥ 2.  Disconnected graphs yield [Cut_found] with value 0. *)

@@ -1,7 +1,6 @@
 type result = {
   dist : int array;
   parent : int array;
-  parent_edge : int array;
   order : int list;
 }
 
@@ -9,7 +8,6 @@ let run_multi g ~sources =
   let n = Graph.n g in
   let dist = Array.make n (-1) in
   let parent = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
   let q = Queue.create () in
   List.iter
     (fun s ->
@@ -23,16 +21,15 @@ let run_multi g ~sources =
     let v = Queue.pop q in
     order := v :: !order;
     Array.iter
-      (fun (u, eid) ->
+      (fun (u, _) ->
         if dist.(u) = -1 then begin
           dist.(u) <- dist.(v) + 1;
           parent.(u) <- v;
-          parent_edge.(u) <- eid;
           Queue.add u q
         end)
       (Graph.adj g v)
   done;
-  { dist; parent; parent_edge; order = List.rev !order }
+  { dist; parent; order = List.rev !order }
 
 let run g ~source = run_multi g ~sources:[ source ]
 

@@ -7,8 +7,6 @@
 type result = {
   dist : int array;    (** hop distance from the source set; [-1] if unreachable *)
   parent : int array;  (** BFS-tree parent; [-1] for sources / unreachable *)
-  parent_edge : int array;
-      (** graph edge id connecting a node to its parent; [-1] at sources *)
   order : int list;    (** visited nodes in dequeue order (sources first) *)
 }
 

@@ -9,9 +9,7 @@ let ck_u k = k lsr 31
 let ck_v k = k land 0x7FFF_FFFF
 
 type t = {
-  mutable base : Graph.t;
   channels : (int, int) Hashtbl.t;
-  mutable log_rev : Delta.op list;
   mutable version : int;
   mutable n : int;
   mutable nchan : int;
@@ -92,9 +90,7 @@ let current t =
 let of_graph g =
   let t =
     {
-      base = g;  (* replaced below by the aggregated representative *)
       channels = Hashtbl.create (max 16 (Graph.m g));
-      log_rev = [];
       version = 0;
       n = Graph.n g;
       nchan = 0;
@@ -108,19 +104,8 @@ let of_graph g =
       let w0 = channel_weight t e.Graph.u e.Graph.v in
       ignore (set_channel t e.Graph.u e.Graph.v (w0 + e.Graph.w)))
     g;
-  t.base <- current t;
   t
 
-let multiset_hash g = digest (of_graph g)
-
-let compact t =
-  let g = current t in
-  t.base <- g;
-  t.log_rev <- [];
-  g
-
-let base t = t.base
-let log t = List.rev t.log_rev
 let version t = t.version
 let n t = t.n
 let channels t = t.nchan
@@ -234,6 +219,5 @@ let apply t op =
   | Ok ([], false) -> Ok { version = t.version; changes = []; renumbered = false }
   | Ok (changes, renumbered) ->
       t.version <- t.version + 1;
-      t.log_rev <- op :: t.log_rev;
       t.memo <- None;
       Ok { version = t.version; changes; renumbered }

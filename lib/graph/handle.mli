@@ -1,15 +1,14 @@
-(** Versioned graph handles: a base snapshot plus an append-only
-    {!Delta} log, with an O(1)-per-channel-touch {e rolling} structural
-    digest.
+(** Versioned graph handles: the live channel map of a graph that
+    {!Delta}s edit in place, with an O(1)-per-channel-touch {e rolling}
+    structural digest.
 
     The handle works on the channel view of the graph (parallel edges
     aggregated per node pair — cut-preserving, see {!Delta}); {!of_graph}
     takes that quotient once, so a multigraph and its aggregation open
     identical sessions.  {!current} materializes the canonical
     representative of the live version — channels sorted by endpoints —
-    and memoizes it until the next delta; {!compact} rebases the
-    snapshot onto that representative and clears the log without
-    changing the version, the digest, or anything a solver can observe.
+    and memoizes it until the next delta.  The handle keeps no history:
+    its size follows the live graph, not the number of deltas applied.
 
     {b The rolling digest.} The plain cache digest
     ({!Mincut_serve.Graph_key.structural_hash}) is FNV-1a over the
@@ -19,9 +18,8 @@
     of one FNV-1a hash per channel triple, wrapped together with the
     node/channel/weight counts.  Addition commutes, so applying a delta
     only adds/subtracts the touched channels' contributions —
-    O(|delta|), never O(m) — and the rolled value equals the
-    from-scratch {!multiset_hash} of the compacted graph (a tested
-    invariant). *)
+    O(|delta|), never O(m) — and the rolled value equals the digest of
+    a fresh {!of_graph} on {!current} (a tested invariant). *)
 
 type t
 
@@ -55,16 +53,6 @@ val current : t -> Graph.t
     endpoints).  Memoized; O(m log m) after a delta, O(1) until the
     next one. *)
 
-val compact : t -> Graph.t
-(** Rebase the snapshot onto {!current} and clear the log.  Returns the
-    new base.  Observationally invisible: version, digest and
-    {!current} are unchanged. *)
-
-val base : t -> Graph.t
-val log : t -> Delta.op list
-(** Deltas applied since the last {!compact} (or {!of_graph}), oldest
-    first. *)
-
 val version : t -> int
 val n : t -> int
 val channels : t -> int
@@ -80,8 +68,3 @@ val channel_array : t -> (int * int * int) array
 
 val digest : t -> int64
 (** The rolled commutative multiset digest of the live version. *)
-
-val multiset_hash : Graph.t -> int64
-(** From-scratch digest of a graph's channel aggregation — what
-    {!digest} must equal after any delta sequence reaching the same
-    structure. *)

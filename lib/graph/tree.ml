@@ -2,13 +2,11 @@ type t = {
   graph_n : int;
   root : int;
   parent : int array;
-  parent_edge : int array;
   children : int array array;
   depth : int array;
   preorder : int array;
   tin : int array;
   tout : int array;
-  size : int array;
 }
 
 module Scratch = Mincut_util.Scratch
@@ -16,8 +14,8 @@ module Scratch = Mincut_util.Scratch
 (* The counts, fill cursors and DFS stack are per-call temporaries, so
    they come from the domain's [Scratch]; every array of the result is
    allocated. *)
-let of_parents ~graph_n ~root ~parent ~parent_edge =
-  if Array.length parent <> graph_n || Array.length parent_edge <> graph_n then
+let of_parents ~graph_n ~root ~parent =
+  if Array.length parent <> graph_n then
     invalid_arg "Tree.of_parents: array length mismatch";
   if root < 0 || root >= graph_n || parent.(root) <> -1 then
     invalid_arg "Tree.of_parents: bad root";
@@ -46,7 +44,6 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
   let preorder = Array.make graph_n (-1) in
   let tin = Array.make graph_n (-1) in
   let tout = Array.make graph_n (-1) in
-  let size = Array.make graph_n 1 in
   let next_child = Scratch.filled sc graph_n 0 in
   let stack = Scratch.ints sc graph_n in
   let top = ref 0 in
@@ -77,23 +74,17 @@ let of_parents ~graph_n ~root ~parent ~parent_edge =
     end
   done;
   if !idx <> graph_n then invalid_arg "Tree.of_parents: does not span all nodes";
-  (* subtree sizes bottom-up via reverse preorder *)
-  for i = graph_n - 1 downto 1 do
-    let v = preorder.(i) in
-    size.(parent.(v)) <- size.(parent.(v)) + size.(v)
-  done;
-  { graph_n; root; parent; parent_edge; children; depth; preorder; tin; tout; size }
+  { graph_n; root; parent; children; depth; preorder; tin; tout }
 
 (* The n - 1 tree edges as a CSR (per-node offsets into one neighbour
-   and one edge-id array), walked by a BFS over an int-array queue.  A
-   spanning tree fixes every node's parent and parent edge, so the walk
-   order does not show in the result.  The CSR, queue and seen flags
-   come from the domain's [Scratch]. *)
+   array), walked by a BFS over an int-array queue.  A spanning tree
+   fixes every node's parent, so the walk order does not show in the
+   result.  The CSR, queue and seen flags come from the domain's
+   [Scratch]. *)
 let of_edge_ids g ~root ids =
   let n = Graph.n g in
   let len = List.length ids in
   let parent = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
   (Scratch.frame @@ fun sc ->
   let off = Scratch.filled sc (n + 1) 0 in
   List.iter
@@ -108,15 +99,13 @@ let of_edge_ids g ~root ids =
   done;
   let fill = Scratch.ints sc n in
   Array.blit off 0 fill 0 n;
-  let nbr = Scratch.ints sc (2 * len) and eid = Scratch.ints sc (2 * len) in
+  let nbr = Scratch.ints sc (2 * len) in
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
       nbr.(fill.(u)) <- v;
-      eid.(fill.(u)) <- id;
       fill.(u) <- fill.(u) + 1;
       nbr.(fill.(v)) <- u;
-      eid.(fill.(v)) <- id;
       fill.(v) <- fill.(v) + 1)
     ids;
   let seen = Scratch.filled sc n 0 in
@@ -132,20 +121,19 @@ let of_edge_ids g ~root ids =
       if seen.(u) = 0 then begin
         seen.(u) <- 1;
         parent.(u) <- v;
-        parent_edge.(u) <- eid.(s);
         queue.(!tail) <- u;
         incr tail
       end
     done
   done;
   if !tail <> n then invalid_arg "Tree.of_edge_ids: edges do not span the graph");
-  of_parents ~graph_n:n ~root ~parent ~parent_edge
+  of_parents ~graph_n:n ~root ~parent
 
 let bfs_tree g ~root =
   let r = Bfs.run g ~source:root in
   if not (Array.for_all (fun d -> d >= 0) r.dist) then
     invalid_arg "Tree.bfs_tree: disconnected graph";
-  of_parents ~graph_n:(Graph.n g) ~root ~parent:r.parent ~parent_edge:r.parent_edge
+  of_parents ~graph_n:(Graph.n g) ~root ~parent:r.parent
 
 let is_ancestor t a v = t.tin.(a) <= t.tin.(v) && t.tout.(v) <= t.tout.(a)
 

@@ -12,17 +12,15 @@ type t = private {
   graph_n : int;           (** number of nodes of the underlying graph *)
   root : int;
   parent : int array;      (** [-1] at the root *)
-  parent_edge : int array; (** underlying graph edge id, [-1] at the root *)
   children : int array array;
   depth : int array;       (** hop depth from the root *)
   preorder : int array;    (** all nodes, parents before children *)
   tin : int array;
   tout : int array;        (** Euler interval: u ancestor-of v iff
                                [tin u <= tin v && tout v <= tout u] *)
-  size : int array;        (** subtree sizes |v↓| *)
 }
 
-val of_parents : graph_n:int -> root:int -> parent:int array -> parent_edge:int array -> t
+val of_parents : graph_n:int -> root:int -> parent:int array -> t
 (** Build from a parent map.  Raises [Invalid_argument] if the parent map
     is not a tree spanning all [graph_n] nodes rooted at [root]. *)
 

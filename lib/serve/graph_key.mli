@@ -57,5 +57,4 @@ val versioned_key :
     [m].  The digest is order-insensitive by construction, so a delta
     chain that returns to a previously seen structure re-derives the
     {e same} key and hits the entry cached at the earlier version (the
-    cache's version-chain lookup); compaction changes neither the digest
-    nor the counts, so keys survive it. *)
+    cache's version-chain lookup). *)

@@ -24,7 +24,6 @@ type command =
   | Estimate of estimate_args
   | Session_open of { sname : string; ssource : source }
   | Delta_op of { sname : string; dop : Delta.op }
-  | Compact of string
   | Flush
   | Stats
   | Ping
@@ -171,10 +170,6 @@ let parse_verb verb rest =
           let* dop = Delta.parse_tokens optoks in
           Ok (Delta_op { sname = name; dop })
       | [] -> Error "usage: DELTA <name> add|remove|reweight|merge|split ...")
-  | "COMPACT" -> (
-      match rest with
-      | [ name ] -> Ok (Compact name)
-      | _ -> Error "usage: COMPACT <name>")
   | "FLUSH" -> Ok Flush
   | "STATS" -> Ok Stats
   | "PING" -> Ok Ping
@@ -216,7 +211,6 @@ let help_lines =
     "ESTIMATE graph=<name>|family=<fam>|session=<s> [size= gseed= wmax=] [seed=] [trials=]   sampling-ladder bracket on λ";
     "SESSION <name> graph=<g>|family=<fam> [...]   open a mutable versioned session";
     "DELTA <name> add u v w | remove u v | reweight u v w | merge u v | split v w x1,..   apply one delta, answer λ incrementally";
-    "COMPACT <name>         rebase the session's snapshot (observationally invisible)";
     "FLUSH                  run pending batches -> SHED/RESULT lines + DONE";
     "STATS                  one-line JSON metrics snapshot";
     "PING | HELP | QUIT | SHUTDOWN";

@@ -11,7 +11,6 @@
     ESTIMATE <args>          sampling-ladder λ bracket, no exact solve
     SESSION <name> <source>  open a named mutable versioned session
     DELTA <name> <op>        apply one delta; answers λ incrementally
-    COMPACT <name>           rebase the session snapshot (invisible)
     FLUSH                    drain the queue as coalesced batches on the
                              worker pool; SHED line per expired ticket,
                              RESULT line per answered ticket + DONE
@@ -72,7 +71,6 @@ type command =
   | Estimate of estimate_args
   | Session_open of { sname : string; ssource : source }
   | Delta_op of { sname : string; dop : Mincut_graph.Delta.op }
-  | Compact of string
   | Flush
   | Stats
   | Ping

@@ -218,17 +218,6 @@ let handle_command session cmd =
                (Handle.n h) (Handle.channels h)
                (Hash.to_hex (Handle.digest h))));
       None
-  | Protocol.Compact sname ->
-      (match Service.session_compact session.service sname with
-      | Error e -> err session "COMPACT %s: %s" sname e
-      | exception e -> err session "COMPACT %s: %s" sname (Printexc.to_string e)
-      | Ok s ->
-          let h = Api.session_handle s in
-          io.write_line
-            (Printf.sprintf "OK compact %s version=%d channels=%d hash=%s" sname
-               (Handle.version h) (Handle.channels h)
-               (Hash.to_hex (Handle.digest h))));
-      None
   | Protocol.Flush ->
       (match Service.flush session.service with
       | { Service.answered; shed } ->

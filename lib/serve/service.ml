@@ -289,13 +289,6 @@ let session_delta t name op =
               Metrics.incr t.full_resolves);
           Ok (s, outcome, answer))
 
-let session_compact t name =
-  match find_session t name with
-  | Error _ as e -> e
-  | Ok s ->
-      Api.compact_session s;
-      Ok s
-
 let session_solve t name ~algorithm ~seed ~trees =
   match find_session t name with
   | Error _ as e -> e

@@ -85,8 +85,7 @@ val flush : t -> flush_result
     through the {e same} summary cache as one-shot solves, but under
     {!Graph_key.versioned_key} — the handle's rolled digest — so a delta
     chain returning to a previously seen structure hits the entry cached
-    at the earlier version, and compaction (digest-preserving) never
-    invalidates anything.
+    at the earlier version.
 
     Counters: [deltas_applied]; [incremental_hits] (answers that needed
     no full solve: reused delta answers, anchored summaries,
@@ -112,10 +111,6 @@ val session_delta :
 (** Apply one delta to the named session and answer λ through the
     cheapest valid tier.  [Error] (unknown session or rejected delta)
     changes nothing. *)
-
-val session_compact : t -> string -> (Mincut_core.Api.session, string) result
-(** Rebase the named session's handle; observationally invisible
-    (version, digest, λ, side and anchors all survive). *)
 
 val session_solve :
   t ->

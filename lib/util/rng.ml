@@ -14,10 +14,6 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
-
 let int t bound =
   assert (bound > 0);
   (* Rejection sampling over the top 62 bits keeps the draw unbiased. *)

@@ -12,11 +12,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t]; the two
-    subsequently produce independent-looking streams.  Used to give each
-    trial / node / tree its own stream without correlation. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -163,9 +163,6 @@ let test_only_keep =
     "Mincut_treepack.Tree_packing.load_invariant";
     (* inspectors *)
     "Mincut_graph.Graph.equal_structure";
-    "Mincut_graph.Handle.log";
-    "Mincut_graph.Handle.base";
-    "Mincut_graph.Handle.multiset_hash";
     "Mincut_serve.Cache.mem";
     "Mincut_serve.Cache.evictions";
     "Mincut_serve.Cache.keys_mru_first";
@@ -187,6 +184,130 @@ let test_only_keep =
     "Mincut_util.Bitset.copy";
     "Mincut_graph.Generators.caterpillar";
   ]
+
+(* Optional arguments of exported library values that no shipped
+   program and no library code passes, kept on purpose, each with its
+   reason.  Options of the [test_only_keep] oracles are exempt too:
+   only tests call those at all. *)
+let unpassed_option_keep =
+  [
+    ( ("Network_reference", "run", "cfg"),
+      "the reference driver is the oracle for the engine's watchdog and \
+       word-budget checks, so tests run both under the same strict configs" );
+    ( ("Network", "run_bounded", "probe"),
+      "tests count the node steps of a flood that never halts, which only a \
+       bounded run can stop, to pin wake-on-mail stepping" );
+    ( ("One_respect", "lca_by_fragments", "target"),
+      "tests vary the fragment size so LCAs across fragment boundaries are \
+       exercised at every shape; shipped callers use the paper's ceil(sqrt n)" );
+  ]
+
+let module_of_file file =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
+
+(* every [?label] of every [val] an .mli under [dir] exports, as
+   (module, value, label); a value of a nested signature carries the
+   innermost module's name *)
+let exported_options dir =
+  let rec mli_files acc path =
+    if Sys.is_directory path then
+      Array.fold_left
+        (fun acc entry -> mli_files acc (Filename.concat path entry))
+        acc (Sys.readdir path)
+    else if Filename.check_suffix path ".mli" then path :: acc
+    else acc
+  in
+  let rec optionals acc (t : Parsetree.core_type) =
+    match t.Parsetree.ptyp_desc with
+    | Parsetree.Ptyp_arrow (Asttypes.Optional l, _, rest) -> optionals (l :: acc) rest
+    | Parsetree.Ptyp_arrow (_, _, rest) | Parsetree.Ptyp_poly (_, rest) -> optionals acc rest
+    | _ -> List.rev acc
+  in
+  let rec items m (sg : Parsetree.signature) =
+    List.concat_map
+      (fun (item : Parsetree.signature_item) ->
+        match item.Parsetree.psig_desc with
+        | Parsetree.Psig_value vd ->
+            List.map
+              (fun l -> (m, vd.Parsetree.pval_name.Location.txt, l))
+              (optionals [] vd.Parsetree.pval_type)
+        | Parsetree.Psig_module
+            {
+              Parsetree.pmd_name = { Location.txt = Some name; _ };
+              pmd_type = { Parsetree.pmty_desc = Parsetree.Pmty_signature sg; _ };
+              _;
+            } ->
+            items name sg
+        | _ -> [])
+      sg
+  in
+  List.concat_map
+    (fun file ->
+      let src = In_channel.with_open_bin file In_channel.input_all in
+      let lexbuf = Lexing.from_string src in
+      Location.init lexbuf file;
+      items (module_of_file file) (Parse.interface lexbuf))
+    (List.sort String.compare (mli_files [] dir))
+
+(* every (module, value, label) some application in [sources] passes,
+   as [~label] or [?label].  Name-based: a call [M.f] names module [M]
+   after resolving the file's [module M = P] aliases to [P]'s last
+   component, and an unqualified [f] names the file's own module. *)
+let passed_options sources =
+  let passed = Hashtbl.create 512 in
+  List.iter
+    (fun (s : Srcread.source) ->
+      let own = module_of_file s.Srcread.file in
+      let aliases = Hashtbl.create 16 in
+      let resolve m = Option.value ~default:m (Hashtbl.find_opt aliases m) in
+      let alias name (me : Parsetree.module_expr) =
+        match me.Parsetree.pmod_desc with
+        | Parsetree.Pmod_ident { Location.txt; _ } -> (
+            match List.rev (Srcread.flatten txt) with
+            | last :: _ -> Hashtbl.replace aliases name last
+            | [] -> ())
+        | _ -> ()
+      in
+      let note dotted args =
+        let m, v =
+          match List.rev (String.split_on_char '.' dotted) with
+          | [ v ] -> (own, v)
+          | v :: m :: _ -> (resolve m, v)
+          | [] -> ("", "")
+        in
+        List.iter
+          (fun (l, _) ->
+            match l with
+            | Asttypes.Optional l | Asttypes.Labelled l -> Hashtbl.replace passed (m, v, l) ()
+            | Asttypes.Nolabel -> ())
+          args
+      in
+      let open Ast_iterator in
+      let it =
+        {
+          default_iterator with
+          structure_item =
+            (fun it (item : Parsetree.structure_item) ->
+              (match item.Parsetree.pstr_desc with
+              | Parsetree.Pstr_module
+                  { Parsetree.pmb_name = { Location.txt = Some name; _ }; pmb_expr; _ } ->
+                  alias name pmb_expr
+              | _ -> ());
+              default_iterator.structure_item it item);
+          expr =
+            (fun it (e : Parsetree.expression) ->
+              (match e.Parsetree.pexp_desc with
+              | Parsetree.Pexp_letmodule ({ Location.txt = Some name; _ }, me, _) ->
+                  alias name me
+              | Parsetree.Pexp_apply (f, args) ->
+                  Option.iter (fun dotted -> note dotted args) (Srcread.head_name f)
+              | _ -> ());
+              default_iterator.expr it e);
+        }
+      in
+      it.structure it s.Srcread.ast)
+    sources;
+  passed
 
 let leaf_name id =
   match String.rindex_opt id '.' with
@@ -234,13 +355,13 @@ let test_lib_reached_by_shipped_code () =
       (fun id _ -> Hashtbl.replace reached id ())
       (Callgraph.reachable cg ~roots)
   in
+  let shipped_sources = List.map load shipped in
   List.iter
-    (fun dir ->
-      let sources = load dir in
+    (fun sources ->
       let files = List.map (fun s -> s.Srcread.file) sources in
       reach_from sources ~roots_of:(fun d ->
           List.mem d.Callgraph.file files || is_top_level_effect d.Callgraph.id))
-    shipped;
+    shipped_sources;
   let cg = Callgraph.build lib_sources in
   List.iter
     (fun id ->
@@ -260,7 +381,32 @@ let test_lib_reached_by_shipped_code () =
   in
   if dead <> [] then
     Alcotest.failf "library definitions no shipped program reaches:\n%s"
-      (String.concat "\n" dead)
+      (String.concat "\n" dead);
+  (* option level: an exported optional argument that nothing outside
+     the tests ever passes is a configuration only the tests exercise *)
+  let exported = exported_options lib in
+  let passed = passed_options (List.concat (lib_sources :: shipped_sources)) in
+  List.iter
+    (fun (((m, v, l) as key), _) ->
+      if not (List.mem key exported) then
+        Alcotest.failf "option keep-list entry %s.%s ?%s names no exported option" m v l;
+      if Hashtbl.mem passed key then
+        Alcotest.failf "option keep-list entry %s.%s ?%s is passed now; drop it" m v l)
+    unpassed_option_keep;
+  let test_only m v =
+    List.exists (fun id -> Srcread.has_suffix ~suffix:(m ^ "." ^ v) id) test_only_keep
+  in
+  let unpassed =
+    List.filter_map
+      (fun ((m, v, l) as key) ->
+        if Hashtbl.mem passed key || List.mem_assoc key unpassed_option_keep || test_only m v
+        then None
+        else Some (Printf.sprintf "%s.%s ?%s" m v l))
+      exported
+  in
+  if unpassed <> [] then
+    Alcotest.failf "optional arguments no shipped or library code passes:\n%s"
+      (String.concat "\n" unpassed)
 
 (* ---- effects ----------------------------------------------------------- *)
 

@@ -1,9 +1,8 @@
 (* Algebraic laws and serialization round trips of the provenance-tagged
    cost span tree.  Random trees are built only through the public
    constructors, so every law is a statement about the exported algebra:
-   [++] is associative with [zero] as identity, [par] commutes on
-   rounds, and the total is always the sum of the leaves that bill
-   (everything not hidden under an "(overlapped)" marker). *)
+   [++] is associative with [zero] as identity, and the total is always
+   the sum of the leaf rounds. *)
 
 open Test_helpers
 module Cost = Mincut_congest.Cost
@@ -27,43 +26,24 @@ let gen_leaf =
       | 1 -> Cost.scheduled label rounds
       | _ -> Cost.charged label rounds))
 
-(* [with_par:false] restricts to sequential composition, where the
-   plain leaf-sum invariant must hold with no exclusions *)
-let rec gen_cost ~with_par depth =
+let rec gen_cost depth =
   QCheck2.Gen.(
     if depth = 0 then gen_leaf
     else
-      let* choice = int_range 0 (if with_par then 3 else 2) in
+      let* choice = int_range 0 2 in
       match choice with
       | 0 -> gen_leaf
       | 1 ->
-          let* a = gen_cost ~with_par (depth - 1) in
-          let* b = gen_cost ~with_par (depth - 1) in
+          let* a = gen_cost (depth - 1) in
+          let* b = gen_cost (depth - 1) in
           return (Cost.( ++ ) a b)
-      | 2 ->
-          let* label = gen_label in
-          let* a = gen_cost ~with_par (depth - 1) in
-          return (Cost.group label a)
       | _ ->
-          let* a = gen_cost ~with_par (depth - 1) in
-          let* b = gen_cost ~with_par (depth - 1) in
-          return (Cost.par a b))
+          let* label = gen_label in
+          let* a = gen_cost (depth - 1) in
+          return (Cost.group label a))
 
-let gen_tree = gen_cost ~with_par:true 3
-let gen_seq_tree = gen_cost ~with_par:false 3
-
-let gen_pair = QCheck2.Gen.pair gen_tree gen_tree
+let gen_tree = gen_cost 3
 let gen_triple = QCheck2.Gen.triple gen_tree gen_tree gen_tree
-
-let has_prefix prefix l =
-  String.length l >= String.length prefix
-  && String.sub l 0 (String.length prefix) = prefix
-
-let billed_rounds t =
-  List.fold_left
-    (fun acc (label, rounds) ->
-      if has_prefix "(overlapped)" label then acc else acc + rounds)
-    0 (Cost.breakdown t)
 
 (* ---- qcheck laws --------------------------------------------------- *)
 
@@ -73,18 +53,12 @@ let qcheck_tests =
         Cost.(equal (a ++ b ++ c) (a ++ (b ++ c))));
     qtest "cost: zero is identity" gen_tree (fun a ->
         Cost.(equal (zero ++ a) a && equal (a ++ zero) a));
-    qtest "cost: par commutes on rounds" gen_pair (fun (a, b) ->
-        (Cost.par a b).Cost.rounds = (Cost.par b a).Cost.rounds);
-    qtest "cost: par rounds = max" gen_pair (fun (a, b) ->
-        (Cost.par a b).Cost.rounds = max a.Cost.rounds b.Cost.rounds);
     qtest "cost: sum = iterated (++)" gen_triple (fun (a, b, c) ->
         Cost.(equal (sum [ a; b; c ]) (a ++ b ++ c)));
-    qtest "cost: rounds = sum of leaf rounds (sequential)" gen_seq_tree
+    qtest "cost: rounds = sum of leaf rounds (sequential)" gen_tree
       (fun a ->
         a.Cost.rounds
         = List.fold_left (fun acc (_, r) -> acc + r) 0 (Cost.breakdown a));
-    qtest "cost: rounds = sum of billed leaves (with par)" gen_tree (fun a ->
-        a.Cost.rounds = billed_rounds a);
     qtest "cost: group preserves rounds and flat view" gen_tree (fun a ->
         let g = Cost.group "wrapper" a in
         g.Cost.rounds = a.Cost.rounds
@@ -139,18 +113,11 @@ let test_json_keeps_audit () =
   | Ok back -> check_bool "audit survives json" true (Cost.equal cost back)
   | Error e -> Alcotest.fail e
 
-let test_par_marks_loser () =
-  let p = Cost.(par (scheduled "slow" 10) (scheduled "fast" 3)) in
-  check_int "winner rounds" 10 p.Cost.rounds;
-  check_bool "loser prefixed in flat view" true
-    (List.mem ("(overlapped) fast", 3) (Cost.breakdown p))
-
 let suite =
   [
     tc "cost: pp tree render pinned" test_pp_pinned;
     tc "cost: provenance names" test_provenance_names;
     tc "cost: negative rounds rejected" test_negative_rounds_rejected;
     tc "cost: json keeps the audit" test_json_keeps_audit;
-    tc "cost: par marks the loser" test_par_marks_loser;
   ]
   @ qcheck_tests

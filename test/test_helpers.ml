@@ -114,17 +114,15 @@ type ref_tree = {
   r_graph_n : int;
   r_root : int;
   r_parent : int array;
-  r_parent_edge : int array;
   r_children : int array array;
   r_depth : int array;
   r_preorder : int array;
   r_tin : int array;
   r_tout : int array;
-  r_size : int array;
 }
 
-let ref_of_parents ~graph_n ~root ~parent ~parent_edge =
-  if Array.length parent <> graph_n || Array.length parent_edge <> graph_n then
+let ref_of_parents ~graph_n ~root ~parent =
+  if Array.length parent <> graph_n then
     invalid_arg "Tree.of_parents: array length mismatch";
   if root < 0 || root >= graph_n || parent.(root) <> -1 then
     invalid_arg "Tree.of_parents: bad root";
@@ -141,7 +139,6 @@ let ref_of_parents ~graph_n ~root ~parent ~parent_edge =
   let preorder = Array.make graph_n (-1) in
   let tin = Array.make graph_n (-1) in
   let tout = Array.make graph_n (-1) in
-  let size = Array.make graph_n 1 in
   let clock = ref 0 in
   let idx = ref 0 in
   let stack = Stack.create () in
@@ -169,21 +166,15 @@ let ref_of_parents ~graph_n ~root ~parent ~parent_edge =
     end
   done;
   if !idx <> graph_n then invalid_arg "Tree.of_parents: does not span all nodes";
-  for i = graph_n - 1 downto 1 do
-    let v = preorder.(i) in
-    size.(parent.(v)) <- size.(parent.(v)) + size.(v)
-  done;
   {
     r_graph_n = graph_n;
     r_root = root;
     r_parent = parent;
-    r_parent_edge = parent_edge;
     r_children = children;
     r_depth = depth;
     r_preorder = preorder;
     r_tin = tin;
     r_tout = tout;
-    r_size = size;
   }
 
 let ref_of_edge_ids g ~root ids =
@@ -192,12 +183,11 @@ let ref_of_edge_ids g ~root ids =
   List.iter
     (fun id ->
       let u, v = Graph.endpoints g id in
-      adj.(u) <- (v, id) :: adj.(u);
-      adj.(v) <- (u, id) :: adj.(v))
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
     ids;
   if List.length ids <> n - 1 then invalid_arg "Tree.of_edge_ids: wrong edge count";
   let parent = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
   let seen = Array.make n false in
   let q = Queue.create () in
   Queue.add root q;
@@ -205,31 +195,28 @@ let ref_of_edge_ids g ~root ids =
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
     List.iter
-      (fun (u, id) ->
+      (fun u ->
         if not seen.(u) then begin
           seen.(u) <- true;
           parent.(u) <- v;
-          parent_edge.(u) <- id;
           Queue.add u q
         end)
       adj.(v)
   done;
   if not (Array.for_all (fun b -> b) seen) then
     invalid_arg "Tree.of_edge_ids: edges do not span the graph";
-  ref_of_parents ~graph_n:n ~root ~parent ~parent_edge
+  ref_of_parents ~graph_n:n ~root ~parent
 
 (* every field of a built tree against the oracle's *)
 let tree_matches (t : Tree.t) r =
   t.Tree.graph_n = r.r_graph_n
   && t.Tree.root = r.r_root
   && t.Tree.parent = r.r_parent
-  && t.Tree.parent_edge = r.r_parent_edge
   && t.Tree.children = r.r_children
   && t.Tree.depth = r.r_depth
   && t.Tree.preorder = r.r_preorder
   && t.Tree.tin = r.r_tin
   && t.Tree.tout = r.r_tout
-  && t.Tree.size = r.r_size
 
 let ref_partition (tree : Tree.t) ~target =
   let module Fragments = Mincut_mst.Fragments in

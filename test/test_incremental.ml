@@ -1,5 +1,5 @@
 (* The delta layer: versioned handles (apply semantics, rolling
-   multiset digest, compaction invisibility), incremental answering
+   multiset digest, memory flat in the delta count), incremental answering
    (three tiers, λ-exactness under arbitrary delta sequences), the
    seeded delta-stream generator, and Api sessions (anchored summary
    reuse across versions). *)
@@ -121,23 +121,24 @@ let test_handle_merge_split () =
   check_bool "split: duplicate moved is Error" true
     (Result.is_error (Handle.apply h (Delta.Split_node { v = 0; w = 1; moved = [ 1; 1 ] })))
 
-let test_handle_compact_invisible () =
-  let h = Handle.of_graph (Generators.torus 3 3) in
-  let ops =
-    Generators.delta_stream ~rng:(Rng.create 5) ~wmax:3
-      ~base:(Generators.torus 3 3) 12
+(* A session keeps the live graph, not its history: at the same point
+   of a two-delta cycle its handle holds as many words after 20 000
+   deltas as after 2 000. *)
+let test_session_memory_flat () =
+  let s = Api.open_session ~params:Params.fast (Generators.ring 8) in
+  let apply k =
+    for i = 1 to k do
+      match Api.apply_delta s (Delta.Reweight { u = 0; v = 1; w = 1 + (i land 1) }) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e
+    done
   in
-  List.iter (fun op -> ignore (Handle.apply h op)) ops;
-  let v = Handle.version h
-  and d = Handle.digest h
-  and g = Handle.current h in
-  check_bool "log non-empty before compact" true (Handle.log h <> []);
-  let _ = Handle.compact h in
-  check_int "version survives" v (Handle.version h);
-  check_bool "digest survives" true (Int64.equal d (Handle.digest h));
-  check_bool "current survives" true (Graph.equal_structure g (Handle.current h));
-  check_bool "log cleared" true (Handle.log h = []);
-  check_bool "base rebased" true (Graph.equal_structure g (Handle.base h))
+  apply 2_000;
+  let early = Obj.reachable_words (Obj.repr (Api.session_handle s)) in
+  apply 18_000;
+  check_int "version counts every delta" 20_000 (Handle.version (Api.session_handle s));
+  check_int "handle words after 20 000 deltas = after 2 000" early
+    (Obj.reachable_words (Obj.repr (Api.session_handle s)))
 
 (* ---- the delta-stream generator --------------------------------------- *)
 
@@ -297,16 +298,13 @@ let ops_of oseed base k =
 
 let qcheck_tests =
   [
-    qtest ~count:60 "rolling digest = from-scratch hash of compacted graph"
+    qtest ~count:60 "rolling digest = from-scratch hash of the live graph"
       arbitrary_evolution
       (fun (gseed, oseed, n, k) ->
         let base = base_of gseed n in
         let h = Handle.of_graph base in
         List.iter (fun op -> ignore (Handle.apply h op)) (ops_of oseed base k);
-        let rolled = Handle.digest h in
-        let compacted = Handle.compact h in
-        Int64.equal rolled (Handle.multiset_hash compacted)
-        && Int64.equal rolled (Handle.digest h));
+        Int64.equal (Handle.digest h) (Handle.digest (Handle.of_graph (Handle.current h))));
     qtest ~count:40 "incremental λ = stoer-wagner from scratch, every version"
       arbitrary_evolution
       (fun (gseed, oseed, n, k) ->
@@ -322,23 +320,17 @@ let qcheck_tests =
                 && Graph.cut_of_bitset live (Api.session_side s) = a.Api.lambda)
           (ops_of oseed base k));
     qtest ~count:30
-      "session solve after deltas = solve of compacted graph (bit-identical)"
+      "session solve after deltas = solve of the live graph reopened (bit-identical)"
       arbitrary_evolution
       (fun (gseed, oseed, n, k) ->
         let base = base_of gseed n in
-        (* same evolution twice: delta-only vs compact-every-5; the
-           final full summaries must agree bit for bit *)
-        let replay compact_every =
-          let s = Api.open_session ~params:Params.fast base in
-          List.iteri
-            (fun i op ->
-              ignore (Api.apply_delta s op);
-              if compact_every > 0 && i mod compact_every = 4 then
-                Api.compact_session s)
-            (ops_of oseed base k);
-          fst (Api.min_cut_session s)
-        in
-        summaries_identical (replay 0) (replay 5));
+        (* the evolved session's full summary must agree bit for bit
+           with a fresh session opened on the graph it reached *)
+        let s = Api.open_session ~params:Params.fast base in
+        List.iter (fun op -> ignore (Api.apply_delta s op)) (ops_of oseed base k);
+        let reopened = Api.open_session ~params:Params.fast (Api.session_graph s) in
+        summaries_identical (fst (Api.min_cut_session s))
+          (fst (Api.min_cut_session reopened)));
   ]
 
 let suite =
@@ -346,10 +338,10 @@ let suite =
     tc "delta: parse/print roundtrip" test_delta_parse_roundtrip;
     tc "handle: apply semantics" test_handle_apply_semantics;
     tc "handle: merge and split renumbering" test_handle_merge_split;
-    tc "handle: compaction is invisible" test_handle_compact_invisible;
     tc "generators: delta stream seeded and valid" test_generator_reproducible_and_valid;
     tc "incremental: λ exact along a 120-op stream" test_incremental_lambda_stream;
     tc "incremental: each op kind answers in its tier" test_incremental_tiers;
     tc "session: anchored summary reuse and generation breaks" test_session_anchor_reuse;
+    tc "session: handle memory flat in the delta count" test_session_memory_flat;
   ]
   @ qcheck_tests

@@ -126,13 +126,18 @@ let test_api_rejects_bad_workers () =
        false
      with Invalid_argument _ -> true)
 
-let test_approx_rejects_bad_trials () =
+let test_approx_rejects_bad_epsilon_with_pool () =
+  (* argument checks fire before any work reaches the pool, and the pool
+     stays usable afterwards *)
   let g = Generators.path 3 in
-  check_bool "trials 0 rejected" true
+  check_bool "epsilon 0 rejected with a pool" true
     (try
-       ignore (Approx.run ~trials:0 ~rng:(Rng.create 0) ~epsilon:0.5 g);
+       ignore (Approx.run ~pool:pool4 ~rng:(Rng.create 0) ~epsilon:0.0 g);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  let jobs = Array.init 9 Fun.id in
+  check_bool "pool still maps after the rejection" true
+    (Pool.map pool4 (fun i -> i + 1) jobs = Array.map (fun i -> i + 1) jobs)
 
 let equal_exact (a : Exact.result) (b : Exact.result) =
   a.Exact.value = b.Exact.value
@@ -159,15 +164,14 @@ let equal_approx (a : Approx.result) (b : Approx.result) =
   && equal_cost a.Approx.cost b.Approx.cost
 
 let prop_approx_parallel =
-  qtest ~count:15 "approx: workers=4 bit-identical (trials 1 and 3)"
+  qtest ~count:15 "approx: workers=4 bit-identical (tried over seeds)"
     QCheck2.Gen.(pair (arbitrary_connected ~max_n:10 ()) (int_range 0 1_000_000))
     (fun (g, seed) ->
-      let run ~pool ~trials =
-        Approx.run ~params:Params.fast ~trees:8 ~pool ~trials
-          ~rng:(Rng.create seed) ~epsilon:0.8 g
+      let run ~pool =
+        Approx.run ~params:Params.fast ~trees:8 ~pool ~rng:(Rng.create seed)
+          ~epsilon:0.8 g
       in
-      equal_approx (run ~pool:Pool.sequential ~trials:1) (run ~pool:pool4 ~trials:1)
-      && equal_approx (run ~pool:Pool.sequential ~trials:3) (run ~pool:pool4 ~trials:3))
+      equal_approx (run ~pool:Pool.sequential) (run ~pool:pool4))
 
 let equal_two_respect (a : Two_respect.result) (b : Two_respect.result) =
   a.Two_respect.value = b.Two_respect.value
@@ -223,7 +227,8 @@ let suite =
     tc "pool: task accounting" test_pool_task_accounting;
     tc "pool: domains reused across solves" test_pool_reuse_across_solves;
     tc "api: rejects workers < 1" test_api_rejects_bad_workers;
-    tc "approx: rejects trials < 1" test_approx_rejects_bad_trials;
+    tc "approx: rejects epsilon <= 0 with a pool"
+      test_approx_rejects_bad_epsilon_with_pool;
     prop_skewed_bit_identity;
     prop_exact_parallel;
     prop_approx_parallel;

@@ -587,20 +587,21 @@ let run_cli args =
   let status = Unix.close_process_full (out, inp, err) in
   (status, stdout, stderr)
 
-(* [mincut_cli solve ARGS FILE] on a DIMACS file holding [graph] *)
-let run_cli_solve ~path ~graph args =
-  Out_channel.with_open_text path (fun oc -> output_string oc graph);
-  let r = run_cli (("solve" :: args) @ [ path ]) in
-  Sys.remove path;
-  r
+(* [mincut_cli ARGS FILE] on a temporary DIMACS file holding [graph],
+   removed however the run ends *)
+let run_cli_on ~graph args =
+  let path = Filename.temp_file "mincut_cli" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc graph);
+      run_cli (args @ [ path ]))
 
 (* the CLI answers the same weight with an error line and exit 1, where
    it used to die on the uncaught Invalid_argument (exit 125) *)
 let test_cli_weight_bound () =
   let status, stdout, stderr =
-    run_cli_solve ~path:"heavy_weight.graph"
-      ~graph:(Printf.sprintf "p 2 1\ne 0 1 %d\n" max_int)
-      []
+    run_cli_on ~graph:(Printf.sprintf "p 2 1\ne 0 1 %d\n" max_int) [ "solve" ]
   in
   check_bool "exits 1" true (status = Unix.WEXITED 1);
   check_string "no answer printed" "" stdout;
@@ -612,9 +613,8 @@ let test_cli_weight_bound () =
    watchdog and exit 125 *)
 let test_cli_certify_disconnected () =
   let status, _, stderr =
-    run_cli_solve ~path:"disconnected.graph"
-      ~graph:"p 6 4\ne 0 1 1\ne 1 2 1\ne 3 4 1\ne 4 5 2\n"
-      [ "--certify" ]
+    run_cli_on ~graph:"p 6 4\ne 0 1 1\ne 1 2 1\ne 3 4 1\ne 4 5 2\n"
+      [ "solve"; "--certify" ]
   in
   check_bool "exits 1" true (status = Unix.WEXITED 1);
   check_string "one error line"
@@ -631,6 +631,15 @@ let test_cli_delta_one_node () =
   check_string "no answer printed" "" stdout;
   check_string "one error line"
     "mincut: error: Mincut_seq.min_cut: need n >= 2\n" stderr
+
+(* the commands that run one solver answer its refusal of a tiny or
+   disconnected graph with an error line and exit 1, not an uncaught
+   Invalid_argument (exit 125) *)
+let test_cli_refusal cmd ~graph expected () =
+  let status, stdout, stderr = run_cli_on ~graph [ cmd ] in
+  check_bool "exits 1" true (status = Unix.WEXITED 1);
+  check_string "no answer printed" "" stdout;
+  check_string "one error line" ("mincut: error: " ^ expected ^ "\n") stderr
 
 let test_protocol_parse_errors () =
   let is_err s = match Protocol.parse s with Error _ -> true | Ok _ -> false in
@@ -826,19 +835,12 @@ let test_protocol_parse_sessions () =
            { sname = "s"; dop = Delta.Split_node { v = 3; w = 2; moved = [ 1; 4 ] } }));
   check_bool "delta rejects a bad verb" true (is_err "DELTA s frobnicate 1 2");
   check_bool "delta needs an op" true (is_err "DELTA s");
-  check_bool "compact parses" true
-    (Protocol.parse "COMPACT s" = Ok (Protocol.Compact "s"));
-  check_bool "compact wants exactly one name" true (is_err "COMPACT a b");
+  check_bool "COMPACT is no verb" true (is_err "COMPACT s");
   check_bool "solve takes session= as a source" true
     (match Protocol.parse "SOLVE session=s" with
     | Ok (Protocol.Solve { source = Protocol.Session "s"; _ }) -> true
     | _ -> false);
   check_bool "solve rejects session+graph" true (is_err "SOLVE session=s graph=a")
-
-let hash_field line =
-  match List.find_opt (has_prefix ~prefix:"hash=") (String.split_on_char ' ' line) with
-  | Some tok -> tok
-  | None -> Alcotest.fail ("no hash= field in: " ^ line)
 
 let test_server_incremental_session () =
   let io, collected =
@@ -854,7 +856,6 @@ let test_server_incremental_session () =
         "SOLVE session=s";
         "DELTA s remove 0 2";
         "SOLVE session=s";
-        "COMPACT s";
         "SOLVE session=s";
         "DELTA nope add 0 1 1";
         "QUIT";
@@ -863,7 +864,7 @@ let test_server_incremental_session () =
   let reason = Server.run (service ()) io in
   check_bool "quit reason" true (reason = Server.Quit);
   match collected () with
-  | [ graph_ok; session_ok; d1; s1; s2; d2; s3; compact_ok; s4; err; bye ] ->
+  | [ graph_ok; session_ok; d1; s1; s2; d2; s3; s4; err; bye ] ->
       check_bool "graph registered" true (has_prefix ~prefix:"OK graph tri" graph_ok);
       check_bool "session opened at the snapshot" true
         (has_prefix ~prefix:"OK session s n=3 channels=3 lambda=2" session_ok);
@@ -880,11 +881,7 @@ let test_server_incremental_session () =
         (has_prefix ~prefix:"OK delta s version=2 lambda=1 mode=resolved" d2);
       check_bool "post-removal solve is fresh" true
         (has_prefix ~prefix:"OK value=1" s3 && contains ~sub:"cached=false" s3);
-      check_bool "compact reports the surviving version" true
-        (has_prefix ~prefix:"OK compact s version=2" compact_ok);
-      check_string "compaction preserves the digest" (hash_field d2)
-        (hash_field compact_ok);
-      check_bool "solve after compact still cached" true
+      check_bool "repeat solve after the removal is cached" true
         (has_prefix ~prefix:"OK value=1" s4 && contains ~sub:"cached=true" s4);
       check_bool "unknown session is ERR" true (has_prefix ~prefix:"ERR" err);
       check_string "bye" "BYE" bye
@@ -990,7 +987,7 @@ let suite =
     tc "server: SHED lines in FLUSH" test_server_flush_shed_line;
     tc "service: session metrics accounting" test_service_session_metrics;
     tc "service: version-chain cache hit" test_service_version_chain_cache;
-    tc "protocol: SESSION/DELTA/COMPACT parse" test_protocol_parse_sessions;
+    tc "protocol: SESSION/DELTA parse" test_protocol_parse_sessions;
     tc "server: scripted incremental session" test_server_incremental_session;
   ]
   @ qcheck_tests
@@ -1000,4 +997,11 @@ let suite =
       tc "cli: delta on a one-node graph is an error" test_cli_delta_one_node;
       tc "service: crossing increase counts as a full resolve"
         test_service_crossing_increase_resolves;
+      tc "cli: estimate on a one-node graph is an error"
+        (test_cli_refusal "estimate" ~graph:"p 1 0\n" "Sample_estimate.run: need n >= 2");
+      tc "cli: info on a one-node graph is an error"
+        (test_cli_refusal "info" ~graph:"p 1 0\n" "Stoer_wagner.run: need n >= 2");
+      tc "cli: trace on a disconnected graph is an error"
+        (test_cli_refusal "trace" ~graph:"p 4 2\ne 0 1 1\ne 2 3 1\n"
+           "Primitives.bfs_tree: disconnected graph");
     ]

@@ -10,24 +10,23 @@ module Mst_seq = Mincut_graph.Mst_seq
                         6            *)
 let fixed_tree () =
   let parent = [| -1; 0; 0; 1; 1; 2; 4 |] in
-  let parent_edge = [| -1; 0; 1; 2; 3; 4; 5 |] in
-  Tree.of_parents ~graph_n:7 ~root:0 ~parent ~parent_edge
+  Tree.of_parents ~graph_n:7 ~root:0 ~parent
 
 let test_of_parents_basic () =
   let t = fixed_tree () in
   check_int "root" 0 t.Tree.root;
   check_int "depth 6" 3 t.Tree.depth.(6);
   check_int "height" 3 (Tree.height t);
-  check_int "size root" 7 t.Tree.size.(0);
-  check_int "size 1" 4 t.Tree.size.(1);
-  check_int "size 4" 2 t.Tree.size.(4)
+  let size v = List.length (Tree.subtree_members t v) in
+  check_int "size root" 7 (size 0);
+  check_int "size 1" 4 (size 1);
+  check_int "size 4" 2 (size 4)
 
 let test_of_parents_rejects_cycle () =
   let parent = [| -1; 2; 1 |] in
-  let pe = [| -1; 0; 1 |] in
   check_bool "cycle rejected" true
     (try
-       ignore (Tree.of_parents ~graph_n:3 ~root:0 ~parent ~parent_edge:pe);
+       ignore (Tree.of_parents ~graph_n:3 ~root:0 ~parent);
        false
      with Invalid_argument _ -> true)
 
@@ -35,7 +34,7 @@ let test_of_parents_rejects_bad_root () =
   let parent = [| 1; -1 |] in
   check_bool "root must have parent -1" true
     (try
-       ignore (Tree.of_parents ~graph_n:2 ~root:0 ~parent ~parent_edge:[| -1; -1 |]);
+       ignore (Tree.of_parents ~graph_n:2 ~root:0 ~parent);
        false
      with Invalid_argument _ -> true)
 
@@ -65,7 +64,7 @@ let test_accumulate_up () =
   let t = fixed_tree () in
   let ones = Array.make 7 1 in
   let sums = Tree.accumulate_up t ones in
-  check_bool "subtree sums equal sizes" true (sums = t.Tree.size);
+  check_bool "subtree sums equal sizes" true (sums = [| 7; 4; 2; 1; 2; 1; 1 |]);
   let x = [| 1; 10; 100; 1000; 10000; 100000; 1000000 |] in
   let s = Tree.accumulate_up t x in
   check_int "leaf keeps own" 1000 s.(3);
@@ -127,13 +126,12 @@ let test_lca_fixed () =
 let deep_random_tree rng n =
   let label = Array.init n Fun.id in
   Mincut_util.Rng.shuffle rng label;
-  let parent = Array.make n (-1) and parent_edge = Array.make n (-1) in
+  let parent = Array.make n (-1) in
   for i = 1 to n - 1 do
     let p = i - 1 - Mincut_util.Rng.int rng (Int.min i 3) in
-    parent.(label.(i)) <- label.(p);
-    parent_edge.(label.(i)) <- i - 1
+    parent.(label.(i)) <- label.(p)
   done;
-  Tree.of_parents ~graph_n:n ~root:label.(0) ~parent ~parent_edge
+  Tree.of_parents ~graph_n:n ~root:label.(0) ~parent
 
 let test_lca_matches_naive_random () =
   let rng = Mincut_util.Rng.create 31 in
@@ -211,7 +209,7 @@ let qcheck_tests =
     qtest "bfs tree: sizes sum bounded and root spans all" (arbitrary_connected ())
       (fun g ->
         let t = Tree.bfs_tree g ~root:0 in
-        t.Tree.size.(0) = Graph.n g);
+        (Tree.accumulate_up t (Array.make (Graph.n g) 1)).(0) = Graph.n g);
     qtest "lca of edge endpoints is an ancestor of both" (arbitrary_connected ())
       (fun g ->
         let t = Tree.bfs_tree g ~root:0 in
@@ -301,7 +299,7 @@ let flat_builders_match case =
   let r = ref_of_edge_ids g ~root ids in
   tree_matches t r
   && tree_matches
-       (Tree.of_parents ~graph_n:n ~root ~parent:t.Tree.parent ~parent_edge:t.Tree.parent_edge)
+       (Tree.of_parents ~graph_n:n ~root ~parent:t.Tree.parent)
        r
   && Mincut_congest.Primitives.forest_of_parents t.Tree.parent
      = ref_forest_of_parents t.Tree.parent
@@ -337,12 +335,9 @@ let test_flat_builders_raise_oracle_messages () =
   edge_ids "a cycle leaves a node out" tri [ 0; 1; 2 ];
   edge_ids "a repeated id" tri [ 0; 0; 3 ];
   let parents name ~root parent =
-    let parent_edge = Array.make (Array.length parent) (-1) in
     same name
-      (fun () ->
-        ignore (Tree.of_parents ~graph_n:(Array.length parent) ~root ~parent ~parent_edge))
-      (fun () ->
-        ignore (ref_of_parents ~graph_n:(Array.length parent) ~root ~parent ~parent_edge))
+      (fun () -> ignore (Tree.of_parents ~graph_n:(Array.length parent) ~root ~parent))
+      (fun () -> ignore (ref_of_parents ~graph_n:(Array.length parent) ~root ~parent))
   in
   parents "cyclic parent array" ~root:0 [| -1; 2; 1 |];
   parents "cycle through a longer loop" ~root:0 [| -1; 0; 3; 4; 2 |];

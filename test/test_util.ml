@@ -186,11 +186,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check_bool "still a permutation" true (sorted = Array.init 20 (fun i -> i))
 
-let test_rng_split_independent () =
-  let a = Rng.create 5 in
-  let b = Rng.split a in
-  check_bool "split streams differ" false (Rng.bits64 a = Rng.bits64 b)
-
 let test_stats_summary () =
   let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   check_bool "mean" true (abs_float (s.Stats.mean -. 3.0) < 1e-9);
@@ -360,7 +355,6 @@ let suite =
     tc "rng: binomial extremes" test_rng_binomial_extremes;
     tc "rng: geometric" test_rng_geometric;
     tc "rng: shuffle is a permutation" test_rng_shuffle_permutation;
-    tc "rng: split independence" test_rng_split_independent;
     tc "stats: summary" test_stats_summary;
     tc "stats: stddev" test_stats_stddev;
     tc "stats: percentile" test_stats_percentile;
