@@ -190,16 +190,7 @@ let solve_cmd =
         prerr_endline e;
         1
     | Ok g -> (
-        let algorithm =
-          match algo with
-          | "exact" -> Ok Api.Exact_small_lambda
-          | "exact2" -> Ok Api.Exact_two_respect
-          | "approx" -> Ok (Api.Approx epsilon)
-          | "gk" -> Ok (Api.Ghaffari_kuhn epsilon)
-          | "su" -> Ok (Api.Su epsilon)
-          | other -> Error (Printf.sprintf "unknown algorithm %S" other)
-        in
-        match algorithm with
+        match Api.algorithm_of_name ~epsilon algo with
         | Error e ->
             prerr_endline e;
             1

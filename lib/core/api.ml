@@ -17,6 +17,24 @@ let algorithm_name = function
   | Ghaffari_kuhn e -> Printf.sprintf "(2+%.2f)-approx (Ghaffari-Kuhn)" e
   | Su e -> Printf.sprintf "(1+%.2f)-style (Su)" e
 
+(* the one name table: [algorithm_of_name] parses it and [solve_tag]
+   keys on it *)
+let short_name = function
+  | Exact_small_lambda -> "exact"
+  | Exact_two_respect -> "exact2"
+  | Approx _ -> "approx"
+  | Ghaffari_kuhn _ -> "gk"
+  | Su _ -> "su"
+
+let algorithm_of_name ~epsilon name =
+  match
+    List.find_opt
+      (fun a -> short_name a = name)
+      [ Exact_small_lambda; Exact_two_respect; Approx epsilon; Ghaffari_kuhn epsilon; Su epsilon ]
+  with
+  | Some a -> Ok a
+  | None -> Error (Printf.sprintf "unknown algorithm %S" name)
+
 type summary = {
   algorithm : algorithm;
   value : int;
@@ -110,11 +128,8 @@ let session_stats s = Incremental.stats s.inc
 let solve_tag algorithm seed trees =
   let a =
     match algorithm with
-    | Exact_small_lambda -> "exact"
-    | Exact_two_respect -> "exact2"
-    | Approx e -> Printf.sprintf "approx:%h" e
-    | Ghaffari_kuhn e -> Printf.sprintf "gk:%h" e
-    | Su e -> Printf.sprintf "su:%h" e
+    | Exact_small_lambda | Exact_two_respect -> short_name algorithm
+    | Approx e | Ghaffari_kuhn e | Su e -> Printf.sprintf "%s:%h" (short_name algorithm) e
   in
   Printf.sprintf "%s|s%d|t%s" a seed
     (match trees with None -> "-" | Some t -> string_of_int t)

@@ -16,6 +16,12 @@ type algorithm =
 
 val algorithm_name : algorithm -> string
 
+val algorithm_of_name : epsilon:float -> string -> (algorithm, string) result
+(** [exact], [exact2], [approx], [gk] or [su] (the prefixes of
+    {!solve_tag}), the ε-parametrised ones at [epsilon]; anything else
+    is [Error "unknown algorithm \"…\""].  The CLI's [-a] and the
+    serve protocol's [algo=] both read it. *)
+
 val solve_tag : algorithm -> int -> int option -> string
 (** [solve_tag algorithm seed trees] — the stable key prefix
     [<algorithm>|s<seed>|t<trees or ->], with ε rendered exactly

@@ -1,5 +1,4 @@
 module Graph = Mincut_graph.Graph
-module Tree = Mincut_graph.Tree
 module Bfs = Mincut_graph.Bfs
 module Nagamochi = Mincut_graph.Nagamochi
 module Bitset = Mincut_util.Bitset
@@ -12,20 +11,12 @@ type result = {
   cost : Cost.t;
 }
 
-(* Minimum weighted degree of [h] and a node achieving it. *)
-let min_degree_node h =
-  let best = ref 0 in
-  for v = 1 to Graph.n h - 1 do
-    if Graph.weighted_degree h v < Graph.weighted_degree h !best then best := v
-  done;
-  (!best, Graph.weighted_degree h !best)
-
 let run ?(params = Params.default) ~epsilon g =
   if epsilon <= 0.0 then invalid_arg "Ghaffari_kuhn.run: epsilon must be positive";
   let n = Graph.n g in
   if n < 2 then invalid_arg "Ghaffari_kuhn.run: need n >= 2";
   if not (Bfs.is_connected g) then invalid_arg "Ghaffari_kuhn.run: disconnected graph";
-  let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+  let diameter = Bfs.eccentricity g 0 in
   let iteration_rounds = Params.kp_mst_rounds params ~n ~diameter in
   (* [to_orig.(v)] = representative of v's supernode in the current
      contracted graph; maintained to recover cut sides in G. *)
@@ -50,7 +41,8 @@ let run ?(params = Params.default) ~epsilon g =
   let rec loop h iterations cost =
     if Graph.n h < 2 then (iterations, cost)
     else begin
-    let node, delta = min_degree_node h in
+    let node = Graph.min_degree_node h in
+    let delta = Graph.weighted_degree h node in
     consider h node;
     let cost =
       Cost.( ++ ) cost

@@ -221,7 +221,6 @@ let ancestor_downcast_program (tree : Tree.t) (links : Primitives.forest) (fr : 
     (int, int) Mincut_congest.Network.program =
   let down = links.Primitives.children in
   let frag_of = fr.Fragments.frag_of and dif = fr.Fragments.depth_in_frag in
-  let tin = tree.Tree.tin and tout = tree.Tree.tout in
   {
     initial = (fun v -> dif.(v));
     step =
@@ -230,8 +229,7 @@ let ancestor_downcast_program (tree : Tree.t) (links : Primitives.forest) (fr : 
         | (_, id) :: _ ->
             assert (
               frag_of.(id) = frag_of.(node)
-              && tin.(id) <= tin.(node)
-              && tout.(node) <= tout.(id)
+              && Tree.is_ancestor tree id node
               && dif.(id) = last - 1);
             (dif.(id), Primitives.send_all down.(node) id)
         | [] -> (last, if round = 0 then Primitives.send_all down.(node) node else []))

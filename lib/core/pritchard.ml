@@ -1,5 +1,4 @@
 module Graph = Mincut_graph.Graph
-module Tree = Mincut_graph.Tree
 module Bfs = Mincut_graph.Bfs
 module Small_cuts = Mincut_graph.Small_cuts
 module Bitset = Mincut_util.Bitset
@@ -11,11 +10,6 @@ type verdict =
 
 type result = { verdict : verdict; cost : Cost.t }
 
-let bridge_side g id =
-  let without = Graph.sub_by_edges g ~keep:(fun e -> e.Graph.id <> id) in
-  let u, _ = Graph.endpoints g id in
-  Bfs.component_of without u
-
 let run g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Pritchard.run: need n >= 2";
@@ -25,13 +19,14 @@ let run g =
       cost = Cost.scheduled "connectivity check (BFS)" n;
     }
   else begin
-    let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+    let diameter = Bfs.eccentricity g 0 in
     (* cut edges: O(D) rounds [PT]; cut pairs: Õ(D) — charge D·log n *)
     let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in
     let c_edges = Cost.charged "pritchard: cut edges (charged O(D))" (max 1 diameter) in
     match Small_cuts.bridges g with
     | id :: _ ->
-        { verdict = Cut_found { value = 1; side = bridge_side g id }; cost = c_edges }
+        let side = Small_cuts.side_without g [ id ] in
+        { verdict = Cut_found { value = 1; side }; cost = c_edges }
     | [] -> (
         let c_pairs =
           Cost.( ++ ) c_edges
@@ -40,13 +35,12 @@ let run g =
         in
         match Small_cuts.heavy_bridges g with
         | id :: _ ->
-            { verdict = Cut_found { value = 2; side = bridge_side g id }; cost = c_pairs }
+            let side = Small_cuts.side_without g [ id ] in
+            { verdict = Cut_found { value = 2; side }; cost = c_pairs }
         | [] -> (
             match Small_cuts.cut_pairs g with
-            | pair :: _ ->
-                {
-                  verdict = Cut_found { value = 2; side = Small_cuts.cut_pair_side g pair };
-                  cost = c_pairs;
-                }
+            | (e, f) :: _ ->
+                let side = Small_cuts.side_without g [ e; f ] in
+                { verdict = Cut_found { value = 2; side }; cost = c_pairs }
             | [] -> { verdict = Lambda_at_least_3; cost = c_pairs }))
   end

@@ -1,6 +1,5 @@
 module Graph = Mincut_graph.Graph
 module Bfs = Mincut_graph.Bfs
-module Tree = Mincut_graph.Tree
 module Rng = Mincut_util.Rng
 module Intmath = Mincut_util.Intmath
 module Cost = Mincut_congest.Cost
@@ -77,7 +76,7 @@ let run ?(seed = 0) ?trials g =
       done;
       !seen = n
     in
-    let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+    let diameter = Bfs.eccentricity g 0 in
     let cost = ref Cost.zero in
     let level = ref levels in
     let saturated = ref true in

@@ -1,7 +1,7 @@
 module Graph = Mincut_graph.Graph
-module Tree = Mincut_graph.Tree
 module Bfs = Mincut_graph.Bfs
 module Bridge = Mincut_graph.Bridge
+module Small_cuts = Mincut_graph.Small_cuts
 module Sampling = Mincut_graph.Sampling
 module Bitset = Mincut_util.Bitset
 module Cost = Mincut_congest.Cost
@@ -13,19 +13,12 @@ type result = {
   cost : Cost.t;
 }
 
-(* Side of the bridge: nodes reachable from one endpoint in the skeleton
-   with the bridge removed. *)
-let bridge_side sk bridge_id =
-  let without = Graph.sub_by_edges sk ~keep:(fun e -> e.Graph.id <> bridge_id) in
-  let u, _ = Graph.endpoints sk bridge_id in
-  Bfs.component_of without u
-
 let run ?(params = Params.default) ~rng ~epsilon g =
   if epsilon <= 0.0 then invalid_arg "Su.run: epsilon must be positive";
   let n = Graph.n g in
   if n < 2 then invalid_arg "Su.run: need n >= 2";
   if not (Bfs.is_connected g) then invalid_arg "Su.run: disconnected graph";
-  let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+  let diameter = Bfs.eccentricity g 0 in
   let thurimella_rounds = Params.kp_mst_rounds params ~n ~diameter in
   let best_value = ref max_int in
   let best_side = ref (Bitset.create n) in
@@ -40,12 +33,9 @@ let run ?(params = Params.default) ~rng ~epsilon g =
     end
   in
   (* seed with the min-degree cut so the result is always a valid cut *)
-  let mindeg_node = ref 0 in
-  for v = 1 to n - 1 do
-    if Graph.weighted_degree g v < Graph.weighted_degree g !mindeg_node then mindeg_node := v
-  done;
+  let mindeg_node = Graph.min_degree_node g in
   let seed_side = Bitset.create n in
-  Bitset.add seed_side !mindeg_node;
+  Bitset.add seed_side mindeg_node;
   consider seed_side;
   let samples = ref 0 in
   let cost = ref Cost.zero in
@@ -65,9 +55,9 @@ let run ?(params = Params.default) ~rng ~epsilon g =
         if Graph.n sk > 0 then consider (Bfs.component_of sk 0)
       end
       else
-        List.iter (fun id -> consider (bridge_side sk id)) (Bridge.bridges sk)
+        List.iter (fun id -> consider (Small_cuts.side_without sk [ id ])) (Bridge.bridges sk)
     done;
     if lambda_hat > 1 then guess_loop (lambda_hat / 2)
   in
-  guess_loop (max 1 (Graph.weighted_degree g !mindeg_node));
+  guess_loop (max 1 (Graph.weighted_degree g mindeg_node));
   { value = !best_value; side = !best_side; samples = !samples; cost = !cost }

@@ -92,7 +92,7 @@ let run ?(params = Params.default) g tree =
         end
       done
   done;
-  let diameter = Tree.height (Tree.bfs_tree g ~root) in
+  let diameter = Bfs.eccentricity g root in
   let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in
   let cost =
     Cost.charged "2-respect sweep (charged at the Mukhopadhyay-Nanongkai bound)"
@@ -118,7 +118,7 @@ let min_cut ?(params = Params.default) ?(pool = Pool.sequential) ?trees g =
           max 8 (2 * Mincut_util.Intmath.ceil_log2 (max 2 n))
     in
     let packing = Tree_packing.greedy g ~trees in
-    let diameter = Tree.height (Tree.bfs_tree g ~root:0) in
+    let diameter = Bfs.eccentricity g 0 in
     let c_pack =
       Tree_packing.distributed_cost ~n ~diameter ~trees
         ~per_tree_rounds:(Params.kp_mst_rounds params ~n ~diameter)

@@ -1,25 +1,17 @@
 type result = {
   dist : int array;
   parent : int array;
-  order : int list;
 }
 
-let run_multi g ~sources =
+let run g ~source =
   let n = Graph.n g in
   let dist = Array.make n (-1) in
   let parent = Array.make n (-1) in
   let q = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) = -1 then begin
-        dist.(s) <- 0;
-        Queue.add s q
-      end)
-    sources;
-  let order = ref [] in
+  dist.(source) <- 0;
+  Queue.add source q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    order := v :: !order;
     Array.iter
       (fun (u, _) ->
         if dist.(u) = -1 then begin
@@ -29,9 +21,7 @@ let run_multi g ~sources =
         end)
       (Graph.adj g v)
   done;
-  { dist; parent; order = List.rev !order }
-
-let run g ~source = run_multi g ~sources:[ source ]
+  { dist; parent }
 
 let eccentricity g v =
   let r = run g ~source:v in

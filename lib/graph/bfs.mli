@@ -2,19 +2,17 @@
 
     BFS is the workhorse of the CONGEST layer: the global communication
     structure of the paper's algorithm is a BFS tree of the network, and
-    the diameter [D] appearing in every bound is a BFS quantity. *)
+    the diameter [D] appearing in every bound is a BFS quantity: the
+    solvers read it as {!eccentricity} of one node, the height of the BFS
+    tree rooted there, without building the tree. *)
 
 type result = {
-  dist : int array;    (** hop distance from the source set; [-1] if unreachable *)
-  parent : int array;  (** BFS-tree parent; [-1] for sources / unreachable *)
-  order : int list;    (** visited nodes in dequeue order (sources first) *)
+  dist : int array;    (** hop distance from the source; [-1] if unreachable *)
+  parent : int array;  (** BFS-tree parent; [-1] for the source / unreachable *)
 }
 
 val run : Graph.t -> source:int -> result
 (** Single-source BFS. *)
-
-val run_multi : Graph.t -> sources:int list -> result
-(** Multi-source BFS (distance to the nearest source). *)
 
 val eccentricity : Graph.t -> int -> int
 (** Max hop distance from a node to any reachable node. *)

@@ -111,6 +111,13 @@ let degree g v = Array.length g.adj.(v)
 
 let weighted_degree g v = g.wdeg.(v)
 
+let min_degree_node g =
+  let best = ref 0 in
+  for v = 1 to g.n - 1 do
+    if g.wdeg.(v) < g.wdeg.(!best) then best := v
+  done;
+  !best
+
 let csr_offsets g = g.csr_off
 
 let csr_neighbors g = g.csr_nbr

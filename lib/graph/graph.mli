@@ -65,6 +65,9 @@ val weighted_degree : t -> int -> int
 (** [δ(v)]: sum of weights of incident edges — the quantity in Karger's
     lemma. *)
 
+val min_degree_node : t -> int
+(** The lowest-index node of least weighted degree ([0] when [n <= 1]). *)
+
 (** {2 Flat CSR adjacency index}
 
     A compressed-sparse-row view of the adjacency built once at

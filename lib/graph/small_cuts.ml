@@ -54,7 +54,9 @@ let edge_connectivity_le2 g =
   else if heavy_bridges g <> [] || cut_pairs g <> [] then Some 2
   else None
 
-let cut_pair_side g (e, f) =
-  let without = Graph.sub_by_edges g ~keep:(fun e' -> e'.Graph.id <> e && e'.Graph.id <> f) in
-  let u, _ = Graph.endpoints g e in
-  Bfs.component_of without u
+let side_without g ids =
+  match ids with
+  | [] -> invalid_arg "Small_cuts.side_without: no edges"
+  | id :: _ ->
+      let without = Graph.sub_by_edges g ~keep:(fun e -> not (List.mem e.Graph.id ids)) in
+      Bfs.component_of without (fst (Graph.endpoints g id))

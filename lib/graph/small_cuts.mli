@@ -27,5 +27,8 @@ val edge_connectivity_le2 : Graph.t -> int option
 (** [Some 0] if disconnected, [Some 1] if a bridge exists, [Some 2] if a
     cut pair exists, [None] when λ ≥ 3. *)
 
-val cut_pair_side : Graph.t -> int * int -> Mincut_util.Bitset.t
-(** One side of the cut defined by removing the pair. *)
+val side_without : Graph.t -> int list -> Mincut_util.Bitset.t
+(** [side_without g ids]: the nodes still reachable from the first
+    endpoint of the first listed edge once every listed edge is removed —
+    one side of the cut a bridge or a cut pair forms.  Raises
+    [Invalid_argument] on an empty list. *)

@@ -5,8 +5,8 @@ type t = {
   children : int array array;
   depth : int array;
   preorder : int array;
-  tin : int array;
-  tout : int array;
+  pos : int array;
+  stop : int array;
 }
 
 module Scratch = Mincut_util.Scratch
@@ -42,15 +42,14 @@ let of_parents ~graph_n ~root ~parent =
      because a valid tree visits exactly graph_n nodes. *)
   let depth = Array.make graph_n 0 in
   let preorder = Array.make graph_n (-1) in
-  let tin = Array.make graph_n (-1) in
-  let tout = Array.make graph_n (-1) in
+  let pos = Array.make graph_n (-1) in
+  let stop = Array.make graph_n (-1) in
   let next_child = Scratch.filled sc graph_n 0 in
   let stack = Scratch.ints sc graph_n in
   let top = ref 0 in
-  let clock = ref 1 in
   let idx = ref 1 in
   stack.(0) <- root;
-  tin.(root) <- 0;
+  pos.(root) <- 0;
   preorder.(0) <- root;
   while !top >= 0 do
     let v = stack.(!top) in
@@ -59,22 +58,21 @@ let of_parents ~graph_n ~root ~parent =
       next_child.(v) <- ci + 1;
       let c = children.(v).(ci) in
       depth.(c) <- depth.(v) + 1;
-      tin.(c) <- !clock;
-      incr clock;
       if !idx >= graph_n then invalid_arg "Tree.of_parents: not a tree";
+      pos.(c) <- !idx;
       preorder.(!idx) <- c;
       incr idx;
       incr top;
       stack.(!top) <- c
     end
     else begin
-      tout.(v) <- !clock;
-      incr clock;
+      (* every node of v↓ is placed once v is popped *)
+      stop.(v) <- !idx;
       decr top
     end
   done;
   if !idx <> graph_n then invalid_arg "Tree.of_parents: does not span all nodes";
-  { graph_n; root; parent; children; depth; preorder; tin; tout }
+  { graph_n; root; parent; children; depth; preorder; pos; stop }
 
 (* The n - 1 tree edges as a CSR (per-node offsets into one neighbour
    array), walked by a BFS over an int-array queue.  A spanning tree
@@ -135,7 +133,7 @@ let bfs_tree g ~root =
     invalid_arg "Tree.bfs_tree: disconnected graph";
   of_parents ~graph_n:(Graph.n g) ~root ~parent:r.parent
 
-let is_ancestor t a v = t.tin.(a) <= t.tin.(v) && t.tout.(v) <= t.tout.(a)
+let is_ancestor t a v = t.pos.(a) <= t.pos.(v) && t.pos.(v) < t.stop.(a)
 
 let height t = Array.fold_left max 0 t.depth
 
@@ -151,10 +149,10 @@ let accumulate_up t x =
   y
 
 let subtree_members t v =
-  (* preorder indices of v↓ are contiguous: locate v then scan by tin/tout *)
-  let acc = ref [] in
-  Array.iter (fun u -> if is_ancestor t v u then acc := u :: !acc) t.preorder;
-  List.rev !acc
+  let rec collect i acc =
+    if i < t.pos.(v) then acc else collect (i - 1) (t.preorder.(i) :: acc)
+  in
+  collect (t.stop.(v) - 1) []
 
 module Lca = struct
   type tree = t
@@ -176,8 +174,6 @@ module Lca = struct
 
   let build sc (tr : tree) =
     let n = tr.graph_n in
-    let pos = Scratch.ints sc n in
-    Array.iteri (fun i v -> pos.(v) <- i) tr.preorder;
     let log2 = Scratch.ints sc (n + 1) in
     log2.(0) <- 0;
     log2.(1) <- 0;
@@ -194,7 +190,7 @@ module Lca = struct
         table.((k * n) + i) <- (if tr.depth.(b) < tr.depth.(a) then b else a)
       done
     done;
-    { n; pos; log2; table; depth = tr.depth; parent = tr.parent }
+    { n; pos = tr.pos; log2; table; depth = tr.depth; parent = tr.parent }
 
   let query t a b =
     if a = b then a

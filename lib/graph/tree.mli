@@ -6,7 +6,11 @@
     aggregates [δ↓] and [ρ↓].  This module provides the rooted-tree
     representation shared by the sequential reference implementation and
     the distributed algorithm, including an O(1) LCA oracle used by both
-    (the distributed Step 5 reads each edge's LCA from it). *)
+    (the distributed Step 5 reads each edge's LCA from it).
+
+    Every subtree is a contiguous slice of the preorder, so ancestry is
+    two comparisons of preorder positions, {!subtree_members} is a
+    slice, and the LCA oracle reads the same positions. *)
 
 type t = private {
   graph_n : int;           (** number of nodes of the underlying graph *)
@@ -15,9 +19,9 @@ type t = private {
   children : int array array;
   depth : int array;       (** hop depth from the root *)
   preorder : int array;    (** all nodes, parents before children *)
-  tin : int array;
-  tout : int array;        (** Euler interval: u ancestor-of v iff
-                               [tin u <= tin v && tout v <= tout u] *)
+  pos : int array;         (** each node's index in [preorder] *)
+  stop : int array;        (** one past the last index of v↓ in [preorder]:
+                               v↓ is positions [pos v .. stop v - 1] *)
 }
 
 val of_parents : graph_n:int -> root:int -> parent:int array -> t
@@ -45,7 +49,8 @@ val accumulate_up : t -> int array -> int array
     subtree-sum operator that turns [δ] into [δ↓] and [ρ] into [ρ↓]. *)
 
 val subtree_members : t -> int -> int list
-(** Nodes of [v↓] (via the Euler interval; O(|v↓|) after O(n) setup). *)
+(** Nodes of [v↓] in preorder: a contiguous slice of [preorder],
+    O(|v↓|). *)
 
 (** LCA oracle: a sparse table of the shallowest node over preorder
     positions, O(n log n) preprocessing and O(1) allocation-free
@@ -56,9 +61,9 @@ module Lca : sig
   type t
 
   val build : Mincut_util.Scratch.frame -> tree -> t
-  (** The table and position arrays are taken from the frame, so the
-      oracle is valid until that frame ends and must not be used after
-      it.  Two oracles built in one frame do not share arrays. *)
+  (** The table is taken from the frame, so the oracle is valid until
+      that frame ends and must not be used after it.  Two oracles built
+      in one frame do not share a table. *)
 
   val query : t -> int -> int -> int
   (** Least common ancestor of the two nodes. *)

@@ -9,8 +9,8 @@
       of huge cut sides cannot grow without bound even when the entry
       count is small).
 
-    Lookup, insert and eviction are O(1) (hash table + intrusive
-    doubly-linked recency list).  Every operation holds the cache's
+    Lookup, insert and eviction are O(1): the table and the eviction
+    rule are {!Mincut_util.Lru}'s.  Every operation holds the cache's
     rank-20 {!Mincut_parallel.Lockcheck} mutex (above the scheduler's
     rank 10, below metrics' rank 30 in the serving layer's lock order),
     so concurrent domains may share one cache and the lock-discipline

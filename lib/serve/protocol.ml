@@ -90,13 +90,9 @@ let parse_solve_args toks =
     Ok (Option.value e ~default:0.5)
   in
   let* algorithm =
-    match Option.map String.lowercase_ascii (List.assoc_opt "algo" args) with
-    | None | Some "exact" -> Ok Api.Exact_small_lambda
-    | Some "exact2" -> Ok Api.Exact_two_respect
-    | Some "approx" -> Ok (Api.Approx epsilon)
-    | Some "gk" -> Ok (Api.Ghaffari_kuhn epsilon)
-    | Some "su" -> Ok (Api.Su epsilon)
-    | Some other -> Error (Printf.sprintf "unknown algorithm %S" other)
+    match List.assoc_opt "algo" args with
+    | None -> Ok Api.Exact_small_lambda
+    | Some name -> Api.algorithm_of_name ~epsilon (String.lowercase_ascii name)
   in
   let* seed = int_arg args "seed" 0 in
   let* trees =

@@ -1,3 +1,5 @@
+module Lru = Mincut_util.Lru
+
 type instruments = {
   on_hit : unit -> unit;
   on_miss : unit -> unit;
@@ -14,116 +16,57 @@ type stats = {
   budget : int;
 }
 
-(* Intrusive doubly-linked recency list: [head] is most recent, [tail]
-   the eviction candidate. *)
-type entry = {
-  key : int;
-  chunk : Chunk.t;
-  ebytes : int;
-  mutable prev : entry option;
-  mutable next : entry option;
-}
-
+(* chunks keyed by id, each costing its bytes *)
 type t = {
   budget : int;
   load : int -> Chunk.t;
   instruments : instruments option;
-  table : (int, entry) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
-  mutable bytes : int;
+  lru : (int, Chunk.t) Lru.t;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
 }
 
 let create ?instruments ~budget ~load () =
   if budget <= 0 then invalid_arg "Residency.create: budget must be positive";
-  {
-    budget;
-    load;
-    instruments;
-    table = Hashtbl.create 64;
-    head = None;
-    tail = None;
-    bytes = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
+  { budget; load; instruments; lru = Lru.create (); hits = 0; misses = 0 }
 
 let note t f = match t.instruments with Some i -> f i | None -> ()
 
-let unlink t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
-  (match e.next with Some nx -> nx.prev <- e.prev | None -> t.tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
+let evicted t k =
+  for _ = 1 to k do
+    note t (fun i -> i.on_eviction ())
+  done
 
-let push_front t e =
-  e.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
-
-let evict_entry t e =
-  unlink t e;
-  Hashtbl.remove t.table e.key;
-  t.bytes <- t.bytes - e.ebytes;
-  t.evictions <- t.evictions + 1;
-  note t (fun i -> i.on_eviction ())
-
-(* Shed cold chunks until the budget holds, but never the [keep] entry:
-   the chunk being handed to the caller must stay resident. *)
-let rec shed t ~keep =
-  if t.bytes > t.budget then
-    match t.tail with
-    | Some e when e.key <> keep ->
-        evict_entry t e;
-        shed t ~keep
-    | Some _ | None -> ()
-
+(* The chunk just loaded is the most recent entry, so [Lru.trim], which
+   keeps the last entry left, never evicts the chunk being handed out. *)
 let get t cid =
   let chunk =
-    match Hashtbl.find_opt t.table cid with
-    | Some e ->
+    match Lru.find t.lru cid with
+    | Some chunk ->
         t.hits <- t.hits + 1;
         note t (fun i -> i.on_hit ());
-        unlink t e;
-        push_front t e;
-        e.chunk
+        chunk
     | None ->
         t.misses <- t.misses + 1;
         note t (fun i -> i.on_miss ());
         let chunk = t.load cid in
-        let e =
-          { key = cid; chunk; ebytes = Chunk.bytes chunk; prev = None; next = None }
-        in
-        Hashtbl.replace t.table cid e;
-        push_front t e;
-        t.bytes <- t.bytes + e.ebytes;
-        shed t ~keep:cid;
+        Lru.add t.lru cid chunk ~cost:(Chunk.bytes chunk);
+        evicted t (Lru.trim t.lru ~over:(fun () -> Lru.total_cost t.lru > t.budget));
         chunk
   in
-  note t (fun i -> i.on_bytes_resident t.bytes);
+  note t (fun i -> i.on_bytes_resident (Lru.total_cost t.lru));
   chunk
 
 let stats t =
   {
     hits = t.hits;
     misses = t.misses;
-    evictions = t.evictions;
-    resident = Hashtbl.length t.table;
-    bytes_resident = t.bytes;
+    evictions = Lru.evictions t.lru;
+    resident = Lru.length t.lru;
+    bytes_resident = Lru.total_cost t.lru;
     budget = t.budget;
   }
 
 let drop_all t =
-  let rec go () =
-    match t.tail with
-    | Some e ->
-        evict_entry t e;
-        go ()
-    | None -> ()
-  in
-  go ();
-  note t (fun i -> i.on_bytes_resident t.bytes)
+  evicted t (Lru.clear t.lru);
+  note t (fun i -> i.on_bytes_resident (Lru.total_cost t.lru))

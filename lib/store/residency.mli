@@ -1,13 +1,13 @@
 (** LRU residency manager: which chunks stay in memory.
 
-    The store keeps at most [budget] bytes of chunks resident.  Every
-    access front-moves the chunk in an intrusive doubly-linked recency
-    list (O(1)); a miss loads through the [load] callback and then
-    evicts from the cold end until the budget holds again.  The chunk
-    just returned is never evicted — when a single chunk exceeds the
-    whole budget, it stays resident alone, so [bytes_resident] is
-    bounded by [max budget (largest single chunk)] and by [budget]
-    whenever every chunk fits.
+    The store keeps at most [budget] bytes of chunks resident in a
+    {!Mincut_util.Lru} that charges each chunk its bytes.  Every access
+    marks the chunk most recently used (O(1)); a miss loads through the
+    [load] callback and then evicts from the cold end until the budget
+    holds again.  The chunk just returned is never evicted — when a
+    single chunk exceeds the whole budget, it stays resident alone, so
+    [bytes_resident] is bounded by [max budget (largest single chunk)]
+    and by [budget] whenever every chunk fits.
 
     Recency is a logical order, not wall time, so access traces replay
     deterministically.

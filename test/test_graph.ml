@@ -128,16 +128,31 @@ let test_bfs_disconnected () =
   check_bool "component of 3" true
     (Bitset.to_list (Bfs.component_of g 3) = [ 2; 3 ])
 
-let test_bfs_multi_source () =
-  let g = Generators.path 7 in
-  let r = Bfs.run_multi g ~sources:[ 0; 6 ] in
-  check_int "middle distance" 3 r.Bfs.dist.(3);
-  check_int "near right source" 1 r.Bfs.dist.(5)
+(* the solvers read the diameter as [Bfs.eccentricity] instead of
+   building the BFS tree *)
+let test_bfs_eccentricity_is_tree_height () =
+  List.iter
+    (fun (name, g) ->
+      for root = 0 to Graph.n g - 1 do
+        check_int (Printf.sprintf "%s root %d" name root)
+          (Tree.height (Tree.bfs_tree g ~root))
+          (Bfs.eccentricity g root)
+      done)
+    (small_connected_graphs ())
 
-let test_bfs_order_is_level_order () =
-  let g = Generators.path 4 in
-  let r = Bfs.run g ~source:0 in
-  check_bool "order" true (r.Bfs.order = [ 0; 1; 2; 3 ])
+let test_min_degree_node () =
+  (* weighted degrees 3, 3, 2, 2: the first of the tied minimum *)
+  let g = Graph.create ~n:4 [ (0, 1, 2); (1, 2, 1); (2, 3, 1); (3, 0, 1) ] in
+  check_int "lowest index of the least degree" 2 (Graph.min_degree_node g);
+  check_int "one node" 0 (Graph.min_degree_node (Graph.create ~n:1 []));
+  List.iter
+    (fun (name, g) ->
+      let v = Graph.min_degree_node g in
+      for u = 0 to Graph.n g - 1 do
+        let du = Graph.weighted_degree g u and dv = Graph.weighted_degree g v in
+        check_bool (Printf.sprintf "%s node %d" name u) true (dv < du || (dv = du && v <= u))
+      done)
+    (small_connected_graphs ())
 
 let test_diameter_known () =
   check_int "path" 9 (Diameter.exact (Generators.path 10));
@@ -383,8 +398,8 @@ let suite =
     tc "union-find: transitivity and groups" test_union_find_transitivity;
     tc "bfs: path distances" test_bfs_path;
     tc "bfs: disconnected" test_bfs_disconnected;
-    tc "bfs: multi-source" test_bfs_multi_source;
-    tc "bfs: level order" test_bfs_order_is_level_order;
+    tc "bfs: eccentricity is the bfs tree height" test_bfs_eccentricity_is_tree_height;
+    tc "graph: min_degree_node takes the lowest index" test_min_degree_node;
     tc "diameter: known families" test_diameter_known;
     tc "diameter: double sweep exact on trees" test_diameter_double_sweep_tree_exact;
     tc "diameter: double sweep lower bounds" test_diameter_double_sweep_lower_bound;

@@ -117,8 +117,8 @@ type ref_tree = {
   r_children : int array array;
   r_depth : int array;
   r_preorder : int array;
-  r_tin : int array;
-  r_tout : int array;
+  r_pos : int array;
+  r_stop : int array;
 }
 
 let ref_of_parents ~graph_n ~root ~parent =
@@ -137,14 +137,12 @@ let ref_of_parents ~graph_n ~root ~parent =
   let children = Array.map (fun l -> Array.of_list (List.rev l)) kids in
   let depth = Array.make graph_n 0 in
   let preorder = Array.make graph_n (-1) in
-  let tin = Array.make graph_n (-1) in
-  let tout = Array.make graph_n (-1) in
-  let clock = ref 0 in
+  let pos = Array.make graph_n (-1) in
+  let stop = Array.make graph_n (-1) in
   let idx = ref 0 in
   let stack = Stack.create () in
   Stack.push (root, 0) stack;
-  tin.(root) <- !clock;
-  incr clock;
+  pos.(root) <- !idx;
   preorder.(!idx) <- root;
   incr idx;
   while not (Stack.is_empty stack) do
@@ -153,17 +151,13 @@ let ref_of_parents ~graph_n ~root ~parent =
       Stack.push (v, ci + 1) stack;
       let c = children.(v).(ci) in
       depth.(c) <- depth.(v) + 1;
-      tin.(c) <- !clock;
-      incr clock;
       if !idx >= graph_n then invalid_arg "Tree.of_parents: not a tree";
+      pos.(c) <- !idx;
       preorder.(!idx) <- c;
       incr idx;
       Stack.push (c, 0) stack
     end
-    else begin
-      tout.(v) <- !clock;
-      incr clock
-    end
+    else stop.(v) <- !idx
   done;
   if !idx <> graph_n then invalid_arg "Tree.of_parents: does not span all nodes";
   {
@@ -173,8 +167,8 @@ let ref_of_parents ~graph_n ~root ~parent =
     r_children = children;
     r_depth = depth;
     r_preorder = preorder;
-    r_tin = tin;
-    r_tout = tout;
+    r_pos = pos;
+    r_stop = stop;
   }
 
 let ref_of_edge_ids g ~root ids =
@@ -215,8 +209,8 @@ let tree_matches (t : Tree.t) r =
   && t.Tree.children = r.r_children
   && t.Tree.depth = r.r_depth
   && t.Tree.preorder = r.r_preorder
-  && t.Tree.tin = r.r_tin
-  && t.Tree.tout = r.r_tout
+  && t.Tree.pos = r.r_pos
+  && t.Tree.stop = r.r_stop
 
 let ref_partition (tree : Tree.t) ~target =
   let module Fragments = Mincut_mst.Fragments in
@@ -384,8 +378,8 @@ let rec ref_chain_length (tree : Tree.t) frag_of v above len = function
   | u :: rest ->
       assert (
         frag_of.(u) = frag_of.(v)
-        && tree.Tree.tin.(u) <= tree.Tree.tin.(v)
-        && tree.Tree.tout.(v) <= tree.Tree.tout.(u));
+        && tree.Tree.pos.(u) <= tree.Tree.pos.(v)
+        && tree.Tree.pos.(v) < tree.Tree.stop.(u));
       let d = tree.Tree.depth.(u) in
       assert (d > above);
       ref_chain_length tree frag_of v d (len + 1) rest

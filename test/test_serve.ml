@@ -646,7 +646,8 @@ let test_protocol_parse_errors () =
   check_bool "missing source" true (is_err "SOLVE algo=exact");
   check_bool "both sources" true (is_err "SOLVE graph=a family=ring");
   check_bool "bad int" true (is_err "SOLVE family=ring size=abc");
-  check_bool "bad algo" true (is_err "SOLVE family=ring algo=magic");
+  check_bool "bad algo" true
+    (Protocol.parse "SOLVE family=ring algo=Magic" = Error "unknown algorithm \"magic\"");
   check_bool "graph usage" true (is_err "GRAPH only-a-name");
   check_bool "n at the cap parses" true
     (Protocol.parse (Printf.sprintf "GRAPH u %d 1" Graph.max_nodes)

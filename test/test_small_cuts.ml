@@ -45,8 +45,8 @@ let test_cut_pair_side_value () =
   let g = Generators.ring 6 in
   match Small_cuts.cut_pairs g with
   | [] -> Alcotest.fail "expected pairs"
-  | pair :: _ ->
-      let side = Small_cuts.cut_pair_side g pair in
+  | (e, f) :: _ ->
+      let side = Small_cuts.side_without g [ e; f ] in
       check_int "side cuts exactly 2" 2 (Graph.cut_of_bitset g side)
 
 let test_pritchard_lambda1 () =

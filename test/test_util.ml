@@ -6,6 +6,7 @@ module Bitset = Mincut_util.Bitset
 module Table = Mincut_util.Table
 module Intset = Mincut_util.Intset
 module Intmath = Mincut_util.Intmath
+module Lru = Mincut_util.Lru
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -342,6 +343,59 @@ let qcheck_tests =
         && Intset.equal (Intset.remove_min Intset.empty) Intset.empty);
   ]
 
+(* A random run of find / add / trim (bound on the total cost) against
+   an association list kept most recent first: the same answers, order,
+   total cost and eviction count after every step, and a trim never
+   empties a non-empty table. *)
+let qtest_lru_vs_model =
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun k -> `Find k) (int_range 0 7);
+          map2 (fun k c -> `Add (k, c)) (int_range 0 7) (int_range 0 20);
+          map (fun b -> `Trim b) (int_range 0 60);
+        ])
+  in
+  qtest ~count:500 "lru: find/add/trim vs association-list model"
+    QCheck2.Gen.(list_size (int_range 0 60) op)
+    (fun ops ->
+      let t = Lru.create () in
+      let cost l = List.fold_left (fun acc (_, c) -> acc + c) 0 l in
+      let rec drop_cold l evicted bound =
+        if List.length l > 1 && cost l > bound then
+          drop_cold (List.filteri (fun i _ -> i < List.length l - 1) l) (evicted + 1) bound
+        else (l, evicted)
+      in
+      let step (model, evicted, ok) op =
+        let model, evicted, agrees =
+          match op with
+          | `Find k ->
+              let hit = List.assoc_opt k model in
+              let model =
+                match hit with
+                | Some c -> (k, c) :: List.remove_assoc k model
+                | None -> model
+              in
+              (model, evicted, Lru.find t k = hit)
+          | `Add (k, c) ->
+              Lru.add t k c ~cost:c;
+              ((k, c) :: List.remove_assoc k model, evicted, true)
+          | `Trim b ->
+              let model', evicted' = drop_cold model evicted b in
+              let k = Lru.trim t ~over:(fun () -> Lru.total_cost t > b) in
+              (model', evicted', k = evicted' - evicted && (model = [] || Lru.length t >= 1))
+        in
+        ( model,
+          evicted,
+          ok && agrees
+          && Lru.keys_mru_first t = List.map fst model
+          && Lru.total_cost t = cost model
+          && Lru.evictions t = evicted )
+      in
+      let _, _, ok = List.fold_left step ([], 0, true) ops in
+      ok)
+
 let suite =
   [
     tc "rng: deterministic" test_rng_deterministic;
@@ -379,4 +433,5 @@ let suite =
       tc "rng: any_success draws as binomial > 0" test_rng_any_success;
       tc "rng: tiny p and n = max_int terminate" test_rng_tiny_p_and_huge_n;
       tc "scratch: nested and repeated frames" test_scratch_nesting;
+      qtest_lru_vs_model;
     ]
