@@ -187,6 +187,12 @@ let store_scaling_check ~quick ~slack =
 
 (* ---- seeded defects ------------------------------------------------ *)
 
+(* one message carrying [x] down each incident edge of [node] *)
+let down_each_edge g node x =
+  let out = ref [] in
+  Graph.iter_adj g node (fun u _ -> out := (u, x) :: !out);
+  List.rev !out
+
 (* A deliberately order-dependent program: round-1 state is the inbox's
    sender sequence verbatim, so any permutation of delivery changes the
    marshalled state.  The sanitizer must catch it with (node, round). *)
@@ -197,9 +203,7 @@ let order_dependent_program g =
       step =
         (fun ~node ~round ~inbox st ->
           if round = 0 then
-            ( st,
-              Array.to_list
-                (Array.map (fun (u, _) -> (u, node)) (Graph.adj g node)) )
+            (st, down_each_edge g node node)
           else (List.map fst inbox, []));
       halted = (fun st -> st <> []);
     }
@@ -282,9 +286,7 @@ let fat_payload_program g =
         (fun ~node ~round:_ ~inbox:_ sent ->
           if sent then (sent, [])
           else
-            ( true,
-              Array.to_list
-                (Array.map (fun (u, _) -> (u, payload)) (Graph.adj g node)) ));
+            (true, down_each_edge g node payload));
       halted = (fun sent -> sent);
     }
 

@@ -15,7 +15,7 @@ let violate ?sender ?receiver ?words ?budget kind ~round =
 let neighbor_sets g =
   Array.init (Graph.n g) (fun v ->
       let tbl = Hashtbl.create (Graph.degree g v) in
-      Array.iter (fun (u, _) -> Hashtbl.replace tbl u ()) (Graph.adj g v);
+      Graph.iter_adj g v (fun u _ -> Hashtbl.replace tbl u ());
       tbl)
 
 let run ?(cfg = Config.default) ~words g (prog : _ Network.program) =

@@ -23,10 +23,10 @@ let certify g ~value ~side =
   let heard, x_audit = Primitives.exchange ~cfg ~words:(fun _ -> 1) g bits in
   let crossings =
     Array.init n (fun v ->
-        Array.fold_left
-          (fun acc (u, id) ->
-            if List.assoc u heard.(v) <> bits.(v) then acc + Graph.weight g id else acc)
-          0 (Graph.adj g v))
+        let acc = ref 0 in
+        Graph.iter_adj g v (fun u id ->
+            if List.assoc u heard.(v) <> bits.(v) then acc := !acc + Graph.weight g id);
+        !acc)
   in
   let tree, c_bfs = Primitives.bfs_tree ~cfg g ~root:0 in
   let double_total, c_sum = Primitives.convergecast_sum ~cfg g ~tree ~values:crossings in

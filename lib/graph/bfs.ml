@@ -12,14 +12,14 @@ let run g ~source =
   Queue.add source q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
+    Graph.iter_adj g v (fun u _ ->
         if dist.(u) = -1 then begin
           dist.(u) <- dist.(v) + 1;
           parent.(u) <- v;
           Queue.add u q
-        end)
-      (Graph.adj g v)
+        end
+        (* of the neighbours one level up, the least id is the parent *)
+        else if dist.(u) = dist.(v) + 1 && v < parent.(u) then parent.(u) <- v)
   done;
   { dist; parent }
 

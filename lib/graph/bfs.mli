@@ -8,7 +8,8 @@
 
 type result = {
   dist : int array;    (** hop distance from the source; [-1] if unreachable *)
-  parent : int array;  (** BFS-tree parent; [-1] for the source / unreachable *)
+  parent : int array;
+      (** the least-id neighbour one level up; [-1] for the source / unreachable *)
 }
 
 val run : Graph.t -> source:int -> result

@@ -4,6 +4,8 @@
    parallel edges non-bridges). *)
 let bridges g =
   let n = Graph.n g in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
+  let eid = Graph.csr_edge_ids g in
   let tin = Array.make n (-1) in
   let low = Array.make n max_int in
   let timer = ref 0 in
@@ -11,24 +13,24 @@ let bridges g =
   let parent_edge = Array.make n (-1) in
   for start = 0 to n - 1 do
     if tin.(start) = -1 then begin
+      (* (node, its next CSR slot to explore) *)
       let stack = Stack.create () in
-      Stack.push (start, 0) stack;
+      Stack.push (start, off.(start)) stack;
       tin.(start) <- !timer;
       low.(start) <- !timer;
       incr timer;
       while not (Stack.is_empty stack) do
-        let v, i = Stack.pop stack in
-        let adj = Graph.adj g v in
-        if i < Array.length adj then begin
-          Stack.push (v, i + 1) stack;
-          let u, id = adj.(i) in
+        let v, s = Stack.pop stack in
+        if s < off.(v + 1) then begin
+          Stack.push (v, s + 1) stack;
+          let u = nbr.(s) and id = eid.(s) in
           if id <> parent_edge.(v) then begin
             if tin.(u) = -1 then begin
               parent_edge.(u) <- id;
               tin.(u) <- !timer;
               low.(u) <- !timer;
               incr timer;
-              Stack.push (u, 0) stack
+              Stack.push (u, off.(u)) stack
             end
             else low.(v) <- min low.(v) tin.(u)
           end

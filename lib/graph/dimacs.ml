@@ -1,14 +1,10 @@
-let write oc g =
-  Printf.fprintf oc "p %d %d\n" (Graph.n g) (Graph.m g);
-  Graph.iter_edges (fun e -> Printf.fprintf oc "e %d %d %d\n" e.u e.v e.w) g
-
 let to_string g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "p %d %d\n" (Graph.n g) (Graph.m g));
-  Graph.iter_edges
-    (fun e -> Buffer.add_string buf (Printf.sprintf "e %d %d %d\n" e.u e.v e.w))
-    g;
+  Printf.bprintf buf "p %d %d\n" (Graph.n g) (Graph.m g);
+  Graph.iter_edges (fun e -> Printf.bprintf buf "e %d %d %d\n" e.u e.v e.w) g;
   Buffer.contents buf
+
+let write oc g = output_string oc (to_string g)
 
 let parse_lines lines =
   let header = ref None in
@@ -27,7 +23,11 @@ let parse_lines lines =
         | [ "p"; n; m ] -> (
             match !header with
             | Some _ -> fail "duplicate header"
-            | None -> header := Some (int_of n, int_of m))
+            | None ->
+                let n = int_of n in
+                if n > Graph.max_nodes then
+                  fail (Printf.sprintf "n=%d is above the cap of %d nodes" n Graph.max_nodes);
+                header := Some (n, int_of m))
         | [ "e"; u; v; w ] -> edges := (int_of u, int_of v, int_of w) :: !edges
         | _ -> fail "unrecognized line")
     lines;

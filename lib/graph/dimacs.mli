@@ -11,7 +11,8 @@
 val write : out_channel -> Graph.t -> unit
 
 val read : in_channel -> Graph.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Failure] with a line-numbered message on malformed input,
+    and on a [p] line whose node count is above {!Graph.max_nodes}. *)
 
 val to_string : Graph.t -> string
 

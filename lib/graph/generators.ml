@@ -396,11 +396,10 @@ let delta_stream ~rng ?(wmax = 4) ~base ops =
         let v = Mincut_util.Rng.int rng n in
         if Graph.degree g v = 0 then attempt (k - 1)
         else
-          let moved =
-            Array.to_list (Graph.adj g v)
-            |> List.filter_map (fun (x, _) ->
-                   if Mincut_util.Rng.bool rng then Some x else None)
-          in
+          let moved = ref [] in
+          Graph.iter_adj g v (fun x _ ->
+              if Mincut_util.Rng.bool rng then moved := x :: !moved);
+          let moved = List.rev !moved in
           emit
             (Delta.Split_node
                { v; w = 1 + Mincut_util.Rng.int rng wmax; moved })

@@ -3,9 +3,8 @@ type edge = { id : int; u : int; v : int; w : int }
 type t = {
   n : int;
   edges : edge array;
-  adj : (int * int) array array;
   wdeg : int array;  (* cached weighted degrees *)
-  (* CSR-style flat adjacency index: node [v]'s directed slots are
+  (* CSR adjacency, the only one: node [v]'s directed slots are
      [csr_off.(v) .. csr_off.(v+1) - 1]; slot [s] is the directed edge
      [v -> csr_nbr.(s)] realized by undirected edge [csr_eid.(s)].
      Slots are sorted by (neighbor, edge id) within each node, so the
@@ -25,52 +24,49 @@ let validate ~n (u, v, w) =
 let max_nodes = 1 lsl 22
 
 (* Core constructor over already-normalized edge records (u < v, ids
-   [0 .. len-1]): every derived structure is built with flat array
-   passes, no intermediate lists. *)
+   [0 .. len-1]).  The CSR comes from counting passes, no sort: [inc]
+   lists each node's incident edge ids in id order; walking the nodes u
+   in ascending order and appending (u, id) to the other endpoint's row
+   then leaves every row sorted by (neighbor, edge id). *)
 let build ~n edges =
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun e ->
-      deg.(e.u) <- deg.(e.u) + 1;
-      deg.(e.v) <- deg.(e.v) + 1)
-    edges;
-  let adj = Array.init n (fun v -> Array.make deg.(v) (0, 0)) in
-  let fill = Array.make n 0 in
-  Array.iter
-    (fun e ->
-      adj.(e.u).(fill.(e.u)) <- (e.v, e.id);
-      fill.(e.u) <- fill.(e.u) + 1;
-      adj.(e.v).(fill.(e.v)) <- (e.u, e.id);
-      fill.(e.v) <- fill.(e.v) + 1)
-    edges;
+  let csr_off = Array.make (n + 1) 0 in
   let wdeg = Array.make n 0 in
   Array.iter
     (fun e ->
+      csr_off.(e.u + 1) <- csr_off.(e.u + 1) + 1;
+      csr_off.(e.v + 1) <- csr_off.(e.v + 1) + 1;
       wdeg.(e.u) <- wdeg.(e.u) + e.w;
       wdeg.(e.v) <- wdeg.(e.v) + e.w)
     edges;
-  let csr_off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    csr_off.(v + 1) <- csr_off.(v) + deg.(v)
+    csr_off.(v + 1) <- csr_off.(v + 1) + csr_off.(v)
   done;
   let slots = csr_off.(n) in
+  let fill = Array.sub csr_off 0 n in
+  (* the next free slot of [row] *)
+  let next row =
+    let s = fill.(row) in
+    fill.(row) <- s + 1;
+    s
+  in
+  let inc = Array.make slots 0 in
+  Array.iter
+    (fun e ->
+      inc.(next e.u) <- e.id;
+      inc.(next e.v) <- e.id)
+    edges;
+  Array.blit csr_off 0 fill 0 n;
   let csr_nbr = Array.make slots 0 in
   let csr_eid = Array.make slots 0 in
-  for v = 0 to n - 1 do
-    (* adjacency pairs are (neighbor, edge id); sorting them as pairs of
-       ints orders slots by neighbor with parallel edges by ascending id *)
-    let row = Array.copy adj.(v) in
-    Array.sort
-      (fun (a, ai) (b, bi) ->
-        match Int.compare a b with 0 -> Int.compare ai bi | c -> c)
-      row;
-    Array.iteri
-      (fun i (u, id) ->
-        csr_nbr.(csr_off.(v) + i) <- u;
-        csr_eid.(csr_off.(v) + i) <- id)
-      row
+  for u = 0 to n - 1 do
+    for i = csr_off.(u) to csr_off.(u + 1) - 1 do
+      let e = edges.(inc.(i)) in
+      let s = next (if e.u = u then e.v else e.u) in
+      csr_nbr.(s) <- u;
+      csr_eid.(s) <- e.id
+    done
   done;
-  { n; edges; adj; wdeg; csr_off; csr_nbr; csr_eid }
+  { n; edges; wdeg; csr_off; csr_nbr; csr_eid }
 
 let of_array ~n triples =
   Array.iter (validate ~n) triples;
@@ -105,9 +101,12 @@ let other_endpoint g id x =
   else if e.v = x then e.u
   else invalid_arg "Graph.other_endpoint: not an endpoint"
 
-let adj g v = g.adj.(v)
+let iter_adj g v f =
+  for s = g.csr_off.(v) to g.csr_off.(v + 1) - 1 do
+    f g.csr_nbr.(s) g.csr_eid.(s)
+  done
 
-let degree g v = Array.length g.adj.(v)
+let degree g v = g.csr_off.(v + 1) - g.csr_off.(v)
 
 let weighted_degree g v = g.wdeg.(v)
 

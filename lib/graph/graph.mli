@@ -5,8 +5,8 @@
     min-cut algorithms treat as a capacity (equivalently, a multiplicity
     of parallel unit edges — the view Karger's sampling lemma takes).
 
-    The structure is immutable after construction: adjacency is stored as
-    an array of [(neighbor, edge_id)] pairs per node, so algorithms can
+    The structure is immutable after construction: its one adjacency, a
+    CSR index of [(neighbor, edge_id)] slots per node, lets algorithms
     identify edges uniquely even in the presence of parallel edges. *)
 
 type edge = private { id : int; u : int; v : int; w : int }
@@ -19,9 +19,9 @@ type t
 val max_nodes : int
 (** The largest node count (2{^22}) that a size read from input may ask
     for: a serve [GRAPH] header and a named generator family both refuse
-    more before they allocate.  Building a graph allocates about five
-    words per node before it reads an edge, so the cap bounds that
-    up-front cost near 170 MB. *)
+    more before they allocate, and so does a DIMACS [p] line.  Building a
+    graph allocates three words per node before it reads an edge, so the
+    cap bounds that up-front cost near 100 MB. *)
 
 val create : n:int -> (int * int * int) list -> t
 (** [create ~n edges] builds a graph on nodes [0 .. n-1] from
@@ -54,9 +54,9 @@ val other_endpoint : t -> int -> int -> int
 (** [other_endpoint g id x] is the endpoint of edge [id] that is not [x].
     Raises [Invalid_argument] if [x] is not an endpoint. *)
 
-val adj : t -> int -> (int * int) array
-(** [adj g v] lists [(neighbor, edge_id)] pairs incident to [v].  Do not
-    mutate. *)
+val iter_adj : t -> int -> (int -> int -> unit) -> unit
+(** [iter_adj g v f] calls [f neighbor edge_id] for each edge incident
+    to [v], in its CSR row's (neighbor, edge id) order. *)
 
 val degree : t -> int -> int
 (** Number of incident edges (with multiplicity). *)
@@ -70,14 +70,14 @@ val min_degree_node : t -> int
 
 (** {2 Flat CSR adjacency index}
 
-    A compressed-sparse-row view of the adjacency built once at
-    construction: node [v]'s directed slots are
+    The adjacency itself, in compressed-sparse-row form, built once at
+    construction by counting passes: node [v]'s directed slots are
     [csr_offsets g .(v) .. csr_offsets g .(v+1) - 1]; slot [s] is the
     directed edge [v -> csr_neighbors g .(s)] carried by undirected edge
     [csr_edge_ids g .(s)].  Slots are sorted by (neighbor, edge id)
     within each node.  The CONGEST simulator indexes its
     per-directed-edge counters by slot, so its hot loop touches only
-    these flat arrays. *)
+    these flat arrays; {!iter_adj} walks one row. *)
 
 val csr_offsets : t -> int array
 (** Length [n + 1]; do not mutate. *)

@@ -33,8 +33,8 @@ type change = {
 type outcome = {
   version : int;  (** version after this delta *)
   changes : change list;
-      (** channel-level effects, for the incremental certificate; empty
-          when [renumbered] (the certificate rebuilds anyway) *)
+      (** channel-level effects, which [Incremental]'s tier choice reads;
+          empty when [renumbered], which re-solves anyway *)
   renumbered : bool;
       (** a merge/split changed the node-id space: every per-node
           structure derived from the previous version is stale *)

@@ -16,13 +16,12 @@ let triangle_density g =
   let tbl = Hashtbl.create (2 * Graph.m g) in
   Graph.iter_edges (fun e -> Hashtbl.replace tbl (e.Graph.u, e.Graph.v) ()) g;
   let connected u v = Hashtbl.mem tbl (min u v, max u v) in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
   let paths = ref 0 and closed = ref 0 in
   for v = 0 to n - 1 do
-    let adj = Graph.adj g v in
-    let d = Array.length adj in
-    for i = 0 to d - 1 do
-      for j = i + 1 to d - 1 do
-        let a = fst adj.(i) and b = fst adj.(j) in
+    for i = off.(v) to off.(v + 1) - 1 do
+      for j = i + 1 to off.(v + 1) - 1 do
+        let a = nbr.(i) and b = nbr.(j) in
         if a <> b then begin
           incr paths;
           if connected a b then incr closed

@@ -25,10 +25,8 @@ let prim g =
     in
     let visit v =
       in_tree.(v) <- true;
-      Array.iter
-        (fun (u, id) ->
+      Graph.iter_adj g v (fun u id ->
           if not in_tree.(u) then Mincut_util.Heap.push heap (Graph.weight g id, id, u))
-        (Graph.adj g v)
     in
     visit 0;
     let count = ref 1 in

@@ -28,14 +28,12 @@ let scan g =
         scanned.(u) <- true;
         order.(!idx) <- u;
         incr idx;
-        Array.iter
-          (fun (v, id) ->
+        Graph.iter_adj g u (fun v id ->
             if not scanned.(v) then begin
               edge_low.(id) <- r.(v) + 1;
               r.(v) <- r.(v) + Graph.weight g id;
               Mincut_util.Heap.push heap (r.(v), v)
-            end)
-          (Graph.adj g u);
+            end);
         drain ()
   in
   drain ();

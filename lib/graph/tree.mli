@@ -34,7 +34,8 @@ val of_edge_ids : Graph.t -> root:int -> int list -> t
     spanning tree. *)
 
 val bfs_tree : Graph.t -> root:int -> t
-(** The BFS tree of a connected graph. *)
+(** The BFS tree of a connected graph, each parent the least-id neighbour
+    one level up: the tree the engine's [Primitives.bfs_tree] floods. *)
 
 val is_ancestor : t -> int -> int -> bool
 (** [is_ancestor t a v] — true when [v ∈ a↓] (reflexive). *)

@@ -105,11 +105,9 @@ let run ?cfg g =
           heard_by.(u) <- stamp;
           nbr_frag.(u) <- f)
         heard.(v);
-      Array.iter
-        (fun (u, id) ->
+      Graph.iter_adj g v (fun u id ->
           if heard_by.(u) = stamp && nbr_frag.(u) <> frag.(v) then
             local.(v) <- better local.(v) (Graph.weight g id, id))
-        (Graph.adj g v)
     done;
     (* B: fragment leaders learn their min outgoing edge *)
     let best, b_audit =

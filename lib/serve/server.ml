@@ -28,7 +28,6 @@ type session = {
   service : Service.t;
   io : io;
   named : (string, Graph.t) Hashtbl.t;
-  tickets : (Scheduler.ticket, unit) Hashtbl.t;  (* outstanding SUBMITs *)
 }
 
 let err session fmt = Printf.ksprintf (fun s -> session.io.write_line ("ERR " ^ s)) fmt
@@ -181,9 +180,7 @@ let handle_command session cmd =
       | exception e -> err session "submit failed: %s" (Printexc.to_string e)
       | Ok req -> (
           match Service.submit session.service req with
-          | ticket ->
-              Hashtbl.replace session.tickets ticket ();
-              io.write_line (Printf.sprintf "QUEUED %d" ticket)
+          | ticket -> io.write_line (Printf.sprintf "QUEUED %d" ticket)
           | exception e ->
               err session "submit failed: %s" (Printexc.to_string e)));
       None
@@ -221,14 +218,9 @@ let handle_command session cmd =
   | Protocol.Flush ->
       (match Service.flush session.service with
       | { Service.answered; shed } ->
-          List.iter
-            (fun ticket ->
-              Hashtbl.remove session.tickets ticket;
-              io.write_line (Printf.sprintf "SHED %d" ticket))
-            shed;
+          List.iter (fun ticket -> io.write_line (Printf.sprintf "SHED %d" ticket)) shed;
           List.iter
             (fun (ticket, resp) ->
-              Hashtbl.remove session.tickets ticket;
               io.write_line
                 (Printf.sprintf "RESULT %d %s" ticket (Protocol.format_response resp)))
             answered;
@@ -237,9 +229,7 @@ let handle_command session cmd =
       None
 
 let run service io =
-  let session =
-    { service; io; named = Hashtbl.create 8; tickets = Hashtbl.create 8 }
-  in
+  let session = { service; io; named = Hashtbl.create 8 } in
   let rec loop () =
     match io.read_line () with
     | None -> Eof

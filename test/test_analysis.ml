@@ -66,7 +66,7 @@ let test_replay_deterministic_program () =
         (fun ~node ~round ~inbox:_ (v, _) ->
           if round = 0 then
             ( (v, false),
-              Array.to_list (Array.map (fun (u, _) -> (u, node)) (Graph.adj g node)) )
+              List.map (fun (u, _) -> (u, node)) (adj_list g node) )
           else ((v, true), []));
       halted = (fun (_, done_) -> done_);
     }

@@ -28,9 +28,7 @@ let order_dependent_program g =
       step =
         (fun ~node ~round ~inbox st ->
           if round = 0 then
-            ( st,
-              Array.to_list
-                (Array.map (fun (u, _) -> (u, node)) (Graph.adj g node)) )
+            (st, List.map (fun (u, _) -> (u, node)) (adj_list g node))
           else (List.map fst inbox, []));
       halted = (fun st -> st <> []);
     }
@@ -96,9 +94,7 @@ let test_sanitize_flags_fat_payloads () =
           (fun ~node ~round:_ ~inbox:_ sent ->
             if sent then (sent, [])
             else
-              ( true,
-                Array.to_list
-                  (Array.map (fun (u, _) -> (u, payload)) (Graph.adj g node)) ));
+              (true, List.map (fun (u, _) -> (u, payload)) (adj_list g node)));
         halted = (fun sent -> sent);
       }
   in

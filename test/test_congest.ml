@@ -22,7 +22,7 @@ let hello_program g : (hello, int) Network.program =
         let seen = List.map fst inbox @ st.seen in
         if not st.sent then
           ( { sent = true; seen; rounds_alive = st.rounds_alive + 1 },
-            Array.to_list (Array.map (fun (u, _) -> (u, node)) (Graph.adj g node)) )
+            List.map (fun (u, _) -> (u, node)) (adj_list g node) )
         else ({ st with seen; rounds_alive = st.rounds_alive + 1 }, []))
       ;
     halted = (fun st -> st.sent && st.rounds_alive >= 2);
@@ -33,7 +33,7 @@ let test_engine_delivers_neighbors () =
   let states, audit = Network.run ~result:keep_state ~words:words1 g (hello_program g) in
   Array.iteri
     (fun v st ->
-      let expected = List.sort compare (Array.to_list (Array.map fst (Graph.adj g v))) in
+      let expected = List.sort compare (List.map fst (adj_list g v)) in
       check_bool
         (Printf.sprintf "node %d heard both neighbors" v)
         true
@@ -434,7 +434,7 @@ let test_max_edge_load_single_shot () =
 type tally = { hits : int; need : int; first : int }
 
 let tally_program g : (tally, int) Network.program =
-  let nbrs v = List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v))) in
+  let nbrs v = List.sort_uniq Int.compare (List.map fst (adj_list g v)) in
   let flood node x = List.map (fun u -> (u, x)) (nbrs node) in
   {
     initial = (fun v -> { hits = 0; need = min 2 (List.length (nbrs v)); first = -1 });
@@ -580,7 +580,7 @@ let test_driver_matches_reference () =
    round 0, every other node on its first mail.  It floods back to its
    senders too, so most of its mail reaches nodes that have halted. *)
 let burst_program g : (bool, int) Network.program =
-  let nbrs v = List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g v))) in
+  let nbrs v = List.sort_uniq Int.compare (List.map fst (adj_list g v)) in
   let flood node = List.map (fun u -> (u, node)) (nbrs node) in
   {
     initial = (fun _ -> false);
@@ -675,9 +675,9 @@ let parent_edges g (tree : Tree.t) =
     (fun v p ->
       if p = -1 then -1
       else
-        Array.fold_left
+        List.fold_left
           (fun best (x, id) -> if x = p && (best = -1 || id < best) then id else best)
-          (-1) (Graph.adj g v))
+          (-1) (adj_list g v))
     tree.Tree.parent
 
 let golden_primitives =
@@ -926,6 +926,21 @@ let test_wrappers_return_reduced_states () =
               (Primitives.flood_max_program g ~values))))
     [ ("torus4", Generators.torus 4 4); ("torus18", Generators.torus 18 18) ]
 
+(* [Tree.bfs_tree] takes the least-id neighbour one level up as parent,
+   the rule of the engine's flood, so the two trees are one *)
+let test_bfs_tree_is_engine_tree () =
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      List.iter
+        (fun root ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s from %d" name root)
+            (fst (Primitives.bfs_tree g ~root)).Tree.parent
+            (Tree.bfs_tree g ~root).Tree.parent)
+        (List.sort_uniq Int.compare [ 0; 1; n / 2; n - 1 ]))
+    (small_connected_graphs () @ multigraphs ())
+
 let suite =
   [
     tc "engine: delivers to neighbors" test_engine_delivers_neighbors;
@@ -968,4 +983,5 @@ let suite =
       test_exchange_sanitized_matches_oracle;
     tc "primitives: wrappers return the reduced states" test_wrappers_return_reduced_states;
     tc "engine: active set at 32-node word edges = reference" test_engine_bitset_word_edges;
+    tc "primitives: Tree.bfs_tree is the engine's BFS tree" test_bfs_tree_is_engine_tree;
   ]

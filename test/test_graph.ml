@@ -350,10 +350,62 @@ let test_dot_export () =
   (* 2 crossing edges -> two dashed-red edges *)
   check_int "crossing edges dashed" 2 (count_sub "style=dashed" dot)
 
+let test_dimacs_rejects_oversized_header () =
+  (* refused at the p line, before Graph.build allocates per node *)
+  Alcotest.check_raises "n above the cap"
+    (Failure
+       (Printf.sprintf "Dimacs.read: line 2: n=100000000000 is above the cap of %d nodes"
+          Graph.max_nodes))
+    (fun () -> ignore (Dimacs.of_string "c huge\np 100000000000 1\ne 0 1 1\n"))
+
 let test_dimacs_comments_ignored () =
   let g = Dimacs.of_string "c hello\np 2 1\nc mid\ne 0 1 7\n" in
   check_int "n" 2 (Graph.n g);
   check_int "w" 7 (Graph.weight g 0)
+
+(* A multigraph with parallel edges, endpoints given in either order
+   and edge ids in shuffled order: 1..max_n nodes, each drawn pair
+   repeated 1..3 times. *)
+let arbitrary_multigraph ?(max_n = 12) () =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n = int_range 1 max_n in
+    let* pairs = int_range 0 (3 * max_n) in
+    return
+      (let rng = Rng.create seed in
+       let triples =
+         if n < 2 then [||]
+         else
+           Array.concat
+             (List.init pairs (fun _ ->
+                  let u = Rng.int rng n in
+                  let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+                  Array.init (1 + Rng.int rng 3) (fun _ -> (u, v, 1 + Rng.int rng 4))))
+       in
+       Rng.shuffle rng triples;
+       Graph.of_array ~n triples))
+
+(* node [v]'s CSR row as (neighbor, edge id) slots *)
+let csr_row g v =
+  let off = Graph.csr_offsets g in
+  List.init
+    (off.(v + 1) - off.(v))
+    (fun i -> ((Graph.csr_neighbors g).(off.(v) + i), (Graph.csr_edge_ids g).(off.(v) + i)))
+
+let csr_rows_hold_the_adjacency g =
+  let rows = Array.init (Graph.n g) (csr_row g) in
+  let once_in v (e : Graph.edge) =
+    List.length (List.filter (fun (_, id) -> id = e.id) rows.(v)) = 1
+    && List.mem (Graph.other_endpoint g e.id v, e.id) rows.(v)
+  in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun v row ->
+         List.sort compare row = row
+         && Graph.degree g v = List.length row
+         && adj_list g v = row)
+       rows)
+  && Array.for_all (fun (e : Graph.edge) -> once_in e.u e && once_in e.v e) (Graph.edges g)
 
 let qcheck_tests =
   [
@@ -422,4 +474,8 @@ let suite =
   @ [
       tc "generators: counts = the built graph's n and m" test_family_counts_match_built;
       tc "generators: sizes past the caps are errors" test_family_size_caps;
+      qtest ~count:300 "csr: rows sorted by (neighbor, id), each edge once per endpoint"
+        (arbitrary_multigraph ()) csr_rows_hold_the_adjacency;
+      tc "dimacs: a header above Graph.max_nodes is refused"
+        test_dimacs_rejects_oversized_header;
     ]

@@ -14,6 +14,12 @@ let tc name f = Alcotest.test_case name `Quick f
 
 let tc_slow name f = Alcotest.test_case name `Slow f
 
+(* [Graph.iter_adj]'s walk of [v]'s row, as (neighbor, edge id) pairs *)
+let adj_list g v =
+  let acc = ref [] in
+  Graph.iter_adj g v (fun u id -> acc := (u, id) :: !acc);
+  List.rev !acc
+
 (* Reference LCA by walking parent pointers: the oracle for both
    [Tree.Lca] and the distributed Step 5. *)
 let naive_lca t a b =
@@ -201,6 +207,36 @@ let ref_of_edge_ids g ~root ids =
     invalid_arg "Tree.of_edge_ids: edges do not span the graph";
   ref_of_parents ~graph_n:n ~root ~parent
 
+(* [Tree.bfs_tree] before the CSR became the only adjacency: each node
+   scans its incident edges by ascending edge id, and the first node to
+   reach an unseen node becomes its parent.  The tree-shape golden tests
+   were pinned on these trees. *)
+let ref_bfs_tree g ~root =
+  let n = Graph.n g in
+  let incident = Array.make n [] in
+  for id = Graph.m g - 1 downto 0 do
+    let u, v = Graph.endpoints g id in
+    incident.(u) <- v :: incident.(u);
+    incident.(v) <- u :: incident.(v)
+  done;
+  let parent = Array.make n (-1) in
+  let seen = Array.make n false in
+  let q = Queue.create () in
+  Queue.add root q;
+  seen.(root) <- true;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    List.iter
+      (fun u ->
+        if not seen.(u) then begin
+          seen.(u) <- true;
+          parent.(u) <- v;
+          Queue.add u q
+        end)
+      incident.(v)
+  done;
+  Tree.of_parents ~graph_n:n ~root ~parent
+
 (* every field of a built tree against the oracle's *)
 let tree_matches (t : Tree.t) r =
   t.Tree.graph_n = r.r_graph_n
@@ -310,7 +346,7 @@ let ref_exchange_program g ~values : ((int * 'a) list option, 'a) Mincut_congest
     step =
       (fun ~node ~round ~inbox st ->
         if round = 0 then
-          let nbrs = List.sort_uniq Int.compare (Array.to_list (Array.map fst (Graph.adj g node))) in
+          let nbrs = List.sort_uniq Int.compare (List.map fst (adj_list g node)) in
           (st, List.map (fun u -> (u, values.(node))) nbrs)
         else (Some (List.sort (fun (s, _) (s', _) -> Int.compare s s') inbox), []));
     halted = Option.is_some;

@@ -383,7 +383,7 @@ let test_one_respect_pinned_low_target () =
   let got =
     List.concat_map
       (fun (name, g) ->
-        let tree = Tree.bfs_tree g ~root:0 in
+        let tree = ref_bfs_tree g ~root:0 in
         List.map
           (fun (mode, params) ->
             let r = One_respect.run ~params ~target:3 g tree in
@@ -416,9 +416,9 @@ let test_lca_pinned () =
   let gnp = Generators.gnp_connected ~rng:(Rng.create 31) 120 0.05 in
   let got =
     [
-      ("grid16 bfs", lca_digest (One_respect.lca_by_fragments grid (Tree.bfs_tree grid ~root:0)));
+      ("grid16 bfs", lca_digest (One_respect.lca_by_fragments grid (ref_bfs_tree grid ~root:0)));
       ( "grid16 bfs target3",
-        lca_digest (One_respect.lca_by_fragments ~target:3 grid (Tree.bfs_tree grid ~root:0)) );
+        lca_digest (One_respect.lca_by_fragments ~target:3 grid (ref_bfs_tree grid ~root:0)) );
       ( "gnp120 mst",
         lca_digest
           (One_respect.lca_by_fragments gnp
