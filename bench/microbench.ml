@@ -55,6 +55,11 @@ let tests ~keep () =
             in
             let backbone = One_respect.backbone g_dense ~root:0 in
             fun () -> ignore (One_respect.run ~backbone g_dense tree)));
+      (* the packing's first tree as a dense solve runs it: message-level
+         Borůvka on the engine, each phase's candidate convergecast
+         combining (weight, id) pairs *)
+      Test.make ~name:"t2-theorem21:boruvka-gnp144"
+        (Staged.stage (fun () -> ignore (Mincut_mst.Boruvka_dist.run ~cfg g_dense)));
       (* the same at n = 324, over the 256-word line: every per-node
          array of the run is a major-heap block *)
       Test.make ~name:"t2-theorem21:one-respect-torus18"

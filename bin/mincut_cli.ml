@@ -71,7 +71,9 @@ let file_arg =
 let load_graph file family size seed weight_max =
   match (file, family) with
   | Some path, _ -> (
-      try Ok (Dimacs.load path) with e -> Error (error_line (Printexc.to_string e)))
+      try Ok (Dimacs.load path) with
+      | Failure msg | Sys_error msg -> Error (error_line msg)
+      | e -> Error (error_line (Printexc.to_string e)))
   | None, Some fam -> make_graph ~family:fam ~size ~seed ~weight_max
   | None, None -> Error (error_line "provide a graph FILE or --family")
 

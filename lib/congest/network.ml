@@ -207,7 +207,7 @@ let fresh_scratch () =
 
 let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key fresh_scratch
 
-let grown_int a len = Array.make (max len (2 * Array.length a)) 0
+let grown_int a len = Array.make (Int.max len (2 * Array.length a)) 0
 
 (* put node [v] in the bitset [bits], 32 nodes to a word *)
 let mark bits v = bits.(v lsr 5) <- bits.(v lsr 5) lor (1 lsl (v land 31))
@@ -216,7 +216,7 @@ let mark bits v = bits.(v lsr 5) <- bits.(v lsr 5) lor (1 lsl (v land 31))
    sorted by (neighbor, edge id): the first slot whose neighbor is at
    least [dst], or [hi], which is the channel's first slot when [dst]
    is a neighbor. *)
-let rec bisect nbr dst lo hi =
+let rec bisect (nbr : int array) (dst : int) lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) lsr 1 in
@@ -291,7 +291,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
     sc.slot_load <- grown_int sc.slot_load slots
   end;
   if Array.length sc.halted < n then begin
-    let len = max n (2 * Array.length sc.halted) in
+    let len = Int.max n (2 * Array.length sc.halted) in
     sc.halted <- Array.make len false;
     sc.asleep <- Array.make len false;
     sc.from_slot <- Array.make len 0;
@@ -299,7 +299,7 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   end;
   let bit_words = (n + 31) lsr 5 in
   if Array.length sc.active < bit_words then begin
-    let len = max bit_words (2 * Array.length sc.active) in
+    let len = Int.max bit_words (2 * Array.length sc.active) in
     sc.active <- Array.make len 0;
     sc.active_next <- Array.make len 0
   end;

@@ -235,7 +235,7 @@ let upcast_distinct ?cfg g ~tree ~initial =
    a permuted one, as sanitize mode replays. *)
 let by_sender (s, _) (s', _) = Int.compare s s'
 
-let rec ascending_senders prev = function
+let rec ascending_senders (prev : int) = function
   | [] -> true
   | (s, _) :: rest -> prev < s && ascending_senders s rest
 
@@ -270,7 +270,7 @@ let flood_max_program g ~values : (fm_state, int) Network.program =
     initial = (fun v -> { best = values.(v); fresh = true });
     step =
       (fun ~node ~round:_ ~inbox st ->
-        let best = List.fold_left (fun a (_, x) -> max a x) st.best inbox in
+        let best = List.fold_left (fun a (_, x) -> Int.max a x) st.best inbox in
         if best > st.best || st.fresh then ({ best; fresh = false }, send_neighbors g node best)
         else (st, []))
       ;

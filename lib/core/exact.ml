@@ -18,7 +18,7 @@ type result = {
 let min_weighted_degree g =
   let best = ref max_int in
   for v = 0 to Graph.n g - 1 do
-    best := min !best (Graph.weighted_degree g v)
+    best := Int.min !best (Graph.weighted_degree g v)
   done;
   !best
 
@@ -64,7 +64,7 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
              when the degrees are loose *)
           let hint =
             match lambda_upper with
-            | Some u -> min (min_weighted_degree g) (max 1 u)
+            | Some u -> Int.min (min_weighted_degree g) (Int.max 1 u)
             | None -> min_weighted_degree g
           in
           Tree_packing.recommended_trees ~n ~lambda_hint:hint
@@ -101,8 +101,9 @@ let run ?(params = Params.default) ?(pool = Pool.sequential) ?lambda_upper
            charged at the Kutten–Peleg bound as the paper prescribes *)
         let d = Mincut_mst.Boruvka_dist.run ~cfg:params.Params.congest g in
         assert (
-          List.sort Int.compare d.Mincut_mst.Boruvka_dist.edge_ids
-          = List.sort Int.compare packing.Tree_packing.trees.(0));
+          List.equal Int.equal
+            (List.sort Int.compare d.Mincut_mst.Boruvka_dist.edge_ids)
+            (List.sort Int.compare packing.Tree_packing.trees.(0)));
         Cost.( ++ )
           (Cost.group "tree 1: real distributed Boruvka MST"
              d.Mincut_mst.Boruvka_dist.cost)

@@ -245,7 +245,7 @@ let frag_ancestor_downcast ~cfg g tree links (fr : Fragments.t) =
   let _, audit =
     Mincut_congest.Network.run_bounded ~cfg ~words:(fun _ -> 1)
       ~result:(fun _ last -> assert (last = 0))
-      ~rounds:(max 1 bound) g (ancestor_downcast_program tree links fr)
+      ~rounds:(Int.max 1 bound) g (ancestor_downcast_program tree links fr)
   in
   audit
 
@@ -312,7 +312,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   in
   let c_tf =
     (* broadcast the k-1 inter-fragment edges to the whole network *)
-    let items = max 0 (k - 1) in
+    let items = Int.max 0 (k - 1) in
     Cost.scheduled "step1: broadcast T_F (k-1 inter-fragment edges)"
       (Pipeline.upcast ~depth:hb ~items + Pipeline.broadcast ~depth:hb ~items)
   in
@@ -332,7 +332,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   done;
   let max_load_a = ref 0 in
   for v = 0 to n - 1 do
-    max_load_a := max !max_load_a load_a.(v)
+    max_load_a := Int.max !max_load_a load_a.(v)
   done;
   let max_load_a = !max_load_a in
   let c_f_up =
@@ -348,11 +348,11 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
          fragment carries *)
       let max_items =
         Array.fold_left
-          (fun acc ms -> max acc (List.fold_left (fun a v -> a + off.(v + 1) - off.(v)) 0 ms))
+          (fun acc ms -> Int.max acc (List.fold_left (fun a v -> a + off.(v + 1) - off.(v)) 0 ms))
           0 fr.Fragments.members
       in
       let known, up_audit =
-        Primitives.upcast ~cfg:params.Params.congest ~rounds:(max 1 (maxh + max_items + 2)) g
+        Primitives.upcast ~cfg:params.Params.congest ~rounds:(Int.max 1 (maxh + max_items + 2)) g
           links ~initial:(fun v -> slice_list items.ids off.(v) off.(v + 1) [])
       in
       Array.iteri
@@ -363,7 +363,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
               (fun j -> fr.Fragments.frag_parent.(j) = i)
               (Mincut_util.Intset.elements known.(r))
           in
-          assert (List.sort Int.compare got = expected))
+          assert (List.equal Int.equal (List.sort Int.compare got) expected))
         fr.Fragments.roots;
       Cost.executed ~audit:up_audit "step2: upcast child-fragment lists (real)"
         up_audit.Mincut_congest.Network.rounds
@@ -385,7 +385,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   in
   let max_a = ref 0 in
   for v = 0 to n - 1 do
-    max_a := max !max_a (a_size v)
+    max_a := Int.max !max_a (a_size v)
   done;
   let c_a_down =
     match links with
@@ -408,7 +408,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
      fragment below the topmost element of A(v) *)
   let f_off = an.f_sets.off and f_ids = an.f_sets.ids in
   let max_f_items =
-    Array.fold_left (fun acc r -> max acc (f_off.(r + 1) - f_off.(r))) 0 fr.Fragments.roots
+    Array.fold_left (fun acc r -> Int.max acc (f_off.(r + 1) - f_off.(r))) 0 fr.Fragments.roots
   in
   let c_f_down =
     Cost.scheduled "step2: downcast F(u) for ancestors"
@@ -466,7 +466,7 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
     Cost.scheduled "step4: local merging-node detection" 1
   in
   let c_tfp =
-    let items = an.merging_count + max 0 (an.tfp_size - 1) in
+    let items = an.merging_count + Int.max 0 (an.tfp_size - 1) in
     Cost.scheduled "step4: broadcast merging nodes and T'F edges"
       (Pipeline.upcast ~depth:hb ~items + Pipeline.broadcast ~depth:hb ~items)
   in
@@ -500,8 +500,8 @@ let run ?(params = Params.default) ?target ?backbone:given g tree =
   (* type (i): count case-2 messages over the BFS tree *)
   let c_type1 =
     Cost.scheduled "step5: count type-(i) messages over BFS tree"
-      (Pipeline.convergecast ~depth:hb ~max_edge_load:(max 1 m2)
-      + Pipeline.broadcast ~depth:hb ~items:(max 1 m2))
+      (Pipeline.convergecast ~depth:hb ~max_edge_load:(Int.max 1 m2)
+      + Pipeline.broadcast ~depth:hb ~items:(Int.max 1 m2))
   in
   (* type (ii): pipelined within-fragment counting; per-edge load is the
      number of in-fragment ancestors *)

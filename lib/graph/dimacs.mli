@@ -12,7 +12,8 @@ val write : out_channel -> Graph.t -> unit
 
 val read : in_channel -> Graph.t
 (** Raises [Failure] with a line-numbered message on malformed input,
-    and on a [p] line whose node count is above {!Graph.max_nodes}. *)
+    and on a [p] line whose node count is below 1 or above
+    {!Graph.max_nodes}, or whose edge count is negative. *)
 
 val to_string : Graph.t -> string
 

@@ -154,7 +154,7 @@ let sub_by_edges g ~keep = filter_map_edges g ~f:(fun e -> if keep e then e.w el
 
 let reweight g ~f = filter_map_edges g ~f
 
-let cut_value g ~in_cut =
+let cut_value g ~(in_cut : int -> bool) =
   Array.fold_left
     (fun acc e -> if in_cut e.u <> in_cut e.v then acc + e.w else acc)
     0 g.edges

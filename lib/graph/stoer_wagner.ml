@@ -25,18 +25,22 @@ let run g =
     let prev = ref (-1) in
     let last = ref (-1) in
     for _ = 1 to !n_alive do
-      (* pick the unadded live node with maximum connectivity *)
-      let pick = ref (-1) in
+      (* pick the unadded live node with maximum connectivity, the
+         lowest id on a tie; connectivities are never negative *)
+      let pick = ref (-1) and most = ref (-1) in
       for v = 0 to n - 1 do
-        if alive.(v) && (not added.(v)) && (!pick = -1 || conn.(v) > conn.(!pick)) then
-          pick := v
+        if alive.(v) && (not added.(v)) && conn.(v) > !most then begin
+          pick := v;
+          most := conn.(v)
+        end
       done;
       let v = !pick in
       added.(v) <- true;
       prev := !last;
       last := v;
+      let wv = w.(v) in
       for u = 0 to n - 1 do
-        if alive.(u) && not added.(u) then conn.(u) <- conn.(u) + w.(v).(u)
+        if alive.(u) && not added.(u) then conn.(u) <- conn.(u) + wv.(u)
       done
     done;
     (* cut of the phase: the last node alone *)
@@ -49,10 +53,11 @@ let run g =
     alive.(t) <- false;
     decr n_alive;
     members.(s) <- members.(t) @ members.(s);
+    let ws = w.(s) and wt = w.(t) in
     for v = 0 to n - 1 do
       if alive.(v) && v <> s then begin
-        w.(s).(v) <- w.(s).(v) + w.(t).(v);
-        w.(v).(s) <- w.(s).(v)
+        ws.(v) <- ws.(v) + wt.(v);
+        w.(v).(s) <- ws.(v)
       end
     done
   done;

@@ -135,7 +135,7 @@ let bfs_tree g ~root =
 
 let is_ancestor t a v = t.pos.(a) <= t.pos.(v) && t.pos.(v) < t.stop.(a)
 
-let height t = Array.fold_left max 0 t.depth
+let height t = Array.fold_left Int.max 0 t.depth
 
 let n_nodes t = t.graph_n
 
@@ -180,7 +180,7 @@ module Lca = struct
     for i = 2 to n do
       log2.(i) <- log2.(i / 2) + 1
     done;
-    let levels = log2.(max 1 n) + 1 in
+    let levels = log2.(Int.max 1 n) + 1 in
     let table = Scratch.ints sc (levels * n) in
     Array.blit tr.preorder 0 table 0 n;
     for k = 1 to levels - 1 do

@@ -8,7 +8,8 @@ type result = { edge_ids : int list; phases : int; cost : Cost.t }
 
 let none_cand = (max_int, max_int)
 
-let better (w1, i1) (w2, i2) = if w1 < w2 || (w1 = w2 && i1 < i2) then (w1, i1) else (w2, i2)
+let better (((w1 : int), (i1 : int)) as a) ((w2, i2) as b) =
+  if w1 < w2 || (w1 = w2 && i1 < i2) then a else b
 
 (* --- step D: flood merged fragment ids, re-orienting the tree ------ *)
 
@@ -119,7 +120,7 @@ let run ?cfg g =
     in
     let chosen = Hashtbl.create 64 in
     for v = 0 to n - 1 do
-      if parent.(v) = -1 && best.(v) <> none_cand then
+      if parent.(v) = -1 && snd best.(v) <> snd none_cand then
         Hashtbl.replace chosen frag.(v) (snd best.(v))
     done;
     if Hashtbl.length chosen = 0 then begin
@@ -164,8 +165,8 @@ let run ?cfg g =
       let new_of_rep = Hashtbl.create 64 in
       for v = 0 to n - 1 do
         let r = Union_find.find uf frag.(v) in
-        let cur = try Hashtbl.find new_of_rep r with Not_found -> max_int in
-        Hashtbl.replace new_of_rep r (min cur frag.(v))
+        let cur = Option.value ~default:max_int (Hashtbl.find_opt new_of_rep r) in
+        Hashtbl.replace new_of_rep r (Int.min cur frag.(v))
       done;
       let new_id = Array.make n (-1) in
       let is_leader = Array.make n false in

@@ -96,7 +96,7 @@ let partition (tree : Tree.t) ~target =
 
 let count t = Array.length t.roots
 
-let max_height t = Array.fold_left max 0 t.heights
+let max_height t = Array.fold_left Int.max 0 t.heights
 
 let check_invariants t =
   let n = t.tree.Tree.graph_n in
@@ -130,7 +130,7 @@ let check_invariants t =
         (* fragment ids are the min member ids *)
         if
           Array.for_all
-            (fun i -> t.ids.(i) = List.fold_left min max_int t.members.(i))
+            (fun i -> t.ids.(i) = List.fold_left Int.min max_int t.members.(i))
             (Array.init k (fun i -> i))
         then Ok "fragments valid"
         else fail "bad fragment id"

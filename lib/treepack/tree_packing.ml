@@ -47,7 +47,7 @@ let greedy g ~trees =
   let loads = Array.make m 0 in
   let order = Array.init m Fun.id in
   sort_by_load loads w order;
-  let picked = Array.make (max 0 (n - 1)) 0 in
+  let picked = Array.make (Int.max 0 (n - 1)) 0 in
   let k = Array.length picked in
   let uf = Union_find.create n in
   let out = Array.make trees [] in
@@ -121,7 +121,7 @@ let distinct t =
    running every tree.  The groups are gathered newest first and summed
    once: folding [Cost.( ++ )] would copy the growing span list per
    tree, quadratic in the packing budget. *)
-let sweep ~pool ~label ~run ~cost ~value t =
+let sweep ~pool ~label ~run ~cost ~(value : _ -> int) t =
   let slot, reps = distinct t in
   let runs = Pool.map pool run reps in
   let best = ref 0 and groups = ref [] in
@@ -134,14 +134,14 @@ let sweep ~pool ~label ~run ~cost ~value t =
   (!best, runs.(slot.(!best)), Cost.sum (List.rev !groups))
 
 let recommended_trees ~n ~lambda_hint =
-  let log2n = Mincut_util.Intmath.ceil_log2 (max 2 n) in
-  max 8 (min 96 (2 * max 1 lambda_hint * log2n))
+  let log2n = Mincut_util.Intmath.ceil_log2 (Int.max 2 n) in
+  Int.max 8 (Int.min 96 (2 * Int.max 1 lambda_hint * log2n))
 
 let theory_trees ~n ~lambda =
-  let l = float_of_int lambda and ln = log (float_of_int (max 2 n)) /. log 2.0 in
+  let l = float_of_int lambda and ln = log (float_of_int (Int.max 2 n)) /. log 2.0 in
   (l ** 7.0) *. (ln ** 3.0)
 
-let crossings g ids ~in_cut =
+let crossings g ids ~(in_cut : int -> bool) =
   List.fold_left
     (fun acc id ->
       let u, v = Graph.endpoints g id in

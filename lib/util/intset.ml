@@ -13,7 +13,7 @@ type t = int list
 
 let empty : t = []
 
-let rec add x t =
+let rec add (x : int) t =
   match t with
   | [] -> [ x ]
   | y :: rest ->
@@ -25,7 +25,7 @@ let elements t = t
 
 let cardinal = List.length
 
-let rec mem x = function [] -> false | y :: rest -> y = x || (y < x && mem x rest)
+let rec mem (x : int) = function [] -> false | y :: rest -> y = x || (y < x && mem x rest)
 
 let remove_min = function [] -> [] | _ :: rest -> rest
 

@@ -358,6 +358,19 @@ let test_dimacs_rejects_oversized_header () =
           Graph.max_nodes))
     (fun () -> ignore (Dimacs.of_string "c huge\np 100000000000 1\ne 0 1 1\n"))
 
+(* a p line below one node or zero edges is refused at that line, not
+   left to Array.make or to the edge count check *)
+let test_dimacs_rejects_small_header () =
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.check_raises text (Failure ("Dimacs.read: line 2: " ^ msg)) (fun () ->
+          ignore (Dimacs.of_string ("c small\n" ^ text ^ "\n"))))
+    [
+      ("p -3 0", "n=-3 is below the minimum of 1 node");
+      ("p 0 0", "n=0 is below the minimum of 1 node");
+      ("p 3 -1", "m=-1 is negative");
+    ]
+
 let test_dimacs_comments_ignored () =
   let g = Dimacs.of_string "c hello\np 2 1\nc mid\ne 0 1 7\n" in
   check_int "n" 2 (Graph.n g);
@@ -478,4 +491,6 @@ let suite =
         (arbitrary_multigraph ()) csr_rows_hold_the_adjacency;
       tc "dimacs: a header above Graph.max_nodes is refused"
         test_dimacs_rejects_oversized_header;
+      tc "dimacs: a header below one node or zero edges is refused"
+        test_dimacs_rejects_small_header;
     ]

@@ -1002,6 +1002,9 @@ let suite =
         (test_cli_refusal "estimate" ~graph:"p 1 0\n" "Sample_estimate.run: need n >= 2");
       tc "cli: info on a one-node graph is an error"
         (test_cli_refusal "info" ~graph:"p 1 0\n" "Stoer_wagner.run: need n >= 2");
+      tc "cli: a DIMACS header above the node cap is a bare error line"
+        (test_cli_refusal "info" ~graph:"p 5000000 0\n"
+           "Dimacs.read: line 1: n=5000000 is above the cap of 4194304 nodes");
       tc "cli: trace on a disconnected graph is an error"
         (test_cli_refusal "trace" ~graph:"p 4 2\ne 0 1 1\ne 2 3 1\n"
            "Primitives.bfs_tree: disconnected graph");
