@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Fails when a module on the exact solve path compiles a comparison to a
-# call instead of a machine compare.  Without flambda, [<], [=] and
-# [<>] on values the typechecker does not see as ints (or bools, chars)
+# Fails when a module on the exact solve path, or on the session
+# (DELTA) and estimate paths, compiles a comparison to a call instead of
+# a machine compare.  Without flambda, [<], [=] and [<>] on values the
+# typechecker does not see as ints (or bools, chars)
 # call the runtime's polymorphic compare ([caml_lessthan], [caml_equal],
 # ...), and [Stdlib.max]/[min] are calls that do the same whatever the
 # type; [Int.max]/[Int.min] compile inline.  A first-class [max] is read
@@ -16,7 +17,8 @@ set -euo pipefail
 build=${1:-_build/default}
 modules="congest/Network congest/Primitives core/One_respect core/Exact
   mst/Boruvka_dist mst/Fragments graph/Tree graph/Graph
-  treepack/Tree_packing util/Intset graph/Dimacs"
+  treepack/Tree_packing util/Intset graph/Dimacs graph/Handle
+  core/Sample_estimate"
 status=0
 for m in $modules; do
   lib=${m%/*}

@@ -116,8 +116,8 @@ let sanitize_primitive_checks () =
               Some (pname ^ ": " ^ Network.violation_message v))
         progs)
 
-(* The probe-instrumented path: payload and state-footprint tracking on
-   the raw BFS program (payloads are single words). *)
+(* The payload-scaling check on the raw BFS program: single-word
+   payloads stay under the c·log n limit. *)
 let sanitize_bfs_check () =
   per_workload "sanitize: bfs program payload tracking" (fun g ->
       Sanitize.describe
@@ -299,9 +299,9 @@ let inject_payload () =
   let limit = Mincut_util.Intmath.ceil_log2 n in
   let r = Sanitize.run ~cfg ~limit ~words:List.length g (fat_payload_program g) in
   let details =
-    match r.Sanitize.flags with
-    | [] -> [ "MISSED: no payload flag for a sqrt(n)-word message" ]
-    | f :: _ ->
+    match r.Sanitize.flag with
+    | None -> [ "MISSED: no payload flag for a sqrt(n)-word message" ]
+    | Some f ->
         [
           Printf.sprintf
             "caught: node %d round %d sent %d words against a %d-word log-n \

@@ -5,8 +5,8 @@
       the 1-respecting DP on a Kruskal tree, each run twice with the
       full audits, summaries and span trees diffed;
     - {!Sanitize} — every shipped primitive re-executed under permuted
-      inbox orders, plus probe-tracked payload and state footprints on
-      the raw BFS program;
+      inbox orders, plus the c·log n payload-scaling limit on the raw
+      BFS program;
     - {!Costcheck} — span-tree laws over full [Api.min_cut] summaries,
       and the five-step shape and formula table of the one-respect tree
       in both parameter modes;

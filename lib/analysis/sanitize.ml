@@ -7,10 +7,8 @@ type flag = { node : int; round : int; words : int; limit : int }
 type report = {
   order_dependence : (int * int) option;
   violation : string option;
-  max_payload_words : int;
-  max_state_bytes : int;
   payload_limit : int;
-  flags : flag list;
+  flag : flag option;
   ok : bool;
 }
 
@@ -22,51 +20,54 @@ type report = {
 let default_limit n =
   max Config.default.Config.words_per_message (Mincut_util.Intmath.ceil_log2 n)
 
+(* One word check serves both limits: the engine runs at the lesser of
+   the caller's budget and the scaling limit, and the payload it stops
+   at is sorted into a flag (past the limit), a violation (past the
+   budget, rendered against it), or both. *)
 let run ?(cfg = Config.default) ?limit ~words g prog =
-  let n = Graph.n g in
-  let payload_limit = match limit with Some l -> l | None -> default_limit n in
-  let max_payload = ref 0 in
-  let max_state = ref 0 in
-  let flags = ref [] in
-  let probe ~node ~round ~inbox:_ state outbox =
-    let state_bytes = Bytes.length (Marshal.to_bytes state []) in
-    if state_bytes > !max_state then max_state := state_bytes;
-    List.iter
-      (fun (_, payload) ->
-        let w = words payload in
-        if w > !max_payload then max_payload := w;
-        if w > payload_limit then
-          flags := { node; round; words = w; limit = payload_limit } :: !flags)
-      outbox
+  let budget = cfg.Config.words_per_message in
+  let payload_limit = match limit with Some l -> l | None -> default_limit (Graph.n g) in
+  let cfg =
+    Config.sanitized { cfg with Config.words_per_message = Int.min budget payload_limit }
   in
-  let cfg = Config.sanitized cfg in
-  let finish order violation =
-    let flags = List.rev !flags in
+  let report ?order_dependence ?flag ?violation () =
     {
-      order_dependence = order;
+      order_dependence;
       violation;
-      max_payload_words = !max_payload;
-      max_state_bytes = !max_state;
       payload_limit;
-      flags;
-      ok = Option.is_none order && Option.is_none violation && flags = [];
+      flag;
+      ok = Option.is_none order_dependence && Option.is_none flag && Option.is_none violation;
     }
   in
-  match Network.run ~cfg ~probe ~words ~result:(fun _ _ -> ()) g prog with
-  | _ -> finish None None
+  match Network.run ~cfg ~words ~result:(fun _ _ -> ()) g prog with
+  | _ -> report ()
   | exception Network.Model_violation v -> (
-      match (v.Network.kind, v.Network.sender) with
-      | Network.Order_dependence, Some node ->
-          finish (Some (node, v.Network.round)) None
-      | _ -> finish None (Some (Network.violation_message v)))
+      match (v.Network.kind, v.Network.sender, v.Network.words) with
+      | Network.Order_dependence, Some node, _ ->
+          report ~order_dependence:(node, v.Network.round) ()
+      | Network.Oversized_message, Some node, Some w ->
+          let flag =
+            if w > payload_limit then
+              Some { node; round = v.Network.round; words = w; limit = payload_limit }
+            else None
+          in
+          let violation =
+            if w > budget then
+              Some (Network.violation_message { v with Network.budget = Some budget })
+            else None
+          in
+          report ?flag ?violation ()
+      | _ -> report ~violation:(Network.violation_message v) ())
 
 let describe r =
-  let flags =
-    List.map
-      (fun f ->
-        Printf.sprintf "node %d round %d sent %d words (limit %d)" f.node
-          f.round f.words f.limit)
-      r.flags
+  let flag =
+    match r.flag with
+    | None -> []
+    | Some f ->
+        [
+          Printf.sprintf "node %d round %d sent %d words (limit %d)" f.node f.round
+            f.words f.limit;
+        ]
   in
   let order =
     match r.order_dependence with
@@ -75,4 +76,4 @@ let describe r =
         [ Printf.sprintf "order-dependence at node %d, round %d" node round ]
   in
   let violation = match r.violation with None -> [] | Some m -> [ m ] in
-  order @ violation @ flags
+  order @ violation @ flag

@@ -1,5 +1,5 @@
 (** Shadow-execution sanitizer: adversarial order-dependence and
-    payload-growth checking for CONGEST programs.
+    payload-scaling checks for CONGEST programs.
 
     The engine's sorted inbox delivery is an implementation convenience,
     not a model guarantee: a correct CONGEST program must compute the
@@ -7,10 +7,10 @@
     analyzer drives a program through {!Mincut_congest.Network.run} with
     [Config.sanitize] set — every step with ≥ 2 inbox messages is
     re-executed under reversed and deterministically shuffled inboxes
-    and byte-compared — and simultaneously hooks the engine's probe
-    callback to track per-message word counts and per-node state
-    footprints across rounds, flagging payloads that drift beyond the
-    word budget's c·log n scaling. *)
+    and byte-compared, and every node the plain engine would sleep is
+    stepped and checked — at a per-message word budget of the lesser of
+    the caller's budget and the c·log n scaling limit, so the engine's
+    own word check stops the run at the first payload past either. *)
 
 type flag = {
   node : int;
@@ -24,12 +24,13 @@ type report = {
       (** [(node, round)] provenance of the first divergence under a
           permuted inbox, when one was caught *)
   violation : string option;
-      (** any other model violation the run raised (rendered) *)
-  max_payload_words : int;  (** largest payload observed by the probe *)
-  max_state_bytes : int;    (** largest marshalled node state *)
-  payload_limit : int;      (** the scaling limit applied *)
-  flags : flag list;        (** payloads beyond [payload_limit] *)
-  ok : bool;                (** no divergence, no violation, no flags *)
+      (** any other model violation the run raised (rendered); a
+          payload past the caller's word budget is rendered against
+          that budget *)
+  payload_limit : int;  (** the scaling limit applied *)
+  flag : flag option;   (** the payload past [payload_limit] that
+                            stopped the run *)
+  ok : bool;            (** no divergence, no violation, no flag *)
 }
 
 val default_limit : int -> int
@@ -43,10 +44,10 @@ val run :
   Mincut_graph.Graph.t ->
   ('state, 'msg) Mincut_congest.Network.program ->
   report
-(** Run the program to completion under sanitize mode and the tracking
-    probe.  Never raises on model violations — they are folded into the
-    report.  [limit] overrides the payload scaling limit ([cfg]'s word
-    budget still bounds each message unless raised by the caller). *)
+(** Run the program to completion under sanitize mode.  Never raises
+    on model violations — they are folded into the report.  [limit]
+    overrides the payload scaling limit; [cfg]'s word budget still
+    bounds each message. *)
 
 val describe : report -> string list
 (** Human-readable one-line findings (empty when [ok]). *)

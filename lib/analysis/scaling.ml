@@ -160,8 +160,6 @@ let default_scratch = "_store"
 
 let store_ladder ~quick = if quick then [ 256; 1024 ] else [ 4096; 32768; 131072 ]
 
-let isqrt_ceil n = int_of_float (ceil (sqrt (float_of_int (max 1 n))))
-
 (* Deterministic per (dims, seed, bits), so a directory whose manifest
    matches is byte-for-byte what a rebuild would produce — safe to
    reuse as a cache, and a half-overwritten rebuild converges. *)
@@ -184,7 +182,7 @@ let ensure_store ~seed ~bits ~rows ~cols () =
           Result.map (fun m -> (dir, m)) (Store.Bulk_loader.finalize bl))
 
 let store_sample ?instruments ~seed n =
-  let side = isqrt_ceil (max 9 n) in
+  let side = Params.sqrt_target ~n:(max 9 n) in
   let rows = side and cols = side in
   let n = rows * cols in
   let bits = Store.Chunk.default_bits ~n in

@@ -1,24 +1,8 @@
-type t = {
-  words_per_message : int;
-  max_rounds : int;
-  strict_edge_words : int option;
-  sanitize : bool;
-}
+type t = { words_per_message : int; max_rounds : int; sanitize : bool }
 
-let default =
-  {
-    words_per_message = 4;
-    max_rounds = 2_000_000;
-    strict_edge_words = None;
-    sanitize = false;
-  }
+let default = { words_per_message = 4; max_rounds = 2_000_000; sanitize = false }
 
 let with_budget words = { default with words_per_message = words }
-
-let strict ?budget t =
-  let cap = match budget with Some b -> b | None -> t.words_per_message in
-  if cap <= 0 then invalid_arg "Config.strict: budget must be positive";
-  { t with strict_edge_words = Some cap }
 
 let sanitized t = { t with sanitize = true }
 

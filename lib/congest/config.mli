@@ -4,44 +4,35 @@
     at most one message of O(log n) bits along each incident edge.  We
     count message payloads in {e words}, where one word holds one node
     id / weight / counter (i.e., Θ(log n) bits), and enforce a per-message
-    word budget.  The default budget of 4 words is the usual constant
+    word budget.  The engine also allows one message per directed edge
+    per round, so the per-message budget is the per-edge-per-round
+    bound as well.  The default budget of 4 words is the usual constant
     slack that CONGEST algorithm descriptions assume when they say a
     message carries "an edge and two fragment IDs". *)
 
 type t = {
   words_per_message : int;  (** payload budget per message *)
   max_rounds : int;         (** engine watchdog; exceeded = failure *)
-  strict_edge_words : int option;
-      (** strict conformance mode: when [Some cap], the engine
-          additionally bounds the {e aggregate} words crossing each
-          directed edge in each round by [cap].  With one word standing
-          for Θ(log n) bits ({!bits_per_word}), a constant cap is
-          exactly the model's "O(log n) bits per edge per round"
-          discipline stated per edge rather than per message, so it
-          stays violated-or-not even under future relaxations of the
-          one-message-per-edge rule. *)
   sanitize : bool;
-      (** shadow-execution mode: the engine re-runs every step whose
-          inbox holds ≥ 2 messages with adversarially permuted inbox
-          orders and byte-compares the resulting state and outbox
-          against the primary execution.  A divergence raises
+      (** shadow-execution mode: {!Network.run} wraps the program so
+          that every step whose inbox holds ≥ 2 messages is re-run
+          under adversarially permuted inbox orders, and the resulting
+          state and outbox are byte-compared against the primary
+          execution.  A divergence raises
           {!Network.Model_violation} with kind [Order_dependence] —
           the program's behaviour depends on a delivery order the
           CONGEST model does not promise (the engine's sorted inboxes
-          are a convenience, not a model guarantee).  Requires node
+          are a convenience, not a model guarantee).  It also steps
+          idle nodes the plain engine would sleep, and raises
+          [Round_dependence] when such a step acts.  Requires node
           states and payloads to be marshalable plain data with
           canonical representations (see [Mincut_util.Intset]). *)
 }
 
 val default : t
-(** 4 words, 2_000_000 rounds, lenient (per-message budget only). *)
+(** 4 words, 2_000_000 rounds, no sanitize mode. *)
 
 val with_budget : int -> t
-
-val strict : ?budget:int -> t -> t
-(** [strict t] enables the per-edge-per-round aggregate word cap;
-    [budget] overrides the cap (default [t.words_per_message]).
-    Raises [Invalid_argument] on a non-positive budget. *)
 
 val sanitized : t -> t
 (** [sanitized t] enables shadow-execution order-dependence checking. *)

@@ -4,7 +4,6 @@ type violation_kind =
   | Oversized_message
   | Non_neighbor_send
   | Duplicate_send
-  | Edge_overload
   | Order_dependence
   | Round_dependence
   | Watchdog
@@ -33,11 +32,6 @@ let violation_message v =
   | Duplicate_send ->
       Printf.sprintf "round %d: node %s sent twice to %s" v.round
         (endpoint v.sender) (endpoint v.receiver)
-  | Edge_overload ->
-      Printf.sprintf
-        "round %d: edge %s->%s carried %s words, over the strict per-edge cap %s"
-        v.round (endpoint v.sender) (endpoint v.receiver) (endpoint v.words)
-        (endpoint v.budget)
   | Order_dependence ->
       Printf.sprintf
         "round %d: node %s diverged under a permuted inbox order \
@@ -65,14 +59,6 @@ type ('state, 'msg) program = {
     node:int -> round:int -> inbox:(int * 'msg) list -> 'state -> 'state * (int * 'msg) list;
   halted : 'state -> bool;
 }
-
-type ('state, 'msg) probe =
-  node:int ->
-  round:int ->
-  inbox:(int * 'msg) list ->
-  'state ->
-  (int * 'msg) list ->
-  unit
 
 type audit = {
   rounds : int;
@@ -133,10 +119,10 @@ let shadow_check ~prog ~node ~round ~inbox st state' outs =
   replay (List.rev inbox);
   replay (shuffle ~seed:((node * 1_000_003) + round) inbox)
 
-(* Sanitize mode's check of the idle contract.  A sleeping node is
-   stepped anyway, and the step must send nothing and leave the
-   marshalled state as it was; otherwise the program reads the round as
-   a timer, and sleeping the node would change the run. *)
+(* Sanitize mode's check of the idle contract.  A node the plain engine
+   would sleep is stepped anyway, and the step must send nothing and
+   leave the marshalled state as it was; otherwise the program reads the
+   round as a timer, and sleeping the node would change the run. *)
 let idle_check ~node ~round st0 state' outs =
   let same_state =
     state' == st0 || String.equal (Marshal.to_string state' []) (Marshal.to_string st0 [])
@@ -144,6 +130,33 @@ let idle_check ~node ~round st0 state' outs =
   match outs with
   | [] when same_state -> ()
   | _ -> violate Round_dependence ~round ~sender:node
+
+(* Sanitize mode as a program transformer.  The wrapped state pairs the
+   program's state with [idle]: whether its last step was one after
+   which the plain engine sleeps the node (the rule in [drive]).  An
+   empty-inbox step right after an idle one is a step the plain engine
+   skips: it runs under [idle_check], and the node keeps its pre-step
+   state.  A step with two or more messages is replayed under permuted
+   inboxes ([shadow_check]).  Every step returns a fresh pair, so the
+   engine never sleeps a wrapped node: it steps it every round until it
+   halts. *)
+let sanitized prog =
+  {
+    initial = (fun v -> (prog.initial v, false));
+    step =
+      (fun ~node ~round ~inbox (st0, idle) ->
+        let state', outs = prog.step ~node ~round ~inbox st0 in
+        match inbox with
+        | [] when idle ->
+            idle_check ~node ~round st0 state' outs;
+            ((st0, true), [])
+        | _ ->
+            (match inbox with
+            | [] | [ _ ] -> ()
+            | _ -> shadow_check ~prog ~node ~round ~inbox st0 state' outs);
+            ((state', round > 0 && state' == st0 && inbox == [] && outs == []), outs));
+    halted = (fun (st, _) -> prog.halted st);
+  }
 
 (* Per-domain scratch for [drive]'s monomorphic round structures.
 
@@ -165,7 +178,7 @@ let idle_check ~node ~round st0 state' outs =
      send and the slot last used to reach it.  [deliver] validates an
      entry before using it, so any value (another call's, another
      graph's) is safe and they are never reset.
-   - [halted] and [asleep] are per-node flags, set on entry: O(n).
+   - [halted] is a per-node flag, set on entry: O(n).
    - [active] / [active_next] are the nodes to visit this round and
      next, 32 nodes to a word, cleared on entry: O(n/32).  The scan
      clears each word of [active] as it reads it, so after a round it
@@ -180,7 +193,6 @@ type scratch = {
   mutable sent_round : int array;  (* per slot: epoch-stamped last-send round *)
   mutable slot_load : int array;   (* per slot: messages this call *)
   mutable halted : bool array;     (* per node: monotone halt flags *)
-  mutable asleep : bool array;     (* per node: idle until mail arrives *)
   mutable active : int array;      (* per 32 nodes: visit this round *)
   mutable active_next : int array; (* per 32 nodes: visit next round *)
   mutable from_slot : int array;   (* per node: slot of its last send *)
@@ -195,7 +207,6 @@ let fresh_scratch () =
     sent_round = [||];
     slot_load = [||];
     halted = [||];
-    asleep = [||];
     active = [||];
     active_next = [||];
     from_slot = [||];
@@ -238,9 +249,8 @@ let rec bisect (nbr : int array) (dst : int) lo hi =
      in round r, or when it steps in round r and neither halts nor
      falls asleep; round 0 marks every node that has not halted.  Any
      other node would have nothing to do: it is halted, or asleep with
-     an empty inbox.  Sanitize mode marks every node that has not
-     halted, so sleeping nodes are still stepped and checked.  The scan
-     tests the 32 bits of a non-zero word one by one, from the top.
+     an empty inbox.  The scan tests the 32 bits of a non-zero word one
+     by one, from the top.
    - Mailboxes are double-buffered list arrays.  Senders are stepped in
      descending node order, so consing onto the destination's next-round
      buffer yields an inbox already in ascending sender order — the
@@ -261,11 +271,15 @@ let rec bisect (nbr : int array) (dst : int) lo hi =
      node to sleep, and a sleeping node is not stepped until mail
      arrives.  By the contract on [program.step] such a step depends
      only on node and state, so every skipped step would have repeated
-     it.  Sanitize mode steps sleeping nodes anyway and checks that.
+     it.  Sanitize mode ([sanitized]) steps such nodes anyway and
+     checks that.
    - The duplicate-send registry and per-directed-edge counters are
      arrays indexed by CSR slot; storing the epoch-stamped round of the
      last send makes entries self-invalidating, so there is no per-round
      or per-call reset at all, and [max_edge_load] is kept at delivery.
+     With one payload per channel per round, the per-message word
+     budget bounds each edge's words per round too, and the audit's
+     [max_edge_words] is [max_words].
    - A message's channel is found from memory first: the slot the
      sender used last (a pipeline to one neighbour), the slot last used
      to reach [dst] (a parent streaming to several children), then the
@@ -278,7 +292,7 @@ let rec bisect (nbr : int array) (dst : int) lo hi =
    - Message validation and delivery run in [deliver], and a node's
      visit in [visit]: one closure each per call rather than one per
      stepped node per round, so the round loop allocates nothing. *)
-let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
+let drive ~cfg ~words ~result ~stop g prog =
   let n = Graph.n g in
   let off = Graph.csr_offsets g in
   let nbr = Graph.csr_neighbors g in
@@ -293,7 +307,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   if Array.length sc.halted < n then begin
     let len = Int.max n (2 * Array.length sc.halted) in
     sc.halted <- Array.make len false;
-    sc.asleep <- Array.make len false;
     sc.from_slot <- Array.make len 0;
     sc.to_slot <- Array.make len 0
   end;
@@ -308,7 +321,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   let sent_round = sc.sent_round in
   let slot_load = sc.slot_load in
   let halted = sc.halted in
-  let asleep = sc.asleep in
   let from_slot = sc.from_slot in
   let to_slot = sc.to_slot in
   let active = ref sc.active and active_next = ref sc.active_next in
@@ -324,7 +336,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   for v = 0 to n - 1 do
     let h = prog.halted states.(v) in
     halted.(v) <- h;
-    asleep.(v) <- false;
     if not h then begin
       incr live;
       mark !active v
@@ -336,7 +347,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
   let sent_count = ref 0 in
   let max_words = ref 0 in
   let max_edge_load = ref 0 in
-  let max_edge_words = ref 0 in
   let last_traffic_round = ref (-1) in
   let round = ref 0 in
   let note_round_count r c =
@@ -373,14 +383,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
         if w > cfg.Config.words_per_message then
           violate Oversized_message ~round:r ~sender:v ~receiver:dst ~words:w
             ~budget:cfg.Config.words_per_message;
-        (* one message per channel per round (the duplicate check
-           above), so the per-round aggregate load on a directed
-           edge is exactly this payload *)
-        (match cfg.Config.strict_edge_words with
-        | Some cap when w > cap ->
-            violate Edge_overload ~round:r ~sender:v ~receiver:dst ~words:w
-              ~budget:cap
-        | _ -> ());
         let load = if sent_round.(s) < epoch then 1 else slot_load.(s) + 1 in
         slot_load.(s) <- load;
         if load > !max_edge_load then max_edge_load := load;
@@ -391,7 +393,6 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
         incr sent_count;
         total_words := !total_words + w;
         if w > !max_words then max_words := w;
-        if w > !max_edge_words then max_edge_words := w;
         last_traffic_round := r;
         outbox.(dst) <- (v, payload) :: outbox.(dst);
         mark marks dst;
@@ -402,37 +403,18 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
     let inbox = inboxes.(v) in
     (match inbox with [] -> () | _ -> inboxes.(v) <- []);
     if not halted.(v) then begin
-      (match inbox with
-      | [] when asleep.(v) ->
-          if cfg.Config.sanitize then begin
-            let st0 = states.(v) in
-            let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
-            (match probe with
-            | None -> ()
-            | Some f -> f ~node:v ~round:r ~inbox state' outs);
-            idle_check ~node:v ~round:r st0 state' outs
-          end
-      | _ ->
-          let st0 = states.(v) in
-          let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
-          if cfg.Config.sanitize then begin
-            match inbox with
-            | [] | [ _ ] -> ()
-            | _ -> shadow_check ~prog ~node:v ~round:r ~inbox st0 state' outs
-          end;
-          (match probe with
-          | None -> ()
-          | Some f -> f ~node:v ~round:r ~inbox state' outs);
-          if state' != st0 then begin
-            states.(v) <- state';
-            if prog.halted state' then begin
-              halted.(v) <- true;
-              decr live
-            end
-          end;
-          asleep.(v) <- r > 0 && state' == st0 && inbox == [] && outs == [];
-          deliver outbox marks v r outs);
-      if (not halted.(v)) && (cfg.Config.sanitize || not asleep.(v)) then mark marks v
+      let st0 = states.(v) in
+      let state', outs = prog.step ~node:v ~round:r ~inbox st0 in
+      if state' != st0 then begin
+        states.(v) <- state';
+        if prog.halted state' then begin
+          halted.(v) <- true;
+          decr live
+        end
+      end;
+      let asleep = r > 0 && state' == st0 && inbox == [] && outs == [] in
+      deliver outbox marks v r outs;
+      if not (halted.(v) || asleep) then mark marks v
     end
   in
   Fun.protect
@@ -485,23 +467,28 @@ let drive ?(cfg = Config.default) ?probe ~words ~result ~stop g prog =
       total_words = !total_words;
       max_words = !max_words;
       max_edge_load = !max_edge_load;
-      max_edge_words = !max_edge_words;
+      max_edge_words = !max_words;
       messages_per_round = Array.sub sc.counts 0 !round;
     }
   in
   (out, audit, !last_traffic_round)
 
-let run ?cfg ?probe ~words ~result g prog =
+(* [drive] on [prog], or on [sanitized prog] when [cfg] asks for it,
+   with [result] applied to the program's own state *)
+let drive_program ?(cfg = Config.default) ~words ~result ~stop g prog =
+  if cfg.Config.sanitize then
+    drive ~cfg ~words ~result:(fun v (st, _) -> result v st) ~stop g (sanitized prog)
+  else drive ~cfg ~words ~result ~stop g prog
+
+let run ?cfg ~words ~result g prog =
   let out, audit, _ =
-    drive ?cfg ?probe ~words ~result
-      ~stop:(fun ~round:_ ~all_halted -> all_halted)
-      g prog
+    drive_program ?cfg ~words ~result ~stop:(fun ~round:_ ~all_halted -> all_halted) g prog
   in
   (out, audit)
 
-let run_bounded ?cfg ?probe ~words ~result ~rounds g prog =
+let run_bounded ?cfg ~words ~result ~rounds g prog =
   let out, audit, last_traffic =
-    drive ?cfg ?probe ~words ~result
+    drive_program ?cfg ~words ~result
       ~stop:(fun ~round ~all_halted:_ -> round >= rounds)
       g prog
   in

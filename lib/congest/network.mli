@@ -21,16 +21,15 @@
     the sender's channel is not one it or its receiver used last).  A
     round visits only the nodes that have mail, and those that stepped
     in the round before without halting or falling asleep (see
-    [program.step]); round 0 visits every node, and {!Config.sanitize}
-    every node that has not halted. *)
+    [program.step]); round 0 visits every node.  {!Config.sanitize}
+    wraps the program so that no node falls asleep, and adds the
+    marshalling and replays of its checks to each step. *)
 
 type violation_kind =
   | Oversized_message  (** payload exceeded [words_per_message] *)
   | Non_neighbor_send  (** destination is not adjacent to the sender *)
   | Duplicate_send     (** second message on one (sender, receiver) pair
                            in one round *)
-  | Edge_overload      (** strict mode: aggregate words on one directed
-                           edge in one round exceeded the cap *)
   | Order_dependence   (** sanitize mode: a step's outcome changed under
                            a permuted inbox delivery order *)
   | Round_dependence   (** sanitize mode: a sleeping node's empty-inbox
@@ -45,8 +44,8 @@ type violation = {
   sender : int option;    (** offending sender ([None] for watchdog) *)
   receiver : int option;  (** intended receiver ([None] for watchdog) *)
   words : int option;     (** measured words, for budget violations *)
-  budget : int option;    (** the violated limit: word budget, edge cap,
-                              or round limit *)
+  budget : int option;    (** the violated limit: word budget or round
+                              limit *)
 }
 
 exception Model_violation of violation
@@ -100,30 +99,17 @@ type audit = {
                                 second send on a channel raises
                                 {!Duplicate_send}) *)
   max_edge_words : int;     (** max aggregate words crossing one directed
-                                edge in one round — the quantity the
-                                strict mode ({!Config.strict}) caps *)
+                                edge in one round.  A channel carries
+                                one message a round, so this is
+                                [max_words], held under the per-message
+                                budget *)
   messages_per_round : int array;
       (** congestion profile: how many messages were in flight in each
           executed round (length = rounds) *)
 }
 
-type ('state, 'msg) probe =
-  node:int ->
-  round:int ->
-  inbox:(int * 'msg) list ->
-  'state ->
-  (int * 'msg) list ->
-  unit
-(** Instrumentation callback: invoked once per executed step (sleeping
-    nodes are not stepped, except under [cfg.sanitize]) with the
-    delivered inbox, the {e post-step} state, and the outbox, before
-    any model-discipline checks run on the outbox.  The sanitizer's
-    footprint/word-growth tracker hooks in here; the callback must not
-    mutate the network (it only observes). *)
-
 val run :
   ?cfg:Config.t ->
-  ?probe:('state, 'msg) probe ->
   words:('msg -> int) ->
   result:(int -> 'state -> 'r) ->
   Mincut_graph.Graph.t ->
@@ -139,17 +125,19 @@ val run :
     promote them all.  Returning the state itself keeps it.
 
     Raises [Model_violation] if the watchdog round limit is reached.
-    With [cfg.sanitize] set, every step whose inbox holds ≥ 2 messages
-    is additionally re-executed under a reversed and a
-    deterministically shuffled inbox; any divergence in
-    marshalled state, outbox multiset, or halted flag raises
-    [Model_violation] with kind {!Order_dependence} carrying the node
-    and round; and every sleeping node is stepped and checked against
-    the contract on [program.step] ({!Round_dependence}). *)
+    With [cfg.sanitize] set, the engine runs the program wrapped in a
+    checker, so the run is the plain run with every check passed, or
+    raises at the first failed one.  Every step whose inbox holds ≥ 2
+    messages is re-executed under a reversed and a deterministically
+    shuffled inbox; any divergence in marshalled state, outbox
+    multiset, or halted flag raises [Model_violation] with kind
+    {!Order_dependence} carrying the node and round.  Every node the
+    plain engine would sleep is stepped anyway and checked against the
+    contract on [program.step] ({!Round_dependence}); it then keeps its
+    pre-step state. *)
 
 val run_bounded :
   ?cfg:Config.t ->
-  ?probe:('state, 'msg) probe ->
   words:('msg -> int) ->
   result:(int -> 'state -> 'r) ->
   rounds:int ->

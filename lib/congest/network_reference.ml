@@ -66,11 +66,6 @@ let run ?(cfg = Config.default) ~words g (prog : _ Network.program) =
                   | None -> 0)
             in
             Hashtbl.replace edge_words (v, dst) load;
-            (match cfg.Config.strict_edge_words with
-            | Some cap when load > cap ->
-                violate Network.Edge_overload ~round:!round ~sender:v ~receiver:dst
-                  ~words:load ~budget:cap
-            | _ -> ());
             incr total_messages;
             incr sent_count;
             total_words := !total_words + w;

@@ -17,7 +17,7 @@ type result = {
 }
 
 (* 2^k capped so it never overflows the int range or exceeds [cap] *)
-let pow2_capped k ~cap = if k >= 62 then cap else min (1 lsl k) cap
+let pow2_capped k ~cap = if k >= 62 then cap else Int.min (1 lsl k) cap
 
 let run ?(seed = 0) ?trials g =
   let n = Graph.n g in
@@ -38,9 +38,9 @@ let run ?(seed = 0) ?trials g =
     }
   else begin
     let w_total = Graph.total_weight g in
-    let log2n = Intmath.ceil_log2 (max 2 n) in
-    let trials = match trials with Some t -> max 1 t | None -> max 4 log2n in
-    let levels = max 1 (Intmath.ceil_log2 (max 2 w_total)) in
+    let log2n = Intmath.ceil_log2 (Int.max 2 n) in
+    let trials = match trials with Some t -> Int.max 1 t | None -> Int.max 4 log2n in
+    let levels = Int.max 1 (Intmath.ceil_log2 (Int.max 2 w_total)) in
     let rng = Rng.create seed in
     let off = Graph.csr_offsets g in
     let nbr = Graph.csr_neighbors g in
@@ -48,7 +48,7 @@ let run ?(seed = 0) ?trials g =
     let m = Graph.m g in
     (* per-trial scratch, reused across the whole ladder: the sampled
        edge set, a tag-versioned visited mark, and the BFS queue *)
-    let keep = Array.make (max 1 m) false in
+    let keep = Array.make (Int.max 1 m) false in
     let mark = Array.make n (-1) in
     let queue = Array.make n 0 in
     let trial_connected ~p ~tag =
@@ -105,12 +105,12 @@ let run ?(seed = 0) ?trials g =
       else incr i
     done;
     let levels_tried = if !saturated then levels else !i in
-    let factor = max 4 (4 * log2n) in
+    let factor = Int.max 4 (4 * log2n) in
     let estimate = pow2_capped !level ~cap:w_total in
-    let lower = max 1 (estimate / factor) in
+    let lower = Int.max 1 (estimate / factor) in
     let upper =
       if !saturated then w_total
-      else min w_total (pow2_capped (!level + Intmath.ceil_log2 factor) ~cap:w_total)
+      else Int.min w_total (pow2_capped (!level + Intmath.ceil_log2 factor) ~cap:w_total)
     in
     {
       estimate;

@@ -25,7 +25,7 @@ let run g ~source =
 
 let eccentricity g v =
   let r = run g ~source:v in
-  Array.fold_left max 0 r.dist
+  Array.fold_left Int.max 0 r.dist
 
 let is_connected g =
   let n = Graph.n g in

@@ -40,16 +40,12 @@ let grid rows cols =
   done;
   Graph.create ~n:(rows * cols) !acc
 
+(* prepending the streamed edges, as [gnp] does, keeps the historical
+   edge ids that seeded replays and golden digests pin *)
 let torus rows cols =
-  assert (rows >= 3 && cols >= 3);
-  let id r c = (r * cols) + c in
   let acc = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      acc := (id r c, id r ((c + 1) mod cols), 1) :: !acc;
-      acc := (id r c, id ((r + 1) mod rows) c, 1) :: !acc
-    done
-  done;
+  Edge_stream.torus ~rows ~cols ~weight:(fun () -> 1) ~emit:(fun u v w ->
+      acc := (u, v, w) :: !acc);
   Graph.create ~n:(rows * cols) !acc
 
 let hypercube d =

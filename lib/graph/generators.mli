@@ -25,7 +25,8 @@ val grid : int -> int -> Graph.t
 (** [rows × cols] grid, unit weights; λ = min rows cols >= 2 ? 2 : 1. *)
 
 val torus : int -> int -> Graph.t
-(** Wrap-around grid (both dims >= 3), unit weights; λ = 4. *)
+(** Wrap-around grid, unit weights; λ = 4.  Raises [Invalid_argument]
+    unless both dims are >= 3. *)
 
 val hypercube : int -> Graph.t
 (** d-dimensional hypercube, unit weights; λ = d. *)

@@ -58,7 +58,7 @@ let set_channel t u v w =
   { cu = u; cv = v; before; after = w }
 
 let channel_weight t a b =
-  let u = min a b and v = max a b in
+  let u = Int.min a b and v = Int.max a b in
   match Hashtbl.find_opt t.channels (ck u v) with Some w -> w | None -> 0
 
 let channel_array t =
@@ -90,7 +90,7 @@ let current t =
 let of_graph g =
   let t =
     {
-      channels = Hashtbl.create (max 16 (Graph.m g));
+      channels = Hashtbl.create (Int.max 16 (Graph.m g));
       version = 0;
       n = Graph.n g;
       nchan = 0;
@@ -137,10 +137,10 @@ let incident t x =
 let move_node_channels t ~from ~onto =
   List.iter
     (fun (x, w) ->
-      ignore (set_channel t (min from x) (max from x) 0);
+      ignore (set_channel t (Int.min from x) (Int.max from x) 0);
       if x <> onto then
         let prev = channel_weight t onto x in
-        ignore (set_channel t (min onto x) (max onto x) (prev + w)))
+        ignore (set_channel t (Int.min onto x) (Int.max onto x) (prev + w)))
     (incident t from)
 
 let apply_checked t op =
@@ -149,11 +149,11 @@ let apply_checked t op =
       let* () = check_pair t u v in
       if w < 1 then Error (Printf.sprintf "add weight %d < 1" w)
       else
-        let u, v = (min u v, max u v) in
+        let u, v = (Int.min u v, Int.max u v) in
         Ok ([ set_channel t u v (channel_weight t u v + w) ], false)
   | Delta.Remove_edge { u; v } ->
       let* () = check_pair t u v in
-      let u, v = (min u v, max u v) in
+      let u, v = (Int.min u v, Int.max u v) in
       if channel_weight t u v = 0 then
         Error (Printf.sprintf "no channel %d-%d to remove" u v)
       else Ok ([ set_channel t u v 0 ], false)
@@ -162,7 +162,7 @@ let apply_checked t op =
       if w < 1 then
         Error (Printf.sprintf "reweight to %d < 1 (use remove)" w)
       else
-        let u, v = (min u v, max u v) in
+        let u, v = (Int.min u v, Int.max u v) in
         let before = channel_weight t u v in
         if before = 0 then
           Error (Printf.sprintf "no channel %d-%d to reweight" u v)
@@ -207,10 +207,10 @@ let apply_checked t op =
           List.iter
             (fun x ->
               let wx = channel_weight t v x in
-              ignore (set_channel t (min v x) (max v x) 0);
-              ignore (set_channel t (min x fresh) (max x fresh) wx))
+              ignore (set_channel t (Int.min v x) (Int.max v x) 0);
+              ignore (set_channel t (Int.min x fresh) (Int.max x fresh) wx))
             moved;
-          ignore (set_channel t (min v fresh) (max v fresh) w);
+          ignore (set_channel t (Int.min v fresh) (Int.max v fresh) w);
           Ok ([], true)
 
 let apply t op =

@@ -172,7 +172,6 @@ let test_only_keep =
     "Mincut_serve.Service.pending";
     "Mincut_parallel.Lockcheck.set_raise_on_inversion";
     "Mincut_parallel.Lockcheck.reset";
-    "Mincut_congest.Config.strict";
     "Mincut_analysis.Exnflow.raise_sets";
     "Mincut_store.Chunked_graph.total_weight";
     "Mincut_store.Chunked_graph.total_bytes";
@@ -193,10 +192,8 @@ let unpassed_option_keep =
   [
     ( ("Network_reference", "run", "cfg"),
       "the reference driver is the oracle for the engine's watchdog and \
-       word-budget checks, so tests run both under the same strict configs" );
-    ( ("Network", "run_bounded", "probe"),
-      "tests count the node steps of a flood that never halts, which only a \
-       bounded run can stop, to pin wake-on-mail stepping" );
+       word-budget checks: the active-set test hands both drivers one config, \
+       in plain and in sanitize mode, so its limits bind both alike" );
     ( ("One_respect", "lca_by_fragments", "target"),
       "tests vary the fragment size so LCAs across fragment boundaries are \
        exercised at every shape; shipped callers use the paper's ceil(sqrt n)" );

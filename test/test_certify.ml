@@ -104,9 +104,49 @@ let test_sanitize_flags_fat_payloads () =
       ~words:List.length g prog
   in
   check_bool "not ok" false r.Sanitize.ok;
-  check_bool "flags raised" true (r.Sanitize.flags <> []);
-  check_int "measured words" 8 r.Sanitize.max_payload_words;
-  check_int "limit is log2 n" 6 r.Sanitize.payload_limit
+  match r.Sanitize.flag with
+  | None -> Alcotest.fail "no flag raised"
+  | Some f ->
+      check_int "measured words" 8 f.Sanitize.words;
+      check_int "limit is log2 n" 6 r.Sanitize.payload_limit
+
+(* One word check serves the caller's budget and the scaling limit:
+   node 0 sends one payload of [w] words, and the report sorts it at
+   each boundary into a flag, a violation, both or neither. *)
+let test_sanitize_limit_and_budget_boundaries () =
+  let g = Generators.path 2 in
+  let run ~budget ~limit w =
+    let prog =
+      Network.
+        {
+          initial = (fun _ -> false);
+          step =
+            (fun ~node ~round:_ ~inbox:_ _ -> (true, if node = 0 then [ (1, w) ] else []));
+          halted = Fun.id;
+        }
+    in
+    Sanitize.run ~cfg:(Config.with_budget budget) ~limit ~words:Fun.id g prog
+  in
+  let flag_words r = Option.map (fun f -> (f.Sanitize.words, f.Sanitize.limit)) r.Sanitize.flag in
+  let r = run ~budget:64 ~limit:6 6 in
+  check_bool "at the limit: ok" true r.Sanitize.ok;
+  let r = run ~budget:64 ~limit:6 7 in
+  check_bool "limit + 1: flagged" true (flag_words r = Some (7, 6));
+  check_bool "limit + 1 under the budget: no violation" true (r.Sanitize.violation = None);
+  let r = run ~budget:8 ~limit:6 9 in
+  check_bool "above both: flagged" true (flag_words r = Some (9, 6));
+  (match r.Sanitize.violation with
+  | None -> Alcotest.fail "above both: no violation"
+  | Some m ->
+      Alcotest.(check string) "above both: the caller's budget"
+        "round 0: node 0 message of 9 words to 1 exceeds budget 8" m);
+  let r = run ~budget:4 ~limit:6 5 in
+  check_bool "above the budget, under the limit: no flag" true (r.Sanitize.flag = None);
+  match r.Sanitize.violation with
+  | None -> Alcotest.fail "above the budget: no violation"
+  | Some m ->
+      Alcotest.(check string) "above the budget: the caller's budget"
+        "round 0: node 0 message of 5 words to 1 exceeds budget 4" m
 
 (* ---- costcheck -------------------------------------------------------- *)
 
@@ -359,4 +399,6 @@ let suite =
     tc "certify: all three seeded defects fail the run"
       test_certify_injections_fail;
     tc "certify: JSON reports round-trip" test_reports_roundtrip;
+    tc "sanitize: limit and budget boundaries"
+      test_sanitize_limit_and_budget_boundaries;
   ]

@@ -225,40 +225,37 @@ let test_stale_memo_never_hides_a_duplicate () =
   check_opt "sender" (Some 0) v.Network.sender;
   check_opt "receiver" (Some 1) v.Network.receiver
 
-let test_engine_strict_edge_overload () =
-  (* one word per message passes the lenient per-message budget but two
-     messages never cross one edge in one round, so the only way to trip
-     Edge_overload is a payload that fits words_per_message yet exceeds
-     the strict per-edge cap *)
-  let g = Generators.path 2 in
-  let prog : (bool, int) Network.program =
+(* Node 1 sleeps from round 1, is woken by node 0's message in round
+   4, sleeps again from round 5, and then acts on an empty inbox in
+   round 8: a timer read after a wake.  The plain engine never steps it
+   there, so it never sends; sanitize mode steps it and names the node
+   and the round. *)
+let test_sanitize_catches_timer_after_wake () =
+  let g = Generators.path 3 in
+  let prog : (int, int) Network.program =
     {
-      initial = (fun _ -> false);
-      step = (fun ~node ~round:_ ~inbox:_ _ -> if node = 0 then (true, [ (1, 0) ]) else (true, []));
-      halted = (fun b -> b);
+      initial = (fun _ -> 0);
+      step =
+        (fun ~node ~round ~inbox k ->
+          match (node, inbox) with
+          | 0, _ -> (k + 1, if k = 3 then [ (1, 0) ] else [])
+          | 1, _ :: _ -> (1, [])
+          | 1, [] when round = 8 -> (k, [ (2, 0) ])
+          | _ -> (k, []));
+      halted = (fun _ -> false);
     }
   in
-  (* lenient run with 3-word payloads is fine under the default budget *)
-  let _, audit = Network.run ~result:keep_state ~words:(fun _ -> 3) g prog in
-  check_int "lenient max_edge_words" 3 audit.Network.max_edge_words;
+  let states, audit = Network.run_bounded ~result:keep_state ~words:words1 ~rounds:12 g prog in
+  check_int "plain engine: the woken node heard node 0" 1 states.(1);
+  check_int "plain engine: only node 0 sends" 1 audit.Network.total_messages;
   let v =
-    expect_violation "edge overload" (fun () ->
-        Network.run ~result:keep_state
-          ~cfg:(Config.strict ~budget:2 Config.default)
-          ~words:(fun _ -> 3) g prog)
+    expect_violation "timer after wake" (fun () ->
+        Network.run_bounded ~result:keep_state ~cfg:(Config.sanitized Config.default)
+          ~words:words1 ~rounds:12 g prog)
   in
-  check_bool "kind" true (v.Network.kind = Network.Edge_overload);
-  check_opt "aggregate words" (Some 3) v.Network.words;
-  check_opt "edge cap" (Some 2) v.Network.budget;
-  check_opt "sender" (Some 0) v.Network.sender;
-  check_opt "receiver" (Some 1) v.Network.receiver
-
-let test_strict_rejects_bad_budget () =
-  check_bool "non-positive cap" true
-    (try
-       ignore (Config.strict ~budget:0 Config.default);
-       false
-     with Invalid_argument _ -> true)
+  check_bool "kind" true (v.Network.kind = Network.Round_dependence);
+  check_int "round" 8 v.Network.round;
+  check_opt "sender" (Some 1) v.Network.sender
 
 let test_bfs_tree_real () =
   List.iter
@@ -776,6 +773,47 @@ let test_multigraph_flood_goldens () =
   in
   Alcotest.(check (list (pair string string))) "flood digests" golden_multigraph_floods got
 
+(* One message per channel per round: the most words crossing one
+   directed edge in one round is the largest payload, in the engine's
+   audit and in the reference driver's per-edge sum alike.  Payloads
+   weigh 1 to 4 words by value, so the maximum is not always 1. *)
+let test_edge_words_are_max_words () =
+  let words x = 1 + (abs x mod 4) in
+  let check name (audit : Network.audit) =
+    check_int name audit.Network.max_words audit.Network.max_edge_words
+  in
+  let both name ?rounds g prog =
+    let engine, reference =
+      match rounds with
+      | None ->
+          ( snd (Network.run ~result:keep_state ~words g prog),
+            snd (Reference.run ~words g prog) )
+      | Some rounds ->
+          ( snd (Network.run_bounded ~result:keep_state ~words ~rounds g prog),
+            snd (reference_bounded ~words ~rounds g prog) )
+    in
+    check (name ^ " engine") engine;
+    check (name ^ " reference") reference
+  in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      let tree = Tree.bfs_tree g ~root:0 in
+      let height = Tree.height tree in
+      let f = Primitives.forest_of_tree tree in
+      let values = Array.init n (fun v -> (v * 7 mod 31) + 1) in
+      let initial v = if v mod 4 = 0 then [ v mod 5; v ] else [] in
+      let k = List.length (List.sort_uniq Int.compare (List.concat (List.init n initial))) in
+      both (name ^ " bfs") g (Primitives.bfs_program g ~root:0);
+      both (name ^ " convergecast") g (Primitives.convergecast_program f ~combine:( + ) ~values);
+      both (name ^ " broadcast") g
+        (Primitives.broadcast_program f ~k:3 ~item:(fun r i -> (3 * r) + i));
+      both (name ^ " upcast") ~rounds:(height + k + 2) g (Primitives.upcast_program f ~initial);
+      both (name ^ " flood-max") ~rounds:((2 * height) + 2) g
+        (Primitives.flood_max_program g ~values);
+      both (name ^ " exchange") g (Primitives.exchange_program g ~values))
+    (replay_graphs () @ multigraphs ())
+
 (* Flood-max steps a node only when mail arrives (plus the step that
    puts it to sleep): on a 64-node path with one raised value the flood
    runs 2·63 + 2 rounds but steps O(messages + n) times, not once per
@@ -785,12 +823,18 @@ let test_flood_max_sleeps () =
   let g = Generators.path n in
   let values = Array.init n (fun v -> if v = 0 then 1 else 0) in
   let steps = ref 0 in
-  let probe ~node:_ ~round:_ ~inbox:_ _ _ = incr steps in
-  let rounds = (2 * (n - 1)) + 2 in
-  let _, audit =
-    Network.run_bounded ~result:keep_state ~probe ~words:words1 ~rounds g
-      (Primitives.flood_max_program g ~values)
+  let prog = Primitives.flood_max_program g ~values in
+  let counted =
+    {
+      prog with
+      Network.step =
+        (fun ~node ~round ~inbox st ->
+          incr steps;
+          prog.Network.step ~node ~round ~inbox st);
+    }
   in
+  let rounds = (2 * (n - 1)) + 2 in
+  let _, audit = Network.run_bounded ~result:keep_state ~words:words1 ~rounds g counted in
   let messages = audit.Network.total_messages in
   check_bool
     (Printf.sprintf "%d steps <= 2·%d messages + 2n" !steps messages)
@@ -955,8 +999,10 @@ let suite =
       test_duplicate_send_with_warm_memo;
     tc "engine: a stale channel memo never hides a duplicate"
       test_stale_memo_never_hides_a_duplicate;
-    tc "engine: strict mode catches edge overload" test_engine_strict_edge_overload;
-    tc "config: strict rejects bad budget" test_strict_rejects_bad_budget;
+    tc "audit: max edge words = max words, engine and reference"
+      test_edge_words_are_max_words;
+    tc "sanitize: a timer read after a wake raises Round_dependence"
+      test_sanitize_catches_timer_after_wake;
     tc "primitives: bfs tree (real rounds)" test_bfs_tree_real;
     tc "primitives: bfs tree refuses a disconnected graph" test_bfs_tree_disconnected;
     tc "primitives: convergecast sum" test_convergecast_sum_real;
